@@ -42,10 +42,6 @@ VERIFY_CSV_COLUMNS = (
 )
 
 
-_NUMERIC_PARAM_KEYS = ("n", "N", "eps", "max_c", "min_quality", "C",
-                       "congruence", "tolerance", "iter", "radical_scale")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated per-invocation settings shared by the subcommands."""
@@ -55,7 +51,6 @@ class RunConfig:
     workers: int
     seed: int
     factor_budget: int | None
-    params: dict
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -65,10 +60,6 @@ class RunConfig:
             workers=getattr(args, "workers", 1),
             seed=getattr(args, "seed", 0),
             factor_budget=getattr(args, "factor_budget", None),
-            params={
-                k: getattr(args, k) for k in _NUMERIC_PARAM_KEYS
-                if getattr(args, k, None) is not None
-            },
         )
         if cfg.workers < 1:
             raise ValueError("--workers must be at least 1")

@@ -37,7 +37,7 @@ import mpmath
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit
-from .numtheory import FactorizationFailure, radical, totient
+from .numtheory import FactorizationFailure, _prime_array, radical, totient
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -182,23 +182,9 @@ def random_solutions(max_c: int, count: int, seed: int = 0) -> list[ABCSolution]
 # ---------------------------------------------------------------------------
 # sieve tables (process-global, copy-on-write shared with forked workers)
 
-_prime_cache: dict[int, np.ndarray] = {}
 _table_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _phi_cache: dict[int, np.ndarray] = {}
-_p1mod4_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _prime_array(limit: int) -> np.ndarray:
-    primes = _prime_cache.get(limit)
-    if primes is None:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.nonzero(sieve)[0].astype(np.int64)
-        _prime_cache[limit] = primes
-    return primes
+_p1mod4_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _radical_tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,13 +213,19 @@ def _phi_table(limit: int) -> np.ndarray:
     return phi
 
 
-def _p1mod4(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Primes congruent to 1 mod 4 up to limit, with their logs."""
+def _p1mod4(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primes p = 1 mod 4 up to limit, their logs, and the two roots
+    u = (1 +- i)/2 mod p of 2u**2 - 2u + 1, where i**2 = -1 mod p."""
     cached = _p1mod4_cache.get(limit)
     if cached is None:
         primes = _prime_array(limit)
         sel = primes[primes % 4 == 1]
-        cached = (sel, np.log(sel.astype(np.float64)))
+        roots = np.empty((len(sel), 2), dtype=np.int64)
+        for k, p in enumerate(sel.tolist()):
+            g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+            i = pow(g, (p - 1) // 4, p)
+            roots[k] = (1 + i) * (p + 1) // 2 % p, (1 - i) * (p + 1) // 2 % p
+        cached = (sel, np.log(sel.astype(np.float64)), roots)
         _p1mod4_cache[limit] = cached
     return cached
 
@@ -252,16 +244,27 @@ def _c_blocks(max_c: int, target_slots: int = _BLOCK_SLOTS) -> list[tuple[int, i
     return blocks or [(3, max_c)]
 
 
-def _block_pairs(c_lo: int, c_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coprime (c, s) pairs of the block, in corpus order."""
+def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
+    """Corpus pairs (c, s) of the block, in corpus order, and the grid layout.
+
+    Row c of the full grid holds s = 1 .. (c-1)//2 from position starts[row];
+    keep marks the corpus pairs (gcd(s, c) = 1, and N | abc for congruence
+    N > 1), so grid position g holds output pair cumsum(keep)[g] - 1.
+    """
     cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
     reps = (cs - 1) // 2
-    total = int(reps.sum())
     c_arr = np.repeat(cs, reps)
     starts = np.cumsum(reps) - reps
-    s_arr = np.arange(total, dtype=np.int64) - np.repeat(starts, reps) + 1
+    s_arr = np.arange(len(c_arr), dtype=np.int64) - np.repeat(starts, reps) + 1
     keep = np.gcd(s_arr, c_arr) == 1
-    return c_arr[keep], s_arr[keep]
+    if congruence > 1:
+        keep &= _congruence_mask(c_arr, s_arr, congruence)
+    return c_arr[keep], s_arr[keep], (cs, reps, starts, keep)
+
+
+def _block_pairs(c_lo: int, c_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coprime (c, s) pairs of the block, in corpus order."""
+    return _block_grid(c_lo, c_hi)[:2]
 
 
 def _congruence_mask(c_arr: np.ndarray, s_arr: np.ndarray, N: int) -> np.ndarray:
@@ -292,45 +295,45 @@ def _corpus_hash_list(triples: list[ABCSolution]) -> str:
     return h.hexdigest()
 
 
-def _lograd_odd_sum_squares(x: np.ndarray, y: np.ndarray, max_c: int) -> np.ndarray:
+def _lograd_odd_sum_squares(x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
     """log of the product of distinct odd primes of x**2 + y**2.
 
-    Requires gcd(x, y) = 1 elementwise, so every odd prime factor is
-    1 mod 4 and the 2-adic valuation is at most 1 after halving the
-    even entries once; trial division therefore needs only the primes
-    1 mod 4 up to sqrt(max(x**2 + y**2)).
+    x = c - s and y = s are a block's corpus pairs and grid its layout
+    from _block_grid.  gcd(x, y) = 1, so every odd prime factor is
+    1 mod 4 and the 2-adic valuation is at most 1.  Such a p divides
+    (c - s)**2 + s**2 exactly when s = c*u mod p for a root u of
+    2u**2 - 2u + 1, so the hits of p in row c are two arithmetic
+    progressions of step p (a root sieve, as in the quadratic sieve);
+    rows with p | c start both at s = 0 mod p, never coprime, and are
+    skipped.  Each p < c_hi is sieved over the rows with c > p and
+    removed completely at its hits only; what is left of the odd part,
+    below c**2, has no prime factor below c, so it is 1 or one prime.
+    Logs are added in ascending prime order, that prime last: a prime's
+    log is the same float whether the sieve or the cofactor supplies
+    it, so the sums, and the verdict bytes, do not depend on where the
+    sieve stops and equal those of trial division.
     """
     t = x * x + y * y
-    even = (t & 1) == 0
-    t[even] >>= 1
-    bound = math.isqrt(int(2) * max_c * max_c) + 1
-    primes, logp = _p1mod4(bound)
+    t[(t & 1) == 0] >>= 1
+    cs, reps, starts, keep = grid
+    rank = np.cumsum(keep) - 1
+    primes, logp, roots = _p1mod4(max_c)
     out = np.zeros(len(t), dtype=np.float64)
-    active = np.nonzero(t > 1)[0]
-    for i in range(len(primes)):
-        if len(active) == 0:
-            break
+    for i in range(int(np.searchsorted(primes, cs[-1]))):
         p = int(primes[i])
-        sub = t[active]
-        hm = sub % p == 0
-        if hm.any():
-            hit = active[hm]
-            out[hit] += logp[i]
-            w = t[hit] // p
-            m2 = w % p == 0
-            while m2.any():
-                w[m2] //= p
-                m2 = m2 & (w % p == 0)
-            t[hit] = w
-            sub = t[active]
-        done = sub < p * p
-        if done.any():
-            fin = active[done]
-            fw = t[fin]
-            big = fw > 1
-            out[fin[big]] += np.log(fw[big].astype(np.float64))
-            t[fin] = 1
-            active = active[~done]
+        row = int(np.searchsorted(cs, p, side="right"))
+        s0 = (cs[row:, None] % p) * roots[i] % p
+        count = np.where(s0 > 0, (reps[row:, None] - s0) // p + 1, 0).ravel()
+        step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        pos = np.repeat((starts[row:, None] + s0 - 1).ravel(), count) + p * step
+        hit = rank[pos[keep[pos]]]
+        out[hit] += logp[i]
+        w = t[hit] // p
+        again = w % p == 0
+        while again.any():
+            w[again] //= p
+            again &= w % p == 0
+        t[hit] = w
     rest = t > 1
     out[rest] += np.log(t[rest].astype(np.float64))
     return out
@@ -415,10 +418,7 @@ def _iter_source(source) -> Iterator[ABCSolution]:
 def _k_lemma1_vector(args) -> dict:
     (c_lo, c_hi, block_idx, max_c, congruence, n_grid, eps_grid, tolerance, band, cex_cap) = args
     _, lograd, lograd_odd = _radical_tables(max_c)
-    c_arr, s_arr = _block_pairs(c_lo, c_hi)
-    if congruence > 1 and len(c_arr):
-        keep = _congruence_mask(c_arr, s_arr, congruence)
-        c_arr, s_arr = c_arr[keep], s_arr[keep]
+    c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
     out = {
         "triples": len(c_arr),
         "checks": 0,
@@ -439,7 +439,7 @@ def _k_lemma1_vector(args) -> dict:
     base_odd = lograd_odd[d_arr] + lograd_odd[c_arr] + lograd_odd[aabs] + lograd_odd[babs]
     lnrad_img = {2: _LN2 + base_odd}
     if 4 in n_grid:
-        lnrad_img[4] = _LN2 + base_odd + _lograd_odd_sum_squares(aabs, babs, max_c)
+        lnrad_img[4] = _LN2 + base_odd + _lograd_odd_sum_squares(aabs, babs, grid, max_c)
     even = (c_arr & 1) == 0
 
     def _triple(i: int) -> ABCSolution:

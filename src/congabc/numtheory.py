@@ -5,7 +5,9 @@ testing, complete factorization, the radical (squarefree kernel),
 Euler's totient, and small exact helpers.  The factorization engine
 is trial division up to a configurable bound, Miller-Rabin primality
 (deterministic below 2**64, seeded-probabilistic above), and Brent's
-variant of Pollard's rho with an iteration budget for splitting.
+variant of Pollard's rho with an iteration budget for splitting.  Its
+trial primes come from the package's one prime sieve, _prime_array,
+which also builds the harness's numpy sieve tables.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 import os
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 26
@@ -76,18 +80,6 @@ class Factorization:
         return dict(self.factors)
 
 
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor, nonnegative; gcd(0, 0) = 0."""
-    return math.gcd(x, y)
-
-
-def pow_int(base: int, exp: int) -> int:
-    """Exact integer power with a nonnegative exponent."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return base**exp
-
-
 def valuation2(n: int) -> int:
     """Largest k with 2**k dividing n; n must be nonzero."""
     if n == 0:
@@ -96,19 +88,28 @@ def valuation2(n: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-_prime_cache: dict[int, list[int]] = {}
+_prime_cache: dict[int, np.ndarray] = {}
+_trial_cache: dict[int, list[int]] = {}
+
+
+def _prime_array(limit: int) -> np.ndarray:
+    """The primes up to limit, ascending (sieve of Eratosthenes)."""
+    primes = _prime_cache.get(limit)
+    if primes is None:
+        sieve = np.ones(limit + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        primes = np.nonzero(sieve)[0].astype(np.int64)
+        _prime_cache[limit] = primes
+    return primes
 
 
 def _trial_primes(bound: int) -> list[int]:
-    primes = _prime_cache.get(bound)
+    primes = _trial_cache.get(bound)
     if primes is None:
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        primes = [i for i in range(2, bound + 1) if sieve[i]]
-        _prime_cache[bound] = primes
+        primes = _trial_cache[bound] = _prime_array(bound).tolist()
     return primes
 
 

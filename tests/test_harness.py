@@ -9,6 +9,8 @@ from congabc.harness import (
     CorpusSpec,
     HypothesisViolated,
     SuiteSummary,
+    _block_grid,
+    _lograd_odd_sum_squares,
     enumerate_solutions,
     filter_congruence,
     random_solutions,
@@ -18,6 +20,7 @@ from congabc.harness import (
     verify_proof_identities,
     verify_reduction_chain,
 )
+from congabc.numtheory import radical, valuation2
 from congabc.theta import ExponentCapExceeded, NonpositiveEpsilon, OddN, lemma_constants
 
 
@@ -178,6 +181,35 @@ def test_lemma1_lane_agreement():
     assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
     assert fast.extremal.triple == slow.extremal.triple
     assert fast.extremal.params == slow.extremal.params
+
+
+@pytest.mark.parametrize("N, checks", [(7, 36_576), (16, 12_260), (60, 18_296)])
+def test_lemma1_lane_agreement_congruence(N, checks):
+    spec = CorpusSpec(max_c=400, congruence=N)
+    fast = verify_lemma1(spec, [2, 4], [0.5, 1.0])
+    slow = verify_lemma1(list(spec), [2, 4], [0.5, 1.0])
+    assert fast.checks == slow.checks == checks
+    assert (fast.passes, fast.failures) == (slow.passes, slow.failures)
+    assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
+    assert fast.extremal.triple == slow.extremal.triple
+    assert fast.extremal.params == slow.extremal.params
+
+
+@pytest.mark.parametrize("c_lo, c_hi, congruence, max_c", [
+    (1500, 1600, 1, 10_000),  # a block that does not start at c = 3
+    (3, 400, 7, 400),         # a congruence-restricted block
+])
+def test_sum_squares_root_sieve_matches_factorization(c_lo, c_hi, congruence, max_c):
+    c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
+    got = _lograd_odd_sum_squares(c_arr - s_arr, s_arr, grid, max_c)
+    pairs = list(zip(c_arr.tolist(), s_arr.tolist()))
+    assert len(got) == len(pairs) > 0
+    if congruence == 7:
+        assert (8, 1) in pairs  # 7**2 + 1**2 = 2 * 5**2
+        assert any(c == 65 for c, _ in pairs)  # 5 | 65 and 13 | 65
+    for (c, s), value in zip(pairs, got.tolist()):
+        t = (c - s) ** 2 + s**2
+        assert value == pytest.approx(math.log(radical(t >> valuation2(t))), abs=1e-12)
 
 
 def test_lemma1_worker_count_is_invisible():

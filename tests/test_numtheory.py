@@ -12,41 +12,11 @@ from congabc.numtheory import (
     Factorization,
     FactorizationFailure,
     factorize,
-    gcd,
     is_probable_prime,
-    pow_int,
     radical,
     totient,
     valuation2,
 )
-
-
-def test_gcd_examples():
-    assert gcd(12, 18) == 6
-    assert gcd(-7, 0) == 7
-    assert gcd(5764801, 43046721) == 1  # 7**8 vs 9**8
-
-
-@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
-def test_gcd_properties(x, y):
-    g = gcd(x, y)
-    assert g == gcd(y, x) == gcd(-x, y)
-    assert g >= 0
-    if g:
-        assert x % g == 0 and y % g == 0
-
-
-def test_pow_int_examples():
-    assert pow_int(7, 8) == 5764801
-    assert pow_int(123456789, 0) == 1
-    assert pow_int(-3, 2) == 9
-    with pytest.raises(ValueError):
-        pow_int(2, -1)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(0, 32))
-def test_pow_int_matches_builtin(base, exp):
-    assert pow_int(base, exp) == base**exp
 
 
 def test_valuation2_examples():
