@@ -98,15 +98,20 @@ def make_solution(x: int, y: int, z: int) -> ABCSolution:
     return ABCSolution(neg[0], neg[1], pos[0])
 
 
-def merit(aa: ABCSolution, epsilon: float = 0.0) -> MeritReport:
-    """Merit report for one solution at one epsilon >= 0.
+def radical_abc(aa: ABCSolution) -> int:
+    """rad(|a| * |b| * c), computed per component.
 
-    The radical is computed per component; the components are pairwise
-    coprime so rad(|a| * |b| * c) = rad(|a|) * rad(|b|) * rad(c).
+    The components are pairwise coprime, so it is the product
+    rad(|a|) * rad(|b|) * rad(c) of three smaller factorizations.
     """
+    return radical(-aa.a) * radical(-aa.b) * radical(aa.c)
+
+
+def merit(aa: ABCSolution, epsilon: float = 0.0) -> MeritReport:
+    """Merit report for one solution at one epsilon >= 0."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    rad_abc = radical(-aa.a) * radical(-aa.b) * radical(aa.c)
+    rad_abc = radical_abc(aa)
     log_rad = math.log(rad_abc)
     log_c = math.log(aa.c)
     return MeritReport(

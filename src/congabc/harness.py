@@ -13,9 +13,10 @@ a corpus:
 
 Inequality checks use float arithmetic with an absolute slack
 tolerance (default 1e-9); any verdict whose slack is within the
-recheck band (default 1e-6) is recomputed from exact integers at
-160-bit precision before final classification.  Divisibility and
-identity checks are exact integer arithmetic throughout.
+recheck band (default 1e-6) or below -tolerance is recomputed from
+exact integers at 160-bit precision before final classification, so
+no failure is reported from floats alone.  Divisibility and identity
+checks are exact integer arithmetic throughout.
 
 Verification is data-parallel over deterministic c-range blocks; the
 block layout depends only on the corpus, never on the worker count,
@@ -25,18 +26,19 @@ bit-for-bit regardless of parallelism.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import multiprocessing
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import mpmath
 import numpy as np
 
-from .abc_core import ABCSolution, MeritReport, merit
+from .abc_core import ABCSolution, MeritReport, merit, radical_abc
 from .numtheory import FactorizationFailure, _prime_array, radical, totient
 from .theta import (
     DEFAULT_EXPONENT_CAP,
@@ -182,13 +184,13 @@ def random_solutions(max_c: int, count: int, seed: int = 0) -> list[ABCSolution]
 # ---------------------------------------------------------------------------
 # sieve tables (process-global, copy-on-write shared with forked workers)
 
-_table_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _phi_cache: dict[int, np.ndarray] = {}
 _p1mod4_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _radical_tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rad, log rad, log of odd part of rad) for 0..limit."""
+def _radical_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log rad, log of odd part of rad) for 0..limit."""
     tables = _table_cache.get(limit)
     if tables is None:
         rad = np.ones(limit + 1, dtype=np.int64)
@@ -198,7 +200,7 @@ def _radical_tables(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lograd[1:] = np.log(rad[1:].astype(np.float64))
         lograd_odd = lograd.copy()
         lograd_odd[2::2] -= _LN2
-        tables = (rad, lograd, lograd_odd)
+        tables = (lograd, lograd_odd)
         _table_cache[limit] = tables
     return tables
 
@@ -262,9 +264,10 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     return c_arr[keep], s_arr[keep], (cs, reps, starts, keep)
 
 
-def _block_pairs(c_lo: int, c_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coprime (c, s) pairs of the block, in corpus order."""
-    return _block_grid(c_lo, c_hi)[:2]
+def _pair(c_arr: np.ndarray, s_arr: np.ndarray, i: int) -> ABCSolution:
+    """The solution at position i of a block's (c, s) pairs."""
+    c, s = int(c_arr[i]), int(s_arr[i])
+    return ABCSolution(s - c, -s, c)
 
 
 def _congruence_mask(c_arr: np.ndarray, s_arr: np.ndarray, N: int) -> np.ndarray:
@@ -276,11 +279,8 @@ def _corpus_count(spec: CorpusSpec) -> int:
     if spec.congruence == 1:
         phi = _phi_table(spec.max_c)
         return int((phi[3:] // 2).sum())
-    total = 0
-    for c_lo, c_hi in _c_blocks(spec.max_c):
-        c_arr, s_arr = _block_pairs(c_lo, c_hi)
-        total += int(_congruence_mask(c_arr, s_arr, spec.congruence).sum())
-    return total
+    return sum(len(_block_grid(c_lo, c_hi, spec.congruence)[0])
+               for c_lo, c_hi in _c_blocks(spec.max_c))
 
 
 def _corpus_hash_spec(spec: CorpusSpec, size: int) -> str:
@@ -340,62 +340,151 @@ def _lograd_odd_sum_squares(x: np.ndarray, y: np.ndarray, grid: tuple, max_c: in
 
 
 # ---------------------------------------------------------------------------
-# high-precision rechecks (exact integers, 160-bit logs)
+# high-precision rechecks: each recomputes a slack from exact integers with
+# 160-bit logs and returns it as an mpf
 
 
 def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
     """(rad of |a*b*c|, rad of the image product, image c) exactly."""
-    rad_in = radical(-aa.a) * radical(-aa.b) * radical(aa.c)
-    img = theta(aa, n, cap=n)
-    rad_img = radical(-img.output.a) * radical(-img.output.b) * radical(img.output.c)
-    return rad_in, rad_img, img.output.c
+    rad_in = radical_abc(aa)
+    img = theta(aa, n, cap=n).output
+    return rad_in, radical_abc(img), img.c
 
 
-def _hp_lemma1(aa: ABCSolution, n: int, eps: float, tolerance: float) -> tuple[bool, float]:
-    rad_in, rad_img, c_img = _exact_radicals(aa, n)
+def _hp_merits(aa: ABCSolution, n: int, eps: float, rad_in: int, rad_img: int, c_img: int):
+    """(f(input, eps), f(image, eps_out), c_lin, c_off) at the working precision."""
+    e = mpmath.mpf(eps)
+    denom = n + n * e - e
+    eps_out = e / denom
+    c_lin = mpmath.mpf(n) / denom
+    c_off = -n * (1 + e) * mpmath.log(2 * n) / denom - n * mpmath.log(2)
+    f_in = mpmath.log(aa.c) - (1 + e) * mpmath.log(rad_in)
+    f_img = mpmath.log(c_img) - (1 + eps_out) * mpmath.log(rad_img)
+    return f_in, f_img, c_lin, c_off
+
+
+def _hp_lemma1(aa: ABCSolution, n: int, eps: float):
+    radicals = _exact_radicals(aa, n)
     with mpmath.workprec(HP_PRECISION_BITS):
-        e = mpmath.mpf(eps)
-        denom = n + n * e - e
-        eps_out = e / denom
-        c_lin = mpmath.mpf(n) / denom
-        c_off = -n * (1 + e) * mpmath.log(2 * n) / denom - n * mpmath.log(2)
-        lhs = mpmath.log(c_img) - (1 + eps_out) * mpmath.log(rad_img)
-        rhs = c_lin * (mpmath.log(aa.c) - (1 + e) * mpmath.log(rad_in)) + c_off
-        slack = lhs - rhs
-        return bool(slack >= -mpmath.mpf(tolerance)), float(slack)
+        f_in, f_img, c_lin, c_off = _hp_merits(aa, n, eps, *radicals)
+        return f_img - (c_lin * f_in + c_off)
 
 
-def _hp_radical_bound(aa: ABCSolution, n: int, tolerance: float) -> tuple[bool, float]:
+def _hp_radical_bound(aa: ABCSolution, n: int):
     rad_in, rad_img, _ = _exact_radicals(aa, n)
     dd = abs(aa.a - aa.b)
-    quotient = 4 * _identity_sum(aa.c, dd, n)
-    rad_q = radical(quotient)
+    rad_q = radical(4 * _identity_sum(aa.c, dd, n))
     with mpmath.workprec(HP_PRECISION_BITS):
         lhs = mpmath.log(dd) + mpmath.log(rad_in) + mpmath.log(rad_q)
-        rhs = mpmath.log(rad_img)
-        slack = lhs - rhs
-        return bool(slack >= -mpmath.mpf(tolerance)), float(slack)
+        return lhs - mpmath.log(rad_img)
 
 
-def _hp_chain(
-    aa: ABCSolution, n: int, eps: float, assumed_constant: float, tolerance: float
-) -> tuple[bool, float, bool, float]:
-    """High-precision slacks of both chain checks for one triple."""
-    rad_in, rad_img, c_img = _exact_radicals(aa, n)
+def _hp_chain(aa: ABCSolution, n: int, eps: float, assumed_constant: float) -> tuple:
+    """Slacks of both chain checks for one triple."""
+    radicals = _exact_radicals(aa, n)
     with mpmath.workprec(HP_PRECISION_BITS):
-        e = mpmath.mpf(eps)
-        denom = n + n * e - e
-        eps_out = e / denom
-        c_lin = mpmath.mpf(n) / denom
-        c_off = -n * (1 + e) * mpmath.log(2 * n) / denom - n * mpmath.log(2)
-        f_in = mpmath.log(aa.c) - (1 + e) * mpmath.log(rad_in)
-        f_img = mpmath.log(c_img) - (1 + eps_out) * mpmath.log(rad_img)
+        f_in, f_img, c_lin, c_off = _hp_merits(aa, n, eps, *radicals)
         lifted = (f_img - c_off) / c_lin
         full = (mpmath.mpf(assumed_constant) - c_off) / c_lin
-        tol = mpmath.mpf(tolerance)
-        s1 = lifted - f_in
-        s2 = full - lifted
-        return bool(s1 >= -tol), float(s1), bool(s2 >= -tol), float(s2)
+        return lifted - f_in, full - lifted
+
+
+# ---------------------------------------------------------------------------
+# the block tally and its judge
+
+
+@dataclass
+class _Tally:
+    """One block's counts, capped examples and best verdict.
+
+    best is (key, verdict) with the smallest key (slack, block_idx,
+    local, combo) seen, so the extremal verdict does not depend on how
+    the blocks were spread over workers.
+    """
+
+    cap: int
+    tolerance: float = DEFAULT_TOLERANCE
+    band: float = DEFAULT_RECHECK_BAND
+    triples: int = 0
+    checks: int = 0
+    passes: int = 0
+    failures: int = 0
+    inconclusives: int = 0
+    counterexamples: list = field(default_factory=list)
+    inconclusive_examples: list = field(default_factory=list)
+    best: tuple | None = None
+
+    def passed(self, k: int = 1) -> None:
+        self.checks += k
+        self.passes += k
+
+    def failed(self, aa, params, lhs=0.0, rhs=0.0, slack=0.0, witness=None) -> None:
+        self.checks += 1
+        self.failures += 1
+        if len(self.counterexamples) < self.cap:
+            self.counterexamples.append(LemmaVerdict(aa, params, lhs, rhs, slack, False, witness))
+
+    def inconclusive(self, k: int, aa, params, exc: FactorizationFailure) -> None:
+        self.checks += k
+        self.inconclusives += k
+        if len(self.inconclusive_examples) < self.cap:
+            self.inconclusive_examples.append(
+                LemmaVerdict(aa, params, 0.0, 0.0, 0.0, False, inconclusive=True, note=str(exc))
+            )
+
+    def offer(self, key: tuple, verdict) -> None:
+        """Keep verdict() as the best if key is the smallest so far."""
+        if self.best is None or key < self.best[0]:
+            self.best = (key, verdict())
+
+    def judge(self, where: tuple, slack: float, recheck, aa, params, lhs, rhs) -> float:
+        """Count one inequality check; it passes when slack >= -tolerance.
+
+        A near tie (|slack| < band) or a float failure is decided by
+        recheck(), the slack recomputed from exact integers at 160 bits;
+        if a factorization there gives up, the check is inconclusive.
+        The verdict competes for best under the key (slack, *where).
+        Returns the final slack, inf for an inconclusive check.
+        """
+        if abs(slack) < self.band or slack < -self.tolerance:
+            try:
+                hp = recheck()
+            except FactorizationFailure as exc:
+                self.inconclusive(1, aa, params, exc)
+                return math.inf
+            passed, slack = bool(hp >= -self.tolerance), float(hp)
+        else:
+            passed = slack >= -self.tolerance
+        if passed:
+            self.passed()
+        else:
+            self.failed(aa, params, lhs, rhs, slack)
+        self.offer((slack, *where), lambda: LemmaVerdict(aa, params, lhs, rhs, slack, passed))
+        return slack
+
+    def absorb(self, later: "_Tally") -> None:
+        """Fold in the tally of a later block."""
+        self.triples += later.triples
+        self.checks += later.checks
+        self.passes += later.passes
+        self.failures += later.failures
+        self.inconclusives += later.inconclusives
+        self.counterexamples += later.counterexamples[: self.cap - len(self.counterexamples)]
+        self.inconclusive_examples += later.inconclusive_examples[
+            : self.cap - len(self.inconclusive_examples)
+        ]
+        if later.best is not None:
+            self.offer(later.best[0], lambda: later.best[1])
+
+
+def _lemma1_sides(lc, eps, logc, lnrad_in, ln_c_img, lnrad_img):
+    """(lhs, rhs) of the amplification inequality, from floats or arrays of logs.
+
+    lhs = f(image, eps_out) and rhs = c_lin * f(input, eps) + c_off.
+    """
+    lhs = ln_c_img - (1.0 + lc.eps_out) * lnrad_img
+    rhs = lc.c_lin * (logc - (1.0 + eps) * lnrad_in) + lc.c_off
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -403,34 +492,21 @@ def _hp_chain(
 
 
 def _iter_source(source) -> Iterator[ABCSolution]:
-    kind = source[0]
-    if kind == "range":
-        _, c_lo, c_hi, congruence = source
-        for c in range(c_lo, c_hi + 1):
-            for s in range(1, (c - 1) // 2 + 1):
-                if math.gcd(s, c) == 1:
-                    if congruence == 1 or ((c - s) * s * c) % congruence == 0:
-                        yield ABCSolution(s - c, -s, c)
-    else:
-        yield from source[1]
+    """The solutions of one block source, in corpus order."""
+    if source[0] == "list":
+        return iter(source[1])
+    c_arr, s_arr, _ = _block_grid(*source[1:])
+    return (_pair(c_arr, s_arr, i) for i in range(len(c_arr)))
 
 
-def _k_lemma1_vector(args) -> dict:
-    (c_lo, c_hi, block_idx, max_c, congruence, n_grid, eps_grid, tolerance, band, cex_cap) = args
-    _, lograd, lograd_odd = _radical_tables(max_c)
-    c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
-    out = {
-        "triples": len(c_arr),
-        "checks": 0,
-        "passes": 0,
-        "failures": 0,
-        "inconclusives": 0,
-        "counterexamples": [],
-        "inconclusive_examples": [],
-        "best": None,
-    }
+def _k_lemma1_vector(args) -> _Tally:
+    """The scalar lane's checks over a whole block, from sieve-table logs."""
+    (source, block_idx, max_c, n_grid, eps_grid, tolerance, band, cex_cap) = args
+    lograd, lograd_odd = _radical_tables(max_c)
+    c_arr, s_arr, grid = _block_grid(*source[1:])
+    tally = _Tally(cex_cap, tolerance, band, triples=len(c_arr))
     if len(c_arr) == 0:
-        return out
+        return tally
     aabs = c_arr - s_arr
     babs = s_arr
     d_arr = aabs - babs
@@ -442,188 +518,92 @@ def _k_lemma1_vector(args) -> dict:
         lnrad_img[4] = _LN2 + base_odd + _lograd_odd_sum_squares(aabs, babs, grid, max_c)
     even = (c_arr & 1) == 0
 
-    def _triple(i: int) -> ABCSolution:
-        return ABCSolution(int(s_arr[i] - c_arr[i]), int(-s_arr[i]), int(c_arr[i]))
-
-    combo = 0
-    for n in n_grid:
-        ln_c_img = n * logc - (n * _LN2) * even
-        for eps in eps_grid:
+    for ni, n in enumerate(n_grid):
+        logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img[n])
+        for ei, eps in enumerate(eps_grid):
+            combo = ni * len(eps_grid) + ei
+            params = {"n": n, "eps": eps}
             lc = lemma_constants(n, eps)
-            lhs = ln_c_img - (1.0 + lc.eps_out) * lnrad_img[n]
-            rhs = lc.c_lin * (logc - (1.0 + eps) * lnrad_abc) + lc.c_off
-            slack = lhs - rhs
-            suspects = np.nonzero((np.abs(slack) < band) | (slack < -tolerance))[0]
-            for i in suspects:
-                aa = _triple(int(i))
-                try:
-                    ok, hp_slack = _hp_lemma1(aa, n, eps, tolerance)
-                except FactorizationFailure as exc:
-                    out["inconclusives"] += 1
-                    if len(out["inconclusive_examples"]) < cex_cap:
-                        out["inconclusive_examples"].append(
-                            LemmaVerdict(aa, {"n": n, "eps": eps}, 0.0, 0.0, 0.0, False,
-                                         inconclusive=True, note=str(exc))
-                        )
-                    slack[i] = np.inf  # excluded from min tracking
-                    continue
-                slack[i] = hp_slack
-                if not ok:
-                    out["failures"] += 1
-                    if len(out["counterexamples"]) < cex_cap:
-                        out["counterexamples"].append(
-                            LemmaVerdict(aa, {"n": n, "eps": eps},
-                                         float(lhs[i]), float(rhs[i]), hp_slack, False)
-                        )
-            out["checks"] += len(c_arr)
-            i_min = int(np.argmin(slack))
-            key = (float(slack[i_min]), block_idx, i_min, combo)
-            if out["best"] is None or key < out["best"][0]:
-                aa = _triple(i_min)
-                verdict = LemmaVerdict(
-                    aa, {"n": n, "eps": float(eps)},
-                    float(lhs[i_min]), float(rhs[i_min]), float(slack[i_min]),
-                    bool(slack[i_min] >= -tolerance),
-                )
-                out["best"] = (key, verdict)
-            combo += 1
-    # counts: every check either passed, failed, or was inconclusive
-    out["passes"] = out["checks"] - out["failures"] - out["inconclusives"]
-    return out
+            # keep only the slack array (peak memory): the sides of one pair
+            # come from the same formula on its logs, bit for bit the same
+            slack = np.subtract(*_lemma1_sides(lc, eps, *logs))
+            suspects = np.flatnonzero((np.abs(slack) < band) | (slack < -tolerance))
+            tally.passed(len(slack) - len(suspects))
+            for i in suspects.tolist():
+                aa = _pair(c_arr, s_arr, i)
+                lhs, rhs = _lemma1_sides(lc, eps, *(float(x[i]) for x in logs))
+                slack[i] = tally.judge((block_idx, i, combo), lhs - rhs,
+                                       lambda: _hp_lemma1(aa, n, eps), aa, params, lhs, rhs)
+            i = int(np.argmin(slack))
+            lhs, rhs = _lemma1_sides(lc, eps, *(float(x[i]) for x in logs))
+            tally.offer((float(slack[i]), block_idx, i, combo), lambda: LemmaVerdict(
+                _pair(c_arr, s_arr, i), params, lhs, rhs, float(slack[i]),
+                bool(slack[i] >= -tolerance),
+            ))
+    return tally
 
 
-def _k_lemma1_scalar(args) -> dict:
+def _k_lemma1_scalar(args) -> _Tally:
     (source, block_idx, n_grid, eps_grid, tolerance, band, cex_cap) = args
-    out = {
-        "triples": 0,
-        "checks": 0,
-        "passes": 0,
-        "failures": 0,
-        "inconclusives": 0,
-        "counterexamples": [],
-        "inconclusive_examples": [],
-        "best": None,
-    }
+    tally = _Tally(cex_cap, tolerance, band)
     constants = {(n, eps): lemma_constants(n, eps) for n in n_grid for eps in eps_grid}
-    local = -1
-    for aa in _iter_source(source):
-        local += 1
-        out["triples"] += 1
+    for local, aa in enumerate(_iter_source(source)):
+        tally.triples += 1
         try:
-            rad_in = radical(-aa.a) * radical(-aa.b) * radical(aa.c)
+            lnrad_in = math.log(radical_abc(aa))
         except FactorizationFailure as exc:
-            k = len(n_grid) * len(eps_grid)
-            out["checks"] += k
-            out["inconclusives"] += k
-            if len(out["inconclusive_examples"]) < cex_cap:
-                out["inconclusive_examples"].append(
-                    LemmaVerdict(aa, {}, 0.0, 0.0, 0.0, False, inconclusive=True, note=str(exc))
-                )
+            tally.inconclusive(len(n_grid) * len(eps_grid), aa, {}, exc)
             continue
         logc = math.log(aa.c)
-        lnrad_in = math.log(rad_in)
-        combo = 0
-        for n in n_grid:
+        for ni, n in enumerate(n_grid):
             try:
-                img = theta(aa, n, cap=n)
-                rad_img = (
-                    radical(-img.output.a) * radical(-img.output.b) * radical(img.output.c)
-                )
+                img = theta(aa, n, cap=n).output
+                lnrad_img = math.log(radical_abc(img))
             except FactorizationFailure as exc:
-                k = len(eps_grid)
-                out["checks"] += k
-                out["inconclusives"] += k
-                if len(out["inconclusive_examples"]) < cex_cap:
-                    out["inconclusive_examples"].append(
-                        LemmaVerdict(aa, {"n": n}, 0.0, 0.0, 0.0, False,
-                                     inconclusive=True, note=str(exc))
-                    )
-                combo += len(eps_grid)
+                tally.inconclusive(len(eps_grid), aa, {"n": n}, exc)
                 continue
-            ln_c_img = math.log(img.output.c)
-            lnrad_img = math.log(rad_img)
-            for eps in eps_grid:
-                lc = constants[(n, eps)]
-                lhs = ln_c_img - (1.0 + lc.eps_out) * lnrad_img
-                rhs = lc.c_lin * (logc - (1.0 + eps) * lnrad_in) + lc.c_off
-                slack = lhs - rhs
-                passed = slack >= -tolerance
-                if abs(slack) < band:
-                    passed, slack = _hp_lemma1(aa, n, eps, tolerance)
-                out["checks"] += 1
-                if passed:
-                    out["passes"] += 1
-                else:
-                    out["failures"] += 1
-                    if len(out["counterexamples"]) < cex_cap:
-                        out["counterexamples"].append(
-                            LemmaVerdict(aa, {"n": n, "eps": float(eps)}, lhs, rhs, slack, False)
-                        )
-                key = (slack, block_idx, local, combo)
-                if out["best"] is None or key < out["best"][0]:
-                    out["best"] = (
-                        key,
-                        LemmaVerdict(aa, {"n": n, "eps": float(eps)}, lhs, rhs, slack, passed),
-                    )
-                combo += 1
-    return out
-
-
-def _k_lemma2(args) -> dict:
-    (source, block_idx, N, n, max_c, cex_cap) = args
-    out = {
-        "triples": 0,
-        "checks": 0,
-        "passes": 0,
-        "failures": 0,
-        "inconclusives": 0,
-        "counterexamples": [],
-        "inconclusive_examples": [],
-        "best": None,
-    }
-    if source[0] == "range" and max_c is not None:
-        # image product mod N via a residue table of n-th powers
-        pow_mod = [pow(v, n, N) for v in range(max_c + 1)]
-        _, c_lo, c_hi, congruence = source
-        for c in range(c_lo, c_hi + 1):
-            half = (c - 1) // 2
-            c_even = c % 2 == 0
-            pv = pow_mod[c // 2] if c_even else pow_mod[c]
-            for s in range(1, half + 1):
-                if math.gcd(s, c) != 1:
-                    continue
-                if congruence > 1 and ((c - s) * s * c) % congruence != 0:
-                    continue
-                out["triples"] += 1
-                out["checks"] += 1
-                dd = c - 2 * s
-                pu = pow_mod[dd >> 1] if c_even else pow_mod[dd]
-                witness = pu * ((pv - pu) % N) % N * pv % N
-                if witness == 0:
-                    out["passes"] += 1
-                else:
-                    out["failures"] += 1
-                    if len(out["counterexamples"]) < cex_cap:
-                        aa = ABCSolution(s - c, -s, c)
-                        out["counterexamples"].append(
-                            LemmaVerdict(aa, {"N": N, "n": n}, 0.0, 0.0, 0.0, False,
-                                         witness=witness)
-                        )
-        return out
-    for aa in _iter_source(source):
-        out["triples"] += 1
-        out["checks"] += 1
-        img = theta(aa, n, cap=n)
-        witness = abs(img.raw[0] * img.raw[1] * img.raw[2]) % N
-        if witness == 0:
-            out["passes"] += 1
-        else:
-            out["failures"] += 1
-            if len(out["counterexamples"]) < cex_cap:
-                out["counterexamples"].append(
-                    LemmaVerdict(aa, {"N": N, "n": n}, 0.0, 0.0, 0.0, False, witness=witness)
+            ln_c_img = math.log(img.c)
+            for ei, eps in enumerate(eps_grid):
+                lhs, rhs = _lemma1_sides(
+                    constants[(n, eps)], eps, logc, lnrad_in, ln_c_img, lnrad_img
                 )
-    return out
+                tally.judge(
+                    (block_idx, local, ni * len(eps_grid) + ei), lhs - rhs,
+                    lambda: _hp_lemma1(aa, n, eps), aa, {"n": n, "eps": eps}, lhs, rhs,
+                )
+    return tally
+
+
+def _k_lemma2(args) -> _Tally:
+    (source, block_idx, N, n, cex_cap) = args
+    tally = _Tally(cex_cap)
+    params = {"N": N, "n": n}
+    if source[0] == "list":
+        for aa in source[1]:
+            tally.triples += 1
+            img = theta(aa, n, cap=n)
+            witness = abs(img.raw[0] * img.raw[1] * img.raw[2]) % N
+            if witness == 0:
+                tally.passed()
+            else:
+                tally.failed(aa, params, witness=witness)
+        return tally
+    # |A*B*C| = d**n * (c**n - d**n) * c**n with d = c - 2s, both halved
+    # when c is even, so the witness comes from a residue table of n-th
+    # powers; products of two residues fit int64 while N < 2**31
+    c_arr, s_arr, _ = _block_grid(*source[1:])
+    dtype = np.int64 if N < 1 << 31 else object
+    pow_mod = np.array([pow(v, n, N) for v in range(source[2] + 1)], dtype=dtype)
+    halve = 1 - (c_arr & 1)
+    pv = pow_mod[c_arr >> halve]
+    pu = pow_mod[(c_arr - 2 * s_arr) >> halve]
+    witness = pu * ((pv - pu) % N) % N * pv % N
+    bad = np.flatnonzero(witness)
+    tally.triples = len(c_arr)
+    tally.passed(len(c_arr) - len(bad))
+    for i in bad.tolist():
+        tally.failed(_pair(c_arr, s_arr, i), params, witness=int(witness[i]))
+    return tally
 
 
 def _identity_sum(c: int, dd: int, n: int) -> int:
@@ -637,22 +617,11 @@ def _identity_sum(c: int, dd: int, n: int) -> int:
     return total
 
 
-def _k_identities(args) -> dict:
+def _k_identities(args) -> _Tally:
     (source, block_idx, n_grid, tolerance, band, radical_scale, cex_cap) = args
-    out = {
-        "triples": 0,
-        "checks": 0,
-        "passes": 0,
-        "failures": 0,
-        "inconclusives": 0,
-        "counterexamples": [],
-        "inconclusive_examples": [],
-        "best": None,
-    }
-    local = -1
-    for aa in _iter_source(source):
-        local += 1
-        out["triples"] += 1
+    tally = _Tally(cex_cap, tolerance, band)
+    for local, aa in enumerate(_iter_source(source)):
+        tally.triples += 1
         c = aa.c
         dd = abs(aa.a - aa.b)
         ab = aa.a * aa.b  # positive
@@ -662,142 +631,69 @@ def _k_identities(args) -> dict:
             dn = dd**n
             s_val = _identity_sum(c, dd, n)
             diff = cn - dn - 4 * ab * s_val
-            out["checks"] += 1
             if diff == 0:
-                out["passes"] += 1
+                tally.passed()
             else:
-                out["failures"] += 1
-                if len(out["counterexamples"]) < cex_cap:
-                    out["counterexamples"].append(
-                        LemmaVerdict(aa, {"n": n, "check": "power-difference-identity"},
-                                     0.0, 0.0, 0.0, False, witness=diff)
-                    )
-            combo += 1
+                tally.failed(aa, {"n": n, "check": "power-difference-identity"}, witness=diff)
             quotient, rem = divmod(cn - dn, ab)
             margin = 2 * n * c ** (n - 2) - abs(quotient)
-            out["checks"] += 1
             if rem == 0 and margin >= 0:
-                out["passes"] += 1
+                tally.passed()
             else:
-                out["failures"] += 1
-                if len(out["counterexamples"]) < cex_cap:
-                    out["counterexamples"].append(
-                        LemmaVerdict(aa, {"n": n, "check": "quotient-bound"},
-                                     0.0, 0.0, 0.0, False, witness=margin)
-                    )
-            combo += 1
+                tally.failed(aa, {"n": n, "check": "quotient-bound"}, witness=margin)
+            combo += 2
             if radical_scale is not None and c > radical_scale:
                 continue
-            out["checks"] += 1
+            params = {"n": n, "check": "radical-log-bound"}
             try:
                 rad_in, rad_img, _ = _exact_radicals(aa, n)
                 rad_q = radical(4 * s_val)
             except FactorizationFailure as exc:
-                out["inconclusives"] += 1
-                if len(out["inconclusive_examples"]) < cex_cap:
-                    out["inconclusive_examples"].append(
-                        LemmaVerdict(aa, {"n": n, "check": "radical-log-bound"},
-                                     0.0, 0.0, 0.0, False, inconclusive=True, note=str(exc))
-                    )
+                tally.inconclusive(1, aa, params, exc)
                 continue
             lhs = math.log(dd) + math.log(rad_in) + math.log(rad_q)
             rhs = math.log(rad_img)
-            slack = lhs - rhs
-            passed = slack >= -tolerance
-            if abs(slack) < band:
-                passed, slack = _hp_radical_bound(aa, n, tolerance)
-            if passed:
-                out["passes"] += 1
-            else:
-                out["failures"] += 1
-                if len(out["counterexamples"]) < cex_cap:
-                    out["counterexamples"].append(
-                        LemmaVerdict(aa, {"n": n, "check": "radical-log-bound"},
-                                     lhs, rhs, slack, False)
-                    )
-            key = (slack, block_idx, local, combo)
-            if out["best"] is None or key < out["best"][0]:
-                out["best"] = (
-                    key,
-                    LemmaVerdict(aa, {"n": n, "check": "radical-log-bound"},
-                                 lhs, rhs, slack, passed),
-                )
+            tally.judge((block_idx, local, combo), lhs - rhs,
+                        lambda: _hp_radical_bound(aa, n), aa, params, lhs, rhs)
             combo += 1
-    return out
+    return tally
 
 
-def _k_chain(args) -> dict:
+def _k_chain(args) -> _Tally:
     (source, block_idx, N, n, eps, assumed_constant, full_bound, tolerance, band, cex_cap) = args
-    out = {
-        "triples": 0,
-        "checks": 0,
-        "passes": 0,
-        "failures": 0,
-        "inconclusives": 0,
-        "counterexamples": [],
-        "inconclusive_examples": [],
-        "best": None,
-    }
+    tally = _Tally(cex_cap, tolerance, band)
     lc = lemma_constants(n, eps)
-    local = -1
-    for aa in _iter_source(source):
-        local += 1
-        out["triples"] += 1
+    for local, aa in enumerate(_iter_source(source)):
+        tally.triples += 1
         try:
             rep = merit(aa, eps)
-            img = theta(aa, n, cap=n)
-            rad_img = radical(-img.output.a) * radical(-img.output.b) * radical(img.output.c)
+            img = theta(aa, n, cap=n).output
+            rad_img = radical_abc(img)
         except FactorizationFailure as exc:
-            out["checks"] += 2
-            out["inconclusives"] += 2
-            if len(out["inconclusive_examples"]) < cex_cap:
-                out["inconclusive_examples"].append(
-                    LemmaVerdict(aa, {"N": N, "eps": eps}, 0.0, 0.0, 0.0, False,
-                                 inconclusive=True, note=str(exc))
-                )
+            tally.inconclusive(2, aa, {"N": N, "eps": eps}, exc)
             continue
-        f_img = math.log(img.output.c) - (1.0 + lc.eps_out) * math.log(rad_img)
+        f_img = math.log(img.c) - (1.0 + lc.eps_out) * math.log(rad_img)
         if f_img > assumed_constant:
             raise HypothesisViolated(
                 f"assumed constant {assumed_constant} is below the observed image "
                 f"merit {f_img:.12g} at {aa}"
             )
         lifted = (f_img - lc.c_off) / lc.c_lin
-        hp = None
-        for check, lhs, rhs in (
+        hp = functools.cache(lambda: _hp_chain(aa, n, eps, assumed_constant))
+        for j, (check, lhs, rhs) in enumerate((
             ("input-merit-bound", lifted, rep.merit),
             ("derived-bound-dominates", full_bound, lifted),
-        ):
-            slack = lhs - rhs
-            passed = slack >= -tolerance
-            if abs(slack) < band:
-                if hp is None:
-                    hp = _hp_chain(aa, n, eps, assumed_constant, tolerance)
-                if check == "input-merit-bound":
-                    passed, slack = hp[0], hp[1]
-                else:
-                    passed, slack = hp[2], hp[3]
-            out["checks"] += 1
-            params = {"N": N, "eps": float(eps), "n": n, "check": check}
-            if passed:
-                out["passes"] += 1
-            else:
-                out["failures"] += 1
-                if len(out["counterexamples"]) < cex_cap:
-                    out["counterexamples"].append(
-                        LemmaVerdict(aa, params, lhs, rhs, slack, False)
-                    )
-            key = (slack, block_idx, local, 0 if check == "input-merit-bound" else 1)
-            if out["best"] is None or key < out["best"][0]:
-                out["best"] = (key, LemmaVerdict(aa, params, lhs, rhs, slack, passed))
-    return out
+        )):
+            tally.judge((block_idx, local, j), lhs - rhs, lambda: hp()[j], aa,
+                        {"N": N, "eps": eps, "n": n, "check": check}, lhs, rhs)
+    return tally
 
 
 # ---------------------------------------------------------------------------
 # parallel driver and merge
 
 
-def _map_blocks(kernel, argslist: list, workers: int) -> list[dict]:
+def _map_blocks(kernel, argslist: list, workers: int) -> list[_Tally]:
     if workers <= 1 or len(argslist) <= 1:
         return [kernel(a) for a in argslist]
     try:
@@ -811,38 +707,28 @@ def _map_blocks(kernel, argslist: list, workers: int) -> list[dict]:
 def _merge(
     suite: str,
     params: dict,
-    parts: list[dict],
+    parts: list[_Tally],
     corpus_hash: str,
     wall_time: float,
     workers: int,
-    cex_cap: int,
 ) -> SuiteSummary:
-    corpus_size = sum(p["triples"] for p in parts)
-    checks = sum(p["checks"] for p in parts)
-    passes = sum(p["passes"] for p in parts)
-    failures = sum(p["failures"] for p in parts)
-    inconclusives = sum(p["inconclusives"] for p in parts)
-    counterexamples: list[LemmaVerdict] = []
-    inconclusive_examples: list[LemmaVerdict] = []
-    for p in parts:
-        counterexamples.extend(p["counterexamples"])
-        inconclusive_examples.extend(p["inconclusive_examples"])
-    best = None
-    for p in parts:
-        if p["best"] is not None and (best is None or p["best"][0] < best[0]):
-            best = p["best"]
+    """One summary from the block tallies, in corpus order (there is always one)."""
+    total = parts[0]
+    for part in parts[1:]:
+        total.absorb(part)
+    best = total.best
     return SuiteSummary(
         suite=suite,
         params=params,
-        corpus_size=corpus_size,
-        checks=checks,
-        passes=passes,
-        failures=failures,
-        inconclusives=inconclusives,
+        corpus_size=total.triples,
+        checks=total.checks,
+        passes=total.passes,
+        failures=total.failures,
+        inconclusives=total.inconclusives,
         min_slack=best[1].slack if best else None,
         extremal=best[1] if best else None,
-        counterexamples=tuple(counterexamples[:cex_cap]),
-        inconclusive_examples=tuple(inconclusive_examples[:cex_cap]),
+        counterexamples=tuple(total.counterexamples),
+        inconclusive_examples=tuple(total.inconclusive_examples),
         corpus_hash=corpus_hash,
         wall_time=wall_time,
         workers=workers,
@@ -860,14 +746,21 @@ def _sources(corpus) -> tuple[list, str, int | None, int]:
     return [("list", tuple(triples))], _corpus_hash_list(triples), None, 1
 
 
-def _validated_grids(n_grid, eps_grid) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def _validated_n_grid(n_grid) -> tuple[int, ...]:
     n_grid = tuple(int(n) for n in n_grid)
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if not n_grid or not eps_grid:
+    if not n_grid:
         raise ValueError("parameter grids must be nonempty")
     for n in n_grid:
         if n < 2 or n % 2 != 0:
             raise OddN(f"exponent grid entries must be even and >= 2, got {n}")
+    return n_grid
+
+
+def _validated_grids(n_grid, eps_grid) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    n_grid = _validated_n_grid(n_grid)
+    eps_grid = tuple(float(e) for e in eps_grid)
+    if not eps_grid:
+        raise ValueError("parameter grids must be nonempty")
     for e in eps_grid:
         if e <= 0:
             raise NonpositiveEpsilon(f"epsilon grid entries must be positive, got {e}")
@@ -890,8 +783,9 @@ def verify_lemma1(
     at least c_lin * f(solution, eps) + c_off, within tolerance.  For
     a CorpusSpec with n restricted to {2, 4} a vectorized lane computes
     radicals by sieve tables; otherwise each solution is handled
-    individually through the factorization engine.  Both lanes feed
-    near-tie verdicts through the exact high-precision recheck.
+    individually through the factorization engine.  Both lanes hand
+    their slacks to the same judge, which rechecks near ties and
+    failures at high precision from exact integers.
     """
     n_grid, eps_grid = _validated_grids(n_grid, eps_grid)
     t0 = time.perf_counter()
@@ -905,9 +799,8 @@ def verify_lemma1(
     if use_vector:
         _radical_tables(max_c)  # build in the parent so workers share pages
         argslist = [
-            (lo, hi, idx, max_c, congruence, n_grid, eps_grid, tolerance,
-             recheck_band, max_counterexamples)
-            for idx, (_, lo, hi, _c) in enumerate(sources)
+            (src, idx, max_c, n_grid, eps_grid, tolerance, recheck_band, max_counterexamples)
+            for idx, src in enumerate(sources)
         ]
         parts = _map_blocks(_k_lemma1_vector, argslist, workers)
     else:
@@ -923,8 +816,7 @@ def verify_lemma1(
         "tolerance": tolerance,
         "corpus": corpus_desc,
     }
-    return _merge("lemma1", params, parts, corpus_hash, time.perf_counter() - t0,
-                  workers, max_counterexamples)
+    return _merge("lemma1", params, parts, corpus_hash, time.perf_counter() - t0, workers)
 
 
 def verify_lemma2(
@@ -947,14 +839,11 @@ def verify_lemma2(
         raise ExponentCapExceeded(f"totient({N}) = {n} exceeds cap {cap}")
     assert n % 2 == 0
     t0 = time.perf_counter()
-    sources, corpus_hash, max_c, _cong = _sources(corpus)
-    argslist = [
-        (src, idx, N, n, max_c, max_counterexamples) for idx, src in enumerate(sources)
-    ]
+    sources, corpus_hash, _max_c, _cong = _sources(corpus)
+    argslist = [(src, idx, N, n, max_counterexamples) for idx, src in enumerate(sources)]
     parts = _map_blocks(_k_lemma2, argslist, workers)
     params = {"N": N, "n": n}
-    return _merge("lemma2", params, parts, corpus_hash, time.perf_counter() - t0,
-                  workers, max_counterexamples)
+    return _merge("lemma2", params, parts, corpus_hash, time.perf_counter() - t0, workers)
 
 
 def verify_proof_identities(
@@ -976,12 +865,7 @@ def verify_proof_identities(
     radical_scale (when not None) restricts it to solutions with
     c <= radical_scale; (i) and (ii) always run on every solution.
     """
-    n_grid = tuple(int(n) for n in n_grid)
-    if not n_grid:
-        raise ValueError("parameter grids must be nonempty")
-    for n in n_grid:
-        if n < 2 or n % 2 != 0:
-            raise OddN(f"exponent grid entries must be even and >= 2, got {n}")
+    n_grid = _validated_n_grid(n_grid)
     t0 = time.perf_counter()
     sources, corpus_hash, _max_c, _cong = _sources(corpus)
     argslist = [
@@ -994,8 +878,7 @@ def verify_proof_identities(
         "tolerance": tolerance,
         "radical_scale": radical_scale,
     }
-    return _merge("identities", params, parts, corpus_hash, time.perf_counter() - t0,
-                  workers, max_counterexamples)
+    return _merge("identities", params, parts, corpus_hash, time.perf_counter() - t0, workers)
 
 
 def verify_reduction_chain(
@@ -1043,8 +926,7 @@ def verify_reduction_chain(
         "assumed_constant": float(assumed_constant),
         "bound": full_bound,
     }
-    return _merge("chain", params, parts, corpus_hash, time.perf_counter() - t0,
-                  workers, max_counterexamples)
+    return _merge("chain", params, parts, corpus_hash, time.perf_counter() - t0, workers)
 
 
 def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
@@ -1058,17 +940,16 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
         raise ValueError("max_c must be at least 3")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    _, lograd, _ = _radical_tables(max_c)
+    lograd, _ = _radical_tables(max_c)
     hits: list[MeritReport] = []
     for c_lo, c_hi in _c_blocks(max_c):
-        c_arr, s_arr = _block_pairs(c_lo, c_hi)
+        c_arr, s_arr, _ = _block_grid(c_lo, c_hi)
         if len(c_arr) == 0:
             continue
         aabs = c_arr - s_arr
         q = np.log(c_arr.astype(np.float64)) / (lograd[aabs] + lograd[s_arr] + lograd[c_arr])
         for i in np.nonzero(q > threshold - 1e-9)[0]:
-            aa = ABCSolution(int(s_arr[i] - c_arr[i]), int(-s_arr[i]), int(c_arr[i]))
-            rep = merit(aa, 0.0)
+            rep = merit(_pair(c_arr, s_arr, i), 0.0)
             if rep.quality > threshold:
                 hits.append(rep)
     hits.sort(key=lambda r: -r.quality)

@@ -149,6 +149,19 @@ def test_verify_chain_and_identities(capsys):
     assert code == 0
 
 
+def test_verify_counterexample_exit_1(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "lemma1", "--max-c", "60", "--n", "2,4",
+        "--eps", "0.5,1", "--tolerance", "-5", "--format", "json",
+    )
+    assert code == 1
+    record = json.loads(out)
+    assert record["result"] == "counterexample"
+    assert record["failures"] == 777
+    assert len(record["counterexamples"]) == 25
+    assert '"result":"counterexample"' in out
+
+
 def test_verify_json_idempotent_across_workers(capsys):
     argv = ["verify", "lemma1", "--max-c", "400", "--n", "2,4",
             "--eps", "0.1,1", "--format", "json"]

@@ -1,9 +1,11 @@
 """Corpus harness tests: enumeration, suites, lanes, determinism."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from congabc import harness
 from congabc.abc_core import ABCSolution, make_solution
 from congabc.harness import (
     CorpusSpec,
@@ -393,3 +395,117 @@ def test_suite_summary_shape():
     assert s.wall_time >= 0.0
     assert s.workers == 1
     assert s.passes + s.failures + s.inconclusives == s.checks
+
+
+# ---------------------------------------------------------------------------
+# failure, fault-injection and inconclusive paths
+
+
+def _verdict_keys(verdicts):
+    return {(v.triple, v.params["n"], v.params["eps"]) for v in verdicts}
+
+
+def _same_summary(one: SuiteSummary, other: SuiteSummary) -> bool:
+    return replace(one, wall_time=0.0, workers=0) == replace(other, wall_time=0.0, workers=0)
+
+
+def test_lemma1_failures_agree_across_lanes():
+    # the corpus's smallest slack is 2.54, so a tolerance of -5 demands a
+    # margin of 5 that most checks miss
+    spec = CorpusSpec(max_c=60)
+    kw = dict(tolerance=-5.0, max_counterexamples=1000)
+    fast = verify_lemma1(spec, [2, 4], [0.5, 1.0], **kw)
+    slow = verify_lemma1(list(spec), [2, 4], [0.5, 1.0], **kw)
+    assert fast.checks == slow.checks == 4 * len(spec)
+    assert fast.failures == slow.failures == len(fast.counterexamples) == 777
+    assert (fast.passes, fast.inconclusives) == (slow.passes, slow.inconclusives)
+    assert _verdict_keys(fast.counterexamples) == _verdict_keys(slow.counterexamples)
+    assert all(not v.passed and v.slack < 5.0 for v in fast.counterexamples + slow.counterexamples)
+    assert not fast.ok and not slow.ok
+    for corpus in (spec, list(spec)):
+        capped = verify_lemma1(corpus, [2, 4], [0.5, 1.0], tolerance=-5.0)
+        assert capped.failures == 777
+        assert len(capped.counterexamples) == 25
+    three = verify_lemma1(spec, [2, 4], [0.5, 1.0], workers=3, **kw)
+    assert _same_summary(fast, three)
+
+
+def test_chain_failures_are_reported():
+    # min slack over c <= 60 is 9.904, so a tolerance of -10 fails three checks
+    s = verify_reduction_chain(CorpusSpec(max_c=60), 7, 1.0, 10.0, tolerance=-10.0)
+    assert (s.checks, s.passes, s.failures, s.inconclusives) == (1100, 1097, 3, 0)
+    assert [(v.triple, v.params) for v in s.counterexamples] == [
+        (ABCSolution(-c + 1, -1, c), {"N": 7, "eps": 1.0, "n": 6, "check": "input-merit-bound"})
+        for c in (44, 48, 60)
+    ]
+    assert not s.ok
+
+
+def test_identities_radical_bound_failures_are_reported():
+    spec = CorpusSpec(max_c=40)
+    s = verify_proof_identities(spec, [2, 4], tolerance=-1.0, max_counterexamples=1000)
+    assert s.checks == 3 * 2 * len(spec)
+    assert s.failures == len(s.counterexamples) == 276
+    assert {v.params["check"] for v in s.counterexamples} == {"radical-log-bound"}
+    assert all(v.slack < 1.0 for v in s.counterexamples)
+
+
+def test_lemma2_injected_exponent_paths_agree(monkeypatch):
+    # an exponent two above totient(N): both paths must report the same
+    # counterexamples with the same witnesses
+    real = harness.totient
+    monkeypatch.setattr(harness, "totient", lambda N: real(N) + 2)
+    spec = CorpusSpec(max_c=200)
+    listed = list(spec)
+    failures = {}
+    for N in (5, 7, 12, 16, 50):
+        fast = verify_lemma2(spec, N, max_counterexamples=10**6)
+        slow = verify_lemma2(listed, N, max_counterexamples=10**6)
+        assert fast.params == slow.params == {"N": N, "n": real(N) + 2}
+        assert (fast.checks, fast.passes) == (slow.checks, slow.passes)
+        failures[N] = fast.failures
+        assert fast.failures == slow.failures == len(fast.counterexamples)
+        assert [(v.triple, v.witness) for v in fast.counterexamples] == [
+            (v.triple, v.witness) for v in slow.counterexamples
+        ]
+        assert all(v.witness != 0 for v in fast.counterexamples)
+    # totient(12) + 2 = 6 still forces 12 | ABC; the other four fail
+    assert failures == {5: 2037, 7: 3074, 12: 0, 16: 2040, 50: 3672}
+
+
+def test_identities_injected_sum_fails_everywhere(monkeypatch):
+    real = harness._identity_sum
+    monkeypatch.setattr(harness, "_identity_sum", lambda c, dd, n: real(c, dd, n) + 1)
+    spec = CorpusSpec(max_c=60)
+    s = verify_proof_identities(spec, [2, 4], radical_scale=0, max_counterexamples=10**6)
+    assert s.checks == 2 * 2 * len(spec)
+    assert s.failures == 2 * len(spec)
+    expected = [((aa, n), -4 * aa.a * aa.b) for aa in spec for n in (2, 4)]
+    assert [((v.triple, v.params["n"]), v.witness) for v in s.counterexamples] == expected
+    assert {v.params["check"] for v in s.counterexamples} == {"power-difference-identity"}
+
+
+_BIG_C = 1000003 * 1000033  # two primes, out of reach of a one-step rho
+
+
+@pytest.mark.parametrize("suite, counts, params", [
+    (lambda corpus, **kw: verify_lemma1(corpus, [2, 4], [0.5, 1.0], **kw),
+     (12, 8, 4), {}),
+    (lambda corpus, **kw: verify_reduction_chain(corpus, 3, 1.0, 10.0, **kw),
+     (6, 4, 2), {"N": 3, "eps": 1.0}),
+    (lambda corpus, **kw: verify_proof_identities(corpus, [2], **kw),
+     (9, 8, 1), {"n": 2, "check": "radical-log-bound"}),
+])
+def test_exhausted_factor_budget_is_inconclusive(monkeypatch, suite, counts, params):
+    monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
+    big = make_solution(-(_BIG_C - 1), -1, _BIG_C)
+    corpus = [make_solution(-1, -2, 3), big, make_solution(-1, -2, 3)]
+    s = suite(corpus)
+    assert (s.checks, s.passes, s.inconclusives) == counts
+    assert s.failures == 0
+    assert not s.ok
+    assert [(v.triple, v.params, v.inconclusive) for v in s.inconclusive_examples] == [
+        (big, params, True)
+    ]
+    assert "rho steps" in s.inconclusive_examples[0].note
+    assert _same_summary(s, suite(corpus, workers=3))
