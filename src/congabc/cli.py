@@ -49,7 +49,6 @@ class RunConfig:
     command: str
     fmt: str
     workers: int
-    seed: int
     factor_budget: int | None
 
     @classmethod
@@ -58,7 +57,6 @@ class RunConfig:
             command=args.command,
             fmt=getattr(args, "format", "table"),
             workers=getattr(args, "workers", 1),
-            seed=getattr(args, "seed", 0),
             factor_budget=getattr(args, "factor_budget", None),
         )
         if cfg.workers < 1:
@@ -130,7 +128,7 @@ def _summary_status(s: SuiteSummary) -> str:
 
 
 def _summary_record(s: SuiteSummary) -> dict:
-    # wall time, worker count and seed are intentionally excluded:
+    # wall time and worker count are intentionally excluded:
     # serialized summaries must be identical across runs
     return {
         "suite": s.suite,
@@ -182,9 +180,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("--eps must list at least one value")
     aa = make_solution(*_coerce_triple(args.x, args.y, args.z))
     facs = {
-        "a": factorize(-aa.a, seed=cfg.seed),
-        "b": factorize(-aa.b, seed=cfg.seed),
-        "c": factorize(aa.c, seed=cfg.seed),
+        "a": factorize(-aa.a),
+        "b": factorize(-aa.b),
+        "c": factorize(aa.c),
     }
     reports = [merit(aa, e) for e in eps_list]
     base = reports[0]
@@ -467,8 +465,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="table", help="output format")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for probabilistic primality witnesses (verdict-neutral)")
     p.add_argument("--factor-budget", type=int, default=None,
                    help=f"rho step budget per composite (also {BUDGET_ENV_VAR})")
 

@@ -93,7 +93,7 @@ class CorpusSpec:
 
     def digest(self) -> str:
         """Stable identifier of the corpus this spec denotes."""
-        return _corpus_hash_spec(self, _corpus_count(self))
+        return _corpus_hash(_spec_head(self), _corpus_count(self))
 
 
 @dataclass(frozen=True)
@@ -283,16 +283,21 @@ def _corpus_count(spec: CorpusSpec) -> int:
                for c_lo, c_hi in _c_blocks(spec.max_c))
 
 
-def _corpus_hash_spec(spec: CorpusSpec, size: int) -> str:
-    return hashlib.sha256(f"{spec.describe()};size={size}".encode()).hexdigest()
+def _spec_head(spec: CorpusSpec):
+    return hashlib.sha256(f"{spec.describe()};".encode())
 
 
-def _corpus_hash_list(triples: list[ABCSolution]) -> str:
+def _list_head(triples: list[ABCSolution]):
     h = hashlib.sha256()
     for aa in triples:
         h.update(f"{aa.a},{aa.b},{aa.c};".encode())
-    h.update(f"size={len(triples)}".encode())
-    return h.hexdigest()
+    return h
+
+
+def _corpus_hash(head, size: int) -> str:
+    """The corpus hash: sha256 of its head (the spec, or every triple), then its size."""
+    head.update(f"size={size}".encode())
+    return head.hexdigest()
 
 
 def _lograd_odd_sum_squares(x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
@@ -708,11 +713,14 @@ def _merge(
     suite: str,
     params: dict,
     parts: list[_Tally],
-    corpus_hash: str,
+    corpus_head,
     wall_time: float,
     workers: int,
 ) -> SuiteSummary:
-    """One summary from the block tallies, in corpus order (there is always one)."""
+    """One summary from the block tallies, in corpus order (there is always one).
+
+    The corpus is hashed here, from the size the kernels counted.
+    """
     total = parts[0]
     for part in parts[1:]:
         total.absorb(part)
@@ -729,21 +737,20 @@ def _merge(
         extremal=best[1] if best else None,
         counterexamples=tuple(total.counterexamples),
         inconclusive_examples=tuple(total.inconclusive_examples),
-        corpus_hash=corpus_hash,
+        corpus_hash=_corpus_hash(corpus_head, total.triples),
         wall_time=wall_time,
         workers=workers,
     )
 
 
-def _sources(corpus) -> tuple[list, str, int | None, int]:
-    """Block sources, corpus hash, max_c (if spec-backed), and congruence."""
+def _sources(corpus) -> tuple[list, object, int | None, int]:
+    """Block sources, corpus hash head, max_c (if spec-backed), and congruence."""
     if isinstance(corpus, CorpusSpec):
-        size = _corpus_count(corpus)
         blocks = _c_blocks(corpus.max_c)
         sources = [("range", lo, hi, corpus.congruence) for lo, hi in blocks]
-        return sources, _corpus_hash_spec(corpus, size), corpus.max_c, corpus.congruence
+        return sources, _spec_head(corpus), corpus.max_c, corpus.congruence
     triples = list(corpus)
-    return [("list", tuple(triples))], _corpus_hash_list(triples), None, 1
+    return [("list", tuple(triples))], _list_head(triples), None, 1
 
 
 def _validated_n_grid(n_grid) -> tuple[int, ...]:
@@ -789,7 +796,7 @@ def verify_lemma1(
     """
     n_grid, eps_grid = _validated_grids(n_grid, eps_grid)
     t0 = time.perf_counter()
-    sources, corpus_hash, max_c, congruence = _sources(corpus)
+    sources, corpus_head, max_c, congruence = _sources(corpus)
     use_vector = (
         max_c is not None
         and max_c <= _VECTOR_MAX_C
@@ -816,7 +823,7 @@ def verify_lemma1(
         "tolerance": tolerance,
         "corpus": corpus_desc,
     }
-    return _merge("lemma1", params, parts, corpus_hash, time.perf_counter() - t0, workers)
+    return _merge("lemma1", params, parts, corpus_head, time.perf_counter() - t0, workers)
 
 
 def verify_lemma2(
@@ -839,11 +846,11 @@ def verify_lemma2(
         raise ExponentCapExceeded(f"totient({N}) = {n} exceeds cap {cap}")
     assert n % 2 == 0
     t0 = time.perf_counter()
-    sources, corpus_hash, _max_c, _cong = _sources(corpus)
+    sources, corpus_head, _max_c, _cong = _sources(corpus)
     argslist = [(src, idx, N, n, max_counterexamples) for idx, src in enumerate(sources)]
     parts = _map_blocks(_k_lemma2, argslist, workers)
     params = {"N": N, "n": n}
-    return _merge("lemma2", params, parts, corpus_hash, time.perf_counter() - t0, workers)
+    return _merge("lemma2", params, parts, corpus_head, time.perf_counter() - t0, workers)
 
 
 def verify_proof_identities(
@@ -867,7 +874,7 @@ def verify_proof_identities(
     """
     n_grid = _validated_n_grid(n_grid)
     t0 = time.perf_counter()
-    sources, corpus_hash, _max_c, _cong = _sources(corpus)
+    sources, corpus_head, _max_c, _cong = _sources(corpus)
     argslist = [
         (src, idx, n_grid, tolerance, recheck_band, radical_scale, max_counterexamples)
         for idx, src in enumerate(sources)
@@ -878,7 +885,7 @@ def verify_proof_identities(
         "tolerance": tolerance,
         "radical_scale": radical_scale,
     }
-    return _merge("identities", params, parts, corpus_hash, time.perf_counter() - t0, workers)
+    return _merge("identities", params, parts, corpus_head, time.perf_counter() - t0, workers)
 
 
 def verify_reduction_chain(
@@ -912,7 +919,7 @@ def verify_reduction_chain(
     lc = lemma_constants(n, eps)
     full_bound = (assumed_constant - lc.c_off) / lc.c_lin
     t0 = time.perf_counter()
-    sources, corpus_hash, _max_c, _cong = _sources(corpus)
+    sources, corpus_head, _max_c, _cong = _sources(corpus)
     argslist = [
         (src, idx, N, n, float(eps), float(assumed_constant), full_bound,
          tolerance, recheck_band, max_counterexamples)
@@ -926,7 +933,7 @@ def verify_reduction_chain(
         "assumed_constant": float(assumed_constant),
         "bound": full_bound,
     }
-    return _merge("chain", params, parts, corpus_hash, time.perf_counter() - t0, workers)
+    return _merge("chain", params, parts, corpus_head, time.perf_counter() - t0, workers)
 
 
 def search_quality(max_c: int, threshold: float) -> list[MeritReport]:

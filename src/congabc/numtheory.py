@@ -3,11 +3,12 @@
 Everything here operates on Python integers and is pure: primality
 testing, complete factorization, the radical (squarefree kernel),
 Euler's totient, and small exact helpers.  The factorization engine
-is trial division up to a configurable bound, Miller-Rabin primality
-(deterministic below 2**64, seeded-probabilistic above), and Brent's
-variant of Pollard's rho with an iteration budget for splitting.  Its
-trial primes come from the package's one prime sieve, _prime_array,
-which also builds the harness's numpy sieve tables.
+is trial division up to a fixed bound, the Baillie-PSW primality test
+(one deterministic test for every n: a strong base-2 test plus a
+strong Lucas test), and Brent's variant of Pollard's rho with an
+iteration budget for splitting.  Its trial primes come from the
+package's one prime sieve, _prime_array, which also builds the
+harness's numpy sieve tables.
 """
 
 from __future__ import annotations
@@ -19,14 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TRIAL_BOUND = 100_000
+TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 26
-DEFAULT_MR_ROUNDS = 40
 BUDGET_ENV_VAR = "CONGABC_FACTOR_BUDGET"
 
-# Below 2**64 these witnesses make Miller-Rabin deterministic.
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_U64 = 1 << 64
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class FactorizationFailure(RuntimeError):
@@ -113,39 +111,86 @@ def _trial_primes(bound: int) -> list[int]:
     return primes
 
 
-def is_probable_prime(n: int, *, seed: int = 0, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
-    """Miller-Rabin primality.
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
 
-    Deterministic (fixed witness set) for n < 2**64.  Above that the
-    witnesses come from a generator seeded with (seed, n), so repeated
-    calls under the same seed are reproducible.
+
+def _strong_lucas(n: int, D: int) -> bool:
+    """Strong Lucas probable-prime test of odd n with P = 1, Q = (1 - D)/4.
+
+    With n + 1 = d * 2**s, d odd, n passes when U_d = 0 or
+    V_(d * 2**r) = 0 (mod n) for some 0 <= r < s.
+    """
+    Q = (1 - D) // 4
+    d = n + 1
+    s = valuation2(d)
+    d >>= s
+    # ladder over the bits of d from the top: (U_k, V_k, Q**k) at k = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # k -> k + 1: U = (U + V)/2, V = (D*U + V)/2 (mod n, n odd)
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n if U & 1 else U) >> 1
+            V = (V + n if V & 1 else V) >> 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_probable_prime(n: int) -> bool:
+    """Baillie-PSW primality, one deterministic test for every n.
+
+    After a screen by the primes up to 37, n must pass a strong
+    base-2 Miller-Rabin test, must not be a perfect square, and must
+    pass a strong Lucas test with P = 1 and D the first of
+    5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1 (Selfridge's
+    method A).  No composite below 2**64 passes (the base-2 strong
+    pseudoprimes there are enumerated, Feitsma-Galway), and none is
+    known above.
     """
     if n < 2:
         return False
-    for p in _DETERMINISTIC_WITNESSES:
-        if n == p:
-            return True
+    for p in _SMALL_PRIMES:
         if n % p == 0:
-            return False
+            return n == p
     d = n - 1
     s = valuation2(d)
     d >>= s
-    if n < _U64:
-        bases = _DETERMINISTIC_WITNESSES
-    else:
-        rng = random.Random(f"{seed}:{n}")
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
+    x = pow(2, d, n)
+    if x != 1 and x != n - 1:
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False  # gcd(D, n) is a proper factor of n
+        D = -D - 2 if D > 0 else -D + 2
+    return _strong_lucas(n, D)
 
 
 def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
@@ -188,26 +233,16 @@ def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     return 0, spent
 
 
-def factorize(
-    n: int,
-    *,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    budget: int | None = None,
-    seed: int = 0,
-    rounds: int = DEFAULT_MR_ROUNDS,
-) -> Factorization:
-    """Complete prime factorization of n >= 1.
+def _prime_counts(n: int, budget: int | None) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, each prime proved once.
 
-    Raises FactorizationFailure if some composite cofactor cannot be
-    split within the rho step budget (default 2**26 per composite,
-    overridable via the CONGABC_FACTOR_BUDGET environment variable).
+    A budget of None is read from CONGABC_FACTOR_BUDGET (default
+    2**26 rho steps per composite) when a cofactor first needs rho.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
-    if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_RHO_BUDGET))
     counts: dict[int, int] = {}
-    for p in _trial_primes(trial_bound):
+    for p in _trial_primes(TRIAL_BOUND):
         if p * p > n:
             break
         if n % p == 0:
@@ -217,33 +252,46 @@ def factorize(
                 e += 1
             counts[p] = e
     if n > 1:
-        if n < trial_bound * trial_bound or is_probable_prime(n, seed=seed, rounds=rounds):
-            # below trial_bound**2 a surviving cofactor is prime
+        if n < TRIAL_BOUND * TRIAL_BOUND or is_probable_prime(n):
+            # below TRIAL_BOUND**2 a surviving cofactor is prime
             counts[n] = counts.get(n, 0) + 1
         else:
+            if budget is None:
+                budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_RHO_BUDGET))
             stack = [n]
             while stack:
                 m = stack.pop()
-                if is_probable_prime(m, seed=seed, rounds=rounds):
+                if is_probable_prime(m):
                     counts[m] = counts.get(m, 0) + 1
                     continue
-                rng = random.Random(f"{seed}:rho:{m}")
+                # a fixed stream per composite: the factors found do not vary
+                rng = random.Random(f"0:rho:{m}")
                 f, _ = _rho_brent(m, rng, budget)
                 if f == 0:
                     raise FactorizationFailure(m, budget)
                 stack.append(f)
                 stack.append(m // f)
-    return Factorization(tuple(sorted(counts.items())))
+    return counts
 
 
-def radical(n: int, **kwargs) -> int:
+def factorize(n: int, *, budget: int | None = None) -> Factorization:
+    """Complete prime factorization of n >= 1.
+
+    Raises FactorizationFailure if some composite cofactor cannot be
+    split within the rho step budget (default 2**26 per composite,
+    overridable via the CONGABC_FACTOR_BUDGET environment variable).
+    """
+    return Factorization(tuple(sorted(_prime_counts(n, budget).items())))
+
+
+def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
-    return factorize(n, **kwargs).radical_value()
+    return math.prod(_prime_counts(n, None))
 
 
-def totient(n: int, **kwargs) -> int:
+def totient(n: int) -> int:
     """Euler's totient via factorization; totient(1) = 1."""
     out = 1
-    for p, e in factorize(n, **kwargs).factors:
+    for p, e in _prime_counts(n, None).items():
         out *= (p - 1) * p ** (e - 1)
     return out

@@ -197,6 +197,20 @@ def test_lemma1_lane_agreement_congruence(N, checks):
     assert fast.extremal.params == slow.extremal.params
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_spec_corpus_size_and_hash_match_the_spec(workers):
+    # the suites hash a spec corpus from the triples their kernels counted
+    spec = CorpusSpec(max_c=400, congruence=7)
+    want = (len(spec), spec.digest())
+    for s in (
+        verify_lemma1(spec, [2, 4], [1.0], workers=workers),
+        verify_lemma2(spec, 7, workers=workers),
+        verify_proof_identities(spec, [2], radical_scale=50, workers=workers),
+        verify_reduction_chain(spec, 7, 1.0, 10.0, workers=workers),
+    ):
+        assert (s.corpus_size, s.corpus_hash) == want, s.suite
+
+
 @pytest.mark.parametrize("c_lo, c_hi, congruence, max_c", [
     (1500, 1600, 1, 10_000),  # a block that does not start at c = 3
     (3, 400, 7, 400),         # a congruence-restricted block

@@ -11,6 +11,7 @@ from congabc.numtheory import (
     BUDGET_ENV_VAR,
     Factorization,
     FactorizationFailure,
+    _prime_array,
     factorize,
     is_probable_prime,
     radical,
@@ -122,8 +123,36 @@ def test_is_probable_prime_known_cases():
     assert is_probable_prime(2**64 - 59)
     assert not is_probable_prime(561)  # Carmichael
     assert not is_probable_prime(3215031751)  # strong pseudoprime to 2,3,5,7
-    assert is_probable_prime(2**89 - 1)  # Mersenne prime, probabilistic path
+    assert is_probable_prime(2**89 - 1)  # Mersenne prime above 2**64
     assert not is_probable_prime(2**67 - 1)
+
+
+def test_is_probable_prime_matches_sieve():
+    # covers the base-2 strong pseudoprimes 2047, 3277, 4033 and the
+    # strong Lucas pseudoprimes 5459, 5777, 10877: each half of
+    # Baillie-PSW alone would accept some of them
+    limit = 2_000_000
+    is_prime = [False] * limit
+    for p in _prime_array(limit - 1).tolist():
+        is_prime[p] = True
+    assert [n for n in range(limit) if is_probable_prime(n) != is_prime[n]] == []
+
+
+def test_is_probable_prime_above_2_64():
+    assert is_probable_prime(2**64 + 13)
+    assert not any(is_probable_prime(2**64 + k) for k in range(1, 12, 2))
+
+
+@pytest.mark.parametrize("k", [242396, 242420, 242475])
+def test_is_probable_prime_rejects_chernick_carmichael(k):
+    # (6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael
+    # number, so it passes Fermat's test to base 2
+    factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+    assert all(is_probable_prime(p) for p in factors)
+    n = math.prod(factors)
+    assert n > 2**64
+    assert pow(2, n - 1, n) == 1
+    assert not is_probable_prime(n)
 
 
 @given(st.integers(min_value=2, max_value=10**6))
