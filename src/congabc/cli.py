@@ -31,7 +31,7 @@ from .harness import (
     verify_proof_identities,
     verify_reduction_chain,
 )
-from .numtheory import BUDGET_ENV_VAR, FactorizationFailure, factorize, totient
+from .numtheory import BUDGET_ENV_VAR, FactorizationFailure, factorize, rho_budget, totient
 from .theta import derived_full_bound, lemma_constants, theta
 
 FORMATS = ("table", "json", "csv")
@@ -65,6 +65,7 @@ class RunConfig:
             if cfg.factor_budget < 1:
                 raise ValueError("--factor-budget must be positive")
             os.environ[BUDGET_ENV_VAR] = str(cfg.factor_budget)
+        rho_budget()  # a malformed CONGABC_FACTOR_BUDGET fails before any work
         return cfg
 
 

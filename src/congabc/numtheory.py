@@ -13,6 +13,7 @@ harness's numpy sieve tables.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TRIAL_BOUND = 100_000
+_TRIAL_BOUND = 100_000
 DEFAULT_RHO_BUDGET = 1 << 26
 BUDGET_ENV_VAR = "CONGABC_FACTOR_BUDGET"
 
@@ -44,7 +45,9 @@ class Factorization:
     """A complete prime factorization as (prime, exponent) pairs.
 
     Pairs are sorted by strictly increasing prime and every exponent
-    is at least 1; the empty tuple represents 1.
+    is at least 1; the empty tuple represents 1.  Construction checks
+    this and proves each prime; factorize, whose primes are already
+    proved, builds its result without the check.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -87,7 +90,6 @@ def valuation2(n: int) -> int:
 
 
 _prime_cache: dict[int, np.ndarray] = {}
-_trial_cache: dict[int, list[int]] = {}
 
 
 def _prime_array(limit: int) -> np.ndarray:
@@ -104,11 +106,9 @@ def _prime_array(limit: int) -> np.ndarray:
     return primes
 
 
-def _trial_primes(bound: int) -> list[int]:
-    primes = _trial_cache.get(bound)
-    if primes is None:
-        primes = _trial_cache[bound] = _prime_array(bound).tolist()
-    return primes
+@functools.cache
+def _trial_primes() -> list[int]:
+    return _prime_array(_TRIAL_BOUND).tolist()
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -233,16 +233,33 @@ def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     return 0, spent
 
 
-def _prime_counts(n: int, budget: int | None) -> dict[int, int]:
-    """{prime: exponent} of n >= 1, each prime proved once.
+def rho_budget() -> int:
+    """The rho step budget per composite: CONGABC_FACTOR_BUDGET, else 2**26.
 
-    A budget of None is read from CONGABC_FACTOR_BUDGET (default
-    2**26 rho steps per composite) when a cofactor first needs rho.
+    Raises ValueError if the variable is set but is not an integer.
+    """
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        return DEFAULT_RHO_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+
+
+def factorize(n: int, *, budget: int | None = None) -> Factorization:
+    """Complete prime factorization of n >= 1.
+
+    Raises FactorizationFailure if some composite cofactor cannot be
+    split within the rho step budget (default rho_budget(), read only
+    when a cofactor first needs rho).  Each prime is proved once, by
+    trial division or is_probable_prime, so the result is built
+    without Factorization's re-check.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     counts: dict[int, int] = {}
-    for p in _trial_primes(TRIAL_BOUND):
+    for p in _trial_primes():
         if p * p > n:
             break
         if n % p == 0:
@@ -252,12 +269,12 @@ def _prime_counts(n: int, budget: int | None) -> dict[int, int]:
                 e += 1
             counts[p] = e
     if n > 1:
-        if n < TRIAL_BOUND * TRIAL_BOUND or is_probable_prime(n):
-            # below TRIAL_BOUND**2 a surviving cofactor is prime
+        if n < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(n):
+            # below _TRIAL_BOUND**2 a surviving cofactor is prime
             counts[n] = counts.get(n, 0) + 1
         else:
             if budget is None:
-                budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_RHO_BUDGET))
+                budget = rho_budget()
             stack = [n]
             while stack:
                 m = stack.pop()
@@ -271,27 +288,19 @@ def _prime_counts(n: int, budget: int | None) -> dict[int, int]:
                     raise FactorizationFailure(m, budget)
                 stack.append(f)
                 stack.append(m // f)
-    return counts
-
-
-def factorize(n: int, *, budget: int | None = None) -> Factorization:
-    """Complete prime factorization of n >= 1.
-
-    Raises FactorizationFailure if some composite cofactor cannot be
-    split within the rho step budget (default 2**26 per composite,
-    overridable via the CONGABC_FACTOR_BUDGET environment variable).
-    """
-    return Factorization(tuple(sorted(_prime_counts(n, budget).items())))
+    out = object.__new__(Factorization)
+    object.__setattr__(out, "factors", tuple(sorted(counts.items())))
+    return out
 
 
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
-    return math.prod(_prime_counts(n, None))
+    return factorize(n).radical_value()
 
 
 def totient(n: int) -> int:
     """Euler's totient via factorization; totient(1) = 1."""
     out = 1
-    for p, e in _prime_counts(n, None).items():
+    for p, e in factorize(n).factors:
         out *= (p - 1) * p ** (e - 1)
     return out

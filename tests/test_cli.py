@@ -293,6 +293,16 @@ def test_factor_budget_flag_triggers_inconclusive(capsys, monkeypatch):
     assert "inconclusive" in err
 
 
+def test_malformed_budget_env_var_is_a_usage_error(capsys, monkeypatch):
+    from congabc.numtheory import BUDGET_ENV_VAR
+
+    # rejected before any work, even by a run that never reaches rho
+    monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
+    code, _, err = run_cli(capsys, "verify", "lemma1", "--max-c", "40", "--n", "2")
+    assert code == 2
+    assert BUDGET_ENV_VAR in err
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "congabc.cli", "analyze", "1", "8", "-9"],

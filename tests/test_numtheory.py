@@ -15,6 +15,7 @@ from congabc.numtheory import (
     factorize,
     is_probable_prime,
     radical,
+    rho_budget,
     totient,
     valuation2,
 )
@@ -51,6 +52,7 @@ def test_factorization_type_invariants():
     assert all(e >= 1 for _, e in f.factors)
     assert all(p < q for (p, _), (q, _) in zip(f.factors, f.factors[1:]))
     assert all(is_probable_prime(p) for p, _ in f.factors)
+    assert Factorization(f.factors) == f  # factorize's result passes the check it skips
     with pytest.raises(ValueError):
         Factorization(((4, 1),))  # not prime
     with pytest.raises(ValueError):
@@ -60,9 +62,13 @@ def test_factorization_type_invariants():
 
 
 def test_factorize_exhaustive_round_trip():
+    # factorize skips Factorization's re-check, so check its invariants here
+    primes = set(_prime_array(1_000_000).tolist())
     for k in range(1, 1_000_001):
         f = factorize(k)
         assert f.value() == k
+        assert all(p in primes and e >= 1 for p, e in f.factors)
+        assert all(p < q for (p, _), (q, _) in zip(f.factors, f.factors[1:]))
 
 
 def test_factorize_mersenne_67():
@@ -114,6 +120,15 @@ def test_factorize_budget_env_var(monkeypatch):
     hard = (2**64 - 59) * (2**64 - 83)
     monkeypatch.setenv(BUDGET_ENV_VAR, "100")
     with pytest.raises(FactorizationFailure):
+        factorize(hard)
+
+
+def test_factorize_malformed_budget_env_var(monkeypatch):
+    hard = (2**64 - 59) * (2**64 - 83)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1e6")
+    with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
+        rho_budget()
+    with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
         factorize(hard)
 
 
