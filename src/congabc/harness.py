@@ -18,6 +18,17 @@ exact integers at 160-bit precision before final classification, so
 no failure is reported from floats alone.  Divisibility and identity
 checks are exact integer arithmetic throughout.
 
+Image radicals.  Per-solution lemma1 and the chain take the exact
+radical of the image under theta from its pieces (_Radicals): |a|,
+|b|, c, |a - b| and the cyclotomic values Phi_k(c, |a - b|) for
+k | n, k > 2, numbers of about c**phi(k) digits where the image has
+c**n.  The full image, through theta and radical, is the independent
+oracle: the 160-bit rechecks and the identities' radical bound use
+it, and so does a per-block audit, which runs the first solution of
+every block through it at every n.  An audit mismatch raises
+InternalRadicalMismatch; an audit factorization that gives up makes
+those checks inconclusive.
+
 Verification is data-parallel over deterministic c-range blocks; the
 block layout depends only on the corpus, never on the worker count,
 and results are merged in corpus order, so summaries are reproducible
@@ -39,7 +50,7 @@ import mpmath
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit, radical_abc
-from .numtheory import FactorizationFailure, _prime_array, radical, totient
+from .numtheory import FactorizationFailure, _prime_array, factorize, radical, totient
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -345,8 +356,84 @@ def _lograd_odd_sum_squares(x: np.ndarray, y: np.ndarray, grid: tuple, max_c: in
 
 
 # ---------------------------------------------------------------------------
+# exact image radicals from the cyclotomic pieces
+
+
+class InternalRadicalMismatch(RuntimeError):
+    """The image radical from the pieces differs from the full image's; a bug."""
+
+
+def _cyclotomic_pieces(c: int, dd: int, n: int) -> list[int]:
+    """Phi_k(c, dd) for k | n with k > 2, the homogeneous cyclotomic values.
+
+    Each comes from those of the divisors below it by the exact division
+    c**k - dd**k = prod of Phi_j(c, dd) over j | k.
+    """
+    phi: dict[int, int] = {}
+    for k in range(1, n + 1):
+        if n % k == 0:
+            v = c**k - dd**k
+            for j, pj in phi.items():
+                if k % j == 0:
+                    v //= pj
+            phi[k] = v
+    return [v for k, v in phi.items() if k > 2]
+
+
+class _Radicals:
+    """rad(|a*b*c|) of one solution and the exact radicals of its images.
+
+    With x = |a|, y = |b| and dd = |a - b| = x - y, the image under theta
+    at even n is (dd**n, c**n - dd**n, c**n) up to sign, each divided by
+    2**m.  Halving changes no odd prime, exactly one image component is
+    even, c - dd = 2y, c + dd = 2x, and c**n - dd**n is the product of
+    the Phi_k(c, dd) over k | n, so
+
+        rad(|A*B*C|) = 2 * (odd primes of x, y, c, dd, Phi_k(c, dd) for k | n, k > 2)
+
+    as a union of prime sets, since the Phi_k can share primes dividing
+    n.  A Phi_k has about c**phi(k) digits where the image has c**n.
+    Each piece is factored once per solution, shared by every n and eps
+    and by rad_in; FactorizationFailure propagates.
+    """
+
+    def __init__(self, aa: ABCSolution):
+        self.aa = aa
+        self._known: dict[int, frozenset[int]] = {}
+        self.rad_in = math.prod(self._primes(-aa.a) | self._primes(-aa.b) | self._primes(aa.c))
+
+    def _primes(self, v: int) -> frozenset[int]:
+        if v not in self._known:
+            self._known[v] = frozenset(p for p, _ in factorize(v).factors)
+        return self._known[v]
+
+    def image(self, n: int, audit: bool = False) -> tuple[int, int]:
+        """(image c, rad of the image product) at n, exactly.
+
+        With audit, both are also taken from the full image through theta,
+        the independent oracle, and a mismatch raises InternalRadicalMismatch.
+        """
+        aa = self.aa
+        x, y, c = -aa.a, -aa.b, aa.c
+        dd = x - y
+        odd = set().union(*map(self._primes, (x, y, c, dd, *_cyclotomic_pieces(c, dd, n))))
+        odd.discard(2)
+        got = (c**n >> (n if c % 2 == 0 else 0), 2 * math.prod(odd))
+        if audit:
+            img = theta(aa, n, cap=n).output
+            want = (img.c, radical_abc(img))
+            if got != want:
+                raise InternalRadicalMismatch(
+                    f"image of {aa} at n={n}: pieces give (c, rad) = {got}, "
+                    f"the full image {want}"
+                )
+        return got
+
+
+# ---------------------------------------------------------------------------
 # high-precision rechecks: each recomputes a slack from exact integers with
-# 160-bit logs and returns it as an mpf
+# 160-bit logs and returns it as an mpf; they take the radicals from the full
+# image, independent of _Radicals
 
 
 def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
@@ -555,19 +642,20 @@ def _k_lemma1_scalar(args) -> _Tally:
     for local, aa in enumerate(_iter_source(source)):
         tally.triples += 1
         try:
-            lnrad_in = math.log(radical_abc(aa))
+            rads = _Radicals(aa)
         except FactorizationFailure as exc:
             tally.inconclusive(len(n_grid) * len(eps_grid), aa, {}, exc)
             continue
         logc = math.log(aa.c)
+        lnrad_in = math.log(rads.rad_in)
         for ni, n in enumerate(n_grid):
             try:
-                img = theta(aa, n, cap=n).output
-                lnrad_img = math.log(radical_abc(img))
+                # the block's first solution is audited against the full image
+                c_img, rad_img = rads.image(n, audit=local == 0)
             except FactorizationFailure as exc:
                 tally.inconclusive(len(eps_grid), aa, {"n": n}, exc)
                 continue
-            ln_c_img = math.log(img.c)
+            ln_c_img, lnrad_img = math.log(c_img), math.log(rad_img)
             for ei, eps in enumerate(eps_grid):
                 lhs, rhs = _lemma1_sides(
                     constants[(n, eps)], eps, logc, lnrad_in, ln_c_img, lnrad_img
@@ -671,13 +759,13 @@ def _k_chain(args) -> _Tally:
     for local, aa in enumerate(_iter_source(source)):
         tally.triples += 1
         try:
-            rep = merit(aa, eps)
-            img = theta(aa, n, cap=n).output
-            rad_img = radical_abc(img)
+            rads = _Radicals(aa)
+            c_img, rad_img = rads.image(n, audit=local == 0)
         except FactorizationFailure as exc:
             tally.inconclusive(2, aa, {"N": N, "eps": eps}, exc)
             continue
-        f_img = math.log(img.c) - (1.0 + lc.eps_out) * math.log(rad_img)
+        f_in = math.log(aa.c) - (1.0 + eps) * math.log(rads.rad_in)
+        f_img = math.log(c_img) - (1.0 + lc.eps_out) * math.log(rad_img)
         if f_img > assumed_constant:
             raise HypothesisViolated(
                 f"assumed constant {assumed_constant} is below the observed image "
@@ -686,7 +774,7 @@ def _k_chain(args) -> _Tally:
         lifted = (f_img - lc.c_off) / lc.c_lin
         hp = functools.cache(lambda: _hp_chain(aa, n, eps, assumed_constant))
         for j, (check, lhs, rhs) in enumerate((
-            ("input-merit-bound", lifted, rep.merit),
+            ("input-merit-bound", lifted, f_in),
             ("derived-bound-dominates", full_bound, lifted),
         )):
             tally.judge((block_idx, local, j), lhs - rhs, lambda: hp()[j], aa,

@@ -197,7 +197,8 @@ def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     """Find a nontrivial factor of odd composite n with Brent's rho.
 
     Returns (factor, steps_spent); factor is 0 if the budget ran out.
-    gcds are batched over 128-step windows for speed.
+    gcds are batched over 128-step windows for speed.  The differences
+    x - y enter with their sign, which does not change any gcd with n.
     """
     spent = 0
     while spent < budget:
@@ -215,7 +216,7 @@ def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + const) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 spent += min(m, r - k)
                 g = math.gcd(q, n)
                 k += m
@@ -226,7 +227,7 @@ def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
             while g == 1:
                 ys = (ys * ys + const) % n
                 spent += 1
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g, spent
         # cycle without a factor: retry with a fresh polynomial

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from congabc import harness
-from congabc.abc_core import ABCSolution, make_solution
+from congabc.abc_core import ABCSolution, make_solution, radical_abc
 from congabc.harness import (
     CorpusSpec,
     HypothesisViolated,
@@ -22,8 +22,8 @@ from congabc.harness import (
     verify_proof_identities,
     verify_reduction_chain,
 )
-from congabc.numtheory import radical, valuation2
-from congabc.theta import ExponentCapExceeded, NonpositiveEpsilon, OddN, lemma_constants
+from congabc.numtheory import FactorizationFailure, radical, valuation2
+from congabc.theta import ExponentCapExceeded, NonpositiveEpsilon, OddN, lemma_constants, theta
 
 
 def brute_force_counts(max_c: int) -> dict[int, int]:
@@ -522,4 +522,93 @@ def test_exhausted_factor_budget_is_inconclusive(monkeypatch, suite, counts, par
         (big, params, True)
     ]
     assert "rho steps" in s.inconclusive_examples[0].note
+    assert _same_summary(s, suite(corpus, workers=3))
+
+
+# ---------------------------------------------------------------------------
+# image radicals from the cyclotomic pieces, against the full image
+
+
+def _assert_pieces_match_full_image(aa, n_grid):
+    rads = harness._Radicals(aa)
+    assert rads.rad_in == radical_abc(aa)
+    for n in n_grid:
+        img = theta(aa, n, cap=n).output
+        c_img, rad_img = rads.image(n)
+        assert (c_img, rad_img) == (img.c, radical_abc(img)), (aa, n)
+        assert math.log(c_img) == math.log(img.c)
+
+
+def test_image_radicals_match_full_image_exhaustive():
+    # every solution with c <= 200, odd and even c
+    for aa in enumerate_solutions(200):
+        _assert_pieces_match_full_image(aa, (2, 4, 6, 8, 12))
+
+
+@pytest.mark.parametrize("digits", [4, 8, 12])
+def test_image_radicals_match_full_image_sampled(monkeypatch, digits):
+    # factoring a whole image near c = 10**12 can keep rho busy for minutes
+    # (one took 127 s); under a 2**19-step budget the oracle gives up on
+    # those and the solution is skipped, but at least half of each sample
+    # is compared
+    monkeypatch.setenv("CONGABC_FACTOR_BUDGET", str(1 << 19))
+    sample = random_solutions(10**digits, 6, seed=digits)
+    compared = 0
+    for aa in sample:
+        try:
+            _assert_pieces_match_full_image(aa, (2, 4, 6))
+        except FactorizationFailure:
+            continue
+        compared += 1
+    assert 2 * compared >= len(sample)
+
+
+def _drop_last_piece(monkeypatch):
+    real = harness._cyclotomic_pieces
+    monkeypatch.setattr(harness, "_cyclotomic_pieces", lambda c, dd, n: real(c, dd, n)[:-1])
+
+
+@pytest.mark.parametrize("corpus, n_grid", [
+    ([make_solution(-1, -2, 3), make_solution(-1, -4, 5)], [2, 4]),
+    (CorpusSpec(max_c=30), [6]),
+])
+def test_lemma1_audit_catches_a_dropped_piece(monkeypatch, corpus, n_grid):
+    _drop_last_piece(monkeypatch)
+    with pytest.raises(harness.InternalRadicalMismatch):
+        verify_lemma1(corpus, n_grid, [1.0])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chain_audit_catches_a_dropped_piece(monkeypatch, workers):
+    # small blocks, so that workers 3 really spreads the audited blocks
+    real_blocks = harness._c_blocks
+    monkeypatch.setattr(harness, "_c_blocks", lambda max_c: real_blocks(max_c, 200))
+    assert len(harness._c_blocks(60)) > 3
+    _drop_last_piece(monkeypatch)
+    with pytest.raises(harness.InternalRadicalMismatch):
+        verify_reduction_chain(CorpusSpec(max_c=60), 7, 1.0, 10.0, workers=workers)
+
+
+_P = 100_003  # prime: dd = _P, while |a|, |b|, c and dd stay below 10**10
+
+
+@pytest.mark.parametrize("suite, params", [
+    (lambda corpus, **kw: verify_lemma1(corpus, [2], [0.5, 1.0], **kw), {"n": 2}),
+    (lambda corpus, **kw: verify_reduction_chain(corpus, 3, 1.0, 10.0, **kw),
+     {"N": 3, "eps": 1.0}),
+])
+def test_exhausted_budget_in_the_audit_is_inconclusive(monkeypatch, suite, params):
+    # every piece of the first solution factors without rho, but its full
+    # image holds _P**2, which needs rho: the audit gives up, and that
+    # solution's checks are inconclusive, never passed; the same solution
+    # later in the block is not audited and passes
+    monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
+    first = make_solution(-(_P + 1), -1, _P + 2)
+    corpus = [first, make_solution(-1, -2, 3), first]
+    s = suite(corpus)
+    assert (s.checks, s.passes, s.inconclusives, s.failures) == (6, 4, 2, 0)
+    assert [(v.triple, v.params, v.inconclusive) for v in s.inconclusive_examples] == [
+        (first, params, True)
+    ]
+    assert f"{_P**2}" in s.inconclusive_examples[0].note
     assert _same_summary(s, suite(corpus, workers=3))
