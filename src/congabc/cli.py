@@ -7,7 +7,8 @@ map), verify (corpus suites), bound (constant propagation), search
 as decimal strings), csv.
 
 Exit codes: 0 pass, 1 counterexample found, 2 usage or validation
-error, 3 inconclusive results only (factorization budget exhausted).
+error, 3 inconclusive results only (factorization budget exhausted),
+4 internal error (an independent cross-check disagreed: a bug).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from .abc_core import ABCSolution, SolutionError, make_solution, merit
 from .harness import (
     CorpusSpec,
+    InternalRadicalMismatch,
     LemmaVerdict,
     SuiteSummary,
     search_quality,
@@ -32,7 +34,7 @@ from .harness import (
     verify_reduction_chain,
 )
 from .numtheory import BUDGET_ENV_VAR, FactorizationFailure, factorize, rho_budget, totient
-from .theta import derived_full_bound, lemma_constants, theta
+from .theta import InternalInexactDivision, derived_full_bound, lemma_constants, theta
 
 FORMATS = ("table", "json", "csv")
 
@@ -542,6 +544,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SolutionError, ValueError) as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
+    except (InternalRadicalMismatch, InternalInexactDivision) as exc:
+        print(f"internal error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

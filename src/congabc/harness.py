@@ -18,16 +18,16 @@ exact integers at 160-bit precision before final classification, so
 no failure is reported from floats alone.  Divisibility and identity
 checks are exact integer arithmetic throughout.
 
-Image radicals.  Per-solution lemma1 and the chain take the exact
-radical of the image under theta from its pieces (_Radicals): |a|,
-|b|, c, |a - b| and the cyclotomic values Phi_k(c, |a - b|) for
-k | n, k > 2, numbers of about c**phi(k) digits where the image has
-c**n.  The full image, through theta and radical, is the independent
-oracle: the 160-bit rechecks and the identities' radical bound use
-it, and so does a per-block audit, which runs the first solution of
-every block through it at every n.  An audit mismatch raises
-InternalRadicalMismatch; an audit factorization that gives up makes
-those checks inconclusive.
+Two lanes.  lemma1 and the chain (lemma1 at n = totient(N), rearranged)
+are one plan of checks (_Plan) over four logs per solution and n: ln c
+and ln rad(abc) of the solution and of its image under theta.  For a
+CorpusSpec at n in {2, 4} the sieve lane takes them a block at a time
+from sieve tables; the scalar lane takes them one solution at a time
+from _Radicals, which factors the pieces of the image, not the image.
+Both lanes judge the arrays of logs with the same code.  The full image,
+through theta and radical, is the independent oracle: the 160-bit
+rechecks and the identities' radical bound use it, and the scalar lane
+audits the first solution of every block against it at every n.
 
 Verification is data-parallel over deterministic c-range blocks; the
 block layout depends only on the corpus, never on the worker count,
@@ -43,8 +43,9 @@ import math
 import multiprocessing
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import mpmath
 import numpy as np
@@ -54,8 +55,11 @@ from .numtheory import FactorizationFailure, _prime_array, factorize, radical, t
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
+    LemmaConstants,
     NonpositiveEpsilon,
     OddN,
+    _constants,
+    derived_full_bound,
     lemma_constants,
     theta,
 )
@@ -195,52 +199,39 @@ def random_solutions(max_c: int, count: int, seed: int = 0) -> list[ABCSolution]
 # ---------------------------------------------------------------------------
 # sieve tables (process-global, copy-on-write shared with forked workers)
 
-_table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_phi_cache: dict[int, np.ndarray] = {}
-_p1mod4_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _radical_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(log rad, log of odd part of rad) for 0..limit."""
-    tables = _table_cache.get(limit)
-    if tables is None:
-        rad = np.ones(limit + 1, dtype=np.int64)
-        for p in _prime_array(limit):
-            rad[p::p] *= p
-        lograd = np.zeros(limit + 1, dtype=np.float64)
-        lograd[1:] = np.log(rad[1:].astype(np.float64))
-        lograd_odd = lograd.copy()
-        lograd_odd[2::2] -= _LN2
-        tables = (lograd, lograd_odd)
-        _table_cache[limit] = tables
-    return tables
+    rad = np.ones(limit + 1, dtype=np.int64)
+    for p in _prime_array(limit):
+        rad[p::p] *= p
+    lograd = np.zeros(limit + 1, dtype=np.float64)
+    lograd[1:] = np.log(rad[1:].astype(np.float64))
+    lograd_odd = lograd.copy()
+    lograd_odd[2::2] -= _LN2
+    return lograd, lograd_odd
 
 
+@functools.cache
 def _phi_table(limit: int) -> np.ndarray:
-    phi = _phi_cache.get(limit)
-    if phi is None:
-        phi = np.arange(limit + 1, dtype=np.int64)
-        for p in _prime_array(limit):
-            phi[p::p] = phi[p::p] // p * (p - 1)
-        _phi_cache[limit] = phi
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in _prime_array(limit):
+        phi[p::p] = phi[p::p] // p * (p - 1)
     return phi
 
 
+@functools.cache
 def _p1mod4(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primes p = 1 mod 4 up to limit, their logs, and the two roots
     u = (1 +- i)/2 mod p of 2u**2 - 2u + 1, where i**2 = -1 mod p."""
-    cached = _p1mod4_cache.get(limit)
-    if cached is None:
-        primes = _prime_array(limit)
-        sel = primes[primes % 4 == 1]
-        roots = np.empty((len(sel), 2), dtype=np.int64)
-        for k, p in enumerate(sel.tolist()):
-            g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
-            i = pow(g, (p - 1) // 4, p)
-            roots[k] = (1 + i) * (p + 1) // 2 % p, (1 - i) * (p + 1) // 2 % p
-        cached = (sel, np.log(sel.astype(np.float64)), roots)
-        _p1mod4_cache[limit] = cached
-    return cached
+    primes = _prime_array(limit)
+    sel = primes[primes % 4 == 1]
+    roots = np.empty((len(sel), 2), dtype=np.int64)
+    for k, p in enumerate(sel.tolist()):
+        g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+        i = pow(g, (p - 1) // 4, p)
+        roots[k] = (1 + i) * (p + 1) // 2 % p, (1 - i) * (p + 1) // 2 % p
+    return sel, np.log(sel.astype(np.float64)), roots
 
 
 def _c_blocks(max_c: int, target_slots: int = _BLOCK_SLOTS) -> list[tuple[int, int]]:
@@ -443,25 +434,6 @@ def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
     return rad_in, radical_abc(img), img.c
 
 
-def _hp_merits(aa: ABCSolution, n: int, eps: float, rad_in: int, rad_img: int, c_img: int):
-    """(f(input, eps), f(image, eps_out), c_lin, c_off) at the working precision."""
-    e = mpmath.mpf(eps)
-    denom = n + n * e - e
-    eps_out = e / denom
-    c_lin = mpmath.mpf(n) / denom
-    c_off = -n * (1 + e) * mpmath.log(2 * n) / denom - n * mpmath.log(2)
-    f_in = mpmath.log(aa.c) - (1 + e) * mpmath.log(rad_in)
-    f_img = mpmath.log(c_img) - (1 + eps_out) * mpmath.log(rad_img)
-    return f_in, f_img, c_lin, c_off
-
-
-def _hp_lemma1(aa: ABCSolution, n: int, eps: float):
-    radicals = _exact_radicals(aa, n)
-    with mpmath.workprec(HP_PRECISION_BITS):
-        f_in, f_img, c_lin, c_off = _hp_merits(aa, n, eps, *radicals)
-        return f_img - (c_lin * f_in + c_off)
-
-
 def _hp_radical_bound(aa: ABCSolution, n: int):
     rad_in, rad_img, _ = _exact_radicals(aa, n)
     dd = abs(aa.a - aa.b)
@@ -469,16 +441,6 @@ def _hp_radical_bound(aa: ABCSolution, n: int):
     with mpmath.workprec(HP_PRECISION_BITS):
         lhs = mpmath.log(dd) + mpmath.log(rad_in) + mpmath.log(rad_q)
         return lhs - mpmath.log(rad_img)
-
-
-def _hp_chain(aa: ABCSolution, n: int, eps: float, assumed_constant: float) -> tuple:
-    """Slacks of both chain checks for one triple."""
-    radicals = _exact_radicals(aa, n)
-    with mpmath.workprec(HP_PRECISION_BITS):
-        f_in, f_img, c_lin, c_off = _hp_merits(aa, n, eps, *radicals)
-        lifted = (f_img - c_off) / c_lin
-        full = (mpmath.mpf(assumed_constant) - c_off) / c_lin
-        return lifted - f_in, full - lifted
 
 
 # ---------------------------------------------------------------------------
@@ -569,101 +531,163 @@ class _Tally:
             self.offer(later.best[0], lambda: later.best[1])
 
 
-def _lemma1_sides(lc, eps, logc, lnrad_in, ln_c_img, lnrad_img):
-    """(lhs, rhs) of the amplification inequality, from floats or arrays of logs.
+# ---------------------------------------------------------------------------
+# lemma1 and the chain: one formula each, for floats, arrays and mpf
 
-    lhs = f(image, eps_out) and rhs = c_lin * f(input, eps) + c_off.
+
+def _merits(k: LemmaConstants, logc, lnrad_in, ln_c_img, lnrad_img) -> tuple:
+    """(f(solution, eps), f(image, eps_out)) from the four logs."""
+    return logc - (1.0 + k.epsilon) * lnrad_in, ln_c_img - (1.0 + k.eps_out) * lnrad_img
+
+
+def _lemma1_sides(k: LemmaConstants, f_in, f_img, bound) -> tuple:
+    """The amplification inequality f(image, eps_out) >= c_lin * f(solution, eps) + c_off."""
+    return ((f_img, k.c_lin * f_in + k.c_off),)
+
+
+def _chain_sides(k: LemmaConstants, f_in, f_img, bound) -> tuple:
+    """f(solution, eps) <= lifted = (f(image, eps_out) - c_off) / c_lin
+    (lemma1 rearranged) and lifted <= (bound - c_off) / c_lin."""
+    lifted = k.lift(f_img)
+    return ((lifted, f_in), (k.lift(bound), lifted))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The checks lemma1 or the chain makes of every solution, in both lanes.
+
+    At each n of n_grid and eps of eps_grid, sides(k, f_in, f_img, bound)
+    gives the (lhs, rhs) of each check, lhs asserted to be the larger,
+    from k = lemma_constants(n, eps) and the merits (_merits), in floats,
+    arrays or mpf.  A bound (the chain's assumed constant) is a hypothesis,
+    tested before any check is judged.  A check's params are context, n,
+    eps and its label.
     """
-    lhs = ln_c_img - (1.0 + lc.eps_out) * lnrad_img
-    rhs = lc.c_lin * (logc - (1.0 + eps) * lnrad_in) + lc.c_off
-    return lhs, rhs
+
+    n_grid: tuple[int, ...]
+    eps_grid: tuple[float, ...]
+    sides: Callable
+    bound: float | None = None
+    labels: tuple[dict, ...] = ({},)
+    context: dict = field(default_factory=dict)
+
+
+def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
+    """The slacks of plan's checks of one solution at (n, eps), at 160 bits."""
+    rad_in, rad_img, c_img = _exact_radicals(aa, n)
+    with mpmath.workprec(HP_PRECISION_BITS):
+        k = _constants(n, mpmath.mpf(eps), mpmath.log)
+        logs = map(mpmath.log, (aa.c, rad_in, c_img, rad_img))
+        return [lhs - rhs for lhs, rhs in plan.sides(k, *_merits(k, *logs), plan.bound)]
 
 
 # ---------------------------------------------------------------------------
 # block kernels (top-level so they pickle into worker processes)
 
 
-def _iter_source(source) -> Iterator[ABCSolution]:
-    """The solutions of one block source, in corpus order."""
+def _block_solutions(source) -> tuple[int, Callable[[int], ABCSolution]]:
+    """The number of solutions of one block source, and solution(i), the i-th."""
     if source[0] == "list":
-        return iter(source[1])
+        return len(source[1]), source[1].__getitem__
     c_arr, s_arr, _ = _block_grid(*source[1:])
-    return (_pair(c_arr, s_arr, i) for i in range(len(c_arr)))
+    return len(c_arr), functools.partial(_pair, c_arr, s_arr)
 
 
-def _k_lemma1_vector(args) -> _Tally:
-    """The scalar lane's checks over a whole block, from sieve-table logs."""
-    (source, block_idx, max_c, n_grid, eps_grid, tolerance, band, cex_cap) = args
+def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple, where,
+                solution) -> None:
+    """Judge plan's checks at its ni-th n over the rows of one block.
+
+    logs holds the arrays of the four logs, one row per solution, where[i]
+    the block position of row i and solution(p) the solution at p.  A row's
+    sides come from the same formula on its logs, bit for bit the arrays'
+    entries, so only the slack arrays are kept (peak memory).
+    """
+    n = plan.n_grid[ni]
+    for ei, eps in enumerate(plan.eps_grid):
+        k = lemma_constants(n, eps)
+
+        def merits(i):
+            return _merits(k, *(float(x[i]) for x in logs))
+
+        if plan.bound is not None:
+            over = np.flatnonzero(_merits(k, *logs)[1] > plan.bound)
+            if len(over):
+                raise HypothesisViolated(
+                    f"assumed constant {plan.bound} is below the observed image "
+                    f"merit {merits(over[0])[1]:.12g} at {solution(where[over[0]])}"
+                )
+        hp = functools.cache(lambda i: _hp_slacks(solution(where[i]), n, eps, plan))
+        first = (ni * len(plan.eps_grid) + ei) * len(plan.labels)
+        slacks = [np.subtract(*pair) for pair in plan.sides(k, *_merits(k, *logs), plan.bound)]
+        for j, slack in enumerate(slacks):
+            params = {**plan.context, "n": n, "eps": eps, **plan.labels[j]}
+            suspects = np.flatnonzero((np.abs(slack) < tally.band) | (slack < -tally.tolerance))
+            tally.passed(len(slack) - len(suspects))
+            for i in suspects.tolist():
+                lhs, rhs = plan.sides(k, *merits(i), plan.bound)[j]
+                slack[i] = tally.judge((block_idx, where[i], first + j), lhs - rhs,
+                                       lambda: hp(i)[j], solution(where[i]), params, lhs, rhs)
+            i = int(np.argmin(slack))
+            low = float(slack[i])
+            if low < math.inf:  # not every check was inconclusive
+                lhs, rhs = plan.sides(k, *merits(i), plan.bound)[j]
+                tally.offer((low, block_idx, where[i], first + j), lambda: LemmaVerdict(
+                    solution(where[i]), params, lhs, rhs, low, low >= -tally.tolerance))
+
+
+def _k_vector(args) -> _Tally:
+    """plan's checks over one block of a CorpusSpec, the logs from sieve tables."""
+    (source, block_idx, max_c, plan, tolerance, band, cex_cap) = args
     lograd, lograd_odd = _radical_tables(max_c)
     c_arr, s_arr, grid = _block_grid(*source[1:])
     tally = _Tally(cex_cap, tolerance, band, triples=len(c_arr))
     if len(c_arr) == 0:
         return tally
     aabs = c_arr - s_arr
-    babs = s_arr
-    d_arr = aabs - babs
+    d_arr = aabs - s_arr
     logc = np.log(c_arr.astype(np.float64))
-    lnrad_abc = lograd[aabs] + lograd[babs] + lograd[c_arr]
-    base_odd = lograd_odd[d_arr] + lograd_odd[c_arr] + lograd_odd[aabs] + lograd_odd[babs]
+    lnrad_abc = lograd[aabs] + lograd[s_arr] + lograd[c_arr]
+    base_odd = lograd_odd[d_arr] + lograd_odd[c_arr] + lograd_odd[aabs] + lograd_odd[s_arr]
     lnrad_img = {2: _LN2 + base_odd}
-    if 4 in n_grid:
-        lnrad_img[4] = _LN2 + base_odd + _lograd_odd_sum_squares(aabs, babs, grid, max_c)
+    if 4 in plan.n_grid:
+        lnrad_img[4] = _LN2 + base_odd + _lograd_odd_sum_squares(aabs, s_arr, grid, max_c)
     even = (c_arr & 1) == 0
-
-    for ni, n in enumerate(n_grid):
+    for ni, n in enumerate(plan.n_grid):
         logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img[n])
-        for ei, eps in enumerate(eps_grid):
-            combo = ni * len(eps_grid) + ei
-            params = {"n": n, "eps": eps}
-            lc = lemma_constants(n, eps)
-            # keep only the slack array (peak memory): the sides of one pair
-            # come from the same formula on its logs, bit for bit the same
-            slack = np.subtract(*_lemma1_sides(lc, eps, *logs))
-            suspects = np.flatnonzero((np.abs(slack) < band) | (slack < -tolerance))
-            tally.passed(len(slack) - len(suspects))
-            for i in suspects.tolist():
-                aa = _pair(c_arr, s_arr, i)
-                lhs, rhs = _lemma1_sides(lc, eps, *(float(x[i]) for x in logs))
-                slack[i] = tally.judge((block_idx, i, combo), lhs - rhs,
-                                       lambda: _hp_lemma1(aa, n, eps), aa, params, lhs, rhs)
-            i = int(np.argmin(slack))
-            lhs, rhs = _lemma1_sides(lc, eps, *(float(x[i]) for x in logs))
-            tally.offer((float(slack[i]), block_idx, i, combo), lambda: LemmaVerdict(
-                _pair(c_arr, s_arr, i), params, lhs, rhs, float(slack[i]),
-                bool(slack[i] >= -tolerance),
-            ))
+        _judge_rows(tally, plan, block_idx, ni, logs, range(len(c_arr)),
+                    functools.partial(_pair, c_arr, s_arr))
     return tally
 
 
-def _k_lemma1_scalar(args) -> _Tally:
-    (source, block_idx, n_grid, eps_grid, tolerance, band, cex_cap) = args
+def _k_scalar(args) -> _Tally:
+    """plan's checks over one block, the logs from each solution's _Radicals."""
+    (source, block_idx, _max_c, plan, tolerance, band, cex_cap) = args
     tally = _Tally(cex_cap, tolerance, band)
-    constants = {(n, eps): lemma_constants(n, eps) for n in n_grid for eps in eps_grid}
-    for local, aa in enumerate(_iter_source(source)):
+    per_n = len(plan.eps_grid) * len(plan.labels)
+    count, solution = _block_solutions(source)
+    rows = [array("d") for _ in plan.n_grid]  # per n and row: block position, the four logs
+    for local, aa in enumerate(map(solution, range(count))):
         tally.triples += 1
         try:
             rads = _Radicals(aa)
         except FactorizationFailure as exc:
-            tally.inconclusive(len(n_grid) * len(eps_grid), aa, {}, exc)
+            tally.inconclusive(len(plan.n_grid) * per_n, aa, plan.context, exc)
             continue
-        logc = math.log(aa.c)
-        lnrad_in = math.log(rads.rad_in)
-        for ni, n in enumerate(n_grid):
+        for n, at_n in zip(plan.n_grid, rows):
             try:
                 # the block's first solution is audited against the full image
                 c_img, rad_img = rads.image(n, audit=local == 0)
             except FactorizationFailure as exc:
-                tally.inconclusive(len(eps_grid), aa, {"n": n}, exc)
+                # lemma1 names the n whose image failed, the chain has one n
+                tally.inconclusive(per_n, aa, plan.context or {"n": n}, exc)
                 continue
-            ln_c_img, lnrad_img = math.log(c_img), math.log(rad_img)
-            for ei, eps in enumerate(eps_grid):
-                lhs, rhs = _lemma1_sides(
-                    constants[(n, eps)], eps, logc, lnrad_in, ln_c_img, lnrad_img
-                )
-                tally.judge(
-                    (block_idx, local, ni * len(eps_grid) + ei), lhs - rhs,
-                    lambda: _hp_lemma1(aa, n, eps), aa, {"n": n, "eps": eps}, lhs, rhs,
-                )
+            at_n.extend((local, math.log(aa.c), math.log(rads.rad_in),
+                         math.log(c_img), math.log(rad_img)))
+    for ni, at_n in enumerate(rows):
+        if at_n:
+            where, *logs = np.frombuffer(at_n).reshape(-1, 5).T
+            where = where.astype(np.int64).tolist()
+            _judge_rows(tally, plan, block_idx, ni, tuple(logs), where, solution)
     return tally
 
 
@@ -713,7 +737,8 @@ def _identity_sum(c: int, dd: int, n: int) -> int:
 def _k_identities(args) -> _Tally:
     (source, block_idx, n_grid, tolerance, band, radical_scale, cex_cap) = args
     tally = _Tally(cex_cap, tolerance, band)
-    for local, aa in enumerate(_iter_source(source)):
+    count, solution = _block_solutions(source)
+    for local, aa in enumerate(map(solution, range(count))):
         tally.triples += 1
         c = aa.c
         dd = abs(aa.a - aa.b)
@@ -749,36 +774,6 @@ def _k_identities(args) -> _Tally:
             tally.judge((block_idx, local, combo), lhs - rhs,
                         lambda: _hp_radical_bound(aa, n), aa, params, lhs, rhs)
             combo += 1
-    return tally
-
-
-def _k_chain(args) -> _Tally:
-    (source, block_idx, N, n, eps, assumed_constant, full_bound, tolerance, band, cex_cap) = args
-    tally = _Tally(cex_cap, tolerance, band)
-    lc = lemma_constants(n, eps)
-    for local, aa in enumerate(_iter_source(source)):
-        tally.triples += 1
-        try:
-            rads = _Radicals(aa)
-            c_img, rad_img = rads.image(n, audit=local == 0)
-        except FactorizationFailure as exc:
-            tally.inconclusive(2, aa, {"N": N, "eps": eps}, exc)
-            continue
-        f_in = math.log(aa.c) - (1.0 + eps) * math.log(rads.rad_in)
-        f_img = math.log(c_img) - (1.0 + lc.eps_out) * math.log(rad_img)
-        if f_img > assumed_constant:
-            raise HypothesisViolated(
-                f"assumed constant {assumed_constant} is below the observed image "
-                f"merit {f_img:.12g} at {aa}"
-            )
-        lifted = (f_img - lc.c_off) / lc.c_lin
-        hp = functools.cache(lambda: _hp_chain(aa, n, eps, assumed_constant))
-        for j, (check, lhs, rhs) in enumerate((
-            ("input-merit-bound", lifted, f_in),
-            ("derived-bound-dominates", full_bound, lifted),
-        )):
-            tally.judge((block_idx, local, j), lhs - rhs, lambda: hp()[j], aa,
-                        {"N": N, "eps": eps, "n": n, "check": check}, lhs, rhs)
     return tally
 
 
@@ -862,6 +857,26 @@ def _validated_grids(n_grid, eps_grid) -> tuple[tuple[int, ...], tuple[float, ..
     return n_grid, eps_grid
 
 
+def _verify_plan(suite: str, params: dict, plan: _Plan, corpus, tolerance: float,
+                 band: float, workers: int, cap: int) -> SuiteSummary:
+    """The summary of plan's checks over corpus, on the sieve lane where it applies."""
+    t0 = time.perf_counter()
+    sources, corpus_head, max_c, congruence = _sources(corpus)
+    sieve_lane = (
+        max_c is not None  # only a CorpusSpec comes in c-range blocks to sieve
+        # a size guard on the tables and root-sieve passes: the values sieved,
+        # x**2 + y**2 < 2 * max_c**2, are far inside int64
+        and max_c <= _VECTOR_MAX_C
+        and set(plan.n_grid) <= {2, 4}  # the image radicals the sieve knows
+        and congruence < 1 << 31  # _congruence_mask multiplies two residues mod N in int64
+    )
+    if sieve_lane:
+        _radical_tables(max_c)  # build in the parent so workers share pages
+    argslist = [(src, idx, max_c, plan, tolerance, band, cap) for idx, src in enumerate(sources)]
+    parts = _map_blocks(_k_vector if sieve_lane else _k_scalar, argslist, workers)
+    return _merge(suite, params, parts, corpus_head, time.perf_counter() - t0, workers)
+
+
 def verify_lemma1(
     corpus,
     n_grid: Iterable[int],
@@ -875,43 +890,21 @@ def verify_lemma1(
     """Check the amplification inequality over a corpus and grids.
 
     For every (solution, n, eps): the image merit at eps_out must be
-    at least c_lin * f(solution, eps) + c_off, within tolerance.  For
-    a CorpusSpec with n restricted to {2, 4} a vectorized lane computes
-    radicals by sieve tables; otherwise each solution is handled
-    individually through the factorization engine.  Both lanes hand
-    their slacks to the same judge, which rechecks near ties and
-    failures at high precision from exact integers.
+    at least c_lin * f(solution, eps) + c_off, within tolerance.  A
+    CorpusSpec with n in {2, 4} takes the sieve lane, any other corpus
+    the scalar lane; both judge the same formula, and near ties and
+    float failures are rechecked with it at 160 bits.
     """
     n_grid, eps_grid = _validated_grids(n_grid, eps_grid)
-    t0 = time.perf_counter()
-    sources, corpus_head, max_c, congruence = _sources(corpus)
-    use_vector = (
-        max_c is not None
-        and max_c <= _VECTOR_MAX_C
-        and set(n_grid) <= {2, 4}
-        and congruence < 1 << 31
-    )
-    if use_vector:
-        _radical_tables(max_c)  # build in the parent so workers share pages
-        argslist = [
-            (src, idx, max_c, n_grid, eps_grid, tolerance, recheck_band, max_counterexamples)
-            for idx, src in enumerate(sources)
-        ]
-        parts = _map_blocks(_k_lemma1_vector, argslist, workers)
-    else:
-        argslist = [
-            (src, idx, n_grid, eps_grid, tolerance, recheck_band, max_counterexamples)
-            for idx, src in enumerate(sources)
-        ]
-        parts = _map_blocks(_k_lemma1_scalar, argslist, workers)
-    corpus_desc = f"max_c={max_c},congruence={congruence}" if max_c is not None else "stream"
     params = {
         "n": list(n_grid),
         "eps": list(eps_grid),
         "tolerance": tolerance,
-        "corpus": corpus_desc,
+        "corpus": f"max_c={corpus.max_c},congruence={corpus.congruence}"
+        if isinstance(corpus, CorpusSpec) else "stream",
     }
-    return _merge("lemma1", params, parts, corpus_head, time.perf_counter() - t0, workers)
+    return _verify_plan("lemma1", params, _Plan(n_grid, eps_grid, _lemma1_sides), corpus,
+                        tolerance, recheck_band, workers, max_counterexamples)
 
 
 def verify_lemma2(
@@ -991,37 +984,32 @@ def verify_reduction_chain(
     """Check the end-to-end bound chain under an assumed constant.
 
     assumed_constant is a hypothesis: a uniform upper bound on the
-    image merits f(image, eps_out).  It is checked; HypothesisViolated
-    is raised the moment an image merit exceeds it.  Per solution two
-    checks: the input merit is at most (f(image, eps_out) - c_off) /
-    c_lin, and that quantity is at most derived_full_bound(N, eps,
-    assumed_constant).
+    image merits f(image, eps_out) at n = totient(N), checked first:
+    HypothesisViolated names the first solution in corpus order whose
+    image merit exceeds it.  Per solution two checks, lemma1 at (n, eps)
+    rearranged: the input merit is at most lifted = (f(image, eps_out)
+    - c_off) / c_lin, and lifted is at most derived_full_bound(N, eps,
+    assumed_constant).  The lanes are lemma1's: the sieve lane takes a
+    CorpusSpec when n is 2 or 4 (N in {3, 4, 5, 6, 8, 10, 12}).
     """
     if N < 3:
         raise ValueError("N must be at least 3")
-    if eps <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {eps}")
+    bound = derived_full_bound(N, eps, assumed_constant)  # NonpositiveEpsilon for eps <= 0
     n = totient(N)
     if n > cap:
         raise ExponentCapExceeded(f"totient({N}) = {n} exceeds cap {cap}")
-    lc = lemma_constants(n, eps)
-    full_bound = (assumed_constant - lc.c_off) / lc.c_lin
-    t0 = time.perf_counter()
-    sources, corpus_head, _max_c, _cong = _sources(corpus)
-    argslist = [
-        (src, idx, N, n, float(eps), float(assumed_constant), full_bound,
-         tolerance, recheck_band, max_counterexamples)
-        for idx, src in enumerate(sources)
-    ]
-    parts = _map_blocks(_k_chain, argslist, workers)
+    eps, assumed_constant = float(eps), float(assumed_constant)
     params = {
         "N": N,
         "n": n,
-        "eps": float(eps),
-        "assumed_constant": float(assumed_constant),
-        "bound": full_bound,
+        "eps": eps,
+        "assumed_constant": assumed_constant,
+        "bound": bound,
     }
-    return _merge("chain", params, parts, corpus_head, time.perf_counter() - t0, workers)
+    labels = ({"check": "input-merit-bound"}, {"check": "derived-bound-dominates"})
+    plan = _Plan((n,), (eps,), _chain_sides, assumed_constant, labels, {"N": N, "eps": eps})
+    return _verify_plan("chain", params, plan, corpus, tolerance, recheck_band, workers,
+                        max_counterexamples)
 
 
 def search_quality(max_c: int, threshold: float) -> list[MeritReport]:

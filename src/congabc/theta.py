@@ -36,8 +36,6 @@ from .numtheory import totient
 
 DEFAULT_EXPONENT_CAP = 64
 
-_LN2 = math.log(2.0)
-
 
 class OddN(ValueError):
     """The exponent must be an even integer >= 2."""
@@ -81,6 +79,10 @@ class LemmaConstants:
     c_off: float
     eps_out: float
 
+    def lift(self, bound):
+        """The bound on f(input, epsilon) implied by f(image, eps_out) <= bound."""
+        return (bound - self.c_off) / self.c_lin
+
 
 def _require_even(n: int) -> None:
     if n < 2 or n % 2 != 0:
@@ -121,19 +123,25 @@ def theta(aa: ABCSolution, n: int, *, cap: int = DEFAULT_EXPONENT_CAP) -> ThetaR
     )
 
 
+def _constants(n: int, epsilon, log) -> LemmaConstants:
+    """The constants from their one formula: floats with a float epsilon and
+    math.log, mpmath's working precision with an mpf epsilon and mpmath.log."""
+    denom = n + n * epsilon - epsilon
+    return LemmaConstants(
+        n=n,
+        epsilon=epsilon,
+        c_lin=n / denom,
+        c_off=-n * (1 + epsilon) * log(2 * n) / denom - n * log(2),
+        eps_out=epsilon / denom,
+    )
+
+
 def lemma_constants(n: int, epsilon: float) -> LemmaConstants:
     """The amplification constants for even n >= 2 and epsilon > 0."""
     _require_even(n)
     if epsilon <= 0:
         raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
-    denom = n + n * epsilon - epsilon
-    return LemmaConstants(
-        n=n,
-        epsilon=float(epsilon),
-        c_lin=n / denom,
-        c_off=-n * (1.0 + epsilon) * math.log(2 * n) / denom - n * _LN2,
-        eps_out=epsilon / denom,
-    )
+    return _constants(n, float(epsilon), math.log)
 
 
 def derived_full_bound(N: int, epsilon: float, congruence_constant: float) -> float:
@@ -152,6 +160,4 @@ def derived_full_bound(N: int, epsilon: float, congruence_constant: float) -> fl
         raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
     if N <= 2:
         return float(congruence_constant)
-    n = totient(N)
-    lc = lemma_constants(n, epsilon)
-    return (congruence_constant - lc.c_off) / lc.c_lin
+    return lemma_constants(totient(N), epsilon).lift(congruence_constant)

@@ -269,6 +269,30 @@ def test_search_json(capsys):
 # plumbing
 
 
+@pytest.mark.parametrize("fault", ["drop a piece", "inexact division"])
+def test_internal_error_exit_4(capsys, monkeypatch, fault):
+    # an internal error is neither a counterexample (1) nor a usage error (2)
+    from congabc import harness
+    from congabc.theta import InternalInexactDivision
+
+    real = harness._cyclotomic_pieces
+
+    def pieces(c, dd, n):
+        if fault == "drop a piece":
+            return real(c, dd, n)[:-1]
+        raise InternalInexactDivision("injected")
+
+    monkeypatch.setattr(harness, "_cyclotomic_pieces", pieces)
+    code, out, err = run_cli(
+        capsys, "verify", "chain", "--max-c", "20", "--N", "7", "--eps", "1", "--C", "10"
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ")
+    want = "InternalRadicalMismatch" if fault == "drop a piece" else "InternalInexactDivision"
+    assert want in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2

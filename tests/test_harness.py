@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from congabc import harness
-from congabc.abc_core import ABCSolution, make_solution, radical_abc
+from congabc.abc_core import ABCSolution, make_solution, merit, radical_abc
 from congabc.harness import (
     CorpusSpec,
     HypothesisViolated,
@@ -22,7 +22,7 @@ from congabc.harness import (
     verify_proof_identities,
     verify_reduction_chain,
 )
-from congabc.numtheory import FactorizationFailure, radical, valuation2
+from congabc.numtheory import FactorizationFailure, radical, totient, valuation2
 from congabc.theta import ExponentCapExceeded, NonpositiveEpsilon, OddN, lemma_constants, theta
 
 
@@ -368,6 +368,64 @@ def test_chain_detects_violated_hypothesis():
     assert issubclass(HypothesisViolated, ValueError)
 
 
+def _small_blocks(monkeypatch, slots):
+    # blocks of about this many (c, s) slots, so that workers 3 spreads them
+    real_blocks = harness._c_blocks
+    monkeypatch.setattr(harness, "_c_blocks", lambda max_c: real_blocks(max_c, slots))
+
+
+@pytest.mark.parametrize("N, eps", [(3, 1.0), (5, 0.5), (8, 1.0), (12, 2.0)])
+def test_chain_lane_agreement(monkeypatch, N, eps):
+    # totient(N) is 2 or 4: a spec corpus takes the sieve lane, the same
+    # solutions as a list the scalar lane
+    _small_blocks(monkeypatch, 1000)
+    spec = CorpusSpec(max_c=100)
+    listed = list(spec)
+    assert len(harness._c_blocks(100)) > 2
+    for workers in (1, 3):
+        fast = verify_reduction_chain(spec, N, eps, 10.0, workers=workers)
+        slow = verify_reduction_chain(listed, N, eps, 10.0, workers=workers)
+        assert fast.checks == slow.checks == fast.passes == slow.passes == 2 * len(spec)
+        assert fast.failures == slow.failures == fast.inconclusives == slow.inconclusives == 0
+        assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
+        assert fast.extremal.triple == slow.extremal.triple
+        assert fast.extremal.params == slow.extremal.params
+    # a tolerance of -20 fails most input-merit checks, and at N = 3, 5 and
+    # 8 some derived-bound checks too
+    kw = dict(tolerance=-20.0, max_counterexamples=10**6)
+    for workers in (1, 3):
+        fast = verify_reduction_chain(spec, N, eps, 10.0, workers=workers, **kw)
+        slow = verify_reduction_chain(listed, N, eps, 10.0, workers=workers, **kw)
+        assert fast.failures == slow.failures == len(fast.counterexamples) > 0
+        assert (fast.checks, fast.passes) == (slow.checks, slow.passes)
+        assert {(v.triple, v.params["check"]) for v in fast.counterexamples} == {
+            (v.triple, v.params["check"]) for v in slow.counterexamples
+        }
+        checks = {v.params["check"] for v in fast.counterexamples}
+        assert len(checks) == (1 if N == 12 else 2)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("N, congruence, assumed_constant", [(5, 5, -0.5), (7, 1, 0.7)])
+def test_chain_names_the_first_violated_hypothesis(monkeypatch, workers, N, congruence,
+                                                   assumed_constant):
+    # image merits above the assumed constant in several blocks; the first
+    # in corpus order, neither its block's first solution nor its largest
+    # merit, is named on the sieve lane (spec, N = 5) and the scalar lane
+    # (list, and spec at N = 7)
+    _small_blocks(monkeypatch, 200)
+    spec = CorpusSpec(max_c=60, congruence=congruence)
+    eps_out = lemma_constants(totient(N), 1.0).eps_out
+    over = [aa for aa in spec
+            if merit(theta(aa, totient(N)).output, eps_out).merit > assumed_constant]
+    blocks = harness._c_blocks(60)
+    assert len({next(b for b in blocks if b[0] <= aa.c <= b[1]) for aa in over}) > 2
+    for corpus in (spec, list(spec)):
+        with pytest.raises(HypothesisViolated) as info:
+            verify_reduction_chain(corpus, N, 1.0, assumed_constant, workers=workers)
+        assert str(info.value).endswith(f" at {over[0]}")
+
+
 def test_chain_validation():
     corpus = [make_solution(-1, -2, 3)]
     with pytest.raises(ValueError):
@@ -434,6 +492,10 @@ def test_lemma1_failures_agree_across_lanes():
     assert fast.failures == slow.failures == len(fast.counterexamples) == 777
     assert (fast.passes, fast.inconclusives) == (slow.passes, slow.inconclusives)
     assert _verdict_keys(fast.counterexamples) == _verdict_keys(slow.counterexamples)
+    # one block, so both lanes list them in the same order too
+    assert [(v.triple, v.params) for v in fast.counterexamples] == [
+        (v.triple, v.params) for v in slow.counterexamples
+    ]
     assert all(not v.passed and v.slack < 5.0 for v in fast.counterexamples + slow.counterexamples)
     assert not fast.ok and not slow.ok
     for corpus in (spec, list(spec)):
@@ -580,9 +642,7 @@ def test_lemma1_audit_catches_a_dropped_piece(monkeypatch, corpus, n_grid):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_chain_audit_catches_a_dropped_piece(monkeypatch, workers):
-    # small blocks, so that workers 3 really spreads the audited blocks
-    real_blocks = harness._c_blocks
-    monkeypatch.setattr(harness, "_c_blocks", lambda max_c: real_blocks(max_c, 200))
+    _small_blocks(monkeypatch, 200)
     assert len(harness._c_blocks(60)) > 3
     _drop_last_piece(monkeypatch)
     with pytest.raises(harness.InternalRadicalMismatch):

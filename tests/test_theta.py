@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from congabc.theta import (
     LemmaConstants,
     NonpositiveEpsilon,
     OddN,
+    _constants,
     derived_full_bound,
     lemma_constants,
     theta,
@@ -138,6 +140,27 @@ def test_lemma_constants_closed_forms():
             assert lc.c_off < 0
             assert lc.eps_out < eps
             assert isinstance(lc, LemmaConstants)
+
+
+def test_lemma_constants_float_and_mpf_share_one_formula():
+    # the floats are those of the formula written out (int eps too), bit for
+    # bit; the same formula at 160 bits agrees with them to double precision
+    for n in (2, 4, 6, 8, 12):
+        for eps in (0.1, 0.5, 1, 2):
+            lc = lemma_constants(n, eps)
+            denom = n + n * eps - eps
+            assert (lc.epsilon, lc.c_lin, lc.c_off, lc.eps_out) == (
+                float(eps),
+                n / denom,
+                -n * (1.0 + eps) * math.log(2 * n) / denom - n * math.log(2.0),
+                eps / denom,
+            )
+            assert lc.lift(10.0) == (10.0 - lc.c_off) / lc.c_lin
+            with mpmath.workprec(160):
+                hp = _constants(n, mpmath.mpf(eps), mpmath.log)
+                for hp_value, value in zip((hp.c_lin, hp.c_off, hp.eps_out),
+                                           (lc.c_lin, lc.c_off, lc.eps_out)):
+                    assert abs(hp_value - value) <= 4e-16 * abs(value)
 
 
 def test_lemma_constants_small_epsilon_limit():
