@@ -48,7 +48,6 @@ VERIFY_CSV_COLUMNS = (
 class RunConfig:
     """Validated per-invocation settings shared by the subcommands."""
 
-    command: str
     fmt: str
     workers: int
     factor_budget: int | None
@@ -56,7 +55,6 @@ class RunConfig:
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls(
-            command=args.command,
             fmt=getattr(args, "format", "table"),
             workers=getattr(args, "workers", 1),
             factor_budget=getattr(args, "factor_budget", None),

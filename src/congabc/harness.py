@@ -29,14 +29,15 @@ through theta and radical, is the independent oracle: the 160-bit
 rechecks and the identities' radical bound use it, and the scalar lane
 audits the first solution of every block against it at every n.
 
-Verification is data-parallel over deterministic c-range blocks; the
-block layout depends only on the corpus, never on the worker count,
-and results are merged in corpus order, so summaries are reproducible
-bit-for-bit regardless of parallelism.
+One driver (_verify) runs every suite over deterministic blocks: c-ranges
+of a CorpusSpec or slices of a list, sized for the suite's kernel, never
+by the worker count.  It merges their tallies in corpus order, so
+summaries are reproducible bit-for-bit regardless of parallelism.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -71,7 +72,8 @@ DEFAULT_MAX_COUNTEREXAMPLES = 25
 
 _LN2 = math.log(2.0)
 _VECTOR_MAX_C = 50_000
-_BLOCK_SLOTS = 2_500_000
+_BLOCK_SLOTS = 2_500_000  # (c, s) slots per block for the kernels that take numpy arrays
+_TRIPLE_BLOCK = 4096  # slots, or listed solutions, per block for the per-triple kernels
 
 
 class HypothesisViolated(ValueError):
@@ -234,7 +236,7 @@ def _p1mod4(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sel, np.log(sel.astype(np.float64)), roots
 
 
-def _c_blocks(max_c: int, target_slots: int = _BLOCK_SLOTS) -> list[tuple[int, int]]:
+def _c_blocks(max_c: int, target_slots: int) -> list[tuple[int, int]]:
     """Deterministic c-range blocks of roughly target_slots (c, s) slots."""
     blocks = []
     lo, slots = 3, 0
@@ -282,7 +284,7 @@ def _corpus_count(spec: CorpusSpec) -> int:
         phi = _phi_table(spec.max_c)
         return int((phi[3:] // 2).sum())
     return sum(len(_block_grid(c_lo, c_hi, spec.congruence)[0])
-               for c_lo, c_hi in _c_blocks(spec.max_c))
+               for c_lo, c_hi in _c_blocks(spec.max_c, _BLOCK_SLOTS))
 
 
 def _spec_head(spec: CorpusSpec):
@@ -457,8 +459,8 @@ class _Tally:
     """
 
     cap: int
-    tolerance: float = DEFAULT_TOLERANCE
-    band: float = DEFAULT_RECHECK_BAND
+    tolerance: float
+    band: float
     triples: int = 0
     checks: int = 0
     passes: int = 0
@@ -582,14 +584,16 @@ def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
 
 
 # ---------------------------------------------------------------------------
-# block kernels (top-level so they pickle into worker processes)
+# block kernels: kernel(tally, source, block_idx, *consts) counts the checks of
+# one block source (see _blocks) into tally; top-level, so they pickle into
+# worker processes
 
 
 def _block_solutions(source) -> tuple[int, Callable[[int], ABCSolution]]:
     """The number of solutions of one block source, and solution(i), the i-th."""
-    if source[0] == "list":
-        return len(source[1]), source[1].__getitem__
-    c_arr, s_arr, _ = _block_grid(*source[1:])
+    if isinstance(source, list):
+        return len(source), source.__getitem__
+    c_arr, s_arr, _ = _block_grid(*source)
     return len(c_arr), functools.partial(_pair, c_arr, s_arr)
 
 
@@ -635,14 +639,13 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
                     solution(where[i]), params, lhs, rhs, low, low >= -tally.tolerance))
 
 
-def _k_vector(args) -> _Tally:
-    """plan's checks over one block of a CorpusSpec, the logs from sieve tables."""
-    (source, block_idx, max_c, plan, tolerance, band, cex_cap) = args
+def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) -> None:
+    """plan's checks over one c-range of a CorpusSpec, the logs from sieve tables."""
     lograd, lograd_odd = _radical_tables(max_c)
-    c_arr, s_arr, grid = _block_grid(*source[1:])
-    tally = _Tally(cex_cap, tolerance, band, triples=len(c_arr))
+    c_arr, s_arr, grid = _block_grid(*source)
+    tally.triples = len(c_arr)
     if len(c_arr) == 0:
-        return tally
+        return
     aabs = c_arr - s_arr
     d_arr = aabs - s_arr
     logc = np.log(c_arr.astype(np.float64))
@@ -656,13 +659,10 @@ def _k_vector(args) -> _Tally:
         logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img[n])
         _judge_rows(tally, plan, block_idx, ni, logs, range(len(c_arr)),
                     functools.partial(_pair, c_arr, s_arr))
-    return tally
 
 
-def _k_scalar(args) -> _Tally:
+def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
     """plan's checks over one block, the logs from each solution's _Radicals."""
-    (source, block_idx, _max_c, plan, tolerance, band, cex_cap) = args
-    tally = _Tally(cex_cap, tolerance, band)
     per_n = len(plan.eps_grid) * len(plan.labels)
     count, solution = _block_solutions(source)
     rows = [array("d") for _ in plan.n_grid]  # per n and row: block position, the four logs
@@ -688,39 +688,31 @@ def _k_scalar(args) -> _Tally:
             where, *logs = np.frombuffer(at_n).reshape(-1, 5).T
             where = where.astype(np.int64).tolist()
             _judge_rows(tally, plan, block_idx, ni, tuple(logs), where, solution)
-    return tally
 
 
-def _k_lemma2(args) -> _Tally:
-    (source, block_idx, N, n, cex_cap) = args
-    tally = _Tally(cex_cap)
-    params = {"N": N, "n": n}
-    if source[0] == "list":
-        for aa in source[1]:
-            tally.triples += 1
-            img = theta(aa, n, cap=n)
-            witness = abs(img.raw[0] * img.raw[1] * img.raw[2]) % N
-            if witness == 0:
-                tally.passed()
-            else:
-                tally.failed(aa, params, witness=witness)
-        return tally
-    # |A*B*C| = d**n * (c**n - d**n) * c**n with d = c - 2s, both halved
-    # when c is even, so the witness comes from a residue table of n-th
-    # powers; products of two residues fit int64 while N < 2**31
-    c_arr, s_arr, _ = _block_grid(*source[1:])
-    dtype = np.int64 if N < 1 << 31 else object
-    pow_mod = np.array([pow(v, n, N) for v in range(source[2] + 1)], dtype=dtype)
-    halve = 1 - (c_arr & 1)
-    pv = pow_mod[c_arr >> halve]
-    pu = pow_mod[(c_arr - 2 * s_arr) >> halve]
-    witness = pu * ((pv - pu) % N) % N * pv % N
+def _k_lemma2(tally: _Tally, source, block_idx: int, N: int, n: int) -> None:
+    """N | A*B*C for the image at n of each solution of one block, exactly."""
+    # the witness |A*B*C| mod N is below N, and totient(N) <= DEFAULT_EXPONENT_CAP
+    # = 64 forces N <= 240, so it and products of two residues fit int64
+    if isinstance(source, list):  # the full image through theta
+        witness = np.array([abs(math.prod(theta(aa, n, cap=n).raw)) % N for aa in source],
+                           dtype=np.int64)
+        solution = source.__getitem__
+    else:
+        # |A*B*C| = d**n * (c**n - d**n) * c**n with d = c - 2s, both halved
+        # when c is even, so the witness comes from a residue table of n-th powers
+        c_arr, s_arr, _ = _block_grid(*source)
+        pow_mod = np.array([pow(v, n, N) for v in range(source[1] + 1)], dtype=np.int64)
+        halve = 1 - (c_arr & 1)
+        pv = pow_mod[c_arr >> halve]
+        pu = pow_mod[(c_arr - 2 * s_arr) >> halve]
+        witness = pu * ((pv - pu) % N) % N * pv % N
+        solution = functools.partial(_pair, c_arr, s_arr)
     bad = np.flatnonzero(witness)
-    tally.triples = len(c_arr)
-    tally.passed(len(c_arr) - len(bad))
+    tally.triples = len(witness)
+    tally.passed(len(witness) - len(bad))
     for i in bad.tolist():
-        tally.failed(_pair(c_arr, s_arr, i), params, witness=int(witness[i]))
-    return tally
+        tally.failed(solution(i), {"N": N, "n": n}, witness=int(witness[i]))
 
 
 def _identity_sum(c: int, dd: int, n: int) -> int:
@@ -734,9 +726,9 @@ def _identity_sum(c: int, dd: int, n: int) -> int:
     return total
 
 
-def _k_identities(args) -> _Tally:
-    (source, block_idx, n_grid, tolerance, band, radical_scale, cex_cap) = args
-    tally = _Tally(cex_cap, tolerance, band)
+def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...],
+                  radical_scale: int | None) -> None:
+    """The exact identities, and the radical bound up to radical_scale, over one block."""
     count, solution = _block_solutions(source)
     for local, aa in enumerate(map(solution, range(count))):
         tally.triples += 1
@@ -774,39 +766,65 @@ def _k_identities(args) -> _Tally:
             tally.judge((block_idx, local, combo), lhs - rhs,
                         lambda: _hp_radical_bound(aa, n), aa, params, lhs, rhs)
             combo += 1
-    return tally
 
 
 # ---------------------------------------------------------------------------
-# parallel driver and merge
+# the driver: one for every suite
 
 
-def _map_blocks(kernel, argslist: list, workers: int) -> list[_Tally]:
-    if workers <= 1 or len(argslist) <= 1:
-        return [kernel(a) for a in argslist]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return [kernel(a) for a in argslist]
-    with ctx.Pool(min(workers, len(argslist))) as pool:
-        return list(pool.imap(kernel, argslist))
+def _blocks(corpus, kernel) -> tuple[list, object]:
+    """The block sources of corpus in corpus order, and its hash head.
 
-
-def _merge(
-    suite: str,
-    params: dict,
-    parts: list[_Tally],
-    corpus_head,
-    wall_time: float,
-    workers: int,
-) -> SuiteSummary:
-    """One summary from the block tallies, in corpus order (there is always one).
-
-    The corpus is hashed here, from the size the kernels counted.
+    A CorpusSpec is cut into c-ranges (c_lo, c_hi, congruence): of about
+    _BLOCK_SLOTS (c, s) slots for the kernels that take a range as numpy
+    arrays, of about _TRIPLE_BLOCK slots for those that go one solution at
+    a time.  A list is cut every _TRIPLE_BLOCK solutions.  The layout
+    depends on the corpus and the kernel, never on the worker count.
     """
-    total = parts[0]
-    for part in parts[1:]:
-        total.absorb(part)
+    if isinstance(corpus, CorpusSpec):
+        slots = _BLOCK_SLOTS if kernel in (_k_vector, _k_lemma2) else _TRIPLE_BLOCK
+        sources = [(lo, hi, corpus.congruence) for lo, hi in _c_blocks(corpus.max_c, slots)]
+        return sources, _spec_head(corpus)
+    triples = list(corpus)
+    sources = [triples[i:i + _TRIPLE_BLOCK] for i in range(0, len(triples), _TRIPLE_BLOCK)]
+    return sources, _list_head(triples)
+
+
+def _run_block(job) -> _Tally:
+    kernel, source, block_idx, consts, limits = job
+    tally = _Tally(*limits)
+    kernel(tally, source, block_idx, *consts)
+    return tally
+
+
+def _verify(suite: str, params: dict, corpus, kernel, consts: tuple, workers: int,
+            max_counterexamples: int, tolerance: float = DEFAULT_TOLERANCE,
+            band: float = DEFAULT_RECHECK_BAND) -> SuiteSummary:
+    """The summary of kernel(tally, source, block_idx, *consts) over the blocks of corpus.
+
+    Each block gets a fresh tally with these limits.  The blocks run on up to
+    workers forked processes (serially with one worker or block, or without
+    fork), and the tallies merge in block order; an exception from a block
+    cancels the blocks not yet started.  The corpus is hashed from the size
+    the kernels counted.
+    """
+    t0 = time.perf_counter()
+    sources, corpus_head = _blocks(corpus, kernel)
+    limits = (max_counterexamples, tolerance, band)
+    jobs = [(kernel, source, idx, consts, limits) for idx, source in enumerate(sources)]
+    total = _Tally(*limits)
+    with contextlib.ExitStack() as stack:
+        parts = map(_run_block, jobs)
+        if workers > 1 and len(jobs) > 1 and "fork" in multiprocessing.get_all_start_methods():
+            # not multiprocessing.Pool: its terminate can hang on a task too large
+            # for the pipe (a list block), and it waits forever on a dead worker;
+            # imported here, as it adds about 15 ms to every start-up
+            from concurrent.futures import ProcessPoolExecutor
+            ctx = multiprocessing.get_context("fork")
+            pool = stack.enter_context(ProcessPoolExecutor(min(workers, len(jobs)), mp_context=ctx))
+            parts = pool.map(_run_block, jobs)
+        for part in parts:
+            total.absorb(part)
     best = total.best
     return SuiteSummary(
         suite=suite,
@@ -821,19 +839,9 @@ def _merge(
         counterexamples=tuple(total.counterexamples),
         inconclusive_examples=tuple(total.inconclusive_examples),
         corpus_hash=_corpus_hash(corpus_head, total.triples),
-        wall_time=wall_time,
+        wall_time=time.perf_counter() - t0,
         workers=workers,
     )
-
-
-def _sources(corpus) -> tuple[list, object, int | None, int]:
-    """Block sources, corpus hash head, max_c (if spec-backed), and congruence."""
-    if isinstance(corpus, CorpusSpec):
-        blocks = _c_blocks(corpus.max_c)
-        sources = [("range", lo, hi, corpus.congruence) for lo, hi in blocks]
-        return sources, _spec_head(corpus), corpus.max_c, corpus.congruence
-    triples = list(corpus)
-    return [("list", tuple(triples))], _list_head(triples), None, 1
 
 
 def _validated_n_grid(n_grid) -> tuple[int, ...]:
@@ -857,24 +865,30 @@ def _validated_grids(n_grid, eps_grid) -> tuple[tuple[int, ...], tuple[float, ..
     return n_grid, eps_grid
 
 
-def _verify_plan(suite: str, params: dict, plan: _Plan, corpus, tolerance: float,
-                 band: float, workers: int, cap: int) -> SuiteSummary:
-    """The summary of plan's checks over corpus, on the sieve lane where it applies."""
-    t0 = time.perf_counter()
-    sources, corpus_head, max_c, congruence = _sources(corpus)
+def _totient_exponent(N: int) -> int:
+    """n = totient(N), the exponent of lemma2 and the chain: even, at most the cap."""
+    if N < 3:
+        raise ValueError("N must be at least 3")
+    n = totient(N)
+    if n > DEFAULT_EXPONENT_CAP:
+        raise ExponentCapExceeded(f"totient({N}) = {n} exceeds cap {DEFAULT_EXPONENT_CAP}")
+    return n
+
+
+def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, tuple]:
+    """The kernel and consts of plan's checks over corpus: the sieve lane where it applies."""
     sieve_lane = (
-        max_c is not None  # only a CorpusSpec comes in c-range blocks to sieve
+        isinstance(corpus, CorpusSpec)  # only a CorpusSpec comes in c-ranges to sieve
         # a size guard on the tables and root-sieve passes: the values sieved,
         # x**2 + y**2 < 2 * max_c**2, are far inside int64
-        and max_c <= _VECTOR_MAX_C
+        and corpus.max_c <= _VECTOR_MAX_C
         and set(plan.n_grid) <= {2, 4}  # the image radicals the sieve knows
-        and congruence < 1 << 31  # _congruence_mask multiplies two residues mod N in int64
+        and corpus.congruence < 1 << 31  # _congruence_mask multiplies two residues mod N in int64
     )
-    if sieve_lane:
-        _radical_tables(max_c)  # build in the parent so workers share pages
-    argslist = [(src, idx, max_c, plan, tolerance, band, cap) for idx, src in enumerate(sources)]
-    parts = _map_blocks(_k_vector if sieve_lane else _k_scalar, argslist, workers)
-    return _merge(suite, params, parts, corpus_head, time.perf_counter() - t0, workers)
+    if not sieve_lane:
+        return _k_scalar, (plan,)
+    _radical_tables(corpus.max_c)  # build in the parent so workers share pages
+    return _k_vector, (corpus.max_c, plan)
 
 
 def verify_lemma1(
@@ -903,8 +917,9 @@ def verify_lemma1(
         "corpus": f"max_c={corpus.max_c},congruence={corpus.congruence}"
         if isinstance(corpus, CorpusSpec) else "stream",
     }
-    return _verify_plan("lemma1", params, _Plan(n_grid, eps_grid, _lemma1_sides), corpus,
-                        tolerance, recheck_band, workers, max_counterexamples)
+    plan = _Plan(n_grid, eps_grid, _lemma1_sides)
+    return _verify("lemma1", params, corpus, *_plan_kernel(plan, corpus), workers,
+                   max_counterexamples, tolerance, recheck_band)
 
 
 def verify_lemma2(
@@ -912,7 +927,6 @@ def verify_lemma2(
     N: int,
     *,
     workers: int = 1,
-    cap: int = DEFAULT_EXPONENT_CAP,
     max_counterexamples: int = DEFAULT_MAX_COUNTEREXAMPLES,
 ) -> SuiteSummary:
     """Check that N divides the image product A*B*C at n = totient(N).
@@ -920,18 +934,9 @@ def verify_lemma2(
     Exact integer divisibility, no tolerance.  N must be at least 3 so
     that totient(N) is even.
     """
-    if N < 3:
-        raise ValueError("N must be at least 3")
-    n = totient(N)
-    if n > cap:
-        raise ExponentCapExceeded(f"totient({N}) = {n} exceeds cap {cap}")
-    assert n % 2 == 0
-    t0 = time.perf_counter()
-    sources, corpus_head, _max_c, _cong = _sources(corpus)
-    argslist = [(src, idx, N, n, max_counterexamples) for idx, src in enumerate(sources)]
-    parts = _map_blocks(_k_lemma2, argslist, workers)
-    params = {"N": N, "n": n}
-    return _merge("lemma2", params, parts, corpus_head, time.perf_counter() - t0, workers)
+    n = _totient_exponent(N)
+    return _verify("lemma2", {"N": N, "n": n}, corpus, _k_lemma2, (N, n), workers,
+                   max_counterexamples)
 
 
 def verify_proof_identities(
@@ -954,19 +959,9 @@ def verify_proof_identities(
     c <= radical_scale; (i) and (ii) always run on every solution.
     """
     n_grid = _validated_n_grid(n_grid)
-    t0 = time.perf_counter()
-    sources, corpus_head, _max_c, _cong = _sources(corpus)
-    argslist = [
-        (src, idx, n_grid, tolerance, recheck_band, radical_scale, max_counterexamples)
-        for idx, src in enumerate(sources)
-    ]
-    parts = _map_blocks(_k_identities, argslist, workers)
-    params = {
-        "n": list(n_grid),
-        "tolerance": tolerance,
-        "radical_scale": radical_scale,
-    }
-    return _merge("identities", params, parts, corpus_head, time.perf_counter() - t0, workers)
+    params = {"n": list(n_grid), "tolerance": tolerance, "radical_scale": radical_scale}
+    return _verify("identities", params, corpus, _k_identities, (n_grid, radical_scale),
+                   workers, max_counterexamples, tolerance, recheck_band)
 
 
 def verify_reduction_chain(
@@ -978,7 +973,6 @@ def verify_reduction_chain(
     tolerance: float = DEFAULT_TOLERANCE,
     recheck_band: float = DEFAULT_RECHECK_BAND,
     workers: int = 1,
-    cap: int = DEFAULT_EXPONENT_CAP,
     max_counterexamples: int = DEFAULT_MAX_COUNTEREXAMPLES,
 ) -> SuiteSummary:
     """Check the end-to-end bound chain under an assumed constant.
@@ -992,24 +986,14 @@ def verify_reduction_chain(
     assumed_constant).  The lanes are lemma1's: the sieve lane takes a
     CorpusSpec when n is 2 or 4 (N in {3, 4, 5, 6, 8, 10, 12}).
     """
-    if N < 3:
-        raise ValueError("N must be at least 3")
+    n = _totient_exponent(N)
     bound = derived_full_bound(N, eps, assumed_constant)  # NonpositiveEpsilon for eps <= 0
-    n = totient(N)
-    if n > cap:
-        raise ExponentCapExceeded(f"totient({N}) = {n} exceeds cap {cap}")
     eps, assumed_constant = float(eps), float(assumed_constant)
-    params = {
-        "N": N,
-        "n": n,
-        "eps": eps,
-        "assumed_constant": assumed_constant,
-        "bound": bound,
-    }
+    params = {"N": N, "n": n, "eps": eps, "assumed_constant": assumed_constant, "bound": bound}
     labels = ({"check": "input-merit-bound"}, {"check": "derived-bound-dominates"})
     plan = _Plan((n,), (eps,), _chain_sides, assumed_constant, labels, {"N": N, "eps": eps})
-    return _verify_plan("chain", params, plan, corpus, tolerance, recheck_band, workers,
-                        max_counterexamples)
+    return _verify("chain", params, corpus, *_plan_kernel(plan, corpus), workers,
+                   max_counterexamples, tolerance, recheck_band)
 
 
 def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
@@ -1025,7 +1009,7 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
         raise ValueError("threshold must be positive")
     lograd, _ = _radical_tables(max_c)
     hits: list[MeritReport] = []
-    for c_lo, c_hi in _c_blocks(max_c):
+    for c_lo, c_hi in _c_blocks(max_c, _BLOCK_SLOTS):
         c_arr, s_arr, _ = _block_grid(c_lo, c_hi)
         if len(c_arr) == 0:
             continue

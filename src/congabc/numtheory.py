@@ -89,21 +89,15 @@ def valuation2(n: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-_prime_cache: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _prime_array(limit: int) -> np.ndarray:
     """The primes up to limit, ascending (sieve of Eratosthenes)."""
-    primes = _prime_cache.get(limit)
-    if primes is None:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.nonzero(sieve)[0].astype(np.int64)
-        _prime_cache[limit] = primes
-    return primes
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0].astype(np.int64)
 
 
 @functools.cache

@@ -1,6 +1,8 @@
 """Corpus harness tests: enumeration, suites, lanes, determinism."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -299,7 +301,7 @@ def test_lemma2_validation():
     with pytest.raises(ValueError):
         verify_lemma2(corpus, 2)
     with pytest.raises(ExponentCapExceeded):
-        verify_lemma2(corpus, 257, cap=64)  # totient(257) = 256
+        verify_lemma2(corpus, 257)  # totient(257) = 256 exceeds the cap of 64
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +371,10 @@ def test_chain_detects_violated_hypothesis():
 
 
 def _small_blocks(monkeypatch, slots):
-    # blocks of about this many (c, s) slots, so that workers 3 spreads them
-    real_blocks = harness._c_blocks
-    monkeypatch.setattr(harness, "_c_blocks", lambda max_c: real_blocks(max_c, slots))
+    # blocks of about this many (c, s) slots for every kernel, and lists cut
+    # every this many solutions, so that workers 3 spreads them
+    monkeypatch.setattr(harness, "_BLOCK_SLOTS", slots)
+    monkeypatch.setattr(harness, "_TRIPLE_BLOCK", slots)
 
 
 @pytest.mark.parametrize("N, eps", [(3, 1.0), (5, 0.5), (8, 1.0), (12, 2.0)])
@@ -381,7 +384,8 @@ def test_chain_lane_agreement(monkeypatch, N, eps):
     _small_blocks(monkeypatch, 1000)
     spec = CorpusSpec(max_c=100)
     listed = list(spec)
-    assert len(harness._c_blocks(100)) > 2
+    assert len(harness._blocks(spec, harness._k_vector)[0]) > 2
+    assert len(harness._blocks(listed, harness._k_scalar)[0]) > 1
     for workers in (1, 3):
         fast = verify_reduction_chain(spec, N, eps, 10.0, workers=workers)
         slow = verify_reduction_chain(listed, N, eps, 10.0, workers=workers)
@@ -418,12 +422,64 @@ def test_chain_names_the_first_violated_hypothesis(monkeypatch, workers, N, cong
     eps_out = lemma_constants(totient(N), 1.0).eps_out
     over = [aa for aa in spec
             if merit(theta(aa, totient(N)).output, eps_out).merit > assumed_constant]
-    blocks = harness._c_blocks(60)
+    blocks = harness._c_blocks(60, 200)
     assert len({next(b for b in blocks if b[0] <= aa.c <= b[1]) for aa in over}) > 2
     for corpus in (spec, list(spec)):
         with pytest.raises(HypothesisViolated) as info:
             verify_reduction_chain(corpus, N, 1.0, assumed_constant, workers=workers)
         assert str(info.value).endswith(f" at {over[0]}")
+
+
+# identities and the chain fail some checks at these tolerances (the capped
+# counterexamples in corpus order), lemma1 and lemma2 pass
+_SUITES = {
+    "lemma1": lambda corpus, **kw: verify_lemma1(corpus, [2, 4], [0.5, 1.0], **kw),
+    "lemma2": lambda corpus, **kw: verify_lemma2(corpus, 7, **kw),
+    "identities": lambda corpus, **kw: verify_proof_identities(
+        corpus, [2, 4], radical_scale=30, tolerance=-1.0, **kw),
+    "chain": lambda corpus, **kw: verify_reduction_chain(corpus, 7, 1.0, 10.0, tolerance=-10.0,
+                                                         **kw),
+}
+
+
+@pytest.mark.parametrize("kind", ["list", "spec"])
+@pytest.mark.parametrize("suite", list(_SUITES))
+def test_suites_agree_across_block_layouts(monkeypatch, suite, kind):
+    # in one block by default; cut into several, spread over workers 1 and 3,
+    # every suite gives the same summary, and the corpus its size and hash
+    spec = CorpusSpec(max_c=60)
+    corpus = spec if kind == "spec" else list(spec)
+    head = harness._spec_head(spec) if kind == "spec" else harness._list_head(corpus)
+    want = (len(spec), harness._corpus_hash(head, len(spec)))
+    whole = _SUITES[suite](corpus)
+    assert whole.ok == (suite in ("lemma1", "lemma2"))
+    assert len(harness._blocks(corpus, harness._k_scalar)[0]) == 1
+    _small_blocks(monkeypatch, 200)
+    assert len(harness._blocks(corpus, harness._k_scalar)[0]) > 1
+    for workers in (1, 3):
+        s = _SUITES[suite](corpus, workers=workers)
+        assert _same_summary(s, whole)
+        assert (s.corpus_size, s.corpus_hash) == want
+
+
+_STOP_ON_ERROR = """
+from congabc.harness import CorpusSpec, HypothesisViolated, verify_reduction_chain
+listed = list(CorpusSpec(max_c=500))
+for _ in range(5):
+    try:
+        verify_reduction_chain(listed, 3, 1.0, -5.0, workers=3)
+    except HypothesisViolated:
+        continue
+    raise SystemExit("the hypothesis holds")
+"""
+
+
+def test_an_error_in_a_block_stops_the_workers():
+    # the first block of a long list violates the hypothesis while later
+    # blocks, each too large for the pipe, are still being handed to the
+    # workers; the call must raise and return (multiprocessing.Pool's
+    # terminate hung here), so it runs in a subprocess under a timeout
+    subprocess.run([sys.executable, "-c", _STOP_ON_ERROR], check=True, timeout=120)
 
 
 def test_chain_validation():
@@ -643,7 +699,7 @@ def test_lemma1_audit_catches_a_dropped_piece(monkeypatch, corpus, n_grid):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_chain_audit_catches_a_dropped_piece(monkeypatch, workers):
     _small_blocks(monkeypatch, 200)
-    assert len(harness._c_blocks(60)) > 3
+    assert len(harness._blocks(CorpusSpec(max_c=60), harness._k_scalar)[0]) > 3
     _drop_last_piece(monkeypatch)
     with pytest.raises(harness.InternalRadicalMismatch):
         verify_reduction_chain(CorpusSpec(max_c=60), 7, 1.0, 10.0, workers=workers)
