@@ -9,6 +9,11 @@ as decimal strings), csv.
 Exit codes: 0 pass, 1 counterexample found, 2 usage or validation
 error, 3 inconclusive results only (factorization budget exhausted),
 4 internal error (an independent cross-check disagreed: a bug).
+
+Each setting has one knob and one check.  The rho budget is only the
+CONGABC_FACTOR_BUDGET environment variable; main reads it once before
+dispatch, so a malformed value fails before any work.  --workers and
+the exponents are checked by the suites, as for API callers.
 """
 
 from __future__ import annotations
@@ -17,12 +22,11 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 from .abc_core import ABCSolution, SolutionError, make_solution, merit
 from .harness import (
+    DEFAULT_TOLERANCE,
     CorpusSpec,
     InternalRadicalMismatch,
     LemmaVerdict,
@@ -33,7 +37,7 @@ from .harness import (
     verify_proof_identities,
     verify_reduction_chain,
 )
-from .numtheory import BUDGET_ENV_VAR, FactorizationFailure, factorize, rho_budget, totient
+from .numtheory import FactorizationFailure, factorize, rho_budget, totient
 from .theta import InternalInexactDivision, derived_full_bound, lemma_constants, theta
 
 FORMATS = ("table", "json", "csv")
@@ -42,31 +46,6 @@ VERIFY_CSV_COLUMNS = (
     "kind", "a", "b", "c", "n", "eps", "N", "check",
     "rad", "quality", "f", "lhs", "rhs", "slack", "pass",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation settings shared by the subcommands."""
-
-    fmt: str
-    workers: int
-    factor_budget: int | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(
-            fmt=getattr(args, "format", "table"),
-            workers=getattr(args, "workers", 1),
-            factor_budget=getattr(args, "factor_budget", None),
-        )
-        if cfg.workers < 1:
-            raise ValueError("--workers must be at least 1")
-        if cfg.factor_budget is not None:
-            if cfg.factor_budget < 1:
-                raise ValueError("--factor-budget must be positive")
-            os.environ[BUDGET_ENV_VAR] = str(cfg.factor_budget)
-        rho_budget()  # a malformed CONGABC_FACTOR_BUDGET fails before any work
-        return cfg
 
 
 def _fmt(x: float) -> str:
@@ -156,12 +135,9 @@ def _coerce_triple(x: int, y: int, z: int) -> tuple[int, int, int]:
     return x, y, z
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip() != ""]
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+def _parse_list(text: str, kind: type) -> list:
+    """The comma-separated values of text as kind, empty entries skipped."""
+    return [kind(t) for t in text.split(",") if t.strip() != ""]
 
 
 def _print_csv(rows: list[list], header: list[str]) -> None:
@@ -175,8 +151,7 @@ def _print_csv(rows: list[list], header: list[str]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    eps_list = _parse_floats(args.eps)
+    eps_list = _parse_list(args.eps, float)
     if not eps_list:
         raise ValueError("--eps must list at least one value")
     aa = make_solution(*_coerce_triple(args.x, args.y, args.z))
@@ -187,7 +162,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     reports = [merit(aa, e) for e in eps_list]
     base = reports[0]
-    if cfg.fmt == "json":
+    if args.format == "json":
         record = {
             "triple": _triple_record(aa),
             "factors": {k: [[str(p), e] for p, e in f.factors] for k, f in facs.items()},
@@ -196,7 +171,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "merit": [{"eps": r.epsilon, "f": r.merit} for r in reports],
         }
         print(_canon(record))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         rows = [
             [aa.a, aa.b, aa.c, base.rad_abc, _fmt(base.quality), _fmt(r.epsilon), _fmt(r.merit)]
             for r in reports
@@ -219,7 +194,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_theta(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     if args.iter < 1:
         raise ValueError("--iter must be at least 1")
     aa = make_solution(*_coerce_triple(args.x, args.y, args.z))
@@ -233,7 +207,7 @@ def cmd_theta(args: argparse.Namespace) -> int:
         current = result.output
         if fixed:
             break
-    if cfg.fmt == "json":
+    if args.format == "json":
         record = {
             "input": _triple_record(aa),
             "n": args.n,
@@ -251,7 +225,7 @@ def cmd_theta(args: argparse.Namespace) -> int:
             ],
         }
         print(_canon(record))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         rows = [
             [k, res.m, res.output.a, res.output.b, res.output.c,
              rep.rad_abc, _fmt(rep.quality)]
@@ -325,43 +299,42 @@ def _print_verify_table(s: SuiteSummary) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     spec = CorpusSpec(max_c=args.max_c, congruence=args.congruence)
     if args.suite == "lemma1":
         summary = verify_lemma1(
             spec,
-            _parse_ints(args.n or "2,4"),
-            _parse_floats(args.eps or "1"),
+            _parse_list(args.n or "2,4", int),
+            _parse_list(args.eps or "1", float),
             tolerance=args.tolerance,
-            workers=cfg.workers,
+            workers=args.workers,
         )
     elif args.suite == "lemma2":
         if args.N is None:
             raise ValueError("verify lemma2 requires --N")
-        summary = verify_lemma2(spec, args.N, workers=cfg.workers)
+        summary = verify_lemma2(spec, args.N, workers=args.workers)
     elif args.suite == "identities":
         summary = verify_proof_identities(
             spec,
-            _parse_ints(args.n or "2,4,6,8"),
+            _parse_list(args.n or "2,4,6,8", int),
             tolerance=args.tolerance,
             radical_scale=args.radical_scale,
-            workers=cfg.workers,
+            workers=args.workers,
         )
     else:
         if args.N is None:
             raise ValueError("verify chain requires --N")
         if args.C is None:
             raise ValueError("verify chain requires --C (the assumed constant)")
-        eps_list = _parse_floats(args.eps or "1")
+        eps_list = _parse_list(args.eps or "1", float)
         if len(eps_list) != 1:
             raise ValueError("verify chain takes a single --eps value")
         summary = verify_reduction_chain(
             spec, args.N, eps_list[0], args.C,
-            tolerance=args.tolerance, workers=cfg.workers,
+            tolerance=args.tolerance, workers=args.workers,
         )
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(_canon(_summary_record(summary)))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _print_csv(_verify_csv_rows(summary), list(VERIFY_CSV_COLUMNS))
     else:
         _print_verify_table(summary)
@@ -377,7 +350,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     value = derived_full_bound(args.N, args.eps, args.C)
     record = {
         "N": str(args.N),
@@ -395,9 +367,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         record.update(
             {"phi": str(n), "c_lin": lc.c_lin, "c_off": lc.c_off, "eps_out": lc.eps_out}
         )
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(_canon(record))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         row = [
             args.N, record["phi"] or "", _fmt(args.eps), _fmt(args.C),
             "" if record["c_lin"] is None else _fmt(record["c_lin"]),
@@ -425,9 +397,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     hits = search_quality(args.max_c, args.min_quality)
-    if cfg.fmt == "json":
+    if args.format == "json":
         record = {
             "max_c": args.max_c,
             "threshold": args.min_quality,
@@ -442,7 +413,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             ],
         }
         print(_canon(record))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         rows = [
             [r.triple.a, r.triple.b, r.triple.c, r.rad_abc,
              _fmt(r.quality), _fmt(r.epsilon), _fmt(r.merit)]
@@ -466,8 +437,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="table", help="output format")
-    p.add_argument("--factor-budget", type=int, default=None,
-                   help=f"rho step budget per composite (also {BUDGET_ENV_VAR})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--congruence", type=int, default=1,
                    help="restrict the corpus to triples with this divisor of abc")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                    help="absolute slack tolerance for inequality checks")
     p.add_argument("--radical-scale", type=int, default=None,
                    help="identities: run the radical log bound only for c up to this")
@@ -535,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        rho_budget()  # a malformed CONGABC_FACTOR_BUDGET fails before any work
         return args.func(args)
     except FactorizationFailure as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

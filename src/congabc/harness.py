@@ -58,8 +58,8 @@ from .theta import (
     ExponentCapExceeded,
     LemmaConstants,
     NonpositiveEpsilon,
-    OddN,
     _constants,
+    _require_exponent,
     derived_full_bound,
     lemma_constants,
     theta,
@@ -103,14 +103,20 @@ class CorpusSpec:
         return f"exhaustive:max_c={self.max_c};congruence={self.congruence}"
 
     def __iter__(self) -> Iterator[ABCSolution]:
-        return filter_congruence(enumerate_solutions(self.max_c), self.congruence)
+        for source in self._sources(_TRIPLE_BLOCK):
+            count, solution = _block_solutions(source)
+            yield from map(solution, range(count))
 
     def __len__(self) -> int:
-        return _corpus_count(self)
+        return sum(_block_solutions(source)[0] for source in self._sources(_BLOCK_SLOTS))
 
     def digest(self) -> str:
         """Stable identifier of the corpus this spec denotes."""
-        return _corpus_hash(_spec_head(self), _corpus_count(self))
+        return _corpus_hash(_spec_head(self), len(self))
+
+    def _sources(self, slots: int) -> list[tuple[int, int, int]]:
+        """The block sources (c_lo, c_hi, congruence) of about slots (c, s) slots each."""
+        return [(lo, hi, self.congruence) for lo, hi in _c_blocks(self.max_c, slots)]
 
 
 @dataclass(frozen=True)
@@ -164,12 +170,7 @@ def enumerate_solutions(max_c: int) -> Iterator[ABCSolution]:
     For each c the solutions are (s - c, -s, c) over 1 <= s < c/2 with
     gcd(s, c) = 1, yielded with s ascending.
     """
-    if max_c < 3:
-        raise ValueError("max_c must be at least 3")
-    for c in range(3, max_c + 1):
-        for s in range(1, (c - 1) // 2 + 1):
-            if math.gcd(s, c) == 1:
-                yield ABCSolution(s - c, -s, c)
+    return iter(CorpusSpec(max_c))
 
 
 def filter_congruence(stream: Iterable[ABCSolution], N: int) -> Iterator[ABCSolution]:
@@ -212,14 +213,6 @@ def _radical_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     lograd_odd = lograd.copy()
     lograd_odd[2::2] -= _LN2
     return lograd, lograd_odd
-
-
-@functools.cache
-def _phi_table(limit: int) -> np.ndarray:
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in _prime_array(limit):
-        phi[p::p] = phi[p::p] // p * (p - 1)
-    return phi
 
 
 @functools.cache
@@ -277,14 +270,6 @@ def _pair(c_arr: np.ndarray, s_arr: np.ndarray, i: int) -> ABCSolution:
 def _congruence_mask(c_arr: np.ndarray, s_arr: np.ndarray, N: int) -> np.ndarray:
     prod = (c_arr - s_arr) * s_arr % N * (c_arr % N) % N
     return prod == 0
-
-
-def _corpus_count(spec: CorpusSpec) -> int:
-    if spec.congruence == 1:
-        phi = _phi_table(spec.max_c)
-        return int((phi[3:] // 2).sum())
-    return sum(len(_block_grid(c_lo, c_hi, spec.congruence)[0])
-               for c_lo, c_hi in _c_blocks(spec.max_c, _BLOCK_SLOTS))
 
 
 def _spec_head(spec: CorpusSpec):
@@ -413,7 +398,7 @@ class _Radicals:
         odd.discard(2)
         got = (c**n >> (n if c % 2 == 0 else 0), 2 * math.prod(odd))
         if audit:
-            img = theta(aa, n, cap=n).output
+            img = theta(aa, n).output
             want = (img.c, radical_abc(img))
             if got != want:
                 raise InternalRadicalMismatch(
@@ -432,7 +417,7 @@ class _Radicals:
 def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
     """(rad of |a*b*c|, rad of the image product, image c) exactly."""
     rad_in = radical_abc(aa)
-    img = theta(aa, n, cap=n).output
+    img = theta(aa, n).output
     return rad_in, radical_abc(img), img.c
 
 
@@ -695,7 +680,7 @@ def _k_lemma2(tally: _Tally, source, block_idx: int, N: int, n: int) -> None:
     # the witness |A*B*C| mod N is below N, and totient(N) <= DEFAULT_EXPONENT_CAP
     # = 64 forces N <= 240, so it and products of two residues fit int64
     if isinstance(source, list):  # the full image through theta
-        witness = np.array([abs(math.prod(theta(aa, n, cap=n).raw)) % N for aa in source],
+        witness = np.array([abs(math.prod(theta(aa, n).raw)) % N for aa in source],
                            dtype=np.int64)
         solution = source.__getitem__
     else:
@@ -783,8 +768,7 @@ def _blocks(corpus, kernel) -> tuple[list, object]:
     """
     if isinstance(corpus, CorpusSpec):
         slots = _BLOCK_SLOTS if kernel in (_k_vector, _k_lemma2) else _TRIPLE_BLOCK
-        sources = [(lo, hi, corpus.congruence) for lo, hi in _c_blocks(corpus.max_c, slots)]
-        return sources, _spec_head(corpus)
+        return corpus._sources(slots), _spec_head(corpus)
     triples = list(corpus)
     sources = [triples[i:i + _TRIPLE_BLOCK] for i in range(0, len(triples), _TRIPLE_BLOCK)]
     return sources, _list_head(triples)
@@ -808,6 +792,11 @@ def _verify(suite: str, params: dict, corpus, kernel, consts: tuple, workers: in
     cancels the blocks not yet started.  The corpus is hashed from the size
     the kernels counted.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not (math.isfinite(tolerance) and math.isfinite(band)):
+        # a comparison with NaN is false, so a NaN tolerance would pass every check
+        raise ValueError(f"tolerance and recheck band must be finite, got {tolerance}, {band}")
     t0 = time.perf_counter()
     sources, corpus_head = _blocks(corpus, kernel)
     limits = (max_counterexamples, tolerance, band)
@@ -849,8 +838,7 @@ def _validated_n_grid(n_grid) -> tuple[int, ...]:
     if not n_grid:
         raise ValueError("parameter grids must be nonempty")
     for n in n_grid:
-        if n < 2 or n % 2 != 0:
-            raise OddN(f"exponent grid entries must be even and >= 2, got {n}")
+        _require_exponent(n)
     return n_grid
 
 

@@ -231,25 +231,29 @@ def _rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
 def rho_budget() -> int:
     """The rho step budget per composite: CONGABC_FACTOR_BUDGET, else 2**26.
 
-    Raises ValueError if the variable is set but is not an integer.
+    The variable is the budget's only setting.  Raises ValueError, naming
+    it, if it is set to anything but an integer >= 1.
     """
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_RHO_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+        budget = 0  # not an integer: rejected below
+    if budget < 1:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return budget
 
 
-def factorize(n: int, *, budget: int | None = None) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1.
 
     Raises FactorizationFailure if some composite cofactor cannot be
-    split within the rho step budget (default rho_budget(), read only
-    when a cofactor first needs rho).  Each prime is proved once, by
-    trial division or is_probable_prime, so the result is built
-    without Factorization's re-check.
+    split within rho_budget() steps (read only when a cofactor first
+    needs rho).  Each prime is proved once, by trial division or
+    is_probable_prime, so the result is built without Factorization's
+    re-check.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -268,8 +272,7 @@ def factorize(n: int, *, budget: int | None = None) -> Factorization:
             # below _TRIAL_BOUND**2 a surviving cofactor is prime
             counts[n] = counts.get(n, 0) + 1
         else:
-            if budget is None:
-                budget = rho_budget()
+            budget = rho_budget()
             stack = [n]
             while stack:
                 m = stack.pop()

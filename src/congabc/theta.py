@@ -46,7 +46,7 @@ class NonpositiveEpsilon(ValueError):
 
 
 class ExponentCapExceeded(ValueError):
-    """The requested exponent exceeds the configured cap."""
+    """The requested exponent exceeds DEFAULT_EXPONENT_CAP."""
 
 
 class InternalInexactDivision(RuntimeError):
@@ -89,16 +89,23 @@ def _require_even(n: int) -> None:
         raise OddN(f"exponent must be an even integer >= 2, got {n}")
 
 
-def theta(aa: ABCSolution, n: int, *, cap: int = DEFAULT_EXPONENT_CAP) -> ThetaResult:
+def _require_exponent(n: int) -> None:
+    """The exponent rule of theta and the suites: even, 2 <= n <= DEFAULT_EXPONENT_CAP.
+
+    The image grows like c**n, so the cap guards against accidental huge powers.
+    """
+    _require_even(n)
+    if n > DEFAULT_EXPONENT_CAP:
+        raise ExponentCapExceeded(f"exponent {n} exceeds cap {DEFAULT_EXPONENT_CAP}")
+
+
+def theta(aa: ABCSolution, n: int) -> ThetaResult:
     """Apply the even-power map once and normalize the image.
 
     Raises OddN for invalid exponents and ExponentCapExceeded when n
-    exceeds cap (the image grows like c**n, so the cap guards against
-    accidental huge powers; raise it explicitly when wanted).
+    exceeds DEFAULT_EXPONENT_CAP (see _require_exponent).
     """
-    _require_even(n)
-    if n > cap:
-        raise ExponentCapExceeded(f"exponent {n} exceeds cap {cap}")
+    _require_exponent(n)
     d = aa.a - aa.b
     m = n if aa.c % 2 == 0 else 0
     two_m = 1 << m

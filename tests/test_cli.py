@@ -205,6 +205,15 @@ def test_verify_seed_is_not_an_option(capsys):
     assert "--seed" in err
 
 
+def test_factor_budget_is_not_an_option(capsys):
+    # the rho budget has one knob, CONGABC_FACTOR_BUDGET
+    code, _, err = run_cli(
+        capsys, "verify", "lemma2", "--N", "9", "--max-c", "200", "--factor-budget", "100"
+    )
+    assert code == 2
+    assert "--factor-budget" in err
+
+
 # ---------------------------------------------------------------------------
 # bound
 
@@ -304,15 +313,11 @@ def test_help_exits_zero(capsys):
 
 
 def test_factor_budget_flag_triggers_inconclusive(capsys, monkeypatch):
-    from congabc.numtheory import BUDGET_ENV_VAR, DEFAULT_RHO_BUDGET
+    from congabc.numtheory import BUDGET_ENV_VAR
 
-    # pre-touch the env var so monkeypatch restores it after the CLI
-    # overwrites it in-process
-    monkeypatch.setenv(BUDGET_ENV_VAR, str(DEFAULT_RHO_BUDGET))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
     hard = (2**64 - 59) * (2**64 - 83)
-    code, _, err = run_cli(
-        capsys, "analyze", "1", str(hard - 1), str(-hard), "--factor-budget", "100"
-    )
+    code, _, err = run_cli(capsys, "analyze", "1", str(hard - 1), str(-hard))
     assert code == 3
     assert "inconclusive" in err
 
@@ -321,10 +326,11 @@ def test_malformed_budget_env_var_is_a_usage_error(capsys, monkeypatch):
     from congabc.numtheory import BUDGET_ENV_VAR
 
     # rejected before any work, even by a run that never reaches rho
-    monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
-    code, _, err = run_cli(capsys, "verify", "lemma1", "--max-c", "40", "--n", "2")
-    assert code == 2
-    assert BUDGET_ENV_VAR in err
+    for raw in ("lots", "0", "-5"):
+        monkeypatch.setenv(BUDGET_ENV_VAR, raw)
+        code, _, err = run_cli(capsys, "verify", "lemma1", "--max-c", "40", "--n", "2")
+        assert code == 2
+        assert BUDGET_ENV_VAR in err
 
 
 def test_console_script_smoke():

@@ -25,7 +25,14 @@ from congabc.harness import (
     verify_reduction_chain,
 )
 from congabc.numtheory import FactorizationFailure, radical, totient, valuation2
-from congabc.theta import ExponentCapExceeded, NonpositiveEpsilon, OddN, lemma_constants, theta
+from congabc.theta import (
+    DEFAULT_EXPONENT_CAP,
+    ExponentCapExceeded,
+    NonpositiveEpsilon,
+    OddN,
+    lemma_constants,
+    theta,
+)
 
 
 def brute_force_counts(max_c: int) -> dict[int, int]:
@@ -272,6 +279,15 @@ def test_lemma1_grid_validation():
         verify_lemma1(corpus, [2], [])
 
 
+def test_suites_reject_exponents_above_the_cap():
+    # theta's rule, even with 2 <= n <= 64, holds for the suites' grids too
+    spec = CorpusSpec(max_c=3)
+    with pytest.raises(ExponentCapExceeded):
+        verify_lemma1(spec, [DEFAULT_EXPONENT_CAP + 2], [1.0])
+    with pytest.raises(ExponentCapExceeded):
+        verify_proof_identities(spec, [DEFAULT_EXPONENT_CAP + 2])
+
+
 # ---------------------------------------------------------------------------
 # verify_lemma2
 
@@ -460,6 +476,27 @@ def test_suites_agree_across_block_layouts(monkeypatch, suite, kind):
         s = _SUITES[suite](corpus, workers=workers)
         assert _same_summary(s, whole)
         assert (s.corpus_size, s.corpus_hash) == want
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_suites_reject_a_non_finite_tolerance(value):
+    # a NaN or infinite tolerance would let every check pass
+    spec = CorpusSpec(max_c=3)
+    runs = (lambda **kw: verify_lemma1(spec, [2], [1.0], **kw),
+            lambda **kw: verify_proof_identities(spec, [2], **kw),
+            lambda **kw: verify_reduction_chain(spec, 3, 1.0, 10.0, **kw))
+    for run in runs:
+        for key in ("tolerance", "recheck_band"):
+            with pytest.raises(ValueError, match="finite"):
+                run(**{key: value})
+
+
+@pytest.mark.parametrize("suite", list(_SUITES))
+def test_suites_reject_fewer_than_one_worker(suite):
+    # checked in _verify, so the API rejects what the CLI does
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers"):
+            _SUITES[suite](CorpusSpec(max_c=3), workers=workers)
 
 
 _STOP_ON_ERROR = """
@@ -651,7 +688,7 @@ def _assert_pieces_match_full_image(aa, n_grid):
     rads = harness._Radicals(aa)
     assert rads.rad_in == radical_abc(aa)
     for n in n_grid:
-        img = theta(aa, n, cap=n).output
+        img = theta(aa, n).output
         c_img, rad_img = rads.image(n)
         assert (c_img, rad_img) == (img.c, radical_abc(img)), (aa, n)
         assert math.log(c_img) == math.log(img.c)

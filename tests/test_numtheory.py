@@ -105,31 +105,35 @@ def test_factorize_random_128bit_products():
         assert got.value() == n
 
 
-def test_factorize_budget_failure():
-    # 2**128 + 51 = 1852397...; product of two ~64-bit primes, far beyond
-    # a 100-step rho budget
+def test_factorize_budget_failure(monkeypatch):
+    # a product of two ~64-bit primes, far beyond a 100-step rho budget
     hard = (2**64 - 59) * (2**64 - 83)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
     with pytest.raises(FactorizationFailure) as exc:
-        factorize(hard, budget=100)
+        factorize(hard)
     assert exc.value.budget == 100
     assert exc.value.n > 1
     assert hard % exc.value.n == 0
 
 
 def test_factorize_budget_env_var(monkeypatch):
+    # the variable is read when a cofactor first needs rho, not at import
     hard = (2**64 - 59) * (2**64 - 83)
-    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
-    with pytest.raises(FactorizationFailure):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "250")
+    with pytest.raises(FactorizationFailure) as exc:
         factorize(hard)
+    assert exc.value.budget == 250
+    assert rho_budget() == 250
 
 
 def test_factorize_malformed_budget_env_var(monkeypatch):
     hard = (2**64 - 59) * (2**64 - 83)
-    monkeypatch.setenv(BUDGET_ENV_VAR, "1e6")
-    with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
-        rho_budget()
-    with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
-        factorize(hard)
+    for raw in ("1e6", "0", "-5"):
+        monkeypatch.setenv(BUDGET_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
+            rho_budget()
+        with pytest.raises(ValueError, match=BUDGET_ENV_VAR):
+            factorize(hard)
 
 
 def test_is_probable_prime_known_cases():
