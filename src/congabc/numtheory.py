@@ -3,12 +3,18 @@
 Everything here operates on Python integers and is pure: primality
 testing, complete factorization, the radical (squarefree kernel),
 Euler's totient, and small exact helpers.  The factorization engine
-is trial division up to a fixed bound, the Baillie-PSW primality test
-(one deterministic test for every n: a strong base-2 test plus a
-strong Lucas test), and Brent's variant of Pollard's rho with an
-iteration budget for splitting.  Its trial primes come from the
-package's one prime sieve, _prime_array, which also builds the
-harness's numpy sieve tables.
+runs four stages:
+
+- trial division by the primes below 10**5, from the package's one
+  prime sieve, _prime_array, which also builds the harness's numpy
+  sieve tables: the 168 primes below 1000 in a Python loop, the rest
+  as one numpy remainder over the primes up to sqrt(n) (exact for any
+  n, by 30-bit limbs above 2**63);
+- the Baillie-PSW primality test (one deterministic test for every n:
+  a strong base-2 test plus a strong Lucas test);
+- a perfect-power step, so that q**k with q above the trial bound is
+  split by an exact k-th root rather than by rho;
+- Brent's variant of Pollard's rho, with an iteration budget.
 """
 
 from __future__ import annotations
@@ -22,6 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 _TRIAL_BOUND = 100_000
+# The trial primes below _LOOP_BOUND (168 of them) are tried one at a time
+# in Python, which beats a numpy call on the many small arguments; with no
+# other stage that loop fully factors every n < 1009**2, 1009 being the
+# next prime.  Only larger n reach the numpy stage.
+_LOOP_BOUND = 1000
+_LIMB_BITS = 30  # r * 2**30 + limb < 2**47 for r < p < 2**17: exact in int64
 DEFAULT_RHO_BUDGET = 1 << 26
 BUDGET_ENV_VAR = "CONGABC_FACTOR_BUDGET"
 
@@ -101,8 +113,62 @@ def _prime_array(limit: int) -> np.ndarray:
 
 
 @functools.cache
-def _trial_primes() -> list[int]:
-    return _prime_array(_TRIAL_BOUND).tolist()
+def _loop_primes() -> tuple[int, ...]:
+    """The trial primes below _LOOP_BOUND, as Python ints for the loop."""
+    primes = _prime_array(_TRIAL_BOUND)
+    return tuple(primes[primes < _LOOP_BOUND].tolist())
+
+
+def _residues(n: int, primes: np.ndarray) -> np.ndarray:
+    """n % p for every p in primes (int64, each below 2**17), exactly, for n >= 0.
+
+    Below 2**63 this is one int64 remainder; above, a Horner pass over
+    the 30-bit limbs of n from the top.
+    """
+    if n < 1 << 63:
+        return n % primes
+    r = np.zeros_like(primes)
+    mask = (1 << _LIMB_BITS) - 1
+    for shift in range((n.bit_length() - 1) // _LIMB_BITS * _LIMB_BITS, -1, -_LIMB_BITS):
+        r = ((r << _LIMB_BITS) + ((n >> shift) & mask)) % primes
+    return r
+
+
+def _divide_out(n: int, p: int, counts: dict[int, int]) -> int:
+    """n with every factor p removed; p's exponent goes into counts."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    counts[p] = e
+    return n
+
+
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) exactly, for m >= 1 and k >= 2 (Newton's method)."""
+    r = 1 << -(-m.bit_length() // k)  # 2**ceil(bits/k) > m ** (1/k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with m = r**k for the smallest prime k that works, else (m, 1).
+
+    m has no prime factor below _TRIAL_BOUND, so a root r exceeds it and
+    only the k with _TRIAL_BOUND**k <= m can work.  The loop primes serve
+    as exponents, which covers every m < _TRIAL_BOUND**1009; a power with
+    a larger prime exponent is left to rho, slower but just as exact.
+    """
+    for k in _loop_primes():
+        if _TRIAL_BOUND**k > m:
+            break
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return m, 1
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -249,43 +315,56 @@ def rho_budget() -> int:
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1.
 
-    Raises FactorizationFailure if some composite cofactor cannot be
-    split within rho_budget() steps (read only when a cofactor first
-    needs rho).  Each prime is proved once, by trial division or
-    is_probable_prime, so the result is built without Factorization's
-    re-check.
+    Trial division by the primes below _TRIAL_BOUND: those below
+    _LOOP_BOUND in a Python loop, the rest up to sqrt(n) as one numpy
+    remainder (_residues), after which only the primes that divide n are
+    divided out.  A cofactor left below _TRIAL_BOUND**2 is prime; a larger
+    one is proved by is_probable_prime or split, first as a perfect power
+    by an exact integer root, else by rho with a fixed stream per
+    composite.  Raises FactorizationFailure if some composite cofactor
+    cannot be split within rho_budget() steps (read once a cofactor
+    survives trial division as a composite).  Each prime is proved once,
+    by trial division or is_probable_prime, so the result is built
+    without Factorization's re-check.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     counts: dict[int, int] = {}
-    for p in _trial_primes():
+    small = _loop_primes()
+    for p in small:
         if p * p > n:
             break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            counts[p] = e
+            n = _divide_out(n, p, counts)
+    else:  # the loop primes ran out before p * p > n
+        bound = math.isqrt(n) if n < _TRIAL_BOUND * _TRIAL_BOUND else _TRIAL_BOUND
+        primes = _prime_array(_TRIAL_BOUND)
+        primes = primes[len(small) : int(np.searchsorted(primes, bound, side="right"))]
+        for p in primes[_residues(n, primes) == 0].tolist():
+            n = _divide_out(n, p, counts)
     if n > 1:
         if n < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(n):
             # below _TRIAL_BOUND**2 a surviving cofactor is prime
             counts[n] = counts.get(n, 0) + 1
         else:
             budget = rho_budget()
-            stack = [n]
+            stack = [(n, 1)]
             while stack:
-                m = stack.pop()
+                m, e = stack.pop()
                 if is_probable_prime(m):
-                    counts[m] = counts.get(m, 0) + 1
+                    counts[m] = counts.get(m, 0) + e
+                    continue
+                r, k = _perfect_power(m)
+                if k > 1:
+                    stack.append((r, e * k))
                     continue
                 # a fixed stream per composite: the factors found do not vary
                 rng = random.Random(f"0:rho:{m}")
                 f, _ = _rho_brent(m, rng, budget)
                 if f == 0:
                     raise FactorizationFailure(m, budget)
-                stack.append(f)
-                stack.append(m // f)
+                stack.append((f, e))
+                stack.append((m // f, e))
     out = object.__new__(Factorization)
     object.__setattr__(out, "factors", tuple(sorted(counts.items())))
     return out

@@ -700,12 +700,17 @@ def test_image_radicals_match_full_image_exhaustive():
         _assert_pieces_match_full_image(aa, (2, 4, 6, 8, 12))
 
 
+# how many of each sample the oracle compares under the 2**19-step budget
+_COMPARED = {4: 6, 8: 5, 12: 4}
+
+
 @pytest.mark.parametrize("digits", [4, 8, 12])
 def test_image_radicals_match_full_image_sampled(monkeypatch, digits):
-    # factoring a whole image near c = 10**12 can keep rho busy for minutes
-    # (one took 127 s); under a 2**19-step budget the oracle gives up on
-    # those and the solution is skipped, but at least half of each sample
-    # is compared
+    # prime powers of c and dd no longer reach rho, but c**n - dd**n can hold
+    # large primes from two different pieces, and splitting that product of a
+    # whole image near c = 10**12 can keep rho busy for minutes; under a
+    # 2**19-step budget the oracle gives up on those and the solution is
+    # skipped (at n = 6: one solution of the 8-digit sample, two of the 12)
     monkeypatch.setenv("CONGABC_FACTOR_BUDGET", str(1 << 19))
     sample = random_solutions(10**digits, 6, seed=digits)
     compared = 0
@@ -715,7 +720,7 @@ def test_image_radicals_match_full_image_sampled(monkeypatch, digits):
         except FactorizationFailure:
             continue
         compared += 1
-    assert 2 * compared >= len(sample)
+    assert compared >= _COMPARED[digits]
 
 
 def _drop_last_piece(monkeypatch):
@@ -742,7 +747,7 @@ def test_chain_audit_catches_a_dropped_piece(monkeypatch, workers):
         verify_reduction_chain(CorpusSpec(max_c=60), 7, 1.0, 10.0, workers=workers)
 
 
-_P = 100_003  # prime: dd = _P, while |a|, |b|, c and dd stay below 10**10
+_P, _Q = 100_003, 100_019  # primes: |a|, |b|, c and dd stay below 10**10, |a*b| does not
 
 
 @pytest.mark.parametrize("suite, params", [
@@ -752,16 +757,17 @@ _P = 100_003  # prime: dd = _P, while |a|, |b|, c and dd stay below 10**10
 ])
 def test_exhausted_budget_in_the_audit_is_inconclusive(monkeypatch, suite, params):
     # every piece of the first solution factors without rho, but its full
-    # image holds _P**2, which needs rho: the audit gives up, and that
-    # solution's checks are inconclusive, never passed; the same solution
-    # later in the block is not audited and passes
+    # image holds -(c**2 - dd**2)/4 = -_P*_Q, which needs rho (a prime power
+    # such as _P**2 would not): the audit gives up, and that solution's checks
+    # are inconclusive, never passed; the same solution later in the block is
+    # not audited and passes
     monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
-    first = make_solution(-(_P + 1), -1, _P + 2)
+    first = make_solution(-_Q, -_P, _P + _Q)
     corpus = [first, make_solution(-1, -2, 3), first]
     s = suite(corpus)
     assert (s.checks, s.passes, s.inconclusives, s.failures) == (6, 4, 2, 0)
     assert [(v.triple, v.params, v.inconclusive) for v in s.inconclusive_examples] == [
         (first, params, True)
     ]
-    assert f"{_P**2}" in s.inconclusive_examples[0].note
+    assert f"{_P * _Q}" in s.inconclusive_examples[0].note
     assert _same_summary(s, suite(corpus, workers=3))

@@ -2,16 +2,20 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congabc import numtheory
 from congabc.numtheory import (
     BUDGET_ENV_VAR,
     Factorization,
     FactorizationFailure,
+    _iroot,
     _prime_array,
+    _residues,
     factorize,
     is_probable_prime,
     radical,
@@ -103,6 +107,50 @@ def test_factorize_random_128bit_products():
         got = factorize(n)
         assert got.as_dict() == want
         assert got.value() == n
+
+
+_MID_PRIMES = [p for p in _prime_array(100_000).tolist() if p > 1000]  # the numpy stage
+_ABOVE_PRIMES = [p for p in _prime_array(100_500).tolist() if p > 100_000]  # past trial division
+
+
+@given(
+    st.lists(st.sampled_from(_MID_PRIMES), max_size=4),
+    st.dictionaries(st.sampled_from(_ABOVE_PRIMES), st.integers(1, 6), max_size=2),
+    st.none() | st.integers(1 << 63, 1 << 80).map(_next_prime),
+)
+@settings(max_examples=200, deadline=None)
+def test_factorize_recovers_a_drawn_multiset(mid, above, big):
+    # primes in (1000, 10**5] for the numpy remainder, powers of primes just
+    # above 10**5 for the perfect-power step, and a prime that puts n past
+    # 2**63 onto the limb path of the remainder
+    want = Counter(mid) + Counter(above)
+    if big:
+        want[big] += 1
+    n = math.prod(p**e for p, e in want.items())
+    assert factorize(n).as_dict() == dict(want)
+
+
+@pytest.mark.parametrize("n", [
+    2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**90 + 2**30 - 1, 10**32 + 7, 3**400,
+])
+def test_residues_are_exact_on_both_sides_of_2_63(n):
+    primes = _prime_array(100_000)
+    assert _residues(n, primes).tolist() == [n % p for p in primes.tolist()]
+
+
+@given(st.integers(1, 1 << 400), st.integers(2, 13))
+def test_iroot_is_the_floor_root(m, k):
+    r = _iroot(m, k)
+    assert r**k <= m < (r + 1) ** k
+
+
+def test_perfect_powers_above_the_trial_bound_skip_rho(monkeypatch):
+    def no_rho(*args):
+        raise AssertionError("rho was called")
+
+    monkeypatch.setattr(numtheory, "_rho_brent", no_rho)
+    assert factorize(100003**5).as_dict() == {100003: 5}
+    assert factorize(8 * 100019**4).as_dict() == {2: 3, 100019: 4}
 
 
 def test_factorize_budget_failure(monkeypatch):
