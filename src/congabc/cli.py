@@ -6,6 +6,11 @@ map), verify (corpus suites), bound (constant propagation), search
 (canonical: sorted keys, floats at 12 significant digits, big integers
 as decimal strings), csv.
 
+Each verify suite takes only the options it reads, after the suite name:
+--max-c, --congruence, --workers and --format; --tolerance in all but
+lemma2; and --n and --eps (lemma1), --N (lemma2), --n and --radical-scale
+(identities), or --N, --C and a single --eps (chain).
+
 Exit codes: 0 pass, 1 counterexample found, 2 usage or validation
 error, 3 inconclusive results only (factorization budget exhausted),
 4 internal error (an independent cross-check disagreed: a bug).
@@ -299,50 +304,15 @@ def _print_verify_table(s: SuiteSummary) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec = CorpusSpec(max_c=args.max_c, congruence=args.congruence)
-    if args.suite == "lemma1":
-        summary = verify_lemma1(
-            spec,
-            _parse_list(args.n or "2,4", int),
-            _parse_list(args.eps or "1", float),
-            tolerance=args.tolerance,
-            workers=args.workers,
-        )
-    elif args.suite == "lemma2":
-        if args.N is None:
-            raise ValueError("verify lemma2 requires --N")
-        summary = verify_lemma2(spec, args.N, workers=args.workers)
-    elif args.suite == "identities":
-        summary = verify_proof_identities(
-            spec,
-            _parse_list(args.n or "2,4,6,8", int),
-            tolerance=args.tolerance,
-            radical_scale=args.radical_scale,
-            workers=args.workers,
-        )
-    else:
-        if args.N is None:
-            raise ValueError("verify chain requires --N")
-        if args.C is None:
-            raise ValueError("verify chain requires --C (the assumed constant)")
-        eps_list = _parse_list(args.eps or "1", float)
-        if len(eps_list) != 1:
-            raise ValueError("verify chain takes a single --eps value")
-        summary = verify_reduction_chain(
-            spec, args.N, eps_list[0], args.C,
-            tolerance=args.tolerance, workers=args.workers,
-        )
+    # run is the suite's own call, with the options that suite takes
+    summary = args.run(args, CorpusSpec(max_c=args.max_c, congruence=args.congruence))
     if args.format == "json":
         print(_canon(_summary_record(summary)))
     elif args.format == "csv":
         _print_csv(_verify_csv_rows(summary), list(VERIFY_CSV_COLUMNS))
     else:
         _print_verify_table(summary)
-    if summary.failures:
-        return 1
-    if summary.inconclusives:
-        return 3
-    return 0
+    return {"pass": 0, "counterexample": 1, "inconclusive": 3}[_summary_status(summary)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,21 +435,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("verify", help="run a verification suite over the exhaustive corpus")
-    p.add_argument("suite", choices=("lemma1", "lemma2", "identities", "chain"))
-    p.add_argument("--max-c", type=int, required=True, help="corpus bound on c")
-    p.add_argument("--n", default=None, help="comma-separated even exponents")
-    p.add_argument("--eps", default=None, help="comma-separated epsilon values")
-    p.add_argument("--N", type=int, default=None, help="modulus (lemma2/chain)")
-    p.add_argument("--C", type=float, default=None, help="assumed constant (chain)")
-    p.add_argument("--congruence", type=int, default=1,
-                   help="restrict the corpus to triples with this divisor of abc")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                   help="absolute slack tolerance for inequality checks")
-    p.add_argument("--radical-scale", type=int, default=None,
-                   help="identities: run the radical log bound only for c up to this")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    corpus = argparse.ArgumentParser(add_help=False)  # the options every suite reads
+    corpus.add_argument("--max-c", type=int, required=True, help="corpus bound on c")
+    corpus.add_argument("--congruence", type=int, default=1,
+                        help="restrict the corpus to triples with this divisor of abc")
+    corpus.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    _add_common(corpus)
+    inexact = argparse.ArgumentParser(add_help=False, parents=[corpus])  # the float suites'
+    inexact.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                         help="absolute slack tolerance for inequality checks "
+                              "(default %(default)s)")
+
+    s = suites.add_parser("lemma1", parents=[inexact], help="the amplification inequality")
+    s.add_argument("--n", default="2,4",
+                   help="comma-separated even exponents (default %(default)s)")
+    s.add_argument("--eps", default="1",
+                   help="comma-separated epsilon values (default %(default)s)")
+    s.set_defaults(run=lambda a, spec: verify_lemma1(
+        spec, _parse_list(a.n, int), _parse_list(a.eps, float),
+        tolerance=a.tolerance, workers=a.workers))
+
+    s = suites.add_parser("lemma2", parents=[corpus], help="N divides the image at n = phi(N)")
+    s.add_argument("--N", type=int, required=True, help="modulus")
+    s.set_defaults(run=lambda a, spec: verify_lemma2(spec, a.N, workers=a.workers))
+
+    s = suites.add_parser("identities", parents=[inexact], help="the identities behind lemma1")
+    s.add_argument("--n", default="2,4,6,8",
+                   help="comma-separated even exponents (default %(default)s)")
+    s.add_argument("--radical-scale", type=int, default=None,
+                   help="run the radical log bound only for c up to this")
+    s.set_defaults(run=lambda a, spec: verify_proof_identities(
+        spec, _parse_list(a.n, int), tolerance=a.tolerance,
+        radical_scale=a.radical_scale, workers=a.workers))
+
+    s = suites.add_parser("chain", parents=[inexact], help="the end-to-end reduction chain")
+    s.add_argument("--N", type=int, required=True, help="modulus")
+    s.add_argument("--eps", type=float, default=1.0, help="epsilon (default %(default)s)")
+    s.add_argument("--C", type=float, required=True, help="assumed constant")
+    s.set_defaults(run=lambda a, spec: verify_reduction_chain(
+        spec, a.N, a.eps, a.C, tolerance=a.tolerance, workers=a.workers))
 
     p = sub.add_parser("bound", help="propagate an assumed constant to the full bound")
     p.add_argument("--N", type=int, required=True)

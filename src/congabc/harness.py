@@ -268,8 +268,18 @@ def _pair(c_arr: np.ndarray, s_arr: np.ndarray, i: int) -> ABCSolution:
 
 
 def _congruence_mask(c_arr: np.ndarray, s_arr: np.ndarray, N: int) -> np.ndarray:
-    prod = (c_arr - s_arr) * s_arr % N * (c_arr % N) % N
-    return prod == 0
+    """Whether N divides |a*b*c| = (c - s) * s * c, in (0, c**3 / 4], for each grid pair.
+
+    So an N above c_hi**3 / 4 divides none; else each product below is at most
+    min(N, c**2 / 4) * min(N, c) <= c_hi**3 / 4: int64 while c_hi**3 < 2**65
+    (c_hi below 3.3 million), Python ints past that.
+    """
+    c_hi = int(c_arr[-1])  # the grid is in corpus order, never empty
+    if 4 * N > c_hi**3:
+        return np.zeros(len(c_arr), dtype=bool)
+    if c_hi**3 >= 1 << 65:
+        c_arr, s_arr = c_arr.astype(object), s_arr.astype(object)
+    return (c_arr - s_arr) * s_arr % N * (c_arr % N) % N == 0
 
 
 def _spec_head(spec: CorpusSpec):
@@ -334,6 +344,18 @@ def _lograd_odd_sum_squares(x: np.ndarray, y: np.ndarray, grid: tuple, max_c: in
 
 
 # ---------------------------------------------------------------------------
+# the independent oracle, the full image through theta: for the identities'
+# radical bound, the 160-bit rechecks and the per-block audit
+
+
+def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
+    """(rad of |a*b*c|, rad of the image product, image c) exactly."""
+    rad_in = radical_abc(aa)
+    img = theta(aa, n).output
+    return rad_in, radical_abc(img), img.c
+
+
+# ---------------------------------------------------------------------------
 # exact image radicals from the cyclotomic pieces
 
 
@@ -388,46 +410,24 @@ class _Radicals:
     def image(self, n: int, audit: bool = False) -> tuple[int, int]:
         """(image c, rad of the image product) at n, exactly.
 
-        With audit, both are also taken from the full image through theta,
-        the independent oracle, and a mismatch raises InternalRadicalMismatch.
+        With audit, both and rad_in are also taken from the full image
+        (_exact_radicals), the independent oracle, and a mismatch raises
+        InternalRadicalMismatch.
         """
         aa = self.aa
         x, y, c = -aa.a, -aa.b, aa.c
         dd = x - y
         odd = set().union(*map(self._primes, (x, y, c, dd, *_cyclotomic_pieces(c, dd, n))))
         odd.discard(2)
-        got = (c**n >> (n if c % 2 == 0 else 0), 2 * math.prod(odd))
+        c_img, rad_img = c**n >> (n if c % 2 == 0 else 0), 2 * math.prod(odd)
         if audit:
-            img = theta(aa, n).output
-            want = (img.c, radical_abc(img))
+            got, want = (self.rad_in, rad_img, c_img), _exact_radicals(aa, n)
             if got != want:
                 raise InternalRadicalMismatch(
-                    f"image of {aa} at n={n}: pieces give (c, rad) = {got}, "
+                    f"{aa} at n={n}: the pieces give (rad, image rad, image c) = {got}, "
                     f"the full image {want}"
                 )
-        return got
-
-
-# ---------------------------------------------------------------------------
-# high-precision rechecks: each recomputes a slack from exact integers with
-# 160-bit logs and returns it as an mpf; they take the radicals from the full
-# image, independent of _Radicals
-
-
-def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
-    """(rad of |a*b*c|, rad of the image product, image c) exactly."""
-    rad_in = radical_abc(aa)
-    img = theta(aa, n).output
-    return rad_in, radical_abc(img), img.c
-
-
-def _hp_radical_bound(aa: ABCSolution, n: int):
-    rad_in, rad_img, _ = _exact_radicals(aa, n)
-    dd = abs(aa.a - aa.b)
-    rad_q = radical(4 * _identity_sum(aa.c, dd, n))
-    with mpmath.workprec(HP_PRECISION_BITS):
-        lhs = mpmath.log(dd) + mpmath.log(rad_in) + mpmath.log(rad_q)
-        return lhs - mpmath.log(rad_img)
+        return c_img, rad_img
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +748,13 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
                 continue
             lhs = math.log(dd) + math.log(rad_in) + math.log(rad_q)
             rhs = math.log(rad_img)
-            tally.judge((block_idx, local, combo), lhs - rhs,
-                        lambda: _hp_radical_bound(aa, n), aa, params, lhs, rhs)
+
+            def recheck():  # the same slack at 160 bits
+                with mpmath.workprec(HP_PRECISION_BITS):
+                    hp = mpmath.log(dd) + mpmath.log(rad_in) + mpmath.log(rad_q)
+                    return hp - mpmath.log(rad_img)
+
+            tally.judge((block_idx, local, combo), lhs - rhs, recheck, aa, params, lhs, rhs)
             combo += 1
 
 
@@ -871,7 +876,6 @@ def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, tuple]:
         # x**2 + y**2 < 2 * max_c**2, are far inside int64
         and corpus.max_c <= _VECTOR_MAX_C
         and set(plan.n_grid) <= {2, 4}  # the image radicals the sieve knows
-        and corpus.congruence < 1 << 31  # _congruence_mask multiplies two residues mod N in int64
     )
     if not sieve_lane:
         return _k_scalar, (plan,)

@@ -318,13 +318,13 @@ def factorize(n: int) -> Factorization:
     Trial division by the primes below _TRIAL_BOUND: those below
     _LOOP_BOUND in a Python loop, the rest up to sqrt(n) as one numpy
     remainder (_residues), after which only the primes that divide n are
-    divided out.  A cofactor left below _TRIAL_BOUND**2 is prime; a larger
-    one is proved by is_probable_prime or split, first as a perfect power
-    by an exact integer root, else by rho with a fixed stream per
-    composite.  Raises FactorizationFailure if some composite cofactor
-    cannot be split within rho_budget() steps (read once a cofactor
-    survives trial division as a composite).  Each prime is proved once,
-    by trial division or is_probable_prime, so the result is built
+    divided out.  The cofactor left goes on one stack, as does every
+    factor split from it: each is prime below _TRIAL_BOUND**2, else proved
+    by is_probable_prime or split, first as a perfect power by an exact
+    integer root, else by rho with a fixed stream per composite.  Raises
+    FactorizationFailure if some composite cannot be split within
+    rho_budget() steps (read when rho first runs).  Each prime is proved
+    once, by trial division or is_probable_prime, so the result is built
     without Factorization's re-check.
     """
     if n < 1:
@@ -342,29 +342,28 @@ def factorize(n: int) -> Factorization:
         primes = primes[len(small) : int(np.searchsorted(primes, bound, side="right"))]
         for p in primes[_residues(n, primes) == 0].tolist():
             n = _divide_out(n, p, counts)
-    if n > 1:
-        if n < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(n):
-            # below _TRIAL_BOUND**2 a surviving cofactor is prime
-            counts[n] = counts.get(n, 0) + 1
-        else:
+    stack = [(n, 1)] if n > 1 else []
+    budget = None
+    while stack:
+        m, e = stack.pop()
+        # m has no prime factor below _TRIAL_BOUND, nor has any factor of it,
+        # so below _TRIAL_BOUND**2 it is prime
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_probable_prime(m):
+            counts[m] = counts.get(m, 0) + e
+            continue
+        r, k = _perfect_power(m)
+        if k > 1:
+            stack.append((r, e * k))
+            continue
+        if budget is None:
             budget = rho_budget()
-            stack = [(n, 1)]
-            while stack:
-                m, e = stack.pop()
-                if is_probable_prime(m):
-                    counts[m] = counts.get(m, 0) + e
-                    continue
-                r, k = _perfect_power(m)
-                if k > 1:
-                    stack.append((r, e * k))
-                    continue
-                # a fixed stream per composite: the factors found do not vary
-                rng = random.Random(f"0:rho:{m}")
-                f, _ = _rho_brent(m, rng, budget)
-                if f == 0:
-                    raise FactorizationFailure(m, budget)
-                stack.append((f, e))
-                stack.append((m // f, e))
+        # a fixed stream per composite: the factors found do not vary
+        rng = random.Random(f"0:rho:{m}")
+        f, _ = _rho_brent(m, rng, budget)
+        if f == 0:
+            raise FactorizationFailure(m, budget)
+        stack.append((f, e))
+        stack.append((m // f, e))
     out = object.__new__(Factorization)
     object.__setattr__(out, "factors", tuple(sorted(counts.items())))
     return out

@@ -1,12 +1,14 @@
 """CLI tests: subcommand output, formats, exit codes, JSON round-trip."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from congabc.cli import _canon, main
+from congabc.cli import _canon, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +205,63 @@ def test_verify_seed_is_not_an_option(capsys):
     code, _, err = run_cli(capsys, "verify", "lemma2", "--N", "9", "--max-c", "200", "--seed", "1")
     assert code == 2
     assert "--seed" in err
+
+
+_SUITE_ARGV = {
+    "lemma1": ["--n", "2", "--eps", "1"],
+    "lemma2": ["--N", "7"],
+    "identities": ["--n", "2"],
+    "chain": ["--N", "3", "--eps", "1", "--C", "10"],
+}
+
+
+@pytest.mark.parametrize("suite, option, value", [
+    ("lemma1", "--N", "7"), ("lemma1", "--C", "10"), ("lemma1", "--radical-scale", "10"),
+    ("lemma2", "--n", "4"), ("lemma2", "--eps", "1"), ("lemma2", "--C", "10"),
+    ("lemma2", "--tolerance", "-5"), ("lemma2", "--radical-scale", "10"),
+    ("identities", "--eps", "1"), ("identities", "--N", "7"), ("identities", "--C", "10"),
+    ("chain", "--n", "4"), ("chain", "--radical-scale", "10"),
+])
+def test_verify_rejects_options_the_suite_does_not_read(capsys, suite, option, value):
+    # a setting with no effect is a usage error, not silently dropped
+    argv = ["verify", suite, "--max-c", "30", *_SUITE_ARGV[suite], option, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option} {value}" in err
+
+
+def test_verify_chain_takes_one_eps(capsys):
+    code, _, err = run_cli(capsys, "verify", "chain", "--max-c", "30", "--N", "3",
+                           "--eps", "0.5,1", "--C", "10")
+    assert code == 2
+    assert "--eps" in err
+    code, _, err = run_cli(capsys, "verify", "chain", "--max-c", "30", "--N", "3")
+    assert code == 2
+    assert "--C" in err
+
+
+@pytest.mark.parametrize("congruence", [2**62 + 5, 2**63 + 3])
+def test_verify_congruence_beyond_every_product(capsys, congruence):
+    # 0 < |abc| <= c**3 / 4 < congruence: the corpus is empty, not an error
+    code, out, _ = run_cli(capsys, "verify", "lemma1", "--max-c", "60", "--n", "2",
+                           "--congruence", str(congruence), "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["checks"], record["corpus"]["size"], record["result"]) == (0, 0, "pass")
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("congabc ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_factor_budget_is_not_an_option(capsys):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from congabc import harness
@@ -194,9 +195,17 @@ def test_lemma1_lane_agreement():
     assert fast.extremal.params == slow.extremal.params
 
 
-@pytest.mark.parametrize("N, checks", [(7, 36_576), (16, 12_260), (60, 18_296)])
-def test_lemma1_lane_agreement_congruence(N, checks):
-    spec = CorpusSpec(max_c=400, congruence=N)
+# N = 1025 * 1024 * 2049 >= 2**31 is |abc| of (-1025, -1024, 2049); 2 * N exceeds
+# 2050**3 / 4, so only a solution with |abc| = N can qualify, and that one does
+_CONGRUENCE_CASES = [(7, 36_576, 400), (16, 12_260, 400), (60, 18_296, 400),
+                     (1025 * 1024 * 2049, 4, 2050)]
+
+
+@pytest.mark.parametrize("N, checks, max_c", _CONGRUENCE_CASES,
+                         ids=[f"{N}-{checks}" for N, checks, _ in _CONGRUENCE_CASES])
+def test_lemma1_lane_agreement_congruence(N, checks, max_c):
+    spec = CorpusSpec(max_c=max_c, congruence=N)
+    assert harness._plan_kernel(harness._Plan((2,), (1.0,), None), spec)[0] is harness._k_vector
     fast = verify_lemma1(spec, [2, 4], [0.5, 1.0])
     slow = verify_lemma1(list(spec), [2, 4], [0.5, 1.0])
     assert fast.checks == slow.checks == checks
@@ -204,6 +213,19 @@ def test_lemma1_lane_agreement_congruence(N, checks):
     assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
     assert fast.extremal.triple == slow.extremal.triple
     assert fast.extremal.params == slow.extremal.params
+
+
+@pytest.mark.parametrize("N", [7, 1025 * 1024 * 2049, 3_999_997 * 3 * 4_000_000,
+                               3_999_996 * 5 * 4_000_001, 2**63 + 3, 2**70])
+def test_congruence_mask_is_exact_for_every_N(N):
+    # past c = 3.3 million a product of residues leaves int64, and an N past
+    # 2**63 does not fit it at all
+    pairs = [(2049, 1023), (2049, 1024), (4_000_000, 1), (4_000_000, 3), (4_000_001, 5)]
+    c_arr, s_arr = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    got = harness._congruence_mask(c_arr, s_arr, N).tolist()
+    assert got == [(c - s) * s * c % N == 0 for c, s in pairs]
+    want = sum(aa.a * aa.b * aa.c % N == 0 for aa in CorpusSpec(max_c=60))
+    assert len(CorpusSpec(max_c=60, congruence=N)) == want
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -736,6 +758,18 @@ def test_lemma1_audit_catches_a_dropped_piece(monkeypatch, corpus, n_grid):
     _drop_last_piece(monkeypatch)
     with pytest.raises(harness.InternalRadicalMismatch):
         verify_lemma1(corpus, n_grid, [1.0])
+
+
+def test_audit_catches_a_wrong_input_radical(monkeypatch):
+    real = harness._Radicals.__init__
+
+    def init(self, aa):
+        real(self, aa)
+        self.rad_in *= 5
+
+    monkeypatch.setattr(harness._Radicals, "__init__", init)
+    with pytest.raises(harness.InternalRadicalMismatch, match="pieces give"):
+        verify_lemma1([make_solution(-1, -2, 3)], [2], [1.0])
 
 
 @pytest.mark.parametrize("workers", [1, 3])

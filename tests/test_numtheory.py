@@ -153,6 +153,15 @@ def test_perfect_powers_above_the_trial_bound_skip_rho(monkeypatch):
     assert factorize(8 * 100019**4).as_dict() == {2: 3, 100019: 4}
 
 
+def test_a_cofactor_is_proved_once(monkeypatch):
+    # 2**67 - 1 = 193707721 * 761838257287 survives trial division as a composite
+    seen = []
+    real = numtheory.is_probable_prime
+    monkeypatch.setattr(numtheory, "is_probable_prime", lambda n: seen.append(n) or real(n))
+    assert factorize(2**67 - 1).as_dict() == {193707721: 1, 761838257287: 1}
+    assert seen.count(2**67 - 1) == 1
+
+
 def test_factorize_budget_failure(monkeypatch):
     # a product of two ~64-bit primes, far beyond a 100-step rho budget
     hard = (2**64 - 59) * (2**64 - 83)
