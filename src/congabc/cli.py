@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import os
 import sys
 
 from .abc_core import ABCSolution, SolutionError, make_solution, merit
@@ -306,13 +308,15 @@ def _print_verify_table(s: SuiteSummary) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     # run is the suite's own call, with the options that suite takes
     summary = args.run(args, CorpusSpec(max_c=args.max_c, congruence=args.congruence))
+    # the verdict's code, set before the output, so it stands if stdout closes early
+    args.exit_code = {"pass": 0, "counterexample": 1, "inconclusive": 3}[_summary_status(summary)]
     if args.format == "json":
         print(_canon(_summary_record(summary)))
     elif args.format == "csv":
         _print_csv(_verify_csv_rows(summary), list(VERIFY_CSV_COLUMNS))
     else:
         _print_verify_table(summary)
-    return {"pass": 0, "counterexample": 1, "inconclusive": 3}[_summary_status(summary)]
+    return args.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +413,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="table", help="output format")
 
 
+@functools.cache  # one build per process: main runs many times in one process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congabc",
         description="ABC-solution metrics, the even-power amplification map, "
                     "and exhaustive corpus verification.",
     )
+    parser.set_defaults(exit_code=0)  # the code of a command whose stdout closes early
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="normalize a triple and report rad/quality/merit")
@@ -501,7 +507,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         rho_budget()  # a malformed CONGABC_FACTOR_BUDGET fails before any work
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (`| head`): that ends the output, not the command;
+        # stdout goes to os.devnull, so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return args.exit_code
     except FactorizationFailure as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3

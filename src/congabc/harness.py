@@ -1,4 +1,4 @@
-"""Corpus generation and the verification suites.
+"""The exhaustive corpus and the verification suites.
 
 Corpora are either explicit iterables of solutions or a CorpusSpec
 describing the exhaustive corpus (every solution with c <= max_c,
@@ -42,13 +42,12 @@ import functools
 import hashlib
 import math
 import multiprocessing
-import random
+import operator
 import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-import mpmath
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit, radical_abc
@@ -57,9 +56,9 @@ from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
     LemmaConstants,
-    NonpositiveEpsilon,
     _constants,
     _require_exponent,
+    _require_positive,
     derived_full_bound,
     lemma_constants,
     theta,
@@ -98,9 +97,6 @@ class CorpusSpec:
             raise ValueError("max_c must be at least 3")
         if self.congruence < 1:
             raise ValueError("congruence must be a positive integer")
-
-    def describe(self) -> str:
-        return f"exhaustive:max_c={self.max_c};congruence={self.congruence}"
 
     def __iter__(self) -> Iterator[ABCSolution]:
         for source in self._sources(_TRIPLE_BLOCK):
@@ -162,41 +158,6 @@ class SuiteSummary:
     @property
     def ok(self) -> bool:
         return self.failures == 0 and self.inconclusives == 0
-
-
-def enumerate_solutions(max_c: int) -> Iterator[ABCSolution]:
-    """Every solution with c <= max_c, exactly once, in corpus order.
-
-    For each c the solutions are (s - c, -s, c) over 1 <= s < c/2 with
-    gcd(s, c) = 1, yielded with s ascending.
-    """
-    return iter(CorpusSpec(max_c))
-
-
-def filter_congruence(stream: Iterable[ABCSolution], N: int) -> Iterator[ABCSolution]:
-    """Keep solutions whose product a*b*c is divisible by N."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    return (aa for aa in stream if (aa.a * aa.b * aa.c) % N == 0)
-
-
-def random_solutions(max_c: int, count: int, seed: int = 0) -> list[ABCSolution]:
-    """count solutions sampled uniformly from the c <= max_c corpus.
-
-    Rejection sampling over the (c, s) rectangle with a seeded
-    generator; for scales where exhaustive enumeration is infeasible.
-    """
-    if max_c < 3:
-        raise ValueError("max_c must be at least 3")
-    rng = random.Random(seed)
-    out = []
-    s_hi = (max_c - 1) // 2
-    while len(out) < count:
-        c = rng.randrange(3, max_c + 1)
-        s = rng.randrange(1, s_hi + 1)
-        if 2 * s < c and math.gcd(s, c) == 1:
-            out.append(ABCSolution(s - c, -s, c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +244,7 @@ def _congruence_mask(c_arr: np.ndarray, s_arr: np.ndarray, N: int) -> np.ndarray
 
 
 def _spec_head(spec: CorpusSpec):
-    return hashlib.sha256(f"{spec.describe()};".encode())
+    return hashlib.sha256(f"exhaustive:max_c={spec.max_c};congruence={spec.congruence};".encode())
 
 
 def _list_head(triples: list[ABCSolution]):
@@ -559,12 +520,21 @@ class _Plan:
     context: dict = field(default_factory=dict)
 
 
+@contextlib.contextmanager
+def _at_160_bits():
+    """mpmath at HP_PRECISION_BITS, the one entry of every 160-bit recheck;
+    mpmath is imported here, so only a run that rechecks loads it."""
+    import mpmath
+    with mpmath.workprec(HP_PRECISION_BITS):
+        yield mpmath
+
+
 def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
     """The slacks of plan's checks of one solution at (n, eps), at 160 bits."""
     rad_in, rad_img, c_img = _exact_radicals(aa, n)
-    with mpmath.workprec(HP_PRECISION_BITS):
-        k = _constants(n, mpmath.mpf(eps), mpmath.log)
-        logs = map(mpmath.log, (aa.c, rad_in, c_img, rad_img))
+    with _at_160_bits() as mp:
+        k = _constants(n, mp.mpf(eps), mp.log)
+        logs = map(mp.log, (aa.c, rad_in, c_img, rad_img))
         return [lhs - rhs for lhs, rhs in plan.sides(k, *_merits(k, *logs), plan.bound)]
 
 
@@ -702,13 +672,7 @@ def _k_lemma2(tally: _Tally, source, block_idx: int, N: int, n: int) -> None:
 
 def _identity_sum(c: int, dd: int, n: int) -> int:
     """sum of c**(n-2-2i) * dd**(2i) for 0 <= i < n/2 (exact)."""
-    d2 = dd * dd
-    total = 0
-    dpow = 1
-    for i in range(n // 2):
-        total += c ** (n - 2 - 2 * i) * dpow
-        dpow *= d2
-    return total
+    return sum(c ** (n - 2 - 2 * i) * dd ** (2 * i) for i in range(n // 2))
 
 
 def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...],
@@ -746,14 +710,15 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
             except FactorizationFailure as exc:
                 tally.inconclusive(1, aa, params, exc)
                 continue
-            lhs = math.log(dd) + math.log(rad_in) + math.log(rad_q)
-            rhs = math.log(rad_img)
 
-            def recheck():  # the same slack at 160 bits
-                with mpmath.workprec(HP_PRECISION_BITS):
-                    hp = mpmath.log(dd) + mpmath.log(rad_in) + mpmath.log(rad_q)
-                    return hp - mpmath.log(rad_img)
+            def sides(log):  # floats with math.log, and the recheck's 160 bits
+                return log(dd) + log(rad_in) + log(rad_q), log(rad_img)
 
+            def recheck():
+                with _at_160_bits() as mp:
+                    return operator.sub(*sides(mp.log))
+
+            lhs, rhs = sides(math.log)
             tally.judge((block_idx, local, combo), lhs - rhs, recheck, aa, params, lhs, rhs)
             combo += 1
 
@@ -838,24 +803,14 @@ def _verify(suite: str, params: dict, corpus, kernel, consts: tuple, workers: in
     )
 
 
-def _validated_n_grid(n_grid) -> tuple[int, ...]:
-    n_grid = tuple(int(n) for n in n_grid)
-    if not n_grid:
+def _validated_grid(values, kind, check) -> tuple:
+    """values as a nonempty tuple of kind, each entry passed to check, which raises."""
+    grid = tuple(map(kind, values))
+    if not grid:
         raise ValueError("parameter grids must be nonempty")
-    for n in n_grid:
-        _require_exponent(n)
-    return n_grid
-
-
-def _validated_grids(n_grid, eps_grid) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    n_grid = _validated_n_grid(n_grid)
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if not eps_grid:
-        raise ValueError("parameter grids must be nonempty")
-    for e in eps_grid:
-        if e <= 0:
-            raise NonpositiveEpsilon(f"epsilon grid entries must be positive, got {e}")
-    return n_grid, eps_grid
+    for v in grid:
+        check(v)
+    return grid
 
 
 def _totient_exponent(N: int) -> int:
@@ -901,7 +856,8 @@ def verify_lemma1(
     the scalar lane; both judge the same formula, and near ties and
     float failures are rechecked with it at 160 bits.
     """
-    n_grid, eps_grid = _validated_grids(n_grid, eps_grid)
+    n_grid = _validated_grid(n_grid, int, _require_exponent)
+    eps_grid = _validated_grid(eps_grid, float, _require_positive)
     params = {
         "n": list(n_grid),
         "eps": list(eps_grid),
@@ -950,7 +906,7 @@ def verify_proof_identities(
     radical_scale (when not None) restricts it to solutions with
     c <= radical_scale; (i) and (ii) always run on every solution.
     """
-    n_grid = _validated_n_grid(n_grid)
+    n_grid = _validated_grid(n_grid, int, _require_exponent)
     params = {"n": list(n_grid), "tolerance": tolerance, "radical_scale": radical_scale}
     return _verify("identities", params, corpus, _k_identities, (n_grid, radical_scale),
                    workers, max_counterexamples, tolerance, recheck_band)
@@ -995,14 +951,13 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
     qualities come from sieve tables, and each hit is recomputed
     through the factorization engine before being reported.
     """
-    if max_c < 3:
-        raise ValueError("max_c must be at least 3")
+    sources = CorpusSpec(max_c)._sources(_BLOCK_SLOTS)  # ValueError for max_c < 3
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     lograd, _ = _radical_tables(max_c)
     hits: list[MeritReport] = []
-    for c_lo, c_hi in _c_blocks(max_c, _BLOCK_SLOTS):
-        c_arr, s_arr, _ = _block_grid(c_lo, c_hi)
+    for source in sources:
+        c_arr, s_arr, _ = _block_grid(*source)
         if len(c_arr) == 0:
             continue
         aabs = c_arr - s_arr

@@ -56,24 +56,12 @@ class FactorizationFailure(RuntimeError):
 class Factorization:
     """A complete prime factorization as (prime, exponent) pairs.
 
-    Pairs are sorted by strictly increasing prime and every exponent
-    is at least 1; the empty tuple represents 1.  Construction checks
-    this and proves each prime; factorize, whose primes are already
-    proved, builds its result without the check.
+    Pairs are sorted by strictly increasing prime and every exponent is
+    at least 1; the empty tuple represents 1.  The type checks none of
+    this: factorize, its one producer, proves each prime it finds.
     """
 
     factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        last = 1
-        for p, e in self.factors:
-            if p <= last:
-                raise ValueError("primes must be distinct and strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
-            if not is_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
-            last = p
 
     def value(self) -> int:
         """The integer this factorization multiplies back to."""
@@ -324,8 +312,7 @@ def factorize(n: int) -> Factorization:
     integer root, else by rho with a fixed stream per composite.  Raises
     FactorizationFailure if some composite cannot be split within
     rho_budget() steps (read when rho first runs).  Each prime is proved
-    once, by trial division or is_probable_prime, so the result is built
-    without Factorization's re-check.
+    once, by trial division or is_probable_prime.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -364,9 +351,7 @@ def factorize(n: int) -> Factorization:
             raise FactorizationFailure(m, budget)
         stack.append((f, e))
         stack.append((m // f, e))
-    out = object.__new__(Factorization)
-    object.__setattr__(out, "factors", tuple(sorted(counts.items())))
-    return out
+    return Factorization(tuple(sorted(counts.items())))
 
 
 def radical(n: int) -> int:

@@ -89,6 +89,11 @@ def _require_even(n: int) -> None:
         raise OddN(f"exponent must be an even integer >= 2, got {n}")
 
 
+def _require_positive(epsilon) -> None:
+    if epsilon <= 0:
+        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+
+
 def _require_exponent(n: int) -> None:
     """The exponent rule of theta and the suites: even, 2 <= n <= DEFAULT_EXPONENT_CAP.
 
@@ -146,8 +151,7 @@ def _constants(n: int, epsilon, log) -> LemmaConstants:
 def lemma_constants(n: int, epsilon: float) -> LemmaConstants:
     """The amplification constants for even n >= 2 and epsilon > 0."""
     _require_even(n)
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _require_positive(epsilon)
     return _constants(n, float(epsilon), math.log)
 
 
@@ -163,8 +167,7 @@ def derived_full_bound(N: int, epsilon: float, congruence_constant: float) -> fl
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _require_positive(epsilon)
     if N <= 2:
         return float(congruence_constant)
     return lemma_constants(totient(N), epsilon).lift(congruence_constant)

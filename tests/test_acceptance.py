@@ -15,7 +15,6 @@ from congabc.abc_core import make_solution, merit
 from congabc.cli import main
 from congabc.harness import (
     CorpusSpec,
-    enumerate_solutions,
     verify_lemma1,
     verify_lemma2,
     verify_proof_identities,
@@ -139,10 +138,10 @@ def test_acceptance_enumeration_oracle(capsys):
                 out.append((a, b, c))
         return out
 
-    fifteen = list(enumerate_solutions(10))
+    fifteen = list(CorpusSpec(10))
     exact_ok = [(x.a, x.b, x.c) for x in fifteen] == brute(10) and len(fifteen) == 15
 
-    stream = list(enumerate_solutions(200))
+    stream = list(CorpusSpec(200))
     counts_ok = all(
         sum(1 for x in stream if x.c <= m) == len(brute(m)) for m in range(3, 201)
     )

@@ -1,6 +1,8 @@
 """CLI tests: subcommand output, formats, exit codes, JSON round-trip."""
 
+import importlib
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -264,6 +266,29 @@ def test_readme_command_lines_parse():
             pytest.fail(f"README line does not parse: {line}")
 
 
+def test_readme_module_table_names_exist():
+    # every backticked name in a row of the library layout table is an
+    # attribute of the module that row names
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert len(rows) == 5
+    for module, contents in rows:
+        mod = importlib.import_module(re.fullmatch(r"\s*`([\w.]+)`\s*", module)[1])
+        names = re.findall(r"`(\w+)`", contents)
+        assert [name for name in names if not hasattr(mod, name)] == [], mod.__name__
+
+
+def test_parser_is_built_once_and_keeps_no_values(capsys):
+    assert build_parser() is build_parser()
+    argv = ["verify", "lemma1", "--max-c", "20", "--n", "2", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--tolerance", "-5")
+    assert (code, json.loads(out)["params"]["tolerance"]) == (1, -5.0)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["params"]["tolerance"] == 1e-09
+
+
 def test_factor_budget_is_not_an_option(capsys):
     # the rho budget has one knob, CONGABC_FACTOR_BUDGET
     code, _, err = run_cli(
@@ -399,3 +424,18 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "rad(abc) = 6" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "chain", "--max-c", "100", "--N", "7", "--C", "10", "--format", "json"], 0),
+    (["verify", "lemma1", "--max-c", "30", "--tolerance", "-5"], 1),
+    (["bound", "--N", "3", "--eps", "1", "--C", "10"], 0),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # a reader that leaves at once (`| head -c 0`): verify still exits with its
+    # verdict's code, any other command with 0, and nothing goes to stderr
+    proc = subprocess.Popen([sys.executable, "-m", "congabc.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (code, b"")

@@ -1,6 +1,7 @@
 """Corpus harness tests: enumeration, suites, lanes, determinism."""
 
 import math
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,9 +17,6 @@ from congabc.harness import (
     SuiteSummary,
     _block_grid,
     _lograd_odd_sum_squares,
-    enumerate_solutions,
-    filter_congruence,
-    random_solutions,
     search_quality,
     verify_lemma1,
     verify_lemma2,
@@ -57,23 +55,23 @@ def brute_force_counts(max_c: int) -> dict[int, int]:
 
 
 def test_enumerate_examples():
-    assert list(enumerate_solutions(3)) == [ABCSolution(-2, -1, 3)]
-    assert list(enumerate_solutions(4)) == [
+    assert list(CorpusSpec(3)) == [ABCSolution(-2, -1, 3)]
+    assert list(CorpusSpec(4)) == [
         ABCSolution(-2, -1, 3),
         ABCSolution(-3, -1, 4),
     ]
-    assert len(list(enumerate_solutions(10))) == 15
+    assert len(list(CorpusSpec(10))) == 15
 
 
 def test_enumerate_against_brute_force_oracle():
     oracle = brute_force_counts(200)
     got: dict[int, int] = {c: 0 for c in oracle}
-    for aa in enumerate_solutions(200):
+    for aa in CorpusSpec(200):
         got[aa.c] += 1
     assert got == oracle
     # cumulative counts then agree for every max_c <= 200
     total = 0
-    stream = list(enumerate_solutions(200))
+    stream = list(CorpusSpec(200))
     for max_c in range(3, 201):
         total += oracle[max_c]
         assert sum(1 for aa in stream if aa.c <= max_c) == total
@@ -82,7 +80,7 @@ def test_enumerate_against_brute_force_oracle():
 def test_enumerate_stream_is_ordered_valid_and_unique():
     seen = set()
     prev = None
-    for aa in enumerate_solutions(120):
+    for aa in CorpusSpec(120):
         assert aa.a <= aa.b < 0 < aa.c <= 120
         assert aa.a + aa.b + aa.c == 0
         assert math.gcd(aa.a, aa.b) == 1
@@ -91,30 +89,13 @@ def test_enumerate_stream_is_ordered_valid_and_unique():
             assert key > prev
         prev = key
         seen.add(aa)
-    assert len(seen) == len(list(enumerate_solutions(120)))
-
-
-def test_enumerate_rejects_small_bound():
-    with pytest.raises(ValueError):
-        list(enumerate_solutions(2))
-
-
-def test_filter_congruence_examples():
-    stream = [make_solution(-1, -2, 3), make_solution(-1, -3, 4)]
-    assert list(filter_congruence(stream, 4)) == [ABCSolution(-3, -1, 4)]
-    corpus = list(enumerate_solutions(100))
-    assert list(filter_congruence(corpus, 1)) == corpus
-    assert list(filter_congruence(corpus, 2)) == corpus  # an entry is always even
-    for aa in filter_congruence(corpus, 6):
-        assert (aa.a * aa.b * aa.c) % 6 == 0
-    with pytest.raises(ValueError):
-        list(filter_congruence(corpus, 0))
+    assert len(seen) == len(list(CorpusSpec(120)))
 
 
 def test_corpus_spec_matches_enumeration():
     spec = CorpusSpec(max_c=150, congruence=5)
     from_spec = list(spec)
-    oracle = [aa for aa in enumerate_solutions(150) if (aa.a * aa.b * aa.c) % 5 == 0]
+    oracle = [aa for aa in CorpusSpec(150) if (aa.a * aa.b * aa.c) % 5 == 0]
     assert from_spec == oracle
     assert len(spec) == len(oracle)
 
@@ -127,18 +108,6 @@ def test_corpus_spec_validation_and_hash():
     assert CorpusSpec(max_c=50).digest() == CorpusSpec(max_c=50).digest()
     assert CorpusSpec(max_c=50).digest() != CorpusSpec(max_c=51).digest()
     assert CorpusSpec(max_c=50).digest() != CorpusSpec(max_c=50, congruence=2).digest()
-
-
-def test_random_solutions_deterministic_and_valid():
-    one = random_solutions(500, 40, seed=7)
-    two = random_solutions(500, 40, seed=7)
-    other = random_solutions(500, 40, seed=8)
-    assert one == two
-    assert one != other
-    assert len(one) == 40
-    for aa in one:
-        assert aa.a <= aa.b < 0 < aa.c <= 500
-        assert math.gcd(aa.a, aa.b) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +246,15 @@ def test_lemma1_forced_high_precision_recheck():
     assert normal.passes == forced.passes
     assert normal.min_slack == pytest.approx(forced.min_slack, abs=1e-9)
     assert normal.extremal.triple == forced.extremal.triple
+
+
+def test_import_leaves_mpmath_to_the_first_recheck():
+    # mpmath serves the 160-bit rechecks alone, so importing the package
+    # and its CLI does not load it; a recheck does
+    code = ("import sys, congabc, congabc.cli; assert 'mpmath' not in sys.modules; "
+            "congabc.verify_lemma1([congabc.make_solution(-1, -2, 3)], [2], [1.0], "
+            "recheck_band=1e9); assert 'mpmath' in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
 
 def test_lemma1_wide_grid_clean():
@@ -639,6 +617,8 @@ def test_identities_radical_bound_failures_are_reported():
     assert s.failures == len(s.counterexamples) == 276
     assert {v.params["check"] for v in s.counterexamples} == {"radical-log-bound"}
     assert all(v.slack < 1.0 for v in s.counterexamples)
+    # the 160-bit recheck that decided each failure evaluates the float sides' formula
+    assert all(v.slack == pytest.approx(v.lhs - v.rhs, abs=1e-12) for v in s.counterexamples)
 
 
 def test_lemma2_injected_exponent_paths_agree(monkeypatch):
@@ -718,8 +698,21 @@ def _assert_pieces_match_full_image(aa, n_grid):
 
 def test_image_radicals_match_full_image_exhaustive():
     # every solution with c <= 200, odd and even c
-    for aa in enumerate_solutions(200):
+    for aa in CorpusSpec(200):
         _assert_pieces_match_full_image(aa, (2, 4, 6, 8, 12))
+
+
+def _sample(max_c, count, seed):
+    """count solutions drawn uniformly from the c <= max_c corpus, by rejection
+    over the (c, s) rectangle with a seeded generator."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        c = rng.randrange(3, max_c + 1)
+        s = rng.randrange(1, (max_c - 1) // 2 + 1)
+        if 2 * s < c and math.gcd(s, c) == 1:
+            out.append(ABCSolution(s - c, -s, c))
+    return out
 
 
 # how many of each sample the oracle compares under the 2**19-step budget
@@ -734,7 +727,7 @@ def test_image_radicals_match_full_image_sampled(monkeypatch, digits):
     # 2**19-step budget the oracle gives up on those and the solution is
     # skipped (at n = 6: one solution of the 8-digit sample, two of the 12)
     monkeypatch.setenv("CONGABC_FACTOR_BUDGET", str(1 << 19))
-    sample = random_solutions(10**digits, 6, seed=digits)
+    sample = _sample(10**digits, 6, seed=digits)
     compared = 0
     for aa in sample:
         try:

@@ -21,7 +21,7 @@ from congabc.theta import (
     lemma_constants,
     theta,
 )
-from congabc.harness import enumerate_solutions
+from congabc.harness import CorpusSpec
 
 
 def test_theta_examples():
@@ -61,7 +61,7 @@ def test_theta_fixed_point():
 
 
 def test_theta_raw_component_relations():
-    for aa in enumerate_solutions(60):
+    for aa in CorpusSpec(60):
         for n in (2, 4, 6):
             r = theta(aa, n)
             d = aa.a - aa.b
@@ -78,7 +78,7 @@ def test_theta_raw_component_relations():
 def test_even_c_exact_division_structure():
     # for even c exactly one of c, a-b is divisible by 4, and the
     # 2**n division in the map is always remainder-free
-    for aa in enumerate_solutions(120):
+    for aa in CorpusSpec(120):
         if aa.c % 2 == 0:
             d = abs(aa.a - aa.b)
             assert d % 2 == 0
@@ -89,7 +89,7 @@ def test_even_c_exact_division_structure():
 
 
 def test_theta_closure_small_corpus():
-    for aa in enumerate_solutions(300):
+    for aa in CorpusSpec(300):
         for n in (2, 4, 6, 8):
             out = theta(aa, n).output
             assert out.a <= out.b < 0 < out.c
