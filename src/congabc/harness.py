@@ -21,13 +21,15 @@ checks are exact integer arithmetic throughout.
 Two lanes.  lemma1 and the chain (lemma1 at n = totient(N), rearranged)
 are one plan of checks (_Plan) over four logs per solution and n: ln c
 and ln rad(abc) of the solution and of its image under theta.  For a
-CorpusSpec at n in {2, 4} the sieve lane takes them a block at a time
-from sieve tables; the scalar lane takes them one solution at a time
-from _Radicals, which factors the pieces of the image, not the image.
-Both lanes judge the arrays of logs with the same code.  The full image,
-through theta and radical, is the independent oracle: the 160-bit
-rechecks and the identities' radical bound use it, and the scalar lane
-audits the first solution of every block against it at every n.
+CorpusSpec at n in {2, 4, 6} the sieve lane takes them a block at a time
+from sieve tables and the piece sieve (_lograd_piece: the primes of the
+cyclotomic pieces Phi_3, Phi_4 and Phi_6 by their roots); the scalar
+lane takes them one solution at a time from _Radicals, which factors
+the pieces of the image, not the image.  Both lanes judge the arrays of
+logs with the same code.  The full image, through theta and radical, is
+the independent oracle: the 160-bit rechecks and the identities' radical
+bound use it, the scalar lane audits the first solution of every block
+against it at every n, and the sieve lane _AUDIT_ROWS seeded positions.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, sized for the suite's kernel, never
@@ -43,6 +45,7 @@ import hashlib
 import math
 import multiprocessing
 import operator
+import random
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -70,7 +73,16 @@ HP_PRECISION_BITS = 160
 DEFAULT_MAX_COUNTEREXAMPLES = 25
 
 _LN2 = math.log(2.0)
+# the largest c of the sieve lane: a size guard on its tables and root-sieve
+# passes (primes up to sqrt(3) * max_c); the values sieved, below 3 * max_c**2,
+# are far inside int64
 _VECTOR_MAX_C = 50_000
+# rows per block and n that the sieve lane checks against the full image: a
+# handful of _exact_radicals calls, well under 1% of a block's time
+_AUDIT_ROWS = 8
+# the sieve lane's logs are sums of a dozen or so logs below 30, off by about
+# 1e-13 in float64; a prime missed or counted twice moves a log by at least ln 2
+_AUDIT_TOL = 1e-6
 _BLOCK_SLOTS = 2_500_000  # (c, s) slots per block for the kernels that take numpy arrays
 _TRIPLE_BLOCK = 4096  # slots, or listed solutions, per block for the per-triple kernels
 
@@ -176,17 +188,33 @@ def _radical_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return lograd, lograd_odd
 
 
+# The piece sieve's quadratic forms, keyed by k: q_k(x, y) = a*x**2 + b*y**2 as
+# (a, b), in x = c - s and y = s, is the cyclotomic piece Phi_k(c, d) of the image
+# (d = c - 2s = x - y): Phi_4 = c**2 + d**2 = 2*q_4, Phi_3 = c**2 + c*d + d**2 = q_3,
+# Phi_6 = c**2 - c*d + d**2 = q_6.  These are the pieces of n in {4, 6}.
+_FORMS = {3: (3, 1), 4: (1, 1), 6: (1, 3)}
+
+
+def _piece_ks(n: int) -> list[int]:
+    """The k | n with k > 2: the cyclotomic pieces of the image at n."""
+    return [k for k in range(3, n + 1) if n % k == 0]
+
+
 @functools.cache
-def _p1mod4(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primes p = 1 mod 4 up to limit, their logs, and the two roots
-    u = (1 +- i)/2 mod p of 2u**2 - 2u + 1, where i**2 = -1 mod p."""
-    primes = _prime_array(limit)
-    sel = primes[primes % 4 == 1]
+def _piece_table(k: int, max_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primes p = 1 mod k that the piece sieve of q_k needs up to max_c, their
+    logs, and the two roots u = (1 - zeta**-1)/2 mod p, zeta either primitive k-th
+    root of unity mod p: p | Phi_k(c, d) exactly when c = zeta*d, that is s = c*u.
+    (For k = 4 these are (1 +- i)/2; for k = 3 and 6, (3 +- r)/4 and (1 +- r)/4
+    with r = 2*omega + 1 = sqrt(-3), omega a primitive cube root of unity.)"""
+    primes = _prime_array(math.isqrt(_FORMS[k][0] * max_c * max_c))
+    sel = primes[primes % k == 1]
     roots = np.empty((len(sel), 2), dtype=np.int64)
-    for k, p in enumerate(sel.tolist()):
-        g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
-        i = pow(g, (p - 1) // 4, p)
-        roots[k] = (1 + i) * (p + 1) // 2 % p, (1 - i) * (p + 1) // 2 % p
+    for i, p in enumerate(sel.tolist()):
+        zeta = next(z for z in (pow(g, (p - 1) // k, p) for g in range(2, p))
+                    if all(pow(z, k // q, p) != 1 for q in (2, 3) if k % q == 0))
+        half = (p + 1) // 2
+        roots[i] = (1 - pow(zeta, -1, p)) * half % p, (1 - zeta) * half % p
     return sel, np.log(sel.astype(np.float64)), roots
 
 
@@ -216,10 +244,29 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     c_arr = np.repeat(cs, reps)
     starts = np.cumsum(reps) - reps
     s_arr = np.arange(len(c_arr), dtype=np.int64) - np.repeat(starts, reps) + 1
-    keep = np.gcd(s_arr, c_arr) == 1
+    # gcd(s, c) > 1 exactly when s = 0 mod a prime p of c, and such an s < c/2
+    # has p <= c/2: the multiples of p in the rows of its multiples
+    primes = _prime_array(c_hi // 2)
+    row, col = np.nonzero(cs[:, None] % primes == 0)
+    keep = np.ones(len(c_arr), dtype=bool)
+    keep[_progressions(starts[row], reps[row], primes[col], primes[col])] = False
     if congruence > 1:
         keep &= _congruence_mask(c_arr, s_arr, congruence)
     return c_arr[keep], s_arr[keep], (cs, reps, starts, keep)
+
+
+def _progressions(starts, reps, s0, p) -> np.ndarray:
+    """The grid positions of s = s0, s0 + p, ... up to reps in each row.
+
+    Row r of the grid holds s = 1 .. reps[r] from position starts[r]; s0 = 0
+    stands for no progression.  starts and reps broadcast against s0, and p is
+    one step or one per progression (s0's shape).
+    """
+    count = np.where(s0 > 0, (reps - s0) // p + 1, 0).ravel()
+    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    if np.ndim(p):
+        p = np.repeat(p, count)
+    return np.repeat((starts + s0 - 1).ravel(), count) + p * step
 
 
 def _pair(c_arr: np.ndarray, s_arr: np.ndarray, i: int) -> ABCSolution:
@@ -260,37 +307,53 @@ def _corpus_hash(head, size: int) -> str:
     return head.hexdigest()
 
 
-def _lograd_odd_sum_squares(x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
-    """log of the product of distinct odd primes of x**2 + y**2.
+def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
+    """log of the product of the primes above 3 of q_k(x, y), k a key of _FORMS.
 
     x = c - s and y = s are a block's corpus pairs and grid its layout
-    from _block_grid.  gcd(x, y) = 1, so every odd prime factor is
-    1 mod 4 and the 2-adic valuation is at most 1.  Such a p divides
-    (c - s)**2 + s**2 exactly when s = c*u mod p for a root u of
-    2u**2 - 2u + 1, so the hits of p in row c are two arithmetic
-    progressions of step p (a root sieve, as in the quadratic sieve);
-    rows with p | c start both at s = 0 mod p, never coprime, and are
-    skipped.  Each p < c_hi is sieved over the rows with c > p and
-    removed completely at its hits only; what is left of the odd part,
-    below c**2, has no prime factor below c, so it is 1 or one prime.
-    Logs are added in ascending prime order, that prime last: a prime's
-    log is the same float whether the sieve or the cofactor supplies
-    it, so the sums, and the verdict bytes, do not depend on where the
-    sieve stops and equal those of trial division.
+    from _block_grid.  The primes of 2k are divided out first: with
+    gcd(x, y) = 1, 2 divides q_k only when x and y are odd, and 3 divides
+    q_3 only when 3 | y and q_6 only when 3 | x, so the image radical has
+    them already (ln 2 for every image, y or x for 3).  Every other prime
+    p of q_k is 1 mod k and divides none of x, y, c or d, nor another
+    piece of the same n, so these logs add to the others as the union of
+    prime sets that _Radicals takes.
+
+    The root sieve, as in the quadratic sieve: p | q_k(c - s, s) exactly
+    when s = c*u mod p for a root u from _piece_table, so the hits of p in
+    row c are two progressions of step p; rows with p | c start both at
+    s = 0 mod p, never coprime, and are skipped.  At each hit p is
+    divided out completely.
+
+    The bound: with q_k = a*x**2 + b*y**2, c**2 - x**2 = y*(c + x) and
+    b*y < a*(c + x) (y < x, and b <= 3a), so q_k < a*c**2.  Each prime p
+    is sieved over the rows with a*c**2 >= p**2, so row c has lost every
+    prime p with p**2 <= a*c**2.  A composite cofactor m would have a
+    prime factor q with q**2 <= m < a*c**2, sieved already; so what is
+    left is 1 or one prime, and no row needs a fallback.  Logs are added
+    in ascending prime order, that prime last: a prime's log is the same
+    float whether the sieve or the cofactor supplies it, so the sums, and
+    the verdict bytes, do not depend on where the sieve stops and equal
+    those of trial division.
     """
-    t = x * x + y * y
-    t[(t & 1) == 0] >>= 1
+    a, b = _FORMS[k]
+    t = a * x * x + b * y * y  # below 3 * max_c**2, far inside int64
+    for q in (2, 3):
+        if 2 * k % q == 0:
+            at = np.flatnonzero(t % q == 0)
+            while len(at):
+                t[at] //= q
+                at = at[t[at] % q == 0]
     cs, reps, starts, keep = grid
     rank = np.cumsum(keep) - 1
-    primes, logp, roots = _p1mod4(max_c)
+    primes, logp, roots = _piece_table(k, max_c)
     out = np.zeros(len(t), dtype=np.float64)
-    for i in range(int(np.searchsorted(primes, cs[-1]))):
+    c_hi = int(cs[-1])
+    for i in range(int(np.searchsorted(primes, math.isqrt(a * c_hi * c_hi), side="right"))):
         p = int(primes[i])
-        row = int(np.searchsorted(cs, p, side="right"))
-        s0 = (cs[row:, None] % p) * roots[i] % p
-        count = np.where(s0 > 0, (reps[row:, None] - s0) // p + 1, 0).ravel()
-        step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        pos = np.repeat((starts[row:, None] + s0 - 1).ravel(), count) + p * step
+        row = int(np.searchsorted(cs, math.isqrt(-(-p * p // a) - 1) + 1))  # a*c**2 >= p**2
+        pos = _progressions(starts[row:, None], reps[row:, None],
+                            (cs[row:, None] % p) * roots[i] % p, p)
         hit = rank[pos[keep[pos]]]
         out[hit] += logp[i]
         w = t[hit] // p
@@ -594,8 +657,44 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
                     solution(where[i]), params, lhs, rhs, low, low >= -tally.tolerance))
 
 
+def _audit_rows(block_idx: int, size: int) -> list[int]:
+    """The block positions the sieve lane audits: a sample drawn by a generator
+    seeded from the block index alone, so it does not depend on the workers.
+    (random, not numpy.random: importing that adds about 6 MB to a run's RSS.)"""
+    return sorted(random.Random(block_idx).sample(range(size), min(size, _AUDIT_ROWS)))
+
+
+def _audit_logs(logs: tuple, n: int, rows: list[int], solution) -> list[tuple]:
+    """Compare the sieve lane's logs of rad_in, image c and image rad at the
+    given rows with those of the full image (_exact_radicals), the independent
+    oracle: a difference above _AUDIT_TOL raises InternalRadicalMismatch.
+    Returns (row, FactorizationFailure) for each row whose oracle gave up."""
+    gave_up = []
+    for i in rows:
+        aa = solution(i)
+        try:
+            rad_in, rad_img, c_img = _exact_radicals(aa, n)
+        except FactorizationFailure as exc:
+            gave_up.append((i, exc))
+            continue
+        got = tuple(float(x[i]) for x in logs[1:])
+        want = tuple(map(math.log, (rad_in, c_img, rad_img)))
+        if any(abs(g - w) > _AUDIT_TOL for g, w in zip(got, want)):
+            raise InternalRadicalMismatch(
+                f"{aa} at n={n}: the sieve gives the logs of (rad, image c, image rad) "
+                f"{got}, the full image {want}"
+            )
+    return gave_up
+
+
 def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) -> None:
-    """plan's checks over one c-range of a CorpusSpec, the logs from sieve tables."""
+    """plan's checks over one c-range of a CorpusSpec, the logs from sieve tables.
+
+    The image radical at n is 2 * (odd primes of d, c, x, y) times the primes
+    above 3 of the pieces q_k, k | n (see _Radicals and _lograd_piece).  The
+    rows of _audit_rows are checked against the full image at every n; a row
+    whose oracle gives up has that n's checks inconclusive, never passed.
+    """
     lograd, lograd_odd = _radical_tables(max_c)
     c_arr, s_arr, grid = _block_grid(*source)
     tally.triples = len(c_arr)
@@ -606,14 +705,26 @@ def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) ->
     logc = np.log(c_arr.astype(np.float64))
     lnrad_abc = lograd[aabs] + lograd[s_arr] + lograd[c_arr]
     base_odd = lograd_odd[d_arr] + lograd_odd[c_arr] + lograd_odd[aabs] + lograd_odd[s_arr]
-    lnrad_img = {2: _LN2 + base_odd}
-    if 4 in plan.n_grid:
-        lnrad_img[4] = _LN2 + base_odd + _lograd_odd_sum_squares(aabs, s_arr, grid, max_c)
+    pieces = {k: _lograd_piece(k, aabs, s_arr, grid, max_c)
+              for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
     even = (c_arr & 1) == 0
+    solution = functools.partial(_pair, c_arr, s_arr)
+    audited = _audit_rows(block_idx, len(c_arr))
+    per_n = len(plan.eps_grid) * len(plan.labels)
     for ni, n in enumerate(plan.n_grid):
-        logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img[n])
-        _judge_rows(tally, plan, block_idx, ni, logs, range(len(c_arr)),
-                    functools.partial(_pair, c_arr, s_arr))
+        lnrad_img = _LN2 + base_odd
+        for k in _piece_ks(n):
+            lnrad_img += pieces[k]
+        logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img)
+        where = range(len(c_arr))
+        gave_up = _audit_logs(logs, n, audited, solution)
+        if gave_up:
+            for i, exc in gave_up:
+                # lemma1 names the n whose image failed, the chain has one n
+                tally.inconclusive(per_n, solution(i), plan.context or {"n": n}, exc)
+            where = np.delete(np.arange(len(c_arr)), [i for i, _ in gave_up])
+            logs = tuple(x[where] for x in logs)
+        _judge_rows(tally, plan, block_idx, ni, logs, where, solution)
 
 
 def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
@@ -685,6 +796,7 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
         dd = abs(aa.a - aa.b)
         ab = aa.a * aa.b  # positive
         combo = 0
+        rad_in = None  # radical_abc(aa), at the first check (iii) that factors it
         for n in n_grid:
             cn = c**n
             dn = dd**n
@@ -705,7 +817,10 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
                 continue
             params = {"n": n, "check": "radical-log-bound"}
             try:
-                rad_in, rad_img, _ = _exact_radicals(aa, n)
+                # as _exact_radicals, but rad_in once for every n
+                if rad_in is None:
+                    rad_in = radical_abc(aa)
+                rad_img = radical_abc(theta(aa, n).output)
                 rad_q = radical(4 * s_val)
             except FactorizationFailure as exc:
                 tally.inconclusive(1, aa, params, exc)
@@ -825,16 +940,18 @@ def _totient_exponent(N: int) -> int:
 
 def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, tuple]:
     """The kernel and consts of plan's checks over corpus: the sieve lane where it applies."""
+    ks = {k for n in plan.n_grid for k in _piece_ks(n)}
     sieve_lane = (
         isinstance(corpus, CorpusSpec)  # only a CorpusSpec comes in c-ranges to sieve
-        # a size guard on the tables and root-sieve passes: the values sieved,
-        # x**2 + y**2 < 2 * max_c**2, are far inside int64
         and corpus.max_c <= _VECTOR_MAX_C
-        and set(plan.n_grid) <= {2, 4}  # the image radicals the sieve knows
+        and ks <= _FORMS.keys()  # the image radicals the sieve knows: n in {2, 4, 6}
     )
     if not sieve_lane:
         return _k_scalar, (plan,)
-    _radical_tables(corpus.max_c)  # build in the parent so workers share pages
+    # build in the parent so workers share pages
+    _radical_tables(corpus.max_c)
+    for k in ks:
+        _piece_table(k, corpus.max_c)
     return _k_vector, (corpus.max_c, plan)
 
 
@@ -852,9 +969,9 @@ def verify_lemma1(
 
     For every (solution, n, eps): the image merit at eps_out must be
     at least c_lin * f(solution, eps) + c_off, within tolerance.  A
-    CorpusSpec with n in {2, 4} takes the sieve lane, any other corpus
-    the scalar lane; both judge the same formula, and near ties and
-    float failures are rechecked with it at 160 bits.
+    CorpusSpec with every n in {2, 4, 6} takes the sieve lane, any other
+    corpus the scalar lane; both judge the same formula, and near ties
+    and float failures are rechecked with it at 160 bits.
     """
     n_grid = _validated_grid(n_grid, int, _require_exponent)
     eps_grid = _validated_grid(eps_grid, float, _require_positive)
@@ -932,7 +1049,8 @@ def verify_reduction_chain(
     rearranged: the input merit is at most lifted = (f(image, eps_out)
     - c_off) / c_lin, and lifted is at most derived_full_bound(N, eps,
     assumed_constant).  The lanes are lemma1's: the sieve lane takes a
-    CorpusSpec when n is 2 or 4 (N in {3, 4, 5, 6, 8, 10, 12}).
+    CorpusSpec when n is 2, 4 or 6 (N in {3, 4, 5, 6, 7, 8, 9, 10, 12,
+    14, 18}).
     """
     n = _totient_exponent(N)
     bound = derived_full_bound(N, eps, assumed_constant)  # NonpositiveEpsilon for eps <= 0

@@ -376,8 +376,9 @@ def test_internal_error_exit_4(capsys, monkeypatch, fault):
         raise InternalInexactDivision("injected")
 
     monkeypatch.setattr(harness, "_cyclotomic_pieces", pieces)
+    # totient(16) = 8, so the chain takes the scalar lane, which factors the pieces
     code, out, err = run_cli(
-        capsys, "verify", "chain", "--max-c", "20", "--N", "7", "--eps", "1", "--C", "10"
+        capsys, "verify", "chain", "--max-c", "20", "--N", "16", "--eps", "1", "--C", "10"
     )
     assert code == 4
     assert out == ""

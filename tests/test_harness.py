@@ -16,14 +16,14 @@ from congabc.harness import (
     HypothesisViolated,
     SuiteSummary,
     _block_grid,
-    _lograd_odd_sum_squares,
+    _lograd_piece,
     search_quality,
     verify_lemma1,
     verify_lemma2,
     verify_proof_identities,
     verify_reduction_chain,
 )
-from congabc.numtheory import FactorizationFailure, radical, totient, valuation2
+from congabc.numtheory import FactorizationFailure, factorize, radical, totient, valuation2
 from congabc.theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -217,7 +217,7 @@ def test_spec_corpus_size_and_hash_match_the_spec(workers):
 ])
 def test_sum_squares_root_sieve_matches_factorization(c_lo, c_hi, congruence, max_c):
     c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
-    got = _lograd_odd_sum_squares(c_arr - s_arr, s_arr, grid, max_c)
+    got = _lograd_piece(4, c_arr - s_arr, s_arr, grid, max_c)
     pairs = list(zip(c_arr.tolist(), s_arr.tolist()))
     assert len(got) == len(pairs) > 0
     if congruence == 7:
@@ -226,6 +226,65 @@ def test_sum_squares_root_sieve_matches_factorization(c_lo, c_hi, congruence, ma
     for (c, s), value in zip(pairs, got.tolist()):
         t = (c - s) ** 2 + s**2
         assert value == pytest.approx(math.log(radical(t >> valuation2(t))), abs=1e-12)
+
+
+def _piece_value(k, c, s):
+    """Phi_k(c, d) for k = 3 or 6 and d = c - 2s, with every factor 2 and 3 divided out."""
+    d = c - 2 * s
+    t = c * c + (c * d if k == 3 else -c * d) + d * d
+    for q in (2, 3):
+        while t % q == 0:
+            t //= q
+    return t
+
+
+@pytest.mark.parametrize("k", [3, 6])
+@pytest.mark.parametrize("c_lo, c_hi, congruence, max_c", [
+    (3, 60, 1, 60),           # the first rows, where a prime p up to sqrt(3)*c has p > c
+    (1500, 1600, 1, 10_000),  # a block that does not start at c = 3
+    (3, 400, 7, 400),         # a congruence-restricted block
+])
+def test_cube_root_sieve_matches_factorization(k, c_lo, c_hi, congruence, max_c):
+    # Phi_3 = 3x**2 + y**2 and Phi_6 = x**2 + 3y**2 at n = 6, against factorize
+    c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
+    got = _lograd_piece(k, c_arr - s_arr, s_arr, grid, max_c)
+    pairs = list(zip(c_arr.tolist(), s_arr.tolist()))
+    assert len(got) == len(pairs) > 0
+    if c_lo == 3 and congruence == 1:
+        assert (7, 3) in pairs  # 3 | y: Phi_3 = 57 = 3 * 19, Phi_6 = 43
+        assert _piece_value(3, 5, 1) == 7**2  # c < p = 7 < sqrt(3) * c
+        assert _piece_value(3, 33, 13) == 37**2  # c < p = 37 < sqrt(3) * c
+        assert {(5, 1), (33, 13)} <= set(pairs)
+    for (c, s), value in zip(pairs, got.tolist()):
+        want = math.log(math.prod(p for p, _ in factorize(_piece_value(k, c, s)).factors))
+        assert value == pytest.approx(want, abs=1e-12), (c, s)
+
+
+@pytest.mark.parametrize("n_grid, kernel", [
+    ([2], "_k_vector"), ([4], "_k_vector"), ([6], "_k_vector"), ([2, 4, 6], "_k_vector"),
+    ([8], "_k_scalar"), ([2, 8], "_k_scalar"), ([12], "_k_scalar"),
+])
+def test_plan_kernel_takes_the_sieve_lane_at_n_2_4_6(n_grid, kernel):
+    plan = harness._Plan(tuple(n_grid), (1.0,), None)
+    assert harness._plan_kernel(plan, CorpusSpec(max_c=100))[0] is getattr(harness, kernel)
+    assert harness._plan_kernel(plan, list(CorpusSpec(max_c=10)))[0] is harness._k_scalar
+
+
+@pytest.mark.parametrize("congruence", [1, 7])
+def test_lemma1_lane_agreement_at_n6(congruence):
+    spec = CorpusSpec(max_c=300, congruence=congruence)
+    listed = list(spec)
+    for kw in ({}, dict(tolerance=-6.0, max_counterexamples=10**6)):
+        fast = verify_lemma1(spec, [6], [0.5, 1.0], **kw)
+        slow = verify_lemma1(listed, [6], [0.5, 1.0], **kw)
+        assert fast.checks == slow.checks == 2 * len(listed)
+        assert (fast.passes, fast.failures) == (slow.passes, slow.failures)
+        assert fast.inconclusives == slow.inconclusives == 0
+        assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
+        assert fast.extremal.triple == slow.extremal.triple
+        assert fast.extremal.params == slow.extremal.params
+        assert _verdict_keys(fast.counterexamples) == _verdict_keys(slow.counterexamples)
+    assert fast.failures > 0
 
 
 def test_lemma1_worker_count_is_invisible():
@@ -393,9 +452,10 @@ def _small_blocks(monkeypatch, slots):
     monkeypatch.setattr(harness, "_TRIPLE_BLOCK", slots)
 
 
-@pytest.mark.parametrize("N, eps", [(3, 1.0), (5, 0.5), (8, 1.0), (12, 2.0)])
+@pytest.mark.parametrize("N, eps", [(3, 1.0), (5, 0.5), (8, 1.0), (12, 2.0),
+                                    (7, 1.0), (9, 0.5), (14, 1.0), (18, 2.0)])
 def test_chain_lane_agreement(monkeypatch, N, eps):
-    # totient(N) is 2 or 4: a spec corpus takes the sieve lane, the same
+    # totient(N) is 2, 4 or 6: a spec corpus takes the sieve lane, the same
     # solutions as a list the scalar lane
     _small_blocks(monkeypatch, 1000)
     spec = CorpusSpec(max_c=100)
@@ -431,8 +491,7 @@ def test_chain_names_the_first_violated_hypothesis(monkeypatch, workers, N, cong
                                                    assumed_constant):
     # image merits above the assumed constant in several blocks; the first
     # in corpus order, neither its block's first solution nor its largest
-    # merit, is named on the sieve lane (spec, N = 5) and the scalar lane
-    # (list, and spec at N = 7)
+    # merit, is named on the sieve lane (spec) and the scalar lane (list)
     _small_blocks(monkeypatch, 200)
     spec = CorpusSpec(max_c=60, congruence=congruence)
     eps_out = lemma_constants(totient(N), 1.0).eps_out
@@ -745,7 +804,7 @@ def _drop_last_piece(monkeypatch):
 
 @pytest.mark.parametrize("corpus, n_grid", [
     ([make_solution(-1, -2, 3), make_solution(-1, -4, 5)], [2, 4]),
-    (CorpusSpec(max_c=30), [6]),
+    (CorpusSpec(max_c=30), [8]),  # n = 8 on a spec: the scalar lane
 ])
 def test_lemma1_audit_catches_a_dropped_piece(monkeypatch, corpus, n_grid):
     _drop_last_piece(monkeypatch)
@@ -771,7 +830,79 @@ def test_chain_audit_catches_a_dropped_piece(monkeypatch, workers):
     assert len(harness._blocks(CorpusSpec(max_c=60), harness._k_scalar)[0]) > 3
     _drop_last_piece(monkeypatch)
     with pytest.raises(harness.InternalRadicalMismatch):
-        verify_reduction_chain(CorpusSpec(max_c=60), 7, 1.0, 10.0, workers=workers)
+        # totient(16) = 8: the scalar lane
+        verify_reduction_chain(CorpusSpec(max_c=60), 16, 1.0, 10.0, workers=workers)
+
+
+def _drop_a_square_prime_of_an_audited_row(monkeypatch, spec):
+    # dropped from the Phi_3 table, a prime of a piece to the first power is
+    # left in the cofactor, whose log is the same sum; its square makes the
+    # cofactor p**2 and counts ln p twice, which the audit must see
+    squares = set()
+    for idx, source in enumerate(harness._blocks(spec, harness._k_vector)[0]):
+        c_arr, s_arr, _ = _block_grid(*source)
+        for i in harness._audit_rows(idx, len(c_arr)):
+            t = _piece_value(3, int(c_arr[i]), int(s_arr[i]))
+            squares |= {p for p, e in factorize(t).factors if e > 1}
+    assert squares
+    drop = min(squares)
+    real = harness._piece_table
+
+    def table(k, max_c):
+        primes, logp, roots = real(k, max_c)
+        keep = primes != (drop if k == 3 else 0)
+        return primes[keep], logp[keep], roots[keep]
+
+    monkeypatch.setattr(harness, "_piece_table", table)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sieve_lane_audit_catches_a_dropped_prime(monkeypatch, capsys, workers):
+    from congabc.cli import main
+
+    _small_blocks(monkeypatch, 200)
+    spec = CorpusSpec(max_c=60)
+    assert len(harness._blocks(spec, harness._k_vector)[0]) > 3
+    assert verify_lemma1(spec, [6], [1.0], workers=workers).ok
+    _drop_a_square_prime_of_an_audited_row(monkeypatch, spec)
+    with pytest.raises(harness.InternalRadicalMismatch, match="the sieve gives"):
+        verify_lemma1(spec, [2, 6], [1.0], workers=workers)
+    code = main(["verify", "chain", "--max-c", "60", "--N", "7", "--eps", "1", "--C", "10",
+                 "--workers", str(workers)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
+
+
+@pytest.mark.parametrize("suite, inconclusives, params", [
+    (lambda spec, **kw: verify_lemma1(spec, [2, 6], [0.5, 1.0], **kw), 4,
+     [{"n": 2}, {"n": 6}]),
+    (lambda spec, **kw: verify_reduction_chain(spec, 9, 1.0, 10.0, **kw), 2,
+     [{"N": 9, "eps": 1.0}]),
+])
+def test_sieve_lane_audit_that_gives_up_is_inconclusive(monkeypatch, suite, inconclusives,
+                                                        params):
+    # the oracle of one audited row gives up: that row's checks at each n are
+    # inconclusive, never passed, and every other row is judged as before
+    spec = CorpusSpec(max_c=60)
+    clean = suite(spec)
+    c_arr, s_arr, _ = _block_grid(3, 60)
+    target = harness._pair(c_arr, s_arr, harness._audit_rows(0, len(c_arr))[0])
+    real = harness._exact_radicals
+
+    def exact(aa, n):
+        if aa == target:
+            raise FactorizationFailure(12345, 1)
+        return real(aa, n)
+
+    monkeypatch.setattr(harness, "_exact_radicals", exact)
+    s = suite(spec)
+    assert (s.checks, s.failures) == (clean.checks, 0)
+    assert (s.inconclusives, s.passes) == (inconclusives, clean.passes - inconclusives)
+    assert [(v.triple, v.params, v.inconclusive) for v in s.inconclusive_examples] == [
+        (target, p, True) for p in params
+    ]
+    assert "12345" in s.inconclusive_examples[0].note
 
 
 _P, _Q = 100_003, 100_019  # primes: |a|, |b|, c and dd stay below 10**10, |a*b| does not
