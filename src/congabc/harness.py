@@ -26,10 +26,13 @@ from sieve tables and the piece sieve (_lograd_piece: the primes of the
 cyclotomic pieces Phi_3, Phi_4 and Phi_6 by their roots); the scalar
 lane takes them one solution at a time from _Radicals, which factors
 the pieces of the image, not the image.  Both lanes judge the arrays of
-logs with the same code.  The full image, through theta and radical, is
-the independent oracle: the 160-bit rechecks and the identities' radical
-bound use it, the scalar lane audits the first solution of every block
-against it at every n, and the sieve lane _AUDIT_ROWS seeded positions.
+logs with the same code.  The full image, through theta, is the
+independent oracle: the 160-bit rechecks and the identities' radical
+bound factor it, and the scalar lane audits the first solution of every
+block against its radical at every n.  The sieve lane audits
+_AUDIT_ROWS seeded positions of every block at every n against it too,
+but by trial division and exact division (_sieve_oracle), so the sieve
+lane never calls numtheory's factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, sized for the suite's kernel, never
@@ -77,8 +80,8 @@ _LN2 = math.log(2.0)
 # passes (primes up to sqrt(3) * max_c); the values sieved, below 3 * max_c**2,
 # are far inside int64
 _VECTOR_MAX_C = 50_000
-# rows per block and n that the sieve lane checks against the full image: a
-# handful of _exact_radicals calls, well under 1% of a block's time
+# rows per block that the sieve lane checks against the full image at every n:
+# a handful of _sieve_oracle calls, well under 1% of a block's time
 _AUDIT_ROWS = 8
 # the sieve lane's logs are sums of a dozen or so logs below 30, off by about
 # 1e-13 in float64; a prime missed or counted twice moves a log by at least ln 2
@@ -246,13 +249,21 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     s_arr = np.arange(len(c_arr), dtype=np.int64) - np.repeat(starts, reps) + 1
     # gcd(s, c) > 1 exactly when s = 0 mod a prime p of c, and such an s < c/2
     # has p <= c/2: the multiples of p in the rows of its multiples
-    primes = _prime_array(c_hi // 2)
+    primes = _primes_to(c_hi // 2)
     row, col = np.nonzero(cs[:, None] % primes == 0)
     keep = np.ones(len(c_arr), dtype=bool)
     keep[_progressions(starts[row], reps[row], primes[col], primes[col])] = False
     if congruence > 1:
         keep &= _congruence_mask(c_arr, s_arr, congruence)
     return c_arr[keep], s_arr[keep], (cs, reps, starts, keep)
+
+
+def _primes_to(limit: int) -> np.ndarray:
+    """The primes up to limit, a view of the cached _prime_array of the next
+    power of two, so that the cache holds one array per doubling of limit
+    rather than one per block."""
+    primes = _prime_array(1 << limit.bit_length())
+    return primes[:int(np.searchsorted(primes, limit, side="right"))]
 
 
 def _progressions(starts, reps, s0, p) -> np.ndarray:
@@ -369,14 +380,18 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
 
 # ---------------------------------------------------------------------------
 # the independent oracle, the full image through theta: for the identities'
-# radical bound, the 160-bit rechecks and the per-block audit
+# radical bound, the 160-bit rechecks and the per-block audits
+
+
+def _image_radical(aa: ABCSolution, n: int) -> tuple[int, int]:
+    """(rad of the image product, image c) exactly."""
+    img = theta(aa, n).output
+    return radical_abc(img), img.c
 
 
 def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
     """(rad of |a*b*c|, rad of the image product, image c) exactly."""
-    rad_in = radical_abc(aa)
-    img = theta(aa, n).output
-    return rad_in, radical_abc(img), img.c
+    return radical_abc(aa), *_image_radical(aa, n)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +419,25 @@ def _cyclotomic_pieces(c: int, dd: int, n: int) -> list[int]:
     return [v for k, v in phi.items() if k > 2]
 
 
+def _factor_primes(v: int) -> frozenset[int]:
+    """The primes of v > 0, from factorize; FactorizationFailure propagates."""
+    return frozenset(p for p, _ in factorize(v).factors)
+
+
+def _trial_primes(v: int) -> frozenset[int]:
+    """The primes of v > 0 by trial division by every prime up to isqrt(v):
+    what is left is 1 or a prime.  Never gives up; for the sieve lane's
+    numbers, below 3 * _VECTOR_MAX_C**2, the primes tried are below 2**17."""
+    found = _primes_to(math.isqrt(v))
+    found = found[v % found == 0].tolist()
+    for p in found:
+        while v % p == 0:
+            v //= p
+    if v > 1:
+        found.append(v)
+    return frozenset(found)
+
+
 class _Radicals:
     """rad(|a*b*c|) of one solution and the exact radicals of its images.
 
@@ -417,18 +451,20 @@ class _Radicals:
 
     as a union of prime sets, since the Phi_k can share primes dividing
     n.  A Phi_k has about c**phi(k) digits where the image has c**n.
-    Each piece is factored once per solution, shared by every n and eps
-    and by rad_in; FactorizationFailure propagates.
+    Each piece is factored once per solution by primes (factorize by
+    default, whose FactorizationFailure propagates), shared by every n
+    and eps and by rad_in.
     """
 
-    def __init__(self, aa: ABCSolution):
+    def __init__(self, aa: ABCSolution, primes: Callable[[int], frozenset[int]] = _factor_primes):
         self.aa = aa
+        self._factor = primes
         self._known: dict[int, frozenset[int]] = {}
         self.rad_in = math.prod(self._primes(-aa.a) | self._primes(-aa.b) | self._primes(aa.c))
 
     def _primes(self, v: int) -> frozenset[int]:
         if v not in self._known:
-            self._known[v] = frozenset(p for p, _ in factorize(v).factors)
+            self._known[v] = self._factor(v)
         return self._known[v]
 
     def image(self, n: int, audit: bool = False) -> tuple[int, int]:
@@ -660,31 +696,52 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
 def _audit_rows(block_idx: int, size: int) -> list[int]:
     """The block positions the sieve lane audits: a sample drawn by a generator
     seeded from the block index alone, so it does not depend on the workers.
-    (random, not numpy.random: importing that adds about 6 MB to a run's RSS.)"""
+    (random, not numpy.random: importing that adds about 2 MB to a run's RSS.)"""
     return sorted(random.Random(block_idx).sample(range(size), min(size, _AUDIT_ROWS)))
 
 
-def _audit_logs(logs: tuple, n: int, rows: list[int], solution) -> list[tuple]:
+def _sieve_oracle(rads: _Radicals, n: int) -> tuple[int, int, int]:
+    """(rad of |a*b*c|, rad of the image product, image c) of a sieve-lane
+    solution exactly, as _exact_radicals, from rads built on _trial_primes;
+    InternalRadicalMismatch unless they are those of the full image.
+
+    x, y, c, d and the pieces of a sieve-lane solution are below
+    3 * max_c**2, so trial division factors them, never giving up and
+    without numtheory's factorize.  The image radical R from the pieces is then checked
+    against the full image M = |A*B*C| from theta by exact division: R is
+    a product of distinct primes, so R | M and M reduced to 1 by dividing
+    out gcd(M, R) make R = rad(M).
+    """
+    aa = rads.aa
+    c_img, rad_img = rads.image(n)
+    img = theta(aa, n).output
+    m = abs(img.a * img.b * img.c)
+    ok = img.c == c_img and m % rad_img == 0
+    while ok and m > 1:
+        g = math.gcd(m, rad_img)
+        ok = g > 1
+        m //= g
+    if not ok:
+        raise InternalRadicalMismatch(
+            f"{aa} at n={n}: the pieces give (image c, image rad) = {(c_img, rad_img)}, "
+            f"not those of the full image {img}"
+        )
+    return rads.rad_in, rad_img, c_img
+
+
+def _audit_logs(logs: tuple, n: int, audited: dict[int, _Radicals]) -> None:
     """Compare the sieve lane's logs of rad_in, image c and image rad at the
-    given rows with those of the full image (_exact_radicals), the independent
-    oracle: a difference above _AUDIT_TOL raises InternalRadicalMismatch.
-    Returns (row, FactorizationFailure) for each row whose oracle gave up."""
-    gave_up = []
-    for i in rows:
-        aa = solution(i)
-        try:
-            rad_in, rad_img, c_img = _exact_radicals(aa, n)
-        except FactorizationFailure as exc:
-            gave_up.append((i, exc))
-            continue
+    audited block positions with those of _sieve_oracle, the full image: a
+    difference above _AUDIT_TOL raises InternalRadicalMismatch."""
+    for i, rads in audited.items():
+        rad_in, rad_img, c_img = _sieve_oracle(rads, n)
         got = tuple(float(x[i]) for x in logs[1:])
         want = tuple(map(math.log, (rad_in, c_img, rad_img)))
         if any(abs(g - w) > _AUDIT_TOL for g, w in zip(got, want)):
             raise InternalRadicalMismatch(
-                f"{aa} at n={n}: the sieve gives the logs of (rad, image c, image rad) "
+                f"{rads.aa} at n={n}: the sieve gives the logs of (rad, image c, image rad) "
                 f"{got}, the full image {want}"
             )
-    return gave_up
 
 
 def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) -> None:
@@ -692,8 +749,7 @@ def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) ->
 
     The image radical at n is 2 * (odd primes of d, c, x, y) times the primes
     above 3 of the pieces q_k, k | n (see _Radicals and _lograd_piece).  The
-    rows of _audit_rows are checked against the full image at every n; a row
-    whose oracle gives up has that n's checks inconclusive, never passed.
+    rows of _audit_rows are checked against the full image at every n.
     """
     lograd, lograd_odd = _radical_tables(max_c)
     c_arr, s_arr, grid = _block_grid(*source)
@@ -709,22 +765,15 @@ def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) ->
               for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
     even = (c_arr & 1) == 0
     solution = functools.partial(_pair, c_arr, s_arr)
-    audited = _audit_rows(block_idx, len(c_arr))
-    per_n = len(plan.eps_grid) * len(plan.labels)
+    audited = {i: _Radicals(solution(i), _trial_primes)
+               for i in _audit_rows(block_idx, len(c_arr))}
     for ni, n in enumerate(plan.n_grid):
         lnrad_img = _LN2 + base_odd
         for k in _piece_ks(n):
             lnrad_img += pieces[k]
         logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img)
-        where = range(len(c_arr))
-        gave_up = _audit_logs(logs, n, audited, solution)
-        if gave_up:
-            for i, exc in gave_up:
-                # lemma1 names the n whose image failed, the chain has one n
-                tally.inconclusive(per_n, solution(i), plan.context or {"n": n}, exc)
-            where = np.delete(np.arange(len(c_arr)), [i for i, _ in gave_up])
-            logs = tuple(x[where] for x in logs)
-        _judge_rows(tally, plan, block_idx, ni, logs, where, solution)
+        _audit_logs(logs, n, audited)
+        _judge_rows(tally, plan, block_idx, ni, logs, range(len(c_arr)), solution)
 
 
 def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
@@ -817,10 +866,9 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
                 continue
             params = {"n": n, "check": "radical-log-bound"}
             try:
-                # as _exact_radicals, but rad_in once for every n
                 if rad_in is None:
                     rad_in = radical_abc(aa)
-                rad_img = radical_abc(theta(aa, n).output)
+                rad_img = _image_radical(aa, n)[0]
                 rad_q = radical(4 * s_val)
             except FactorizationFailure as exc:
                 tally.inconclusive(1, aa, params, exc)

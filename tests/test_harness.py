@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from congabc import harness
+from congabc import harness, numtheory
 from congabc.abc_core import ABCSolution, make_solution, merit, radical_abc
 from congabc.harness import (
     CorpusSpec,
@@ -486,12 +486,14 @@ def test_chain_lane_agreement(monkeypatch, N, eps):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("N, congruence, assumed_constant", [(5, 5, -0.5), (7, 1, 0.7)])
+@pytest.mark.parametrize("N, congruence, assumed_constant",
+                         [(5, 5, -0.5), (7, 1, 0.7), (16, 5, 0.3)])
 def test_chain_names_the_first_violated_hypothesis(monkeypatch, workers, N, congruence,
                                                    assumed_constant):
     # image merits above the assumed constant in several blocks; the first
     # in corpus order, neither its block's first solution nor its largest
-    # merit, is named on the sieve lane (spec) and the scalar lane (list)
+    # merit, is named for a spec (the sieve lane at N = 5 and 7, the scalar
+    # lane at N = 16) and for a list (the scalar lane)
     _small_blocks(monkeypatch, 200)
     spec = CorpusSpec(max_c=60, congruence=congruence)
     eps_out = lemma_constants(totient(N), 1.0).eps_out
@@ -514,6 +516,10 @@ _SUITES = {
         corpus, [2, 4], radical_scale=30, tolerance=-1.0, **kw),
     "chain": lambda corpus, **kw: verify_reduction_chain(corpus, 7, 1.0, 10.0, tolerance=-10.0,
                                                          **kw),
+    # totient(16) = 8: a spec on the scalar lane; below -14 the derived-bound
+    # check fails too, whose counterexamples follow a block's input-merit ones
+    "chain16": lambda corpus, **kw: verify_reduction_chain(corpus, 16, 1.0, 10.0,
+                                                           tolerance=-14.0, **kw),
 }
 
 
@@ -805,6 +811,7 @@ def _drop_last_piece(monkeypatch):
 @pytest.mark.parametrize("corpus, n_grid", [
     ([make_solution(-1, -2, 3), make_solution(-1, -4, 5)], [2, 4]),
     (CorpusSpec(max_c=30), [8]),  # n = 8 on a spec: the scalar lane
+    (CorpusSpec(max_c=30), [6]),  # the sieve lane, whose oracle takes the pieces too
 ])
 def test_lemma1_audit_catches_a_dropped_piece(monkeypatch, corpus, n_grid):
     _drop_last_piece(monkeypatch)
@@ -874,35 +881,43 @@ def test_sieve_lane_audit_catches_a_dropped_prime(monkeypatch, capsys, workers):
     assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
 
 
-@pytest.mark.parametrize("suite, inconclusives, params", [
-    (lambda spec, **kw: verify_lemma1(spec, [2, 6], [0.5, 1.0], **kw), 4,
-     [{"n": 2}, {"n": 6}]),
-    (lambda spec, **kw: verify_reduction_chain(spec, 9, 1.0, 10.0, **kw), 2,
-     [{"N": 9, "eps": 1.0}]),
-])
-def test_sieve_lane_audit_that_gives_up_is_inconclusive(monkeypatch, suite, inconclusives,
-                                                        params):
-    # the oracle of one audited row gives up: that row's checks at each n are
-    # inconclusive, never passed, and every other row is judged as before
-    spec = CorpusSpec(max_c=60)
-    clean = suite(spec)
-    c_arr, s_arr, _ = _block_grid(3, 60)
-    target = harness._pair(c_arr, s_arr, harness._audit_rows(0, len(c_arr))[0])
-    real = harness._exact_radicals
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sieve_lane_never_factorizes(monkeypatch, workers):
+    # its audit included: every number of the lane is below 3 * max_c**2 and
+    # goes to trial division, so factorize, and its budget, never matter
+    real = numtheory.factorize
 
-    def exact(aa, n):
-        if aa == target:
-            raise FactorizationFailure(12345, 1)
-        return real(aa, n)
+    def refuse(n, *args, **kwargs):
+        if n == 9:  # totient(N) of the chain at N = 9, a parameter
+            return real(n, *args, **kwargs)
+        raise AssertionError(f"factorize({n}) on the sieve lane")
 
-    monkeypatch.setattr(harness, "_exact_radicals", exact)
-    s = suite(spec)
-    assert (s.checks, s.failures) == (clean.checks, 0)
-    assert (s.inconclusives, s.passes) == (inconclusives, clean.passes - inconclusives)
-    assert [(v.triple, v.params, v.inconclusive) for v in s.inconclusive_examples] == [
-        (target, p, True) for p in params
-    ]
-    assert "12345" in s.inconclusive_examples[0].note
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    monkeypatch.setattr(harness, "factorize", refuse)
+    _small_blocks(monkeypatch, 2000)
+    spec = CorpusSpec(max_c=200, congruence=7)
+    assert len(harness._blocks(spec, harness._k_vector)[0]) > 3
+    assert verify_lemma1(spec, [2, 4, 6], [0.5, 1.0], workers=workers).ok
+    assert verify_reduction_chain(spec, 9, 1.0, 10.0, workers=workers).ok
+
+
+def test_sieve_oracle_is_the_full_image(monkeypatch):
+    for aa in CorpusSpec(60):
+        rads = harness._Radicals(aa, harness._trial_primes)
+        for n in (2, 4, 6):
+            assert harness._sieve_oracle(rads, n) == harness._exact_radicals(aa, n)
+    # a piece left out: its primes are missing from the full image's
+    _drop_last_piece(monkeypatch)
+    rads = harness._Radicals(make_solution(-4, -3, 7), harness._trial_primes)
+    assert rads.image(6)[1] == 2 * 3 * 7 * 19  # Phi_3(7, 1) = 3 * 19, Phi_6(7, 1) = 43 dropped
+    with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
+        harness._sieve_oracle(rads, 6)
+
+
+def test_trial_primes_matches_factorization():
+    # up to 3 * _VECTOR_MAX_C**2, the lane's largest piece
+    for v in [1, 2, 97, 2**10, 3 * 7**2 * 37**2, 86_599**2, 7_499_999_999, 7_500_000_001]:
+        assert harness._trial_primes(v) == {p for p, _ in factorize(v).factors}, v
 
 
 _P, _Q = 100_003, 100_019  # primes: |a|, |b|, c and dd stay below 10**10, |a*b| does not
