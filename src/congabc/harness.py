@@ -27,9 +27,10 @@ cyclotomic pieces Phi_3, Phi_4 and Phi_6 by their roots); the scalar
 lane takes them one solution at a time from _Radicals, which factors
 the pieces of the image, not the image.  Both lanes judge the arrays of
 logs with the same code.  The full image, through theta, is the
-independent oracle: the 160-bit rechecks and the identities' radical
-bound factor it, and the scalar lane audits the first solution of every
-block against its radical at every n.  The sieve lane audits
+independent oracle: the 160-bit rechecks factor it, the identities'
+radical bound proves its radical by exact division (_is_radical), and
+the scalar lane audits the first solution of every block against its
+radical at every n.  The sieve lane audits
 _AUDIT_ROWS seeded positions of every block at every n against it too,
 but by trial division and exact division (_sieve_oracle), so the sieve
 lane never calls numtheory's factorize.
@@ -42,6 +43,7 @@ summaries are reproducible bit-for-bit regardless of parallelism.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import hashlib
@@ -379,19 +381,21 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
 
 
 # ---------------------------------------------------------------------------
-# the independent oracle, the full image through theta: for the identities'
-# radical bound, the 160-bit rechecks and the per-block audits
-
-
-def _image_radical(aa: ABCSolution, n: int) -> tuple[int, int]:
-    """(rad of the image product, image c) exactly."""
-    img = theta(aa, n).output
-    return radical_abc(img), img.c
+# the independent oracle, the full image through theta: for the 160-bit
+# rechecks, the per-block audits and the identities' radical bound
 
 
 def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
     """(rad of |a*b*c|, rad of the image product, image c) exactly."""
-    return radical_abc(aa), *_image_radical(aa, n)
+    img = theta(aa, n).output
+    return radical_abc(aa), radical_abc(img), img.c
+
+
+def _is_radical(r: int, m: int) -> bool:
+    """Whether r, a product of distinct primes, is rad(m) for m >= 1, by exact
+    division alone: r | m puts every prime of r in m, and m | r**e with
+    e = m.bit_length() every prime of m in r, since none divides m e times."""
+    return m % r == 0 and pow(r, m.bit_length(), m) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +502,13 @@ class _Radicals:
 class _Tally:
     """One block's counts, capped examples and best verdict.
 
-    best is (key, verdict) with the smallest key (slack, block_idx,
-    local, combo) seen, so the extremal verdict does not depend on how
-    the blocks were spread over workers.
+    Every example comes with its key where = (block_idx, local, check):
+    its block, its position there and the index of its check.  The
+    examples kept are the cap with the smallest keys, in key order, so
+    corpus order, however the checks of a block were visited and however
+    the corpus was cut into blocks.  best is (key, verdict) with the
+    smallest key (slack, *where) seen, so the extremal verdict does not
+    depend on how the blocks were spread over workers.
     """
 
     cap: int
@@ -519,19 +527,24 @@ class _Tally:
         self.checks += k
         self.passes += k
 
-    def failed(self, aa, params, lhs=0.0, rhs=0.0, slack=0.0, witness=None) -> None:
+    def _keep(self, examples: list, where: tuple, verdict: Callable[[], LemmaVerdict]) -> None:
+        """Put (where, verdict()) into examples if where is among the cap smallest."""
+        if len(examples) < self.cap or examples and where < examples[-1][0]:
+            bisect.insort(examples, (where, verdict()), key=operator.itemgetter(0))
+            del examples[self.cap:]
+
+    def failed(self, where: tuple, aa, params, lhs=0.0, rhs=0.0, slack=0.0, witness=None) -> None:
         self.checks += 1
         self.failures += 1
-        if len(self.counterexamples) < self.cap:
-            self.counterexamples.append(LemmaVerdict(aa, params, lhs, rhs, slack, False, witness))
+        self._keep(self.counterexamples, where,
+                   lambda: LemmaVerdict(aa, params, lhs, rhs, slack, False, witness))
 
-    def inconclusive(self, k: int, aa, params, exc: FactorizationFailure) -> None:
+    def inconclusive(self, where: tuple, k: int, aa, params, exc: FactorizationFailure) -> None:
+        """Count k checks inconclusive, one example for them all under where."""
         self.checks += k
         self.inconclusives += k
-        if len(self.inconclusive_examples) < self.cap:
-            self.inconclusive_examples.append(
-                LemmaVerdict(aa, params, 0.0, 0.0, 0.0, False, inconclusive=True, note=str(exc))
-            )
+        self._keep(self.inconclusive_examples, where, lambda: LemmaVerdict(
+            aa, params, 0.0, 0.0, 0.0, False, inconclusive=True, note=str(exc)))
 
     def offer(self, key: tuple, verdict) -> None:
         """Keep verdict() as the best if key is the smallest so far."""
@@ -551,7 +564,7 @@ class _Tally:
             try:
                 hp = recheck()
             except FactorizationFailure as exc:
-                self.inconclusive(1, aa, params, exc)
+                self.inconclusive(where, 1, aa, params, exc)
                 return math.inf
             passed, slack = bool(hp >= -self.tolerance), float(hp)
         else:
@@ -559,12 +572,12 @@ class _Tally:
         if passed:
             self.passed()
         else:
-            self.failed(aa, params, lhs, rhs, slack)
+            self.failed(where, aa, params, lhs, rhs, slack)
         self.offer((slack, *where), lambda: LemmaVerdict(aa, params, lhs, rhs, slack, passed))
         return slack
 
     def absorb(self, later: "_Tally") -> None:
-        """Fold in the tally of a later block."""
+        """Fold in the tally of a later block, whose keys are all larger."""
         self.triples += later.triples
         self.checks += later.checks
         self.passes += later.passes
@@ -707,21 +720,14 @@ def _sieve_oracle(rads: _Radicals, n: int) -> tuple[int, int, int]:
 
     x, y, c, d and the pieces of a sieve-lane solution are below
     3 * max_c**2, so trial division factors them, never giving up and
-    without numtheory's factorize.  The image radical R from the pieces is then checked
-    against the full image M = |A*B*C| from theta by exact division: R is
-    a product of distinct primes, so R | M and M reduced to 1 by dividing
-    out gcd(M, R) make R = rad(M).
+    without numtheory's factorize.  The image radical from the pieces, a
+    product of distinct primes, is then proved to be that of the full image
+    |A*B*C| from theta by exact division (_is_radical).
     """
     aa = rads.aa
     c_img, rad_img = rads.image(n)
     img = theta(aa, n).output
-    m = abs(img.a * img.b * img.c)
-    ok = img.c == c_img and m % rad_img == 0
-    while ok and m > 1:
-        g = math.gcd(m, rad_img)
-        ok = g > 1
-        m //= g
-    if not ok:
+    if img.c != c_img or not _is_radical(rad_img, abs(img.a * img.b * img.c)):
         raise InternalRadicalMismatch(
             f"{aa} at n={n}: the pieces give (image c, image rad) = {(c_img, rad_img)}, "
             f"not those of the full image {img}"
@@ -786,15 +792,17 @@ def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
         try:
             rads = _Radicals(aa)
         except FactorizationFailure as exc:
-            tally.inconclusive(len(plan.n_grid) * per_n, aa, plan.context, exc)
+            tally.inconclusive((block_idx, local, 0), len(plan.n_grid) * per_n, aa,
+                               plan.context, exc)
             continue
-        for n, at_n in zip(plan.n_grid, rows):
+        for ni, (n, at_n) in enumerate(zip(plan.n_grid, rows)):
             try:
                 # the block's first solution is audited against the full image
                 c_img, rad_img = rads.image(n, audit=local == 0)
             except FactorizationFailure as exc:
                 # lemma1 names the n whose image failed, the chain has one n
-                tally.inconclusive(per_n, aa, plan.context or {"n": n}, exc)
+                tally.inconclusive((block_idx, local, ni * per_n), per_n, aa,
+                                   plan.context or {"n": n}, exc)
                 continue
             at_n.extend((local, math.log(aa.c), math.log(rads.rad_in),
                          math.log(c_img), math.log(rad_img)))
@@ -827,62 +835,95 @@ def _k_lemma2(tally: _Tally, source, block_idx: int, N: int, n: int) -> None:
     tally.triples = len(witness)
     tally.passed(len(witness) - len(bad))
     for i in bad.tolist():
-        tally.failed(solution(i), {"N": N, "n": n}, witness=int(witness[i]))
+        tally.failed((block_idx, i), solution(i), {"N": N, "n": n}, witness=int(witness[i]))
 
 
-def _identity_sum(c: int, dd: int, n: int) -> int:
-    """sum of c**(n-2-2i) * dd**(2i) for 0 <= i < n/2 (exact)."""
+def _identity_sum(c, dd, n: int):
+    """sum of c**(n-2-2i) * dd**(2i) for 0 <= i < n/2 (exact), of ints or of
+    object arrays of ints."""
     return sum(c ** (n - 2 - 2 * i) * dd ** (2 * i) for i in range(n // 2))
+
+
+def _image_radical_candidate(rad_in: int, rad_d: int, rad_q: int) -> int:
+    """rad(|A*B*C|) of the image at n, from rad(|a*b*c|), rad(dd) and
+    rad(4 * S) with S = _identity_sum(c, dd, n): |A*B*C| is dd**n * (c**n -
+    dd**n) * c**n over a power of 2, with c**n - dd**n = 4ab * S (check (i)),
+    and 2 divides one component.  A candidate only, until _is_radical proves
+    it against the image."""
+    return math.lcm(rad_in, rad_d, rad_q)
 
 
 def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...],
                   radical_scale: int | None) -> None:
-    """The exact identities, and the radical bound up to radical_scale, over one block."""
+    """The exact identities, and the radical bound up to radical_scale, over one block.
+
+    Checks (i) and (ii) run on the whole block at once, over numpy object
+    arrays of Python ints, which never wrap.  Then the rows that failed one
+    of them or take check (iii) are visited in corpus order, each recording
+    its checks per n in the order (i), (ii), (iii).  Check (iii) factors
+    rad(|a*b*c|) and rad(dd) once per solution and 4 * S per n, and takes the
+    image radical from _image_radical_candidate where _is_radical proves it
+    against theta's image, else from factoring that image.
+    """
     count, solution = _block_solutions(source)
-    for local, aa in enumerate(map(solution, range(count))):
-        tally.triples += 1
-        c = aa.c
-        dd = abs(aa.a - aa.b)
-        ab = aa.a * aa.b  # positive
+    tally.triples = count
+    if isinstance(source, list):
+        a, b, c = np.array([(aa.a, aa.b, aa.c) for aa in source], dtype=object).T
+    else:
+        c_arr, s_arr, _ = _block_grid(*source)
+        c, s = c_arr.astype(object), s_arr.astype(object)
+        a, b = s - c, -s
+    dd = np.abs(a - b)
+    ab = a * b  # positive
+    per_n = []  # per n: the witnesses and verdicts of (i) and (ii), and S
+    clean = np.ones(count, dtype=bool)  # the rows that pass (i) and (ii) at every n
+    for n in n_grid:
+        power_diff = c**n - dd**n
+        s_val = _identity_sum(c, dd, n)
+        diff = power_diff - 4 * ab * s_val
+        margin = 2 * n * c ** (n - 2) - np.abs(power_diff // ab)
+        ok_i, ok_ii = diff == 0, (power_diff % ab == 0) & (margin >= 0)
+        tally.passed(int(ok_i.sum() + ok_ii.sum()))
+        clean &= ok_i & ok_ii
+        per_n.append((n, diff, ok_i, margin, ok_ii, s_val))
+    in_scale = np.ones(count, dtype=bool) if radical_scale is None else c <= radical_scale
+    for local in np.flatnonzero(in_scale | ~clean).tolist():
+        aa = solution(local)
         combo = 0
-        rad_in = None  # radical_abc(aa), at the first check (iii) that factors it
-        for n in n_grid:
-            cn = c**n
-            dn = dd**n
-            s_val = _identity_sum(c, dd, n)
-            diff = cn - dn - 4 * ab * s_val
-            if diff == 0:
-                tally.passed()
-            else:
-                tally.failed(aa, {"n": n, "check": "power-difference-identity"}, witness=diff)
-            quotient, rem = divmod(cn - dn, ab)
-            margin = 2 * n * c ** (n - 2) - abs(quotient)
-            if rem == 0 and margin >= 0:
-                tally.passed()
-            else:
-                tally.failed(aa, {"n": n, "check": "quotient-bound"}, witness=margin)
+        factored = None  # (rad_in, rad(dd)), at the first check (iii) that factors them
+        for n, diff, ok_i, margin, ok_ii, s_val in per_n:
+            if not ok_i[local]:
+                tally.failed((block_idx, local, combo), aa,
+                             {"n": n, "check": "power-difference-identity"}, witness=diff[local])
+            if not ok_ii[local]:
+                tally.failed((block_idx, local, combo + 1), aa,
+                             {"n": n, "check": "quotient-bound"}, witness=margin[local])
             combo += 2
-            if radical_scale is not None and c > radical_scale:
+            if not in_scale[local]:
                 continue
-            params = {"n": n, "check": "radical-log-bound"}
+            where, params = (block_idx, local, combo), {"n": n, "check": "radical-log-bound"}
             try:
-                if rad_in is None:
-                    rad_in = radical_abc(aa)
-                rad_img = _image_radical(aa, n)[0]
-                rad_q = radical(4 * s_val)
+                if factored is None:
+                    factored = radical_abc(aa), radical(dd[local])
+                rad_in, rad_d = factored
+                rad_q = radical(4 * s_val[local])
+                img = theta(aa, n).output
+                rad_img = _image_radical_candidate(rad_in, rad_d, rad_q)
+                if not _is_radical(rad_img, abs(img.a * img.b * img.c)):
+                    rad_img = radical_abc(img)
             except FactorizationFailure as exc:
-                tally.inconclusive(1, aa, params, exc)
+                tally.inconclusive(where, 1, aa, params, exc)
                 continue
 
             def sides(log):  # floats with math.log, and the recheck's 160 bits
-                return log(dd) + log(rad_in) + log(rad_q), log(rad_img)
+                return log(dd[local]) + log(rad_in) + log(rad_q), log(rad_img)
 
             def recheck():
                 with _at_160_bits() as mp:
                     return operator.sub(*sides(mp.log))
 
             lhs, rhs = sides(math.log)
-            tally.judge((block_idx, local, combo), lhs - rhs, recheck, aa, params, lhs, rhs)
+            tally.judge(where, lhs - rhs, recheck, aa, params, lhs, rhs)
             combo += 1
 
 
@@ -958,8 +999,8 @@ def _verify(suite: str, params: dict, corpus, kernel, consts: tuple, workers: in
         inconclusives=total.inconclusives,
         min_slack=best[1].slack if best else None,
         extremal=best[1] if best else None,
-        counterexamples=tuple(total.counterexamples),
-        inconclusive_examples=tuple(total.inconclusive_examples),
+        counterexamples=tuple(v for _, v in total.counterexamples),
+        inconclusive_examples=tuple(v for _, v in total.inconclusive_examples),
         corpus_hash=_corpus_hash(corpus_head, total.triples),
         wall_time=time.perf_counter() - t0,
         workers=workers,
@@ -1067,7 +1108,9 @@ def verify_proof_identities(
     Per (solution, n): (i) c**n - (a-b)**n = 4ab * sum(...) exactly;
     (ii) the quotient (c**n - (a-b)**n) / (ab) is bounded by
     2n * c**(n-2) exactly; (iii) the image radical log bound, within
-    tolerance.  Check (iii) factorizes image-sized integers, so
+    tolerance.  Check (iii) factors |a*b*c|, a - b and the sum (about
+    c**(n-2)), and proves the image radical from them by exact division
+    against the image, factoring the image itself if that proof fails; so
     radical_scale (when not None) restricts it to solutions with
     c <= radical_scale; (i) and (ii) always run on every solution.
     """

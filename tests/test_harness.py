@@ -517,9 +517,13 @@ _SUITES = {
     "chain": lambda corpus, **kw: verify_reduction_chain(corpus, 7, 1.0, 10.0, tolerance=-10.0,
                                                          **kw),
     # totient(16) = 8: a spec on the scalar lane; below -14 the derived-bound
-    # check fails too, whose counterexamples follow a block's input-merit ones
+    # check fails too
     "chain16": lambda corpus, **kw: verify_reduction_chain(corpus, 16, 1.0, 10.0,
                                                            tolerance=-14.0, **kw),
+    # 33 failures of both checks, over the cap of 25: which are kept, and
+    # their order, must not depend on how the corpus was cut into blocks
+    "chain16-capped": lambda corpus, **kw: verify_reduction_chain(corpus, 16, 1.0, 10.0,
+                                                                  tolerance=-15.0, **kw),
 }
 
 
@@ -721,6 +725,70 @@ def test_identities_injected_sum_fails_everywhere(monkeypatch):
     assert {v.params["check"] for v in s.counterexamples} == {"power-difference-identity"}
 
 
+def test_identities_arrays_never_wrap(monkeypatch):
+    # c**64 has 4161 bits: (i) and (ii) run on object arrays of Python ints
+    big = make_solution(-(2**65 - 1), -1, 2**65)
+    s = verify_proof_identities([big], [2, 8, 64], radical_scale=0)
+    assert (s.checks, s.passes) == (6, 6)
+    real = harness._identity_sum
+    monkeypatch.setattr(harness, "_identity_sum", lambda c, dd, n: real(c, dd, n) + 1)
+    s = verify_proof_identities([big], [2, 8, 64], radical_scale=0)
+    assert (s.checks, s.passes, s.failures) == (6, 3, 3)
+    assert [(v.params, v.witness) for v in s.counterexamples] == [
+        ({"n": n, "check": "power-difference-identity"}, -4 * big.a * big.b) for n in (2, 8, 64)
+    ]
+
+
+def test_identities_record_failures_in_corpus_order(monkeypatch):
+    # one block; every check (i) fails, some checks (iii) of the rows that
+    # radical_scale lets through do: per solution, per n, (i) before (iii)
+    real = harness._identity_sum
+    monkeypatch.setattr(harness, "_identity_sum", lambda c, dd, n: real(c, dd, n) + 1)
+    spec = CorpusSpec(max_c=20)
+    assert len(harness._blocks(spec, harness._k_identities)[0]) == 1
+    s = verify_proof_identities(spec, [2, 4], tolerance=-1.0, radical_scale=12,
+                                max_counterexamples=10**6)
+    expected = []
+    for aa in spec:
+        dd = aa.b - aa.a
+        for n in (2, 4):
+            expected.append((aa, n, "power-difference-identity", -4 * aa.a * aa.b))
+            if aa.c <= 12:
+                rad_q = radical(4 * (real(aa.c, dd, n) + 1))
+                lhs = math.log(dd) + math.log(radical_abc(aa)) + math.log(rad_q)
+                if lhs - math.log(radical_abc(theta(aa, n).output)) < 1.0:
+                    expected.append((aa, n, "radical-log-bound", None))
+    assert [(v.triple, v.params["n"], v.params["check"], v.witness)
+            for v in s.counterexamples] == expected
+    # both checks fail at both n, and in rows on both sides of the scale
+    assert {(n, check) for _, n, check, _ in expected} == {
+        (n, check) for n in (2, 4) for check in ("power-difference-identity", "radical-log-bound")
+    }
+    assert expected[-1][0].c > 12
+
+
+def test_identities_factor_the_image_unless_the_candidate_is_proved(monkeypatch):
+    # a candidate without the prime 2 fails _is_radical against every image,
+    # so check (iii) factors each image instead, to the same summary
+    spec = CorpusSpec(max_c=40)
+    calls = []
+    real_abc = harness.radical_abc
+    monkeypatch.setattr(harness, "radical_abc", lambda aa: calls.append(aa) or real_abc(aa))
+
+    def run():
+        calls.clear()
+        return verify_proof_identities(spec, [2, 4, 6], tolerance=-1.0, max_counterexamples=10**6)
+
+    clean, clean_calls = run(), len(calls)
+    assert clean_calls == len(spec)  # rad(|a*b*c|) once per solution, no image
+    real = harness._image_radical_candidate
+    monkeypatch.setattr(harness, "_image_radical_candidate", lambda *rads: real(*rads) // 2)
+    dropped = run()
+    assert _same_summary(dropped, clean) and clean.failures > 0
+    assert len(calls) == clean_calls + 3 * len(spec)
+    assert {theta(aa, n).output for aa in spec for n in (2, 4, 6)} <= set(calls)
+
+
 _BIG_C = 1000003 * 1000033  # two primes, out of reach of a one-step rho
 
 
@@ -914,6 +982,21 @@ def test_sieve_oracle_is_the_full_image(monkeypatch):
         harness._sieve_oracle(rads, 6)
 
 
+def test_is_radical_is_the_certificate():
+    # the one test of the sieve lane's oracle and of the identities' check (iii)
+    outside = 10**9 + 7  # a prime above every piece, so dividing no image below
+    for aa in CorpusSpec(60):
+        for n in (2, 4, 6, 8):
+            img = theta(aa, n).output
+            m = abs(img.a * img.b * img.c)
+            r = radical_abc(img)
+            assert harness._is_radical(r, m)
+            for p, _ in factorize(r).factors:
+                assert not harness._is_radical(r // p, m), (aa, n, p)  # misses p
+            assert not harness._is_radical(r * outside, m)  # a prime that m lacks
+    assert harness._is_radical(1, 1) and not harness._is_radical(2, 1)
+
+
 def test_trial_primes_matches_factorization():
     # up to 3 * _VECTOR_MAX_C**2, the lane's largest piece
     for v in [1, 2, 97, 2**10, 3 * 7**2 * 37**2, 86_599**2, 7_499_999_999, 7_500_000_001]:
@@ -944,3 +1027,16 @@ def test_exhausted_budget_in_the_audit_is_inconclusive(monkeypatch, suite, param
     ]
     assert f"{_P * _Q}" in s.inconclusive_examples[0].note
     assert _same_summary(s, suite(corpus, workers=3))
+
+
+def test_identities_radical_bound_needs_no_factored_image(monkeypatch):
+    # the same solution's image holds _P*_Q, out of reach of the budget, but
+    # check (iii) factors only |a*b*c|, dd and 4 * S = 4 at n = 2, and proves
+    # the image radical from them by exact division: judged, not inconclusive
+    monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
+    first = make_solution(-_Q, -_P, _P + _Q)
+    with pytest.raises(FactorizationFailure):
+        radical_abc(theta(first, 2).output)
+    s = verify_proof_identities([first], [2])
+    assert (s.checks, s.passes, s.inconclusives) == (3, 3, 0)
+    assert s.extremal.params == {"n": 2, "check": "radical-log-bound"}
