@@ -27,13 +27,13 @@ cyclotomic pieces Phi_3, Phi_4 and Phi_6 by their roots); the scalar
 lane takes them one solution at a time from _Radicals, which factors
 the pieces of the image, not the image.  Both lanes judge the arrays of
 logs with the same code.  The full image, through theta, is the
-independent oracle: the 160-bit rechecks factor it, the identities'
-radical bound proves its radical by exact division (_is_radical), and
-the scalar lane audits the first solution of every block against its
-radical at every n.  The sieve lane audits
-_AUDIT_ROWS seeded positions of every block at every n against it too,
-but by trial division and exact division (_sieve_oracle), so the sieve
-lane never calls numtheory's factorize.
+independent oracle: the 160-bit rechecks factor it, and the identities'
+radical bound proves its radical by exact division (_is_radical).  Each
+lane's kernel audits its own logs against it at every n: the scalar lane
+the first solution of every block, the sieve lane _AUDIT_ROWS seeded
+positions of every block, by numtheory's trial stage alone (_trial_primes)
+and exact division (_sieve_oracle), so the sieve lane never calls
+numtheory's factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, sized for the suite's kernel, never
@@ -59,7 +59,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit, radical_abc
-from .numtheory import FactorizationFailure, _prime_array, factorize, radical, totient
+from .numtheory import (FactorizationFailure, _TRIAL_BOUND, _prime_array, _trial_divide,
+                        factorize, radical, totient)
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -429,17 +430,13 @@ def _factor_primes(v: int) -> frozenset[int]:
 
 
 def _trial_primes(v: int) -> frozenset[int]:
-    """The primes of v > 0 by trial division by every prime up to isqrt(v):
-    what is left is 1 or a prime.  Never gives up; for the sieve lane's
-    numbers, below 3 * _VECTOR_MAX_C**2, the primes tried are below 2**17."""
-    found = _primes_to(math.isqrt(v))
-    found = found[v % found == 0].tolist()
-    for p in found:
-        while v % p == 0:
-            v //= p
-    if v > 1:
-        found.append(v)
-    return frozenset(found)
+    """The primes of v > 0 by numtheory's trial stage alone, which never gives
+    up and leaves 1 or a prime below 10**10, above the sieve lane's numbers
+    (below 3 * _VECTOR_MAX_C**2); ValueError at or above that bound."""
+    if v >= _TRIAL_BOUND * _TRIAL_BOUND:
+        raise ValueError(f"trial division alone cannot factor {v} >= {_TRIAL_BOUND**2}")
+    counts, rest = _trial_divide(v)
+    return frozenset([*counts, rest] if rest > 1 else counts)
 
 
 class _Radicals:
@@ -471,27 +468,13 @@ class _Radicals:
             self._known[v] = self._factor(v)
         return self._known[v]
 
-    def image(self, n: int, audit: bool = False) -> tuple[int, int]:
-        """(image c, rad of the image product) at n, exactly.
-
-        With audit, both and rad_in are also taken from the full image
-        (_exact_radicals), the independent oracle, and a mismatch raises
-        InternalRadicalMismatch.
-        """
-        aa = self.aa
-        x, y, c = -aa.a, -aa.b, aa.c
+    def image(self, n: int) -> tuple[int, int]:
+        """(image c, rad of the image product) at n, exactly."""
+        x, y, c = -self.aa.a, -self.aa.b, self.aa.c
         dd = x - y
         odd = set().union(*map(self._primes, (x, y, c, dd, *_cyclotomic_pieces(c, dd, n))))
         odd.discard(2)
-        c_img, rad_img = c**n >> (n if c % 2 == 0 else 0), 2 * math.prod(odd)
-        if audit:
-            got, want = (self.rad_in, rad_img, c_img), _exact_radicals(aa, n)
-            if got != want:
-                raise InternalRadicalMismatch(
-                    f"{aa} at n={n}: the pieces give (rad, image rad, image c) = {got}, "
-                    f"the full image {want}"
-                )
-        return c_img, rad_img
+        return c**n >> (n if c % 2 == 0 else 0), 2 * math.prod(odd)
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +702,8 @@ def _sieve_oracle(rads: _Radicals, n: int) -> tuple[int, int, int]:
     InternalRadicalMismatch unless they are those of the full image.
 
     x, y, c, d and the pieces of a sieve-lane solution are below
-    3 * max_c**2, so trial division factors them, never giving up and
-    without numtheory's factorize.  The image radical from the pieces, a
+    3 * max_c**2, so numtheory's trial stage factors them, never giving up
+    and without numtheory's factorize.  The image radical from the pieces, a
     product of distinct primes, is then proved to be that of the full image
     |A*B*C| from theta by exact division (_is_radical).
     """
@@ -797,8 +780,15 @@ def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
             continue
         for ni, (n, at_n) in enumerate(zip(plan.n_grid, rows)):
             try:
-                # the block's first solution is audited against the full image
-                c_img, rad_img = rads.image(n, audit=local == 0)
+                c_img, rad_img = rads.image(n)
+                # the block's first solution is audited against the full image, in
+                # this try: an audit that gives up leaves this n's checks inconclusive
+                if local == 0:
+                    got, want = (rads.rad_in, rad_img, c_img), _exact_radicals(aa, n)
+                    if got != want:
+                        raise InternalRadicalMismatch(
+                            f"{aa} at n={n}: the pieces give (rad, image rad, image c) = "
+                            f"{got}, the full image {want}")
             except FactorizationFailure as exc:
                 # lemma1 names the n whose image failed, the chain has one n
                 tally.inconclusive((block_idx, local, ni * per_n), per_n, aa,
@@ -858,12 +848,14 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
     """The exact identities, and the radical bound up to radical_scale, over one block.
 
     Checks (i) and (ii) run on the whole block at once, over numpy object
-    arrays of Python ints, which never wrap.  Then the rows that failed one
-    of them or take check (iii) are visited in corpus order, each recording
-    its checks per n in the order (i), (ii), (iii).  Check (iii) factors
-    rad(|a*b*c|) and rad(dd) once per solution and 4 * S per n, and takes the
-    image radical from _image_radical_candidate where _is_radical proves it
-    against theta's image, else from factoring that image.
+    arrays of Python ints, which never wrap, and record their failures from
+    those arrays; then the rows with c <= radical_scale take check (iii).  At
+    the t-th n, check j (0, 1, 2 for (i), (ii), (iii)) has the key (block_idx,
+    position, 3*t + j), so the tally keeps them per solution, per n, in that
+    order, however they were visited.  Check (iii) factors rad(|a*b*c|) and
+    rad(dd) once per solution and 4 * S per n, and takes the image radical
+    from _image_radical_candidate where _is_radical proves it against
+    theta's image, else from factoring that image.
     """
     count, solution = _block_solutions(source)
     tally.triples = count
@@ -875,33 +867,25 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
         a, b = s - c, -s
     dd = np.abs(a - b)
     ab = a * b  # positive
-    per_n = []  # per n: the witnesses and verdicts of (i) and (ii), and S
-    clean = np.ones(count, dtype=bool)  # the rows that pass (i) and (ii) at every n
-    for n in n_grid:
+    sums = []  # S per n, for check (iii)
+    for t, n in enumerate(n_grid):
         power_diff = c**n - dd**n
-        s_val = _identity_sum(c, dd, n)
-        diff = power_diff - 4 * ab * s_val
+        sums.append(_identity_sum(c, dd, n))
+        diff = power_diff - 4 * ab * sums[-1]
         margin = 2 * n * c ** (n - 2) - np.abs(power_diff // ab)
-        ok_i, ok_ii = diff == 0, (power_diff % ab == 0) & (margin >= 0)
-        tally.passed(int(ok_i.sum() + ok_ii.sum()))
-        clean &= ok_i & ok_ii
-        per_n.append((n, diff, ok_i, margin, ok_ii, s_val))
-    in_scale = np.ones(count, dtype=bool) if radical_scale is None else c <= radical_scale
-    for local in np.flatnonzero(in_scale | ~clean).tolist():
+        checks = (("power-difference-identity", diff == 0, diff),
+                  ("quotient-bound", (power_diff % ab == 0) & (margin >= 0), margin))
+        for j, (check, ok, witness) in enumerate(checks):
+            tally.passed(int(ok.sum()))
+            for i in np.flatnonzero(~ok).tolist():
+                tally.failed((block_idx, i, 3 * t + j), solution(i), {"n": n, "check": check},
+                             witness=witness[i])
+    scale = math.inf if radical_scale is None else radical_scale
+    for local in np.flatnonzero(c <= scale).tolist():
         aa = solution(local)
-        combo = 0
         factored = None  # (rad_in, rad(dd)), at the first check (iii) that factors them
-        for n, diff, ok_i, margin, ok_ii, s_val in per_n:
-            if not ok_i[local]:
-                tally.failed((block_idx, local, combo), aa,
-                             {"n": n, "check": "power-difference-identity"}, witness=diff[local])
-            if not ok_ii[local]:
-                tally.failed((block_idx, local, combo + 1), aa,
-                             {"n": n, "check": "quotient-bound"}, witness=margin[local])
-            combo += 2
-            if not in_scale[local]:
-                continue
-            where, params = (block_idx, local, combo), {"n": n, "check": "radical-log-bound"}
+        for t, (n, s_val) in enumerate(zip(n_grid, sums)):
+            where, params = (block_idx, local, 3 * t + 2), {"n": n, "check": "radical-log-bound"}
             try:
                 if factored is None:
                     factored = radical_abc(aa), radical(dd[local])
@@ -924,7 +908,6 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
 
             lhs, rhs = sides(math.log)
             tally.judge(where, lhs - rhs, recheck, aa, params, lhs, rhs)
-            combo += 1
 
 
 # ---------------------------------------------------------------------------

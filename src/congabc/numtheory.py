@@ -5,11 +5,13 @@ testing, complete factorization, the radical (squarefree kernel),
 Euler's totient, and small exact helpers.  The factorization engine
 runs four stages:
 
-- trial division by the primes below 10**5, from the package's one
-  prime sieve, _prime_array, which also builds the harness's numpy
-  sieve tables: the 168 primes below 1000 in a Python loop, the rest
-  as one numpy remainder over the primes up to sqrt(n) (exact for any
-  n, by 30-bit limbs above 2**63);
+- trial division by the primes below 10**5 (_trial_divide), from the
+  package's one prime sieve, _prime_array, which also builds the
+  harness's numpy sieve tables: the 168 primes below 1000 in a Python
+  loop, the rest as one numpy remainder over the primes up to sqrt(n)
+  (exact for any n, by 30-bit limbs above 2**63).  The harness's sieve
+  lane oracle shares this stage, and no other: its numbers are below
+  10**10, where the cofactor left is 1 or a prime;
 - the Baillie-PSW primality test (one deterministic test for every n:
   a strong base-2 test plus a strong Lucas test);
 - a perfect-power step, so that q**k with q above the trial bound is
@@ -46,7 +48,7 @@ class FactorizationFailure(RuntimeError):
     def __init__(self, n: int, budget: int):
         super().__init__(
             f"no factor of {n} found within {budget} rho steps; "
-            f"raise the budget (e.g. via {BUDGET_ENV_VAR})"
+            f"raise the budget by setting {BUDGET_ENV_VAR}"
         )
         self.n = n
         self.budget = budget
@@ -300,22 +302,11 @@ def rho_budget() -> int:
     return budget
 
 
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n >= 1.
-
-    Trial division by the primes below _TRIAL_BOUND: those below
-    _LOOP_BOUND in a Python loop, the rest up to sqrt(n) as one numpy
-    remainder (_residues), after which only the primes that divide n are
-    divided out.  The cofactor left goes on one stack, as does every
-    factor split from it: each is prime below _TRIAL_BOUND**2, else proved
-    by is_probable_prime or split, first as a perfect power by an exact
-    integer root, else by rho with a fixed stream per composite.  Raises
-    FactorizationFailure if some composite cannot be split within
-    rho_budget() steps (read when rho first runs).  Each prime is proved
-    once, by trial division or is_probable_prime.
-    """
-    if n < 1:
-        raise ValueError("factorize expects n >= 1")
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """(counts, cofactor): the exponents in n >= 1 of the primes below
+    _TRIAL_BOUND, and n with them divided out.  Those below _LOOP_BOUND are
+    tried in a Python loop, the rest up to sqrt(n) as one numpy remainder
+    (_residues); only the primes that divide n are divided out."""
     counts: dict[int, int] = {}
     small = _loop_primes()
     for p in small:
@@ -329,6 +320,24 @@ def factorize(n: int) -> Factorization:
         primes = primes[len(small) : int(np.searchsorted(primes, bound, side="right"))]
         for p in primes[_residues(n, primes) == 0].tolist():
             n = _divide_out(n, p, counts)
+    return counts, n
+
+
+def factorize(n: int) -> Factorization:
+    """Complete prime factorization of n >= 1.
+
+    Trial division by the primes below _TRIAL_BOUND (_trial_divide).  The
+    cofactor left goes on one stack, as does every factor split from it:
+    each is prime below _TRIAL_BOUND**2, else proved by is_probable_prime
+    or split, first as a perfect power by an exact integer root, else by
+    rho with a fixed stream per composite.  Raises FactorizationFailure if
+    some composite cannot be split within rho_budget() steps (read when rho
+    first runs).  Each prime is proved once, by trial division or
+    is_probable_prime.
+    """
+    if n < 1:
+        raise ValueError("factorize expects n >= 1")
+    counts, n = _trial_divide(n)
     stack = [(n, 1)] if n > 1 else []
     budget = None
     while stack:

@@ -740,14 +740,18 @@ def test_identities_arrays_never_wrap(monkeypatch):
 
 
 def test_identities_record_failures_in_corpus_order(monkeypatch):
-    # one block; every check (i) fails, some checks (iii) of the rows that
-    # radical_scale lets through do: per solution, per n, (i) before (iii)
+    # every check (i) fails, some checks (iii) of the rows that radical_scale
+    # lets through do: per solution, per n, (i) before (iii), in one block and
+    # across blocks and workers
     real = harness._identity_sum
     monkeypatch.setattr(harness, "_identity_sum", lambda c, dd, n: real(c, dd, n) + 1)
     spec = CorpusSpec(max_c=20)
-    assert len(harness._blocks(spec, harness._k_identities)[0]) == 1
-    s = verify_proof_identities(spec, [2, 4], tolerance=-1.0, radical_scale=12,
-                                max_counterexamples=10**6)
+
+    def failures(**kw):
+        s = verify_proof_identities(spec, [2, 4], tolerance=-1.0, radical_scale=12, **kw)
+        return [(v.triple, v.params["n"], v.params["check"], v.witness)
+                for v in s.counterexamples]
+
     expected = []
     for aa in spec:
         dd = aa.b - aa.a
@@ -758,8 +762,14 @@ def test_identities_record_failures_in_corpus_order(monkeypatch):
                 lhs = math.log(dd) + math.log(radical_abc(aa)) + math.log(rad_q)
                 if lhs - math.log(radical_abc(theta(aa, n).output)) < 1.0:
                     expected.append((aa, n, "radical-log-bound", None))
-    assert [(v.triple, v.params["n"], v.params["check"], v.witness)
-            for v in s.counterexamples] == expected
+    assert len(harness._blocks(spec, harness._k_identities)[0]) == 1
+    assert failures(max_counterexamples=10**6) == expected
+    _small_blocks(monkeypatch, 50)
+    assert len(harness._blocks(spec, harness._k_identities)[0]) > 1
+    for workers in (1, 3):
+        assert failures(workers=workers, max_counterexamples=10**6) == expected
+        assert failures(workers=workers) == expected[:harness.DEFAULT_MAX_COUNTEREXAMPLES]
+    assert len(expected) > harness.DEFAULT_MAX_COUNTEREXAMPLES
     # both checks fail at both n, and in rows on both sides of the scale
     assert {(n, check) for _, n, check, _ in expected} == {
         (n, check) for n in (2, 4) for check in ("power-difference-identity", "radical-log-bound")
@@ -811,7 +821,9 @@ def test_exhausted_factor_budget_is_inconclusive(monkeypatch, suite, counts, par
     assert [(v.triple, v.params, v.inconclusive) for v in s.inconclusive_examples] == [
         (big, params, True)
     ]
-    assert "rho steps" in s.inconclusive_examples[0].note
+    note = s.inconclusive_examples[0].note
+    assert "rho steps" in note
+    assert "CONGABC_FACTOR_BUDGET" in note and "e.g." not in note  # the budget's one setting
     assert _same_summary(s, suite(corpus, workers=3))
 
 
@@ -1001,6 +1013,12 @@ def test_trial_primes_matches_factorization():
     # up to 3 * _VECTOR_MAX_C**2, the lane's largest piece
     for v in [1, 2, 97, 2**10, 3 * 7**2 * 37**2, 86_599**2, 7_499_999_999, 7_500_000_001]:
         assert harness._trial_primes(v) == {p for p, _ in factorize(v).factors}, v
+    assert harness._trial_primes(99_991**2) == {99_991}  # the largest prime below 10**5
+    # numtheory's trial stage stops at 10**5, so from 10**10 on a cofactor
+    # could be composite: refused, not returned as a prime
+    for v in [10**10 + 19, 100_003**2]:
+        with pytest.raises(ValueError):
+            harness._trial_primes(v)
 
 
 _P, _Q = 100_003, 100_019  # primes: |a|, |b|, c and dd stay below 10**10, |a*b| does not
