@@ -25,15 +25,16 @@ CorpusSpec at n in {2, 4, 6} the sieve lane takes them a block at a time
 from sieve tables and the piece sieve (_lograd_piece: the primes of the
 cyclotomic pieces Phi_3, Phi_4 and Phi_6 by their roots); the scalar
 lane takes them one solution at a time from _Radicals, which factors
-the pieces of the image, not the image.  Both lanes judge the arrays of
-logs with the same code.  The full image, through theta, is the
-independent oracle: the 160-bit rechecks factor it, and the identities'
-radical bound proves its radical by exact division (_is_radical).  Each
-lane's kernel audits its own logs against it at every n: the scalar lane
-the first solution of every block, the sieve lane _AUDIT_ROWS seeded
-positions of every block, by numtheory's trial stage alone (_trial_primes)
-and exact division (_sieve_oracle), so the sieve lane never calls
-numtheory's factorize.
+the parts of the image (x, y, c, d and the pieces), not the image.  Both
+lanes judge the arrays of logs with the same code.  The full image,
+through theta, is the independent oracle.  The 160-bit rechecks factor
+it, and so does the scalar lane's audit of the first solution of every
+block.  _proved_image proves _Radicals' image radical against it by
+exact division (_is_radical), for the sieve lane's audit of _AUDIT_ROWS
+seeded positions of every block at every n and for the identities'
+radical bound.  The sieve lane's _Radicals factor by numtheory's trial
+stage alone (_trial_radical), so that lane never calls numtheory's
+factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, sized for the suite's kernel, never
@@ -59,8 +60,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit, radical_abc
-from .numtheory import (FactorizationFailure, _TRIAL_BOUND, _prime_array, _trial_divide,
-                        factorize, radical, totient)
+from .numtheory import (FactorizationFailure, _TRIAL_BOUND, _prime_array, _trial_divide, radical,
+                        totient)
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -84,7 +85,7 @@ _LN2 = math.log(2.0)
 # are far inside int64
 _VECTOR_MAX_C = 50_000
 # rows per block that the sieve lane checks against the full image at every n:
-# a handful of _sieve_oracle calls, well under 1% of a block's time
+# a handful of _proved_image calls, well under 1% of a block's time
 _AUDIT_ROWS = 8
 # the sieve lane's logs are sums of a dozen or so logs below 30, off by about
 # 1e-13 in float64; a prime missed or counted twice moves a log by at least ln 2
@@ -330,8 +331,8 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
     q_3 only when 3 | y and q_6 only when 3 | x, so the image radical has
     them already (ln 2 for every image, y or x for 3).  Every other prime
     p of q_k is 1 mod k and divides none of x, y, c or d, nor another
-    piece of the same n, so these logs add to the others as the union of
-    prime sets that _Radicals takes.
+    piece of the same n, so these logs add to the others as the primes
+    of the lcm that _Radicals takes.
 
     The root sieve, as in the quadratic sieve: p | q_k(c - s, s) exactly
     when s = c*u mod p for a root u from _piece_table, so the hits of p in
@@ -424,19 +425,14 @@ def _cyclotomic_pieces(c: int, dd: int, n: int) -> list[int]:
     return [v for k, v in phi.items() if k > 2]
 
 
-def _factor_primes(v: int) -> frozenset[int]:
-    """The primes of v > 0, from factorize; FactorizationFailure propagates."""
-    return frozenset(p for p, _ in factorize(v).factors)
-
-
-def _trial_primes(v: int) -> frozenset[int]:
-    """The primes of v > 0 by numtheory's trial stage alone, which never gives
+def _trial_radical(v: int) -> int:
+    """rad(v) for v > 0 by numtheory's trial stage alone, which never gives
     up and leaves 1 or a prime below 10**10, above the sieve lane's numbers
     (below 3 * _VECTOR_MAX_C**2); ValueError at or above that bound."""
     if v >= _TRIAL_BOUND * _TRIAL_BOUND:
         raise ValueError(f"trial division alone cannot factor {v} >= {_TRIAL_BOUND**2}")
     counts, rest = _trial_divide(v)
-    return frozenset([*counts, rest] if rest > 1 else counts)
+    return math.prod(counts, start=rest)
 
 
 class _Radicals:
@@ -445,36 +441,74 @@ class _Radicals:
     With x = |a|, y = |b| and dd = |a - b| = x - y, the image under theta
     at even n is (dd**n, c**n - dd**n, c**n) up to sign, each divided by
     2**m.  Halving changes no odd prime, exactly one image component is
-    even, c - dd = 2y, c + dd = 2x, and c**n - dd**n is the product of
-    the Phi_k(c, dd) over k | n, so
+    even, and c**n - dd**n = (c - dd) * (c + dd) * S = 4ab * S, S the
+    product of the pieces Phi_k(c, dd) over k | n with k > 2, so
 
-        rad(|A*B*C|) = 2 * (odd primes of x, y, c, dd, Phi_k(c, dd) for k | n, k > 2)
+        rad(|A*B*C|) = lcm(rad_in, rad(dd), rad(4S)),  rad(4S) = lcm(2, rad(Phi_k(c, dd)), ...)
 
-    as a union of prime sets, since the Phi_k can share primes dividing
-    n.  A Phi_k has about c**phi(k) digits where the image has c**n.
-    Each piece is factored once per solution by primes (factorize by
-    default, whose FactorizationFailure propagates), shared by every n
-    and eps and by rad_in.
+    lcms, not products, since the Phi_k can share primes dividing n.  A
+    Phi_k has about c**phi(k) digits where the image has c**n.  Each
+    number is factored once per solution by radical (numtheory's by
+    default), in the order x, y, c, dd, then the pieces by k, and its
+    radical shared by every n and eps.  A FactorizationFailure is kept
+    and raised again for the same number, so a composite that resists
+    the budget costs one rho run per solution, not one per n.
     """
 
-    def __init__(self, aa: ABCSolution, primes: Callable[[int], frozenset[int]] = _factor_primes):
+    def __init__(self, aa: ABCSolution, radical: Callable[[int], int] = radical):
         self.aa = aa
-        self._factor = primes
-        self._known: dict[int, frozenset[int]] = {}
-        self.rad_in = math.prod(self._primes(-aa.a) | self._primes(-aa.b) | self._primes(aa.c))
+        self._radical = radical
+        self._known: dict[int, int | FactorizationFailure] = {}
+        self._parts: dict[int, tuple[int, int]] = {}
 
-    def _primes(self, v: int) -> frozenset[int]:
-        if v not in self._known:
-            self._known[v] = self._factor(v)
-        return self._known[v]
+    def _rad(self, v: int) -> int:
+        known = self._known.get(v)
+        if known is None:
+            try:
+                known = self._radical(v)
+            except FactorizationFailure as exc:
+                known = exc
+            self._known[v] = known
+        if isinstance(known, FactorizationFailure):
+            raise known
+        return known
+
+    @functools.cached_property
+    def rad_in(self) -> int:
+        return math.lcm(*map(self._rad, (-self.aa.a, -self.aa.b, self.aa.c)))
+
+    def parts(self, n: int) -> tuple[int, int]:
+        """(rad(dd), rad(4S)) at n, exactly."""
+        if n not in self._parts:
+            c, dd = self.aa.c, self.aa.b - self.aa.a
+            pieces = _cyclotomic_pieces(c, dd, n)
+            self._parts[n] = self._rad(dd), math.lcm(2, *map(self._rad, pieces))
+        return self._parts[n]
 
     def image(self, n: int) -> tuple[int, int]:
         """(image c, rad of the image product) at n, exactly."""
-        x, y, c = -self.aa.a, -self.aa.b, self.aa.c
-        dd = x - y
-        odd = set().union(*map(self._primes, (x, y, c, dd, *_cyclotomic_pieces(c, dd, n))))
-        odd.discard(2)
-        return c**n >> (n if c % 2 == 0 else 0), 2 * math.prod(odd)
+        c = self.aa.c
+        return c**n >> (n if c % 2 == 0 else 0), math.lcm(self.rad_in, *self.parts(n))
+
+
+def _proved_image(rads: _Radicals, n: int) -> tuple[int, int, int]:
+    """(rad of |a*b*c|, rad of the image product, image c) of rads' solution
+    at n exactly, as _exact_radicals, from rads; InternalRadicalMismatch
+    unless they are those of the full image.
+
+    The image radical from the parts, a product of distinct primes, is
+    proved to be that of the full image |A*B*C| from theta by exact
+    division (_is_radical), without factoring that image.
+    """
+    aa = rads.aa
+    c_img, rad_img = rads.image(n)
+    img = theta(aa, n).output
+    if img.c != c_img or not _is_radical(rad_img, abs(img.a * img.b * img.c)):
+        raise InternalRadicalMismatch(
+            f"{aa} at n={n}: the pieces give (image c, image rad) = {(c_img, rad_img)}, "
+            f"not those of the full image {img}"
+        )
+    return rads.rad_in, rad_img, c_img
 
 
 # ---------------------------------------------------------------------------
@@ -696,34 +730,12 @@ def _audit_rows(block_idx: int, size: int) -> list[int]:
     return sorted(random.Random(block_idx).sample(range(size), min(size, _AUDIT_ROWS)))
 
 
-def _sieve_oracle(rads: _Radicals, n: int) -> tuple[int, int, int]:
-    """(rad of |a*b*c|, rad of the image product, image c) of a sieve-lane
-    solution exactly, as _exact_radicals, from rads built on _trial_primes;
-    InternalRadicalMismatch unless they are those of the full image.
-
-    x, y, c, d and the pieces of a sieve-lane solution are below
-    3 * max_c**2, so numtheory's trial stage factors them, never giving up
-    and without numtheory's factorize.  The image radical from the pieces, a
-    product of distinct primes, is then proved to be that of the full image
-    |A*B*C| from theta by exact division (_is_radical).
-    """
-    aa = rads.aa
-    c_img, rad_img = rads.image(n)
-    img = theta(aa, n).output
-    if img.c != c_img or not _is_radical(rad_img, abs(img.a * img.b * img.c)):
-        raise InternalRadicalMismatch(
-            f"{aa} at n={n}: the pieces give (image c, image rad) = {(c_img, rad_img)}, "
-            f"not those of the full image {img}"
-        )
-    return rads.rad_in, rad_img, c_img
-
-
 def _audit_logs(logs: tuple, n: int, audited: dict[int, _Radicals]) -> None:
     """Compare the sieve lane's logs of rad_in, image c and image rad at the
-    audited block positions with those of _sieve_oracle, the full image: a
+    audited block positions with those of _proved_image, the full image: a
     difference above _AUDIT_TOL raises InternalRadicalMismatch."""
     for i, rads in audited.items():
-        rad_in, rad_img, c_img = _sieve_oracle(rads, n)
+        rad_in, rad_img, c_img = _proved_image(rads, n)
         got = tuple(float(x[i]) for x in logs[1:])
         want = tuple(map(math.log, (rad_in, c_img, rad_img)))
         if any(abs(g - w) > _AUDIT_TOL for g, w in zip(got, want)):
@@ -754,7 +766,7 @@ def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) ->
               for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
     even = (c_arr & 1) == 0
     solution = functools.partial(_pair, c_arr, s_arr)
-    audited = {i: _Radicals(solution(i), _trial_primes)
+    audited = {i: _Radicals(solution(i), _trial_radical)
                for i in _audit_rows(block_idx, len(c_arr))}
     for ni, n in enumerate(plan.n_grid):
         lnrad_img = _LN2 + base_odd
@@ -772,8 +784,9 @@ def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
     rows = [array("d") for _ in plan.n_grid]  # per n and row: block position, the four logs
     for local, aa in enumerate(map(solution, range(count))):
         tally.triples += 1
+        rads = _Radicals(aa)
         try:
-            rads = _Radicals(aa)
+            ln_in = math.log(rads.rad_in)
         except FactorizationFailure as exc:
             tally.inconclusive((block_idx, local, 0), len(plan.n_grid) * per_n, aa,
                                plan.context, exc)
@@ -794,8 +807,7 @@ def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
                 tally.inconclusive((block_idx, local, ni * per_n), per_n, aa,
                                    plan.context or {"n": n}, exc)
                 continue
-            at_n.extend((local, math.log(aa.c), math.log(rads.rad_in),
-                         math.log(c_img), math.log(rad_img)))
+            at_n.extend((local, math.log(aa.c), ln_in, math.log(c_img), math.log(rad_img)))
     for ni, at_n in enumerate(rows):
         if at_n:
             where, *logs = np.frombuffer(at_n).reshape(-1, 5).T
@@ -834,15 +846,6 @@ def _identity_sum(c, dd, n: int):
     return sum(c ** (n - 2 - 2 * i) * dd ** (2 * i) for i in range(n // 2))
 
 
-def _image_radical_candidate(rad_in: int, rad_d: int, rad_q: int) -> int:
-    """rad(|A*B*C|) of the image at n, from rad(|a*b*c|), rad(dd) and
-    rad(4 * S) with S = _identity_sum(c, dd, n): |A*B*C| is dd**n * (c**n -
-    dd**n) * c**n over a power of 2, with c**n - dd**n = 4ab * S (check (i)),
-    and 2 divides one component.  A candidate only, until _is_radical proves
-    it against the image."""
-    return math.lcm(rad_in, rad_d, rad_q)
-
-
 def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...],
                   radical_scale: int | None) -> None:
     """The exact identities, and the radical bound up to radical_scale, over one block.
@@ -852,10 +855,11 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
     those arrays; then the rows with c <= radical_scale take check (iii).  At
     the t-th n, check j (0, 1, 2 for (i), (ii), (iii)) has the key (block_idx,
     position, 3*t + j), so the tally keeps them per solution, per n, in that
-    order, however they were visited.  Check (iii) factors rad(|a*b*c|) and
-    rad(dd) once per solution and 4 * S per n, and takes the image radical
-    from _image_radical_candidate where _is_radical proves it against
-    theta's image, else from factoring that image.
+    order, however they were visited.  Check (iii) takes rad(|a*b*c|) and
+    the image radical from one _Radicals per solution, proved against
+    theta's image by _proved_image, and rad(4 * S) from its parts: check (i)
+    is what shows S = _identity_sum(c, dd, n) to be the product of the
+    pieces.
     """
     count, solution = _block_solutions(source)
     tally.triples = count
@@ -867,11 +871,9 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
         a, b = s - c, -s
     dd = np.abs(a - b)
     ab = a * b  # positive
-    sums = []  # S per n, for check (iii)
     for t, n in enumerate(n_grid):
         power_diff = c**n - dd**n
-        sums.append(_identity_sum(c, dd, n))
-        diff = power_diff - 4 * ab * sums[-1]
+        diff = power_diff - 4 * ab * _identity_sum(c, dd, n)
         margin = 2 * n * c ** (n - 2) - np.abs(power_diff // ab)
         checks = (("power-difference-identity", diff == 0, diff),
                   ("quotient-bound", (power_diff % ab == 0) & (margin >= 0), margin))
@@ -883,18 +885,12 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
     scale = math.inf if radical_scale is None else radical_scale
     for local in np.flatnonzero(c <= scale).tolist():
         aa = solution(local)
-        factored = None  # (rad_in, rad(dd)), at the first check (iii) that factors them
-        for t, (n, s_val) in enumerate(zip(n_grid, sums)):
+        rads = _Radicals(aa)
+        for t, n in enumerate(n_grid):
             where, params = (block_idx, local, 3 * t + 2), {"n": n, "check": "radical-log-bound"}
             try:
-                if factored is None:
-                    factored = radical_abc(aa), radical(dd[local])
-                rad_in, rad_d = factored
-                rad_q = radical(4 * s_val[local])
-                img = theta(aa, n).output
-                rad_img = _image_radical_candidate(rad_in, rad_d, rad_q)
-                if not _is_radical(rad_img, abs(img.a * img.b * img.c)):
-                    rad_img = radical_abc(img)
+                rad_in, rad_img, _ = _proved_image(rads, n)
+                _, rad_q = rads.parts(n)
             except FactorizationFailure as exc:
                 tally.inconclusive(where, 1, aa, params, exc)
                 continue
@@ -1091,9 +1087,10 @@ def verify_proof_identities(
     Per (solution, n): (i) c**n - (a-b)**n = 4ab * sum(...) exactly;
     (ii) the quotient (c**n - (a-b)**n) / (ab) is bounded by
     2n * c**(n-2) exactly; (iii) the image radical log bound, within
-    tolerance.  Check (iii) factors |a*b*c|, a - b and the sum (about
+    tolerance.  Check (iii) factors |a|, |b|, c, a - b and the
+    cyclotomic pieces of the image, whose product is the sum (about
     c**(n-2)), and proves the image radical from them by exact division
-    against the image, factoring the image itself if that proof fails; so
+    against the image (InternalRadicalMismatch if that proof fails); so
     radical_scale (when not None) restricts it to solutions with
     c <= radical_scale; (i) and (ii) always run on every solution.
     """

@@ -758,7 +758,7 @@ def test_identities_record_failures_in_corpus_order(monkeypatch):
         for n in (2, 4):
             expected.append((aa, n, "power-difference-identity", -4 * aa.a * aa.b))
             if aa.c <= 12:
-                rad_q = radical(4 * (real(aa.c, dd, n) + 1))
+                rad_q = radical(4 * real(aa.c, dd, n))  # check (iii) takes S from the pieces
                 lhs = math.log(dd) + math.log(radical_abc(aa)) + math.log(rad_q)
                 if lhs - math.log(radical_abc(theta(aa, n).output)) < 1.0:
                     expected.append((aa, n, "radical-log-bound", None))
@@ -777,26 +777,35 @@ def test_identities_record_failures_in_corpus_order(monkeypatch):
     assert expected[-1][0].c > 12
 
 
-def test_identities_factor_the_image_unless_the_candidate_is_proved(monkeypatch):
-    # a candidate without the prime 2 fails _is_radical against every image,
-    # so check (iii) factors each image instead, to the same summary
+def test_identities_factor_neither_the_image_nor_the_sum(monkeypatch):
+    # check (iii) proves its image radical by exact division and takes rad(4 * S)
+    # from the pieces: nothing goes to radical_abc, no 4 * S to factorize
     spec = CorpusSpec(max_c=40)
-    calls = []
-    real_abc = harness.radical_abc
-    monkeypatch.setattr(harness, "radical_abc", lambda aa: calls.append(aa) or real_abc(aa))
+    images, factored = [], []
+    real_abc, real_factorize = harness.radical_abc, numtheory.factorize
+    monkeypatch.setattr(harness, "radical_abc", lambda aa: images.append(aa) or real_abc(aa))
+    monkeypatch.setattr(numtheory, "factorize", lambda v: factored.append(v) or real_factorize(v))
+    s = verify_proof_identities(spec, [2, 4, 6], tolerance=-1.0, max_counterexamples=10**6)
+    assert s.failures > 0 and s.checks == 3 * 3 * len(spec)
+    parts = {v for aa in spec for n in (4, 6) for v in (
+        -aa.a, -aa.b, aa.c, aa.b - aa.a, *harness._cyclotomic_pieces(aa.c, aa.b - aa.a, n))}
+    sums = {4 * harness._identity_sum(aa.c, aa.b - aa.a, n) for aa in spec for n in (4, 6)}
+    assert images == [] and set(factored) <= parts and sums - parts
 
-    def run():
-        calls.clear()
-        return verify_proof_identities(spec, [2, 4, 6], tolerance=-1.0, max_counterexamples=10**6)
 
-    clean, clean_calls = run(), len(calls)
-    assert clean_calls == len(spec)  # rad(|a*b*c|) once per solution, no image
-    real = harness._image_radical_candidate
-    monkeypatch.setattr(harness, "_image_radical_candidate", lambda *rads: real(*rads) // 2)
-    dropped = run()
-    assert _same_summary(dropped, clean) and clean.failures > 0
-    assert len(calls) == clean_calls + 3 * len(spec)
-    assert {theta(aa, n).output for aa in spec for n in (2, 4, 6)} <= set(calls)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_identities_catch_a_dropped_piece(monkeypatch, capsys, workers):
+    from congabc.cli import main
+
+    _small_blocks(monkeypatch, 50)
+    assert len(harness._blocks(CorpusSpec(max_c=40), harness._k_identities)[0]) > 3
+    _drop_last_piece(monkeypatch)
+    with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
+        verify_proof_identities(CorpusSpec(max_c=40), [2, 4], workers=workers)
+    code = main(["verify", "identities", "--max-c", "40", "--n", "2,4", "--workers", str(workers)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
 
 
 _BIG_C = 1000003 * 1000033  # two primes, out of reach of a one-step rho
@@ -827,6 +836,24 @@ def test_exhausted_factor_budget_is_inconclusive(monkeypatch, suite, counts, par
     assert _same_summary(s, suite(corpus, workers=3))
 
 
+@pytest.mark.parametrize("suite, aa", [
+    # c is the composite: rad(|a*b*c|), needed at every n of check (iii)
+    (lambda corpus: verify_proof_identities(corpus, [2, 4, 6]),
+     make_solution(-(_BIG_C - 1), -1, _BIG_C)),
+    # dd is the composite: the image radical of the scalar lane at every n
+    (lambda corpus: verify_lemma1(corpus, [2, 4, 6], [1.0]),
+     make_solution(-(_BIG_C + 1), -1, _BIG_C + 2)),
+])
+def test_a_failed_factorization_is_not_retried(monkeypatch, suite, aa):
+    monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1000")
+    runs = []
+    real = numtheory._rho_brent
+    monkeypatch.setattr(numtheory, "_rho_brent", lambda n, *args: runs.append(n) or real(n, *args))
+    s = suite([aa])
+    assert s.inconclusives == 3  # one per n
+    assert runs == [_BIG_C]
+
+
 # ---------------------------------------------------------------------------
 # image radicals from the cyclotomic pieces, against the full image
 
@@ -845,6 +872,14 @@ def test_image_radicals_match_full_image_exhaustive():
     # every solution with c <= 200, odd and even c
     for aa in CorpusSpec(200):
         _assert_pieces_match_full_image(aa, (2, 4, 6, 8, 12))
+
+
+def test_radical_parts_are_those_of_the_identity_sum():
+    # check (iii) of the identities takes rad(dd) and rad(4 * S) from the pieces
+    for aa in CorpusSpec(200):
+        rads, dd = harness._Radicals(aa), aa.b - aa.a
+        for n in (2, 4, 6, 8, 12):
+            assert rads.parts(n) == (radical(dd), radical(4 * harness._identity_sum(aa.c, dd, n)))
 
 
 def _sample(max_c, count, seed):
@@ -973,7 +1008,6 @@ def test_sieve_lane_never_factorizes(monkeypatch, workers):
         raise AssertionError(f"factorize({n}) on the sieve lane")
 
     monkeypatch.setattr(numtheory, "factorize", refuse)
-    monkeypatch.setattr(harness, "factorize", refuse)
     _small_blocks(monkeypatch, 2000)
     spec = CorpusSpec(max_c=200, congruence=7)
     assert len(harness._blocks(spec, harness._k_vector)[0]) > 3
@@ -981,17 +1015,17 @@ def test_sieve_lane_never_factorizes(monkeypatch, workers):
     assert verify_reduction_chain(spec, 9, 1.0, 10.0, workers=workers).ok
 
 
-def test_sieve_oracle_is_the_full_image(monkeypatch):
+def test_proved_image_is_the_full_image(monkeypatch):
     for aa in CorpusSpec(60):
-        rads = harness._Radicals(aa, harness._trial_primes)
+        rads = harness._Radicals(aa, harness._trial_radical)
         for n in (2, 4, 6):
-            assert harness._sieve_oracle(rads, n) == harness._exact_radicals(aa, n)
+            assert harness._proved_image(rads, n) == harness._exact_radicals(aa, n)
     # a piece left out: its primes are missing from the full image's
     _drop_last_piece(monkeypatch)
-    rads = harness._Radicals(make_solution(-4, -3, 7), harness._trial_primes)
+    rads = harness._Radicals(make_solution(-4, -3, 7), harness._trial_radical)
     assert rads.image(6)[1] == 2 * 3 * 7 * 19  # Phi_3(7, 1) = 3 * 19, Phi_6(7, 1) = 43 dropped
     with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
-        harness._sieve_oracle(rads, 6)
+        harness._proved_image(rads, 6)
 
 
 def test_is_radical_is_the_certificate():
@@ -1009,16 +1043,16 @@ def test_is_radical_is_the_certificate():
     assert harness._is_radical(1, 1) and not harness._is_radical(2, 1)
 
 
-def test_trial_primes_matches_factorization():
+def test_trial_radical_matches_factorization():
     # up to 3 * _VECTOR_MAX_C**2, the lane's largest piece
     for v in [1, 2, 97, 2**10, 3 * 7**2 * 37**2, 86_599**2, 7_499_999_999, 7_500_000_001]:
-        assert harness._trial_primes(v) == {p for p, _ in factorize(v).factors}, v
-    assert harness._trial_primes(99_991**2) == {99_991}  # the largest prime below 10**5
+        assert harness._trial_radical(v) == radical(v), v
+    assert harness._trial_radical(99_991**2) == 99_991  # the largest prime below 10**5
     # numtheory's trial stage stops at 10**5, so from 10**10 on a cofactor
     # could be composite: refused, not returned as a prime
     for v in [10**10 + 19, 100_003**2]:
         with pytest.raises(ValueError):
-            harness._trial_primes(v)
+            harness._trial_radical(v)
 
 
 _P, _Q = 100_003, 100_019  # primes: |a|, |b|, c and dd stay below 10**10, |a*b| does not
