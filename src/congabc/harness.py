@@ -29,12 +29,14 @@ the parts of the image (x, y, c, d and the pieces), not the image.  Both
 lanes judge the arrays of logs with the same code.  The full image,
 through theta, is the independent oracle.  The 160-bit rechecks factor
 it, and so does the scalar lane's audit of the first solution of every
-block.  _proved_image proves _Radicals' image radical against it by
-exact division (_is_radical), for the sieve lane's audit of _AUDIT_ROWS
+block, with numtheory's full engine, factorize (_exact_radicals), not
+with the cube-root rule of numtheory's radical that _Radicals uses.
+_proved_image proves _Radicals' image radical against it by exact
+division (_is_radical), for the sieve lane's audit of _AUDIT_ROWS
 seeded positions of every block at every n and for the identities'
-radical bound.  The sieve lane's _Radicals factor by numtheory's trial
-stage alone (_trial_radical), so that lane never calls numtheory's
-factorize.
+radical bound.  The sieve lane's numbers are below 3 * _VECTOR_MAX_C**2
+< 10**10, where radical needs trial division alone, so that lane never
+calls factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, sized for the suite's kernel, never
@@ -59,9 +61,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .abc_core import ABCSolution, MeritReport, merit, radical_abc
-from .numtheory import (FactorizationFailure, _TRIAL_BOUND, _prime_array, _trial_divide, radical,
-                        totient)
+from .abc_core import ABCSolution, MeritReport, merit
+from .numtheory import FactorizationFailure, _prime_array, factorize, radical, totient
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -388,9 +389,15 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
 
 
 def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
-    """(rad of |a*b*c|, rad of the image product, image c) exactly."""
+    """(rad of |a*b*c|, rad of the image product, image c) exactly, each
+    component's radical from factorize, the full engine, so that every audit
+    also checks radical's cube-root rule, which _Radicals uses."""
     img = theta(aa, n).output
-    return radical_abc(aa), radical_abc(img), img.c
+
+    def rad(t: ABCSolution) -> int:
+        return math.prod(factorize(v).radical_value() for v in (-t.a, -t.b, t.c))
+
+    return rad(aa), rad(img), img.c
 
 
 def _is_radical(r: int, m: int) -> bool:
@@ -408,33 +415,6 @@ class InternalRadicalMismatch(RuntimeError):
     """The image radical from the pieces differs from the full image's; a bug."""
 
 
-def _cyclotomic_pieces(c: int, dd: int, n: int) -> list[int]:
-    """Phi_k(c, dd) for k | n with k > 2, the homogeneous cyclotomic values.
-
-    Each comes from those of the divisors below it by the exact division
-    c**k - dd**k = prod of Phi_j(c, dd) over j | k.
-    """
-    phi: dict[int, int] = {}
-    for k in range(1, n + 1):
-        if n % k == 0:
-            v = c**k - dd**k
-            for j, pj in phi.items():
-                if k % j == 0:
-                    v //= pj
-            phi[k] = v
-    return [v for k, v in phi.items() if k > 2]
-
-
-def _trial_radical(v: int) -> int:
-    """rad(v) for v > 0 by numtheory's trial stage alone, which never gives
-    up and leaves 1 or a prime below 10**10, above the sieve lane's numbers
-    (below 3 * _VECTOR_MAX_C**2); ValueError at or above that bound."""
-    if v >= _TRIAL_BOUND * _TRIAL_BOUND:
-        raise ValueError(f"trial division alone cannot factor {v} >= {_TRIAL_BOUND**2}")
-    counts, rest = _trial_divide(v)
-    return math.prod(counts, start=rest)
-
-
 class _Radicals:
     """rad(|a*b*c|) of one solution and the exact radicals of its images.
 
@@ -447,25 +427,27 @@ class _Radicals:
         rad(|A*B*C|) = lcm(rad_in, rad(dd), rad(4S)),  rad(4S) = lcm(2, rad(Phi_k(c, dd)), ...)
 
     lcms, not products, since the Phi_k can share primes dividing n.  A
-    Phi_k has about c**phi(k) digits where the image has c**n.  Each
-    number is factored once per solution by radical (numtheory's by
-    default), in the order x, y, c, dd, then the pieces by k, and its
-    radical shared by every n and eps.  A FactorizationFailure is kept
-    and raised again for the same number, so a composite that resists
-    the budget costs one rho run per solution, not one per n.
+    Phi_k has about c**phi(k) digits where the image has c**n.  Each Phi_k
+    is computed once per solution, shared by every n with k | n (_phi).
+    Each number's radical is taken once per solution by numtheory's
+    radical, in the order x, y, c, dd, then the pieces by k, and shared by
+    every n and eps; below 10**15 that needs trial division alone.  A
+    FactorizationFailure is kept and raised again for the same number, so
+    a composite that resists the budget costs one rho run per solution,
+    not one per n.
     """
 
-    def __init__(self, aa: ABCSolution, radical: Callable[[int], int] = radical):
+    def __init__(self, aa: ABCSolution):
         self.aa = aa
-        self._radical = radical
         self._known: dict[int, int | FactorizationFailure] = {}
+        self._phis: dict[int, int] = {}
         self._parts: dict[int, tuple[int, int]] = {}
 
     def _rad(self, v: int) -> int:
         known = self._known.get(v)
         if known is None:
             try:
-                known = self._radical(v)
+                known = radical(v)
             except FactorizationFailure as exc:
                 known = exc
             self._known[v] = known
@@ -477,12 +459,29 @@ class _Radicals:
     def rad_in(self) -> int:
         return math.lcm(*map(self._rad, (-self.aa.a, -self.aa.b, self.aa.c)))
 
+    def _phi(self, k: int) -> int:
+        """Phi_k(c, dd), the homogeneous cyclotomic value: c**k - dd**k divided
+        exactly by the Phi_j(c, dd) of the proper divisors j of k, since
+        c**k - dd**k is the product of the Phi_j over j | k."""
+        v = self._phis.get(k)
+        if v is None:
+            c, dd = self.aa.c, self.aa.b - self.aa.a
+            v = c**k - dd**k
+            for j in range(1, k // 2 + 1):
+                if k % j == 0:
+                    v //= self._phi(j)
+            self._phis[k] = v
+        return v
+
+    def pieces(self, n: int) -> list[int]:
+        """Phi_k(c, dd) for the k | n with k > 2: the cyclotomic pieces of the image."""
+        return [self._phi(k) for k in _piece_ks(n)]
+
     def parts(self, n: int) -> tuple[int, int]:
         """(rad(dd), rad(4S)) at n, exactly."""
         if n not in self._parts:
-            c, dd = self.aa.c, self.aa.b - self.aa.a
-            pieces = _cyclotomic_pieces(c, dd, n)
-            self._parts[n] = self._rad(dd), math.lcm(2, *map(self._rad, pieces))
+            dd = self.aa.b - self.aa.a
+            self._parts[n] = self._rad(dd), math.lcm(2, *map(self._rad, self.pieces(n)))
         return self._parts[n]
 
     def image(self, n: int) -> tuple[int, int]:
@@ -766,8 +765,7 @@ def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) ->
               for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
     even = (c_arr & 1) == 0
     solution = functools.partial(_pair, c_arr, s_arr)
-    audited = {i: _Radicals(solution(i), _trial_radical)
-               for i in _audit_rows(block_idx, len(c_arr))}
+    audited = {i: _Radicals(solution(i)) for i in _audit_rows(block_idx, len(c_arr))}
     for ni, n in enumerate(plan.n_grid):
         lnrad_img = _LN2 + base_odd
         for k in _piece_ks(n):

@@ -9,14 +9,17 @@ runs four stages:
   package's one prime sieve, _prime_array, which also builds the
   harness's numpy sieve tables: the 168 primes below 1000 in a Python
   loop, the rest as one numpy remainder over the primes up to sqrt(n)
-  (exact for any n, by 30-bit limbs above 2**63).  The harness's sieve
-  lane oracle shares this stage, and no other: its numbers are below
-  10**10, where the cofactor left is 1 or a prime;
+  (exact for any n, by 30-bit limbs above 2**63);
 - the Baillie-PSW primality test (one deterministic test for every n:
   a strong base-2 test plus a strong Lucas test);
 - a perfect-power step, so that q**k with q above the trial bound is
   split by an exact k-th root rather than by rho;
 - Brent's variant of Pollard's rho, with an iteration budget.
+
+radical needs no split: it trial divides only up to the cube root, and
+below 10**15 = _TRIAL_BOUND**3 the cofactor left is 1, p, p*q or p**2,
+whose radical one isqrt decides.  Only a cofactor of 10**15 or more
+sends n through the four stages of factorize.
 """
 
 from __future__ import annotations
@@ -109,6 +112,12 @@ def _loop_primes() -> tuple[int, ...]:
     return tuple(primes[primes < _LOOP_BOUND].tolist())
 
 
+@functools.cache
+def _loop_powers(root: int) -> tuple[tuple[int, int], ...]:
+    """(p, p**root) for the loop primes p: the loop's stopping test, precomputed."""
+    return tuple((p, p**root) for p in _loop_primes())
+
+
 def _residues(n: int, primes: np.ndarray) -> np.ndarray:
     """n % p for every p in primes (int64, each below 2**17), exactly, for n >= 0.
 
@@ -136,6 +145,8 @@ def _divide_out(n: int, p: int, counts: dict[int, int]) -> int:
 
 def _iroot(m: int, k: int) -> int:
     """floor(m ** (1/k)) exactly, for m >= 1 and k >= 2 (Newton's method)."""
+    if k == 2:
+        return math.isqrt(m)
     r = 1 << -(-m.bit_length() // k)  # 2**ceil(bits/k) > m ** (1/k)
     while True:
         s = ((k - 1) * r + m // r ** (k - 1)) // k
@@ -302,20 +313,22 @@ def rho_budget() -> int:
     return budget
 
 
-def _trial_divide(n: int) -> tuple[dict[int, int], int]:
-    """(counts, cofactor): the exponents in n >= 1 of the primes below
-    _TRIAL_BOUND, and n with them divided out.  Those below _LOOP_BOUND are
-    tried in a Python loop, the rest up to sqrt(n) as one numpy remainder
-    (_residues); only the primes that divide n are divided out."""
+def _trial_divide(n: int, root: int = 2) -> tuple[dict[int, int], int]:
+    """(counts, cofactor): the exponents in n >= 1 of the primes p below
+    _TRIAL_BOUND with p**root <= n, and n with them divided out.  n shrinks
+    as primes are divided out, so the cofactor m keeps no such prime with
+    p**root <= m.  Those below _LOOP_BOUND are tried in a Python loop, the
+    rest up to the root of n as one numpy remainder (_residues); only the
+    primes that divide n are divided out."""
     counts: dict[int, int] = {}
-    small = _loop_primes()
-    for p in small:
-        if p * p > n:
+    small = _loop_powers(root)
+    for p, power in small:
+        if power > n:
             break
         if n % p == 0:
             n = _divide_out(n, p, counts)
-    else:  # the loop primes ran out before p * p > n
-        bound = math.isqrt(n) if n < _TRIAL_BOUND * _TRIAL_BOUND else _TRIAL_BOUND
+    else:  # the loop primes ran out before p**root > n
+        bound = _iroot(n, root) if n < _TRIAL_BOUND**root else _TRIAL_BOUND
         primes = _prime_array(_TRIAL_BOUND)
         primes = primes[len(small) : int(np.searchsorted(primes, bound, side="right"))]
         for p in primes[_residues(n, primes) == 0].tolist():
@@ -364,8 +377,23 @@ def factorize(n: int) -> Factorization:
 
 
 def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; radical(1) = 1."""
-    return factorize(n).radical_value()
+    """Product of the distinct primes dividing n >= 1; radical(1) = 1.
+
+    Trial division up to the cube root (_trial_divide at root 3) leaves a
+    cofactor m with no prime factor p < _TRIAL_BOUND with p**3 <= m.  Below
+    _TRIAL_BOUND**3 = 10**15 no larger prime has p**3 <= m either, so every
+    prime factor of m exceeds its cube root: m is 1, p, p*q or p**2, and its
+    radical is isqrt(m) when m is a square, else m, with no primality test
+    and no rho (the n**(1/3) bound of Lehman's method).  A cofactor of
+    10**15 or more leaves the radical to factorize(n).
+    """
+    if n < 1:
+        raise ValueError("radical expects n >= 1")
+    counts, m = _trial_divide(n, 3)
+    if m >= _TRIAL_BOUND**3:
+        return factorize(n).radical_value()
+    r = math.isqrt(m)
+    return math.prod(counts, start=r if r * r == m else m)
 
 
 def totient(n: int) -> int:

@@ -368,14 +368,14 @@ def test_internal_error_exit_4(capsys, monkeypatch, fault):
     from congabc import harness
     from congabc.theta import InternalInexactDivision
 
-    real = harness._cyclotomic_pieces
+    real = harness._Radicals.pieces
 
-    def pieces(c, dd, n):
+    def pieces(self, n):
         if fault == "drop a piece":
-            return real(c, dd, n)[:-1]
+            return real(self, n)[:-1]
         raise InternalInexactDivision("injected")
 
-    monkeypatch.setattr(harness, "_cyclotomic_pieces", pieces)
+    monkeypatch.setattr(harness._Radicals, "pieces", pieces)
     # totient(16) = 8, so the chain takes the scalar lane, which factors the pieces
     code, out, err = run_cli(
         capsys, "verify", "chain", "--max-c", "20", "--N", "16", "--eps", "1", "--C", "10"

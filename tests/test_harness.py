@@ -779,16 +779,17 @@ def test_identities_record_failures_in_corpus_order(monkeypatch):
 
 def test_identities_factor_neither_the_image_nor_the_sum(monkeypatch):
     # check (iii) proves its image radical by exact division and takes rad(4 * S)
-    # from the pieces: nothing goes to radical_abc, no 4 * S to factorize
+    # from the pieces: nothing goes to _exact_radicals, no 4 * S to radical
     spec = CorpusSpec(max_c=40)
     images, factored = [], []
-    real_abc, real_factorize = harness.radical_abc, numtheory.factorize
-    monkeypatch.setattr(harness, "radical_abc", lambda aa: images.append(aa) or real_abc(aa))
-    monkeypatch.setattr(numtheory, "factorize", lambda v: factored.append(v) or real_factorize(v))
+    real_exact, real_radical = harness._exact_radicals, harness.radical
+    monkeypatch.setattr(harness, "_exact_radicals",
+                        lambda aa, n: images.append(aa) or real_exact(aa, n))
+    monkeypatch.setattr(harness, "radical", lambda v: factored.append(v) or real_radical(v))
     s = verify_proof_identities(spec, [2, 4, 6], tolerance=-1.0, max_counterexamples=10**6)
     assert s.failures > 0 and s.checks == 3 * 3 * len(spec)
     parts = {v for aa in spec for n in (4, 6) for v in (
-        -aa.a, -aa.b, aa.c, aa.b - aa.a, *harness._cyclotomic_pieces(aa.c, aa.b - aa.a, n))}
+        -aa.a, -aa.b, aa.c, aa.b - aa.a, *harness._Radicals(aa).pieces(n))}
     sums = {4 * harness._identity_sum(aa.c, aa.b - aa.a, n) for aa in spec for n in (4, 6)}
     assert images == [] and set(factored) <= parts and sums - parts
 
@@ -808,7 +809,9 @@ def test_identities_catch_a_dropped_piece(monkeypatch, capsys, workers):
     assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
 
 
-_BIG_C = 1000003 * 1000033  # two primes, out of reach of a one-step rho
+# two primes, out of reach of a one-step rho; above 10**15, where radical
+# needs neither rho nor a primality test, and so it goes to factorize
+_BIG_C = 100000007 * 100000037
 
 
 @pytest.mark.parametrize("suite, counts, params", [
@@ -919,8 +922,8 @@ def test_image_radicals_match_full_image_sampled(monkeypatch, digits):
 
 
 def _drop_last_piece(monkeypatch):
-    real = harness._cyclotomic_pieces
-    monkeypatch.setattr(harness, "_cyclotomic_pieces", lambda c, dd, n: real(c, dd, n)[:-1])
+    real = harness._Radicals.pieces
+    monkeypatch.setattr(harness._Radicals, "pieces", lambda self, n: real(self, n)[:-1])
 
 
 @pytest.mark.parametrize("corpus, n_grid", [
@@ -1017,12 +1020,12 @@ def test_sieve_lane_never_factorizes(monkeypatch, workers):
 
 def test_proved_image_is_the_full_image(monkeypatch):
     for aa in CorpusSpec(60):
-        rads = harness._Radicals(aa, harness._trial_radical)
+        rads = harness._Radicals(aa)
         for n in (2, 4, 6):
             assert harness._proved_image(rads, n) == harness._exact_radicals(aa, n)
     # a piece left out: its primes are missing from the full image's
     _drop_last_piece(monkeypatch)
-    rads = harness._Radicals(make_solution(-4, -3, 7), harness._trial_radical)
+    rads = harness._Radicals(make_solution(-4, -3, 7))
     assert rads.image(6)[1] == 2 * 3 * 7 * 19  # Phi_3(7, 1) = 3 * 19, Phi_6(7, 1) = 43 dropped
     with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
         harness._proved_image(rads, 6)
@@ -1043,16 +1046,23 @@ def test_is_radical_is_the_certificate():
     assert harness._is_radical(1, 1) and not harness._is_radical(2, 1)
 
 
-def test_trial_radical_matches_factorization():
-    # up to 3 * _VECTOR_MAX_C**2, the lane's largest piece
-    for v in [1, 2, 97, 2**10, 3 * 7**2 * 37**2, 86_599**2, 7_499_999_999, 7_500_000_001]:
-        assert harness._trial_radical(v) == radical(v), v
-    assert harness._trial_radical(99_991**2) == 99_991  # the largest prime below 10**5
-    # numtheory's trial stage stops at 10**5, so from 10**10 on a cofactor
-    # could be composite: refused, not returned as a prime
-    for v in [10**10 + 19, 100_003**2]:
-        with pytest.raises(ValueError):
-            harness._trial_radical(v)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_audit_catches_a_radical_without_its_square_step(monkeypatch, workers):
+    # a cube-root rule that takes a p**2 cofactor for a prime: dd = p**2 of the
+    # first solution gets the radical p**2, and the audit, which factors the
+    # full image with factorize, must see it
+    def no_isqrt(n):
+        counts, m = numtheory._trial_divide(n, 3)
+        if m >= numtheory._TRIAL_BOUND**3:
+            return factorize(n).radical_value()
+        return math.prod(counts, start=m)
+
+    p = 100_003
+    corpus = [make_solution(-(p * p + 1), -1, p * p + 2), make_solution(-1, -2, 3)]
+    assert verify_lemma1(corpus, [2, 4], [1.0], workers=workers).ok
+    monkeypatch.setattr(harness, "radical", no_isqrt)
+    with pytest.raises(harness.InternalRadicalMismatch, match="the full image"):
+        verify_lemma1(corpus, [2, 4], [1.0], workers=workers)
 
 
 _P, _Q = 100_003, 100_019  # primes: |a|, |b|, c and dd stay below 10**10, |a*b| does not
@@ -1088,7 +1098,7 @@ def test_identities_radical_bound_needs_no_factored_image(monkeypatch):
     monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
     first = make_solution(-_Q, -_P, _P + _Q)
     with pytest.raises(FactorizationFailure):
-        radical_abc(theta(first, 2).output)
+        harness._exact_radicals(first, 2)  # the oracle gives up
     s = verify_proof_identities([first], [2])
     assert (s.checks, s.passes, s.inconclusives) == (3, 3, 0)
     assert s.extremal.params == {"n": 2, "check": "radical-log-bound"}

@@ -239,6 +239,44 @@ def test_radical_examples():
     assert radical(15042) == 15042  # 2*3*23*109 squarefree
 
 
+def _rule_cases() -> list[int]:
+    """Numbers for radical's cube-root rule: pq, p**2, p**2 * k, p**3, p**2 * q and
+    p*q*r from primes just above 10**5, products straddling 10**15, and random n
+    up to 10**20."""
+    above = [p for p in _prime_array(100_200).tolist() if p > 100_000][:6]
+    p, q, r = above[:3]
+    cases = [p * q, p * p, p**3, p * p * q, p * q * r, 99_991**2, 99_991**3]
+    cases += [x * y for x in above for y in above]
+    cases += [p * p * k for k in (2, 3, 12, 997, 99_991, 99_989, 100_000, 10**5 - 1)]
+    cases += [x * y * t for x in above[:3] for y in above[:3] for t in (7, 1009, 99_991)]
+    cases += [10**15 + d for d in range(-40, 41)]
+    rng = random.Random(16)
+    cases += [rng.randrange(1, 10**e) for e in (6, 10, 14, 15, 16, 20) for _ in range(150)]
+    below = [n for n in cases if n < 10**15]
+    assert len(below) > 100 and len(cases) - len(below) > 100
+    return cases
+
+
+def test_radical_cube_root_rule_matches_factorize():
+    for n in _rule_cases():
+        assert radical(n) == factorize(n).radical_value(), n
+    assert radical(99_991**2) == 99_991  # the largest prime below 10**5
+    assert radical(100_003**2 * 99_991) == 100_003 * 99_991  # a p**2 cofactor
+    with pytest.raises(ValueError):
+        radical(0)
+
+
+def test_radical_below_10_15_needs_no_primality_test_nor_rho(monkeypatch):
+    want = {n: factorize(n).radical_value() for n in _rule_cases() if n < 10**15}
+
+    def refuse(*args):
+        raise AssertionError("radical below 10**15 went past trial division")
+
+    for name in ("is_probable_prime", "_rho_brent", "factorize"):
+        monkeypatch.setattr(numtheory, name, refuse)
+    assert {n: radical(n) for n in want} == want
+
+
 def test_totient_examples():
     assert totient(16) == 8
     assert totient(1) == 1
