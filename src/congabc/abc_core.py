@@ -108,9 +108,9 @@ def radical_abc(aa: ABCSolution) -> int:
 
 
 def merit(aa: ABCSolution, epsilon: float = 0.0) -> MeritReport:
-    """Merit report for one solution at one epsilon >= 0."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    """Merit report for one solution at one finite epsilon >= 0."""
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
     rad_abc = radical_abc(aa)
     log_rad = math.log(rad_abc)
     log_c = math.log(aa.c)

@@ -2,9 +2,14 @@
 
 Subcommands: analyze (triple metrics), theta (orbit of the even-power
 map), verify (corpus suites), bound (constant propagation), search
-(high-quality solutions).  Output formats: table (human), json
-(canonical: sorted keys, floats at 12 significant digits, big integers
-as decimal strings), csv.
+(high-quality solutions).
+
+Each command builds a JSON record, CSV rows (dicts keyed by column) and
+table lines, and one renderer, _emit, prints the --format asked for:
+json (canonical: sorted keys, floats at 12 significant digits, big
+integers as decimal strings), csv (a cell is empty for None, true or
+false for a bool, a float at 12 significant digits, else str) or table.
+Rows and lines may be generators: only the format printed is computed.
 
 Each verify suite takes only the options it reads, after the suite name:
 --max-c, --congruence, --workers and --format; --tolerance in all but
@@ -31,7 +36,7 @@ import math
 import os
 import sys
 
-from .abc_core import ABCSolution, SolutionError, make_solution, merit
+from .abc_core import ABCSolution, MeritReport, SolutionError, make_solution, merit
 from .harness import (
     DEFAULT_TOLERANCE,
     CorpusSpec,
@@ -48,6 +53,8 @@ from .numtheory import FactorizationFailure, factorize, rho_budget, totient
 from .theta import InternalInexactDivision, derived_full_bound, lemma_constants, theta
 
 FORMATS = ("table", "json", "csv")
+
+MERIT_CSV_COLUMNS = ("a", "b", "c", "rad", "quality", "eps", "f")
 
 VERIFY_CSV_COLUMNS = (
     "kind", "a", "b", "c", "n", "eps", "N", "check",
@@ -82,8 +89,47 @@ def _canon(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _cell(v) -> str:
+    """One CSV cell: None is empty, a bool true or false, a float _fmt, else str."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return _fmt(v) if isinstance(v, float) else str(v)
+
+
+def _emit(args: argparse.Namespace, record: dict, columns, rows, lines) -> int:
+    """Print what --format asks for: record as canonical JSON, rows (dicts
+    keyed by column, a missing key an empty cell) as CSV under a header of
+    columns, or lines as a table.  Returns args.exit_code: the parser's 0,
+    or the verdict's code that cmd_verify sets."""
+    if args.format == "json":
+        print(_canon(record))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row.get(k)) for k in columns] for row in rows)
+    else:
+        for line in lines:
+            print(line)
+    return args.exit_code
+
+
 def _triple_record(aa: ABCSolution) -> dict:
     return {"a": str(aa.a), "b": str(aa.b), "c": str(aa.c)}
+
+
+def _merit_row(r: MeritReport) -> dict:
+    """The MERIT_CSV_COLUMNS cells of one merit report."""
+    return {"a": r.triple.a, "b": r.triple.b, "c": r.triple.c,
+            "rad": r.rad_abc, "quality": r.quality, "eps": r.epsilon, "f": r.merit}
+
+
+def _merit_record(reports: list[MeritReport]) -> dict:
+    """The JSON of one triple's merit reports, which share its radical and quality."""
+    r = reports[0]
+    return {"triple": _triple_record(r.triple), "rad": str(r.rad_abc), "quality": r.quality,
+            "merit": [{"eps": x.epsilon, "f": x.merit} for x in reports]}
 
 
 def _factor_string(factors: tuple[tuple[int, int], ...]) -> str:
@@ -147,12 +193,6 @@ def _parse_list(text: str, kind: type) -> list:
     return [kind(t) for t in text.split(",") if t.strip() != ""]
 
 
-def _print_csv(rows: list[list], header: list[str]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -162,38 +202,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not eps_list:
         raise ValueError("--eps must list at least one value")
     aa = make_solution(*_coerce_triple(args.x, args.y, args.z))
-    facs = {
-        "a": factorize(-aa.a),
-        "b": factorize(-aa.b),
-        "c": factorize(aa.c),
-    }
+    facs = {"a": factorize(-aa.a), "b": factorize(-aa.b), "c": factorize(aa.c)}
     reports = [merit(aa, e) for e in eps_list]
-    base = reports[0]
-    if args.format == "json":
-        record = {
-            "triple": _triple_record(aa),
-            "factors": {k: [[str(p), e] for p, e in f.factors] for k, f in facs.items()},
-            "rad": str(base.rad_abc),
-            "quality": base.quality,
-            "merit": [{"eps": r.epsilon, "f": r.merit} for r in reports],
-        }
-        print(_canon(record))
-    elif args.format == "csv":
-        rows = [
-            [aa.a, aa.b, aa.c, base.rad_abc, _fmt(base.quality), _fmt(r.epsilon), _fmt(r.merit)]
-            for r in reports
-        ]
-        _print_csv(rows, ["a", "b", "c", "rad", "quality", "eps", "f"])
-    else:
-        print(f"triple: (a, b, c) = {aa}")
-        print(f"|a| = {-aa.a} = {_factor_string(facs['a'].factors)}")
-        print(f"|b| = {-aa.b} = {_factor_string(facs['b'].factors)}")
-        print(f"c = {aa.c} = {_factor_string(facs['c'].factors)}")
-        print(f"rad(abc) = {base.rad_abc}")
-        print(f"quality = {_fmt(base.quality)}")
-        for r in reports:
-            print(f"f(eps={_fmt(r.epsilon)}) = {_fmt(r.merit)}")
-    return 0
+    record = {
+        **_merit_record(reports),
+        "factors": {k: [[str(p), e] for p, e in f.factors] for k, f in facs.items()},
+    }
+    lines = [
+        f"triple: (a, b, c) = {aa}",
+        f"|a| = {-aa.a} = {_factor_string(facs['a'].factors)}",
+        f"|b| = {-aa.b} = {_factor_string(facs['b'].factors)}",
+        f"c = {aa.c} = {_factor_string(facs['c'].factors)}",
+        f"rad(abc) = {reports[0].rad_abc}",
+        f"quality = {_fmt(reports[0].quality)}",
+        *(f"f(eps={_fmt(r.epsilon)}) = {_fmt(r.merit)}" for r in reports),
+    ]
+    return _emit(args, record, MERIT_CSV_COLUMNS, map(_merit_row, reports), lines)
 
 
 # ---------------------------------------------------------------------------
@@ -214,95 +238,83 @@ def cmd_theta(args: argparse.Namespace) -> int:
         current = result.output
         if fixed:
             break
-    if args.format == "json":
-        record = {
-            "input": _triple_record(aa),
-            "n": args.n,
-            "steps": [
-                {
-                    "step": k,
-                    "m": res.m,
-                    "raw": {"a": str(res.raw[0]), "b": str(res.raw[1]), "c": str(res.raw[2])},
-                    "triple": _triple_record(res.output),
-                    "rad": str(rep.rad_abc),
-                    "quality": rep.quality,
-                    "fixed_point": fixed,
-                }
-                for k, res, rep, fixed in steps
-            ],
-        }
-        print(_canon(record))
-    elif args.format == "csv":
-        rows = [
-            [k, res.m, res.output.a, res.output.b, res.output.c,
-             rep.rad_abc, _fmt(rep.quality)]
+    record = {
+        "input": _triple_record(aa),
+        "n": args.n,
+        "steps": [
+            {
+                "step": k,
+                "m": res.m,
+                "raw": dict(zip("abc", map(str, res.raw))),
+                "triple": _triple_record(res.output),
+                "rad": str(rep.rad_abc),
+                "quality": rep.quality,
+                "fixed_point": fixed,
+            }
             for k, res, rep, fixed in steps
-        ]
-        _print_csv(rows, ["step", "m", "a", "b", "c", "rad", "quality"])
-    else:
-        print(f"input: {aa}")
+        ],
+    }
+
+    def lines():
+        yield f"input: {aa}"
         for k, res, rep, fixed in steps:
             raw = f"({res.raw[0]}, {res.raw[1]}, {res.raw[2]})"
-            print(
+            yield (
                 f"step {k}: n = {res.n}, m = {res.m}, raw = {raw}, "
                 f"normalized = {res.output}, rad = {rep.rad_abc}, "
                 f"quality = {_fmt(rep.quality)}"
             )
             if fixed:
-                print(f"fixed point reached at step {k}")
-    return 0
+                yield f"fixed point reached at step {k}"
+
+    rows = ({"step": k, "m": res.m, **_merit_row(rep)} for k, res, rep, _ in steps)
+    return _emit(args, record, ("step", "m", "a", "b", "c", "rad", "quality"), rows, lines())
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _verify_csv_rows(s: SuiteSummary) -> list[list]:
-    rows = []
+def _verify_rows(s: SuiteSummary):
+    """The extremal, the counterexamples and the inconclusive examples, each
+    with its merit cells at its eps (blank if the factorization gives up)."""
     kinds = [("extremal", v) for v in ([s.extremal] if s.extremal else [])]
     kinds += [("counterexample", v) for v in s.counterexamples]
     kinds += [("inconclusive", v) for v in s.inconclusive_examples]
     for kind, v in kinds:
         eps = v.params.get("eps")
         try:
-            rep = merit(v.triple, eps if eps is not None else 0.0)
-            rad, q, f = rep.rad_abc, _fmt(rep.quality), _fmt(rep.merit)
+            cells = _merit_row(merit(v.triple, 0.0 if eps is None else eps))
         except FactorizationFailure:
-            rad, q, f = "", "", ""
-        rows.append([
-            kind, v.triple.a, v.triple.b, v.triple.c,
-            v.params.get("n", ""), "" if eps is None else _fmt(eps),
-            v.params.get("N", ""), v.params.get("check", ""),
-            rad, q, f,
-            _fmt(v.lhs), _fmt(v.rhs), _fmt(v.slack), str(v.passed).lower(),
-        ])
-    return rows
+            cells = {}
+        yield {**vars(v.triple), **cells, **v.params, "kind": kind, "eps": eps,
+               "lhs": v.lhs, "rhs": v.rhs, "slack": v.slack, "pass": v.passed}
 
 
-def _print_verify_table(s: SuiteSummary) -> None:
-    print(f"suite: {s.suite}")
-    print(f"params: {', '.join(f'{k} = {v}' for k, v in sorted(s.params.items()))}")
-    print(f"corpus: {s.corpus_size} triples (hash {s.corpus_hash[:16]})")
-    print(
+def _verify_lines(s: SuiteSummary):
+    yield f"suite: {s.suite}"
+    yield f"params: {', '.join(f'{k} = {v}' for k, v in sorted(s.params.items()))}"
+    yield f"corpus: {s.corpus_size} triples (hash {s.corpus_hash[:16]})"
+    yield (
         f"checks = {s.checks}, passes = {s.passes}, "
         f"failures = {s.failures}, inconclusives = {s.inconclusives}"
     )
     if s.min_slack is not None and s.extremal is not None:
-        print(
+        yield (
             f"min slack = {_fmt(s.min_slack)} at triple = {s.extremal.triple}, "
             f"params = {s.extremal.params}"
         )
     if s.counterexamples:
         v = s.counterexamples[0]
-        print(
+        yield (
             f"counterexample: triple = {v.triple}, params = {v.params}, "
             f"lhs = {_fmt(v.lhs)}, rhs = {_fmt(v.rhs)}, slack = {_fmt(v.slack)}, "
             f"witness = {v.witness}"
         )
     for v in s.inconclusive_examples[:3]:
-        print(f"inconclusive: triple = {v.triple}, note = {v.note}")
-    print(f"workers = {s.workers}, wall time = {s.wall_time:.2f} s")
-    print(f"result: {_summary_status(s).upper()}")
+        yield f"inconclusive: triple = {v.triple}, note = {v.note}"
+    yield f"workers = {s.workers}, wall time = {s.wall_time:.2f} s"
+    yield f"result: {_summary_status(s).upper()}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -310,13 +322,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     summary = args.run(args, CorpusSpec(max_c=args.max_c, congruence=args.congruence))
     # the verdict's code, set before the output, so it stands if stdout closes early
     args.exit_code = {"pass": 0, "counterexample": 1, "inconclusive": 3}[_summary_status(summary)]
-    if args.format == "json":
-        print(_canon(_summary_record(summary)))
-    elif args.format == "csv":
-        _print_csv(_verify_csv_rows(summary), list(VERIFY_CSV_COLUMNS))
-    else:
-        _print_verify_table(summary)
-    return args.exit_code
+    return _emit(args, _summary_record(summary), VERIFY_CSV_COLUMNS,
+                 _verify_rows(summary), _verify_lines(summary))
 
 
 # ---------------------------------------------------------------------------
@@ -325,45 +332,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     value = derived_full_bound(args.N, args.eps, args.C)
-    record = {
-        "N": str(args.N),
-        "eps": args.eps,
-        "assumed_constant": args.C,
-        "bound": value,
-        "phi": None,
-        "c_lin": None,
-        "c_off": None,
-        "eps_out": None,
-    }
+    record = {"N": str(args.N), "eps": args.eps, "assumed_constant": args.C, "bound": value,
+              **dict.fromkeys(("phi", "c_lin", "c_off", "eps_out"))}
+    lines = [f"N = {args.N}"]
     if args.N >= 3:
         n = totient(args.N)
         lc = lemma_constants(n, args.eps)
-        record.update(
-            {"phi": str(n), "c_lin": lc.c_lin, "c_off": lc.c_off, "eps_out": lc.eps_out}
-        )
-    if args.format == "json":
-        print(_canon(record))
-    elif args.format == "csv":
-        row = [
-            args.N, record["phi"] or "", _fmt(args.eps), _fmt(args.C),
-            "" if record["c_lin"] is None else _fmt(record["c_lin"]),
-            "" if record["c_off"] is None else _fmt(record["c_off"]),
-            "" if record["eps_out"] is None else _fmt(record["eps_out"]),
-            _fmt(value),
-        ]
-        _print_csv([row], ["N", "phi", "eps", "assumed_constant",
-                           "c_lin", "c_off", "eps_out", "bound"])
+        record.update(phi=str(n), c_lin=lc.c_lin, c_off=lc.c_off, eps_out=lc.eps_out)
+        lines.append(f"phi(N) = {n}")
+        lines += [f"{k} = {_fmt(record[k])}" for k in ("c_lin", "c_off", "eps_out")]
     else:
-        print(f"N = {args.N}")
-        if record["phi"] is None:
-            print("restriction is vacuous for N <= 2; bound passes through")
-        else:
-            print(f"phi(N) = {record['phi']}")
-            print(f"c_lin = {_fmt(record['c_lin'])}")
-            print(f"c_off = {_fmt(record['c_off'])}")
-            print(f"eps_out = {_fmt(record['eps_out'])}")
-        print(f"bound = {_fmt(value)}")
-    return 0
+        lines.append("restriction is vacuous for N <= 2; bound passes through")
+    lines.append(f"bound = {_fmt(value)}")
+    columns = ("N", "phi", "eps", "assumed_constant", "c_lin", "c_off", "eps_out", "bound")
+    return _emit(args, record, columns, [record], lines)
 
 
 # ---------------------------------------------------------------------------
@@ -372,37 +354,17 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     hits = search_quality(args.max_c, args.min_quality)
-    if args.format == "json":
-        record = {
-            "max_c": args.max_c,
-            "threshold": args.min_quality,
-            "hits": [
-                {
-                    "triple": _triple_record(r.triple),
-                    "rad": str(r.rad_abc),
-                    "quality": r.quality,
-                    "merit": [{"eps": r.epsilon, "f": r.merit}],
-                }
-                for r in hits
-            ],
-        }
-        print(_canon(record))
-    elif args.format == "csv":
-        rows = [
-            [r.triple.a, r.triple.b, r.triple.c, r.rad_abc,
-             _fmt(r.quality), _fmt(r.epsilon), _fmt(r.merit)]
-            for r in hits
-        ]
-        _print_csv(rows, ["a", "b", "c", "rad", "quality", "eps", "f"])
-    else:
-        if not hits:
-            print(f"no solutions with c <= {args.max_c} and quality > {args.min_quality}")
-        for r in hits:
-            print(
-                f"triple = {r.triple}, rad = {r.rad_abc}, "
-                f"quality = {_fmt(r.quality)}, f(0) = {_fmt(r.merit)}"
-            )
-    return 0
+    record = {
+        "max_c": args.max_c,
+        "threshold": args.min_quality,
+        "hits": [_merit_record([r]) for r in hits],
+    }
+    lines = [
+        f"triple = {r.triple}, rad = {r.rad_abc}, "
+        f"quality = {_fmt(r.quality)}, f(0) = {_fmt(r.merit)}"
+        for r in hits
+    ] or [f"no solutions with c <= {args.max_c} and quality > {args.min_quality}"]
+    return _emit(args, record, MERIT_CSV_COLUMNS, map(_merit_row, hits), lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1139,8 +1139,8 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
     through the factorization engine before being reported.
     """
     sources = CorpusSpec(max_c)._sources(_BLOCK_SLOTS)  # ValueError for max_c < 3
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     lograd, _ = _radical_tables(max_c)
     hits: list[MeritReport] = []
     for source in sources:

@@ -19,7 +19,7 @@ runs four stages:
 radical needs no split: it trial divides only up to the cube root, and
 below 10**15 = _TRIAL_BOUND**3 the cofactor left is 1, p, p*q or p**2,
 whose radical one isqrt decides.  Only a cofactor of 10**15 or more
-sends n through the four stages of factorize.
+goes on to the last three stages (_split), which factorize shares.
 """
 
 from __future__ import annotations
@@ -337,21 +337,25 @@ def _trial_divide(n: int, root: int = 2) -> tuple[dict[int, int], int]:
 
 
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n >= 1.
-
-    Trial division by the primes below _TRIAL_BOUND (_trial_divide).  The
-    cofactor left goes on one stack, as does every factor split from it:
-    each is prime below _TRIAL_BOUND**2, else proved by is_probable_prime
-    or split, first as a perfect power by an exact integer root, else by
-    rho with a fixed stream per composite.  Raises FactorizationFailure if
-    some composite cannot be split within rho_budget() steps (read when rho
-    first runs).  Each prime is proved once, by trial division or
-    is_probable_prime.
-    """
+    """Complete prime factorization of n >= 1: trial division (_trial_divide),
+    then _split of the cofactor, which may raise FactorizationFailure."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
-    counts, n = _trial_divide(n)
-    stack = [(n, 1)] if n > 1 else []
+    return _split(*_trial_divide(n))
+
+
+def _split(counts: dict[int, int], m: int) -> Factorization:
+    """The factorization of m times the prime powers in counts, for a cofactor
+    m >= 1 with no prime factor below _TRIAL_BOUND (updates counts).
+
+    m goes on one stack, as does every factor split from it: each is prime
+    below _TRIAL_BOUND**2, else proved by is_probable_prime or split, first
+    as a perfect power by an exact integer root, else by rho with a fixed
+    stream per composite.  Raises FactorizationFailure if some composite
+    cannot be split within rho_budget() steps (read when rho first runs).
+    Each prime is proved once, by trial division or is_probable_prime.
+    """
+    stack = [(m, 1)] if m > 1 else []
     budget = None
     while stack:
         m, e = stack.pop()
@@ -385,13 +389,14 @@ def radical(n: int) -> int:
     prime factor of m exceeds its cube root: m is 1, p, p*q or p**2, and its
     radical is isqrt(m) when m is a square, else m, with no primality test
     and no rho (the n**(1/3) bound of Lehman's method).  A cofactor of
-    10**15 or more leaves the radical to factorize(n).
+    10**15 or more was tried against every prime below _TRIAL_BOUND, so
+    _split takes it as factorize does, with no second trial division.
     """
     if n < 1:
         raise ValueError("radical expects n >= 1")
     counts, m = _trial_divide(n, 3)
     if m >= _TRIAL_BOUND**3:
-        return factorize(n).radical_value()
+        return _split(counts, m).radical_value()
     r = math.isqrt(m)
     return math.prod(counts, start=r if r * r == m else m)
 

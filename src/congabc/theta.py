@@ -42,7 +42,7 @@ class OddN(ValueError):
 
 
 class NonpositiveEpsilon(ValueError):
-    """epsilon must be strictly positive here."""
+    """epsilon must be finite and strictly positive here."""
 
 
 class ExponentCapExceeded(ValueError):
@@ -90,8 +90,9 @@ def _require_even(n: int) -> None:
 
 
 def _require_positive(epsilon) -> None:
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    # not 0 < nan, so a NaN epsilon, which would pass every check, fails here too
+    if not 0 < epsilon < math.inf:
+        raise NonpositiveEpsilon(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def _require_exponent(n: int) -> None:
@@ -149,7 +150,7 @@ def _constants(n: int, epsilon, log) -> LemmaConstants:
 
 
 def lemma_constants(n: int, epsilon: float) -> LemmaConstants:
-    """The amplification constants for even n >= 2 and epsilon > 0."""
+    """The amplification constants for even n >= 2 and finite epsilon > 0."""
     _require_even(n)
     _require_positive(epsilon)
     return _constants(n, float(epsilon), math.log)
@@ -168,6 +169,8 @@ def derived_full_bound(N: int, epsilon: float, congruence_constant: float) -> fl
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     _require_positive(epsilon)
+    if not math.isfinite(congruence_constant):
+        raise ValueError(f"the assumed constant must be finite, got {congruence_constant}")
     if N <= 2:
         return float(congruence_constant)
     return lemma_constants(totient(N), epsilon).lift(congruence_constant)

@@ -359,6 +359,41 @@ def test_search_json(capsys):
 
 
 # ---------------------------------------------------------------------------
+# output bytes
+
+
+# (command line, env, format) -> exact stdout and exit code, verify's wall time masked:
+# every command, search with and without hits, and verify passing, failing and
+# inconclusive, in each format
+_PINNED = json.loads((Path(__file__).parent / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", _PINNED, ids=lambda c: f"{c['line']} --format {c['format']}")
+def test_output_bytes_are_pinned(capsys, monkeypatch, case):
+    for name, value in case["env"].items():
+        monkeypatch.setenv(name, value)
+    code, out, _ = run_cli(capsys, *case["line"].split(), "--format", case["format"])
+    out = re.sub(r"wall time = [0-9.]+ s", "wall time = * s", out)
+    assert (code, out) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma1", "--max-c", "50", "--n", "2", "--eps", "nan"],
+    ["verify", "lemma1", "--max-c", "50", "--n", "2", "--eps", "inf"],
+    ["verify", "chain", "--max-c", "50", "--N", "3", "--eps", "1", "--C", "nan"],
+    ["bound", "--N", "3", "--eps", "nan", "--C", "10"],
+    ["bound", "--N", "2", "--eps", "1", "--C", "inf"],
+    ["analyze", "1", "8", "-9", "--eps", "nan"],
+    ["search", "--max-c", "100", "--min-quality", "nan"],
+])
+def test_non_finite_inputs_exit_2(capsys, argv):
+    # a comparison with NaN is false: each of these printed a PASS or a nan, exit 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
+# ---------------------------------------------------------------------------
 # plumbing
 
 

@@ -560,6 +560,21 @@ def test_suites_reject_a_non_finite_tolerance(value):
                 run(**{key: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_epsilon_constant_and_threshold_are_rejected(value):
+    # a comparison with NaN is false, so a NaN epsilon passed every lemma1 check
+    spec = CorpusSpec(max_c=3)
+    runs = (lambda: verify_lemma1(spec, [2], [value]),
+            lambda: verify_reduction_chain(spec, 3, value, 10.0),
+            lambda: verify_reduction_chain(spec, 3, 1.0, value),
+            lambda: lemma_constants(2, value),
+            lambda: merit(make_solution(-1, -8, 9), value),
+            lambda: search_quality(10, value))
+    for run in runs:
+        with pytest.raises(ValueError, match="finite"):
+            run()
+
+
 @pytest.mark.parametrize("suite", list(_SUITES))
 def test_suites_reject_fewer_than_one_worker(suite):
     # checked in _verify, so the API rejects what the CLI does

@@ -266,6 +266,24 @@ def test_radical_cube_root_rule_matches_factorize():
         radical(0)
 
 
+def test_radical_above_10_15_trial_divides_once(monkeypatch):
+    # a cofactor of 10**15 or more has met every trial prime, so the stages
+    # after trial division take it as it is, not n from the start again
+    p, q = 100_000_007, 100_000_037
+    calls = []
+    real = numtheory._trial_divide
+
+    def spy(n, root=2):
+        calls.append(n)
+        return real(n, root)
+
+    monkeypatch.setattr(numtheory, "_trial_divide", spy)
+    for n, want in ((12 * p * q, 6 * p * q), (7 * 99_991 * p * p, 7 * 99_991 * p), (p**3, p)):
+        calls.clear()
+        assert radical(n) == want
+        assert calls == [n]
+
+
 def test_radical_below_10_15_needs_no_primality_test_nor_rho(monkeypatch):
     want = {n: factorize(n).radical_value() for n in _rule_cases() if n < 10**15}
 
