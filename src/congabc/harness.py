@@ -27,16 +27,14 @@ cyclotomic pieces Phi_3, Phi_4 and Phi_6 by their roots); the scalar
 lane takes them one solution at a time from _Radicals, which factors
 the parts of the image (x, y, c, d and the pieces), not the image.  Both
 lanes judge the arrays of logs with the same code.  The full image,
-through theta, is the independent oracle.  The 160-bit rechecks factor
-it, and so does the scalar lane's audit of the first solution of every
-block, with numtheory's full engine, factorize (_exact_radicals), not
-with the cube-root rule of numtheory's radical that _Radicals uses.
-_proved_image proves _Radicals' image radical against it by exact
-division (_is_radical), for the sieve lane's audit of _AUDIT_ROWS
-seeded positions of every block at every n and for the identities'
-radical bound.  The sieve lane's numbers are below 3 * _VECTOR_MAX_C**2
-< 10**10, where radical needs trial division alone, so that lane never
-calls factorize.
+through theta, is the independent oracle.  _proved_image proves
+_Radicals' image radical against it by exact division (_is_radical) for
+the 160-bit rechecks, the identities' radical bound and the sieve lane's
+audit of _AUDIT_ROWS seeded positions of every block at every n.  The
+scalar lane's audit of each block's first solution factors the image
+instead (_exact_radicals).  The sieve lane's numbers are below
+3 * _VECTOR_MAX_C**2 < 10**10, where radical needs trial division alone,
+so that lane, its rechecks included, never calls factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, sized for the suite's kernel, never
@@ -69,7 +67,6 @@ from .theta import (
     LemmaConstants,
     _constants,
     _require_exponent,
-    _require_positive,
     derived_full_bound,
     lemma_constants,
     theta,
@@ -237,7 +234,7 @@ def _c_blocks(max_c: int, target_slots: int) -> list[tuple[int, int]]:
             lo, slots = c + 1, 0
     if lo <= max_c:
         blocks.append((lo, max_c))
-    return blocks or [(3, max_c)]
+    return blocks
 
 
 def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
@@ -389,9 +386,9 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
 
 
 def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
-    """(rad of |a*b*c|, rad of the image product, image c) exactly, each
-    component's radical from factorize, the full engine, so that every audit
-    also checks radical's cube-root rule, which _Radicals uses."""
+    """(rad of |a*b*c|, rad of the image product, image c) exactly, each radical
+    from factorize: the scalar lane's audit, which so checks radical's cube-root
+    rule, as _proved_image cannot (_is_radical passes p**2 as rad(p**2) if p**2 | image)."""
     img = theta(aa, n).output
 
     def rad(t: ABCSolution) -> int:
@@ -571,17 +568,12 @@ class _Tally:
         """Count one inequality check; it passes when slack >= -tolerance.
 
         A near tie (|slack| < band) or a float failure is decided by
-        recheck(), the slack recomputed from exact integers at 160 bits;
-        if a factorization there gives up, the check is inconclusive.
-        The verdict competes for best under the key (slack, *where).
-        Returns the final slack, inf for an inconclusive check.
+        recheck(), the slack recomputed from exact integers at 160 bits,
+        which cannot give up (_hp_slacks).  The verdict competes for best
+        under the key (slack, *where).  Returns the final slack.
         """
         if abs(slack) < self.band or slack < -self.tolerance:
-            try:
-                hp = recheck()
-            except FactorizationFailure as exc:
-                self.inconclusive(where, 1, aa, params, exc)
-                return math.inf
+            hp = recheck()
             passed, slack = bool(hp >= -self.tolerance), float(hp)
         else:
             passed = slack >= -self.tolerance
@@ -658,8 +650,10 @@ def _at_160_bits():
 
 
 def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
-    """The slacks of plan's checks of one solution at (n, eps), at 160 bits."""
-    rad_in, rad_img, c_img = _exact_radicals(aa, n)
+    """The slacks of plan's checks of one solution at (n, eps), at 160 bits, from
+    _proved_image: the radicals its row was judged from, found again by the deterministic
+    radical (trial division alone on the sieve lane), so no FactorizationFailure."""
+    rad_in, rad_img, c_img = _proved_image(_Radicals(aa), n)
     with _at_160_bits() as mp:
         k = _constants(n, mp.mpf(eps), mp.log)
         logs = map(mp.log, (aa.c, rad_in, c_img, rad_img))
@@ -716,10 +710,9 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
                                        lambda: hp(i)[j], solution(where[i]), params, lhs, rhs)
             i = int(np.argmin(slack))
             low = float(slack[i])
-            if low < math.inf:  # not every check was inconclusive
-                lhs, rhs = plan.sides(k, *merits(i), plan.bound)[j]
-                tally.offer((low, block_idx, where[i], first + j), lambda: LemmaVerdict(
-                    solution(where[i]), params, lhs, rhs, low, low >= -tally.tolerance))
+            lhs, rhs = plan.sides(k, *merits(i), plan.bound)[j]
+            tally.offer((low, block_idx, where[i], first + j), lambda: LemmaVerdict(
+                solution(where[i]), params, lhs, rhs, low, low >= -tally.tolerance))
 
 
 def _audit_rows(block_idx: int, size: int) -> list[int]:
@@ -859,14 +852,15 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
     is what shows S = _identity_sum(c, dd, n) to be the product of the
     pieces.
     """
-    count, solution = _block_solutions(source)
-    tally.triples = count
     if isinstance(source, list):
         a, b, c = np.array([(aa.a, aa.b, aa.c) for aa in source], dtype=object).T
+        solution = source.__getitem__
     else:
         c_arr, s_arr, _ = _block_grid(*source)
         c, s = c_arr.astype(object), s_arr.astype(object)
         a, b = s - c, -s
+        solution = functools.partial(_pair, c_arr, s_arr)
+    tally.triples = len(c)
     dd = np.abs(a - b)
     ab = a * b  # positive
     for t, n in enumerate(n_grid):
@@ -1040,7 +1034,8 @@ def verify_lemma1(
     and float failures are rechecked with it at 160 bits.
     """
     n_grid = _validated_grid(n_grid, int, _require_exponent)
-    eps_grid = _validated_grid(eps_grid, float, _require_positive)
+    # each eps's constants before any block runs: they overflow first at the largest n
+    eps_grid = _validated_grid(eps_grid, float, functools.partial(lemma_constants, max(n_grid)))
     params = {
         "n": list(n_grid),
         "eps": list(eps_grid),

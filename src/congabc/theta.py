@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .abc_core import ABCSolution, make_solution
+from .abc_core import ABCSolution
 from .numtheory import totient
 
 DEFAULT_EXPONENT_CAP = 64
@@ -124,15 +124,15 @@ def theta(aa: ABCSolution, n: int) -> ThetaResult:
         raise InternalInexactDivision(
             f"2**{m} does not divide the image of {aa} under n={n}"
         )
-    # c**n = 2*(a-b)**n has no integer solutions, so the components
-    # are pairwise distinct before normalization
+    # a solution by construction, not revalidated: c**n = 2*(a-b)**n has no integer
+    # solutions, so the components are distinct; gcd(c, a-b) | 2, and 2**m removes it
     assert a_img != b_img and a_img < 0 and b_img < 0 and c_img > 0
     return ThetaResult(
         input=aa,
         n=n,
         m=m,
         raw=(a_img, b_img, c_img),
-        output=make_solution(a_img, b_img, c_img),
+        output=ABCSolution(*sorted((a_img, b_img)), c_img),
     )
 
 
@@ -150,10 +150,14 @@ def _constants(n: int, epsilon, log) -> LemmaConstants:
 
 
 def lemma_constants(n: int, epsilon: float) -> LemmaConstants:
-    """The amplification constants for even n >= 2 and finite epsilon > 0."""
+    """The amplification constants for even n >= 2 and finite epsilon > 0;
+    ValueError where n * epsilon overflows (c_lin 0, c_off NaN: every check passes)."""
     _require_even(n)
     _require_positive(epsilon)
-    return _constants(n, float(epsilon), math.log)
+    k = _constants(n, float(epsilon), math.log)
+    if not (k.c_lin > 0 and math.isfinite(k.c_off)):
+        raise ValueError(f"the constants at n={n}, epsilon={epsilon} are not finite")
+    return k
 
 
 def derived_full_bound(N: int, epsilon: float, congruence_constant: float) -> float:

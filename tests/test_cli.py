@@ -383,6 +383,9 @@ def test_output_bytes_are_pinned(capsys, monkeypatch, case):
     ["verify", "chain", "--max-c", "50", "--N", "3", "--eps", "1", "--C", "nan"],
     ["bound", "--N", "3", "--eps", "nan", "--C", "10"],
     ["bound", "--N", "2", "--eps", "1", "--C", "inf"],
+    # finite, but n * eps overflows: c_lin is 0 and c_off NaN
+    ["verify", "lemma1", "--max-c", "50", "--n", "2", "--eps", "1e308"],
+    ["bound", "--N", "3", "--eps", "1e308", "--C", "10"],
     ["analyze", "1", "8", "-9", "--eps", "nan"],
     ["search", "--max-c", "100", "--min-quality", "nan"],
 ])

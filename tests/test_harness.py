@@ -575,6 +575,15 @@ def test_non_finite_epsilon_constant_and_threshold_are_rejected(value):
             run()
 
 
+def test_lemma1_rejects_an_epsilon_whose_constants_overflow():
+    # n * eps overflows at n = 64 but not at 2; checked before any block runs,
+    # so also over a corpus with no solution
+    for corpus, n_grid, eps in ((CorpusSpec(max_c=3), [2, 64], 1e307),
+                                (CorpusSpec(max_c=10, congruence=10**6), [2], 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            verify_lemma1(corpus, n_grid, [eps])
+
+
 @pytest.mark.parametrize("suite", list(_SUITES))
 def test_suites_reject_fewer_than_one_worker(suite):
     # checked in _verify, so the API rejects what the CLI does
@@ -1016,8 +1025,9 @@ def test_sieve_lane_audit_catches_a_dropped_prime(monkeypatch, capsys, workers):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_sieve_lane_never_factorizes(monkeypatch, workers):
-    # its audit included: every number of the lane is below 3 * max_c**2 and
-    # goes to trial division, so factorize, and its budget, never matter
+    # its audit and its rechecks included: every number of the lane is below
+    # 3 * max_c**2 and goes to trial division, so factorize, and its budget,
+    # never matter
     real = numtheory.factorize
 
     def refuse(n, *args, **kwargs):
@@ -1026,11 +1036,15 @@ def test_sieve_lane_never_factorizes(monkeypatch, workers):
         raise AssertionError(f"factorize({n}) on the sieve lane")
 
     monkeypatch.setattr(numtheory, "factorize", refuse)
+    monkeypatch.setattr(harness, "factorize", refuse)
     _small_blocks(monkeypatch, 2000)
     spec = CorpusSpec(max_c=200, congruence=7)
     assert len(harness._blocks(spec, harness._k_vector)[0]) > 3
     assert verify_lemma1(spec, [2, 4, 6], [0.5, 1.0], workers=workers).ok
     assert verify_reduction_chain(spec, 9, 1.0, 10.0, workers=workers).ok
+    # a margin of 5 that many checks miss: every failure is rechecked
+    s = verify_lemma1(spec, [2, 4, 6], [0.5, 1.0], tolerance=-5.0, workers=workers)
+    assert s.failures > 0 and s.inconclusives == 0
 
 
 def test_proved_image_is_the_full_image(monkeypatch):
@@ -1104,6 +1118,21 @@ def test_exhausted_budget_in_the_audit_is_inconclusive(monkeypatch, suite, param
     ]
     assert f"{_P * _Q}" in s.inconclusive_examples[0].note
     assert _same_summary(s, suite(corpus, workers=3))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("suite", [
+    lambda corpus, **kw: verify_lemma1(corpus, [2], [0.5, 1.0], **kw),
+    lambda corpus, **kw: verify_reduction_chain(corpus, 3, 1.0, 10.0, **kw),
+], ids=["lemma1", "chain"])
+def test_recheck_needs_no_factored_image(monkeypatch, suite, workers):
+    # the image of the _P, _Q solution holds _P*_Q, out of reach of the budget;
+    # at position 1 it is not audited, and its recheck (the band takes every
+    # check) proves the image radical from the parts: judged, not inconclusive
+    monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
+    corpus = [make_solution(-1, -2, 3), make_solution(-_Q, -_P, _P + _Q)]
+    s = suite(corpus, recheck_band=1e9, workers=workers)
+    assert (s.checks, s.passes, s.inconclusives) == (4, 4, 0)
 
 
 def test_identities_radical_bound_needs_no_factored_image(monkeypatch):

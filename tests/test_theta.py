@@ -173,6 +173,8 @@ def test_lemma_constants_rejects_bad_args():
         lemma_constants(2, 0.0)
     with pytest.raises(NonpositiveEpsilon):
         lemma_constants(2, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        lemma_constants(2, 1e308)  # n * epsilon overflows: c_lin 0, c_off NaN
 
 
 def test_derived_full_bound_examples():
