@@ -37,9 +37,9 @@ instead (_exact_radicals).  The sieve lane's numbers are below
 so that lane, its rechecks included, never calls factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
-of a CorpusSpec or slices of a list, sized for the suite's kernel, never
-by the worker count.  It merges their tallies in corpus order, so
-summaries are reproducible bit-for-bit regardless of parallelism.
+of a CorpusSpec or slices of a list, of the size the suite names, never by
+the worker count.  It reads each block once and merges the tallies in corpus
+order, so summaries are reproducible bit-for-bit regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -116,20 +116,16 @@ class CorpusSpec:
             raise ValueError("congruence must be a positive integer")
 
     def __iter__(self) -> Iterator[ABCSolution]:
-        for source in self._sources(_TRIPLE_BLOCK):
-            count, solution = _block_solutions(source)
-            yield from map(solution, range(count))
+        for source in _blocks(self, _TRIPLE_BLOCK)[0]:
+            c, _, _, solution = _block(source)
+            yield from map(solution, range(len(c)))
 
     def __len__(self) -> int:
-        return sum(_block_solutions(source)[0] for source in self._sources(_BLOCK_SLOTS))
+        return sum(len(_block(source)[0]) for source in _blocks(self, _BLOCK_SLOTS)[0])
 
     def digest(self) -> str:
         """Stable identifier of the corpus this spec denotes."""
         return _corpus_hash(_spec_head(self), len(self))
-
-    def _sources(self, slots: int) -> list[tuple[int, int, int]]:
-        """The block sources (c_lo, c_hi, congruence) of about slots (c, s) slots each."""
-        return [(lo, hi, self.congruence) for lo, hi in _c_blocks(self.max_c, slots)]
 
 
 @dataclass(frozen=True)
@@ -661,17 +657,9 @@ def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
 
 
 # ---------------------------------------------------------------------------
-# block kernels: kernel(tally, source, block_idx, *consts) counts the checks of
-# one block source (see _blocks) into tally; top-level, so they pickle into
+# block kernels: kernel(tally, block, block_idx, *consts) counts the checks of
+# one nonempty block (see _block) into tally; top-level, so they pickle into
 # worker processes
-
-
-def _block_solutions(source) -> tuple[int, Callable[[int], ABCSolution]]:
-    """The number of solutions of one block source, and solution(i), the i-th."""
-    if isinstance(source, list):
-        return len(source), source.__getitem__
-    c_arr, s_arr, _ = _block_grid(*source)
-    return len(c_arr), functools.partial(_pair, c_arr, s_arr)
 
 
 def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple, where,
@@ -690,16 +678,22 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
         def merits(i):
             return _merits(k, *(float(x[i]) for x in logs))
 
-        if plan.bound is not None:
-            over = np.flatnonzero(_merits(k, *logs)[1] > plan.bound)
-            if len(over):
-                raise HypothesisViolated(
-                    f"assumed constant {plan.bound} is below the observed image "
-                    f"merit {merits(over[0])[1]:.12g} at {solution(where[over[0]])}"
-                )
+        try:  # a side that overflows to +-inf would give an infinite slack, a pass
+            with np.errstate(over="raise", invalid="raise"):
+                if plan.bound is not None:
+                    over = np.flatnonzero(_merits(k, *logs)[1] > plan.bound)
+                    if len(over):
+                        raise HypothesisViolated(
+                            f"assumed constant {plan.bound} is below the observed image "
+                            f"merit {merits(over[0])[1]:.12g} at {solution(where[over[0]])}"
+                        )
+                slacks = [np.subtract(*pair)
+                          for pair in plan.sides(k, *_merits(k, *logs), plan.bound)]
+        except FloatingPointError as exc:
+            raise ValueError(f"the checks at n={n}, eps={eps} are not finite in float64: "
+                             f"{exc}") from None
         hp = functools.cache(lambda i: _hp_slacks(solution(where[i]), n, eps, plan))
         first = (ni * len(plan.eps_grid) + ei) * len(plan.labels)
-        slacks = [np.subtract(*pair) for pair in plan.sides(k, *_merits(k, *logs), plan.bound)]
         for j, slack in enumerate(slacks):
             params = {**plan.context, "n": n, "eps": eps, **plan.labels[j]}
             suspects = np.flatnonzero((np.abs(slack) < tally.band) | (slack < -tally.tolerance))
@@ -737,7 +731,7 @@ def _audit_logs(logs: tuple, n: int, audited: dict[int, _Radicals]) -> None:
             )
 
 
-def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) -> None:
+def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> None:
     """plan's checks over one c-range of a CorpusSpec, the logs from sieve tables.
 
     The image radical at n is 2 * (odd primes of d, c, x, y) times the primes
@@ -745,10 +739,7 @@ def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) ->
     rows of _audit_rows are checked against the full image at every n.
     """
     lograd, lograd_odd = _radical_tables(max_c)
-    c_arr, s_arr, grid = _block_grid(*source)
-    tally.triples = len(c_arr)
-    if len(c_arr) == 0:
-        return
+    c_arr, s_arr, grid, solution = block
     aabs = c_arr - s_arr
     d_arr = aabs - s_arr
     logc = np.log(c_arr.astype(np.float64))
@@ -757,7 +748,6 @@ def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) ->
     pieces = {k: _lograd_piece(k, aabs, s_arr, grid, max_c)
               for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
     even = (c_arr & 1) == 0
-    solution = functools.partial(_pair, c_arr, s_arr)
     audited = {i: _Radicals(solution(i)) for i in _audit_rows(block_idx, len(c_arr))}
     for ni, n in enumerate(plan.n_grid):
         lnrad_img = _LN2 + base_odd
@@ -768,13 +758,12 @@ def _k_vector(tally: _Tally, source, block_idx: int, max_c: int, plan: _Plan) ->
         _judge_rows(tally, plan, block_idx, ni, logs, range(len(c_arr)), solution)
 
 
-def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
+def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
     """plan's checks over one block, the logs from each solution's _Radicals."""
     per_n = len(plan.eps_grid) * len(plan.labels)
-    count, solution = _block_solutions(source)
+    c, _, _, solution = block
     rows = [array("d") for _ in plan.n_grid]  # per n and row: block position, the four logs
-    for local, aa in enumerate(map(solution, range(count))):
-        tally.triples += 1
+    for local, aa in enumerate(map(solution, range(len(c)))):
         rads = _Radicals(aa)
         try:
             ln_in = math.log(rads.rad_in)
@@ -806,26 +795,23 @@ def _k_scalar(tally: _Tally, source, block_idx: int, plan: _Plan) -> None:
             _judge_rows(tally, plan, block_idx, ni, tuple(logs), where, solution)
 
 
-def _k_lemma2(tally: _Tally, source, block_idx: int, N: int, n: int) -> None:
+def _k_lemma2(tally: _Tally, block, block_idx: int, N: int, n: int) -> None:
     """N | A*B*C for the image at n of each solution of one block, exactly."""
     # the witness |A*B*C| mod N is below N, and totient(N) <= DEFAULT_EXPONENT_CAP
     # = 64 forces N <= 240, so it and products of two residues fit int64
-    if isinstance(source, list):  # the full image through theta
-        witness = np.array([abs(math.prod(theta(aa, n).raw)) % N for aa in source],
-                           dtype=np.int64)
-        solution = source.__getitem__
+    c_arr, s_arr, grid, solution = block
+    if grid is None:  # a list block: the full image through theta
+        witness = np.array([abs(math.prod(theta(solution(i), n).raw)) % N
+                            for i in range(len(c_arr))], dtype=np.int64)
     else:
         # |A*B*C| = d**n * (c**n - d**n) * c**n with d = c - 2s, both halved
         # when c is even, so the witness comes from a residue table of n-th powers
-        c_arr, s_arr, _ = _block_grid(*source)
-        pow_mod = np.array([pow(v, n, N) for v in range(source[1] + 1)], dtype=np.int64)
+        pow_mod = np.array([pow(v, n, N) for v in range(int(c_arr[-1]) + 1)], dtype=np.int64)
         halve = 1 - (c_arr & 1)
         pv = pow_mod[c_arr >> halve]
         pu = pow_mod[(c_arr - 2 * s_arr) >> halve]
         witness = pu * ((pv - pu) % N) % N * pv % N
-        solution = functools.partial(_pair, c_arr, s_arr)
     bad = np.flatnonzero(witness)
-    tally.triples = len(witness)
     tally.passed(len(witness) - len(bad))
     for i in bad.tolist():
         tally.failed((block_idx, i), solution(i), {"N": N, "n": n}, witness=int(witness[i]))
@@ -837,7 +823,7 @@ def _identity_sum(c, dd, n: int):
     return sum(c ** (n - 2 - 2 * i) * dd ** (2 * i) for i in range(n // 2))
 
 
-def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...],
+def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
                   radical_scale: int | None) -> None:
     """The exact identities, and the radical bound up to radical_scale, over one block.
 
@@ -852,15 +838,9 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
     is what shows S = _identity_sum(c, dd, n) to be the product of the
     pieces.
     """
-    if isinstance(source, list):
-        a, b, c = np.array([(aa.a, aa.b, aa.c) for aa in source], dtype=object).T
-        solution = source.__getitem__
-    else:
-        c_arr, s_arr, _ = _block_grid(*source)
-        c, s = c_arr.astype(object), s_arr.astype(object)
-        a, b = s - c, -s
-        solution = functools.partial(_pair, c_arr, s_arr)
-    tally.triples = len(c)
+    c, s, _, solution = block
+    c, s = c.astype(object), s.astype(object)
+    a, b = s - c, -s
     dd = np.abs(a - b)
     ab = a * b  # positive
     for t, n in enumerate(n_grid):
@@ -902,40 +882,57 @@ def _k_identities(tally: _Tally, source, block_idx: int, n_grid: tuple[int, ...]
 # the driver: one for every suite
 
 
-def _blocks(corpus, kernel) -> tuple[list, object]:
+def _blocks(corpus, slots: int) -> tuple[list, object]:
     """The block sources of corpus in corpus order, and its hash head.
 
-    A CorpusSpec is cut into c-ranges (c_lo, c_hi, congruence): of about
-    _BLOCK_SLOTS (c, s) slots for the kernels that take a range as numpy
-    arrays, of about _TRIPLE_BLOCK slots for those that go one solution at
-    a time.  A list is cut every _TRIPLE_BLOCK solutions.  The layout
-    depends on the corpus and the kernel, never on the worker count.
+    A CorpusSpec is cut into c-ranges (c_lo, c_hi, congruence) of about
+    slots (c, s) slots, the size the suite names: _BLOCK_SLOTS for the
+    kernels that take a range as numpy arrays, _TRIPLE_BLOCK for those that
+    go one solution at a time.  A list is cut every _TRIPLE_BLOCK solutions.
+    The layout depends on the corpus and the suite, never on the worker count.
     """
     if isinstance(corpus, CorpusSpec):
-        slots = _BLOCK_SLOTS if kernel in (_k_vector, _k_lemma2) else _TRIPLE_BLOCK
-        return corpus._sources(slots), _spec_head(corpus)
+        return ([(lo, hi, corpus.congruence) for lo, hi in _c_blocks(corpus.max_c, slots)],
+                _spec_head(corpus))
     triples = list(corpus)
     sources = [triples[i:i + _TRIPLE_BLOCK] for i in range(0, len(triples), _TRIPLE_BLOCK)]
     return sources, _list_head(triples)
 
 
+def _block(source) -> tuple:
+    """One block source of _blocks, read: (c, s, grid, solution), s = |b|.  A
+    c-range gives _block_grid's int64 pairs and layout; a list slice object
+    arrays of Python ints, grid None, and its own solutions, so verdicts name them."""
+    if isinstance(source, list):
+        c, s = np.array([(aa.c, -aa.b) for aa in source], dtype=object).T
+        return c, s, None, source.__getitem__
+    c, s, grid = _block_grid(*source)
+    return c, s, grid, functools.partial(_pair, c, s)
+
+
 def _run_block(job) -> _Tally:
+    """One block's tally: the block read once and its triples counted here, the
+    kernel called only when it holds any (a congruence block can be empty)."""
     kernel, source, block_idx, consts, limits = job
     tally = _Tally(*limits)
-    kernel(tally, source, block_idx, *consts)
+    block = _block(source)
+    tally.triples = len(block[0])
+    if tally.triples:
+        kernel(tally, block, block_idx, *consts)
     return tally
 
 
-def _verify(suite: str, params: dict, corpus, kernel, consts: tuple, workers: int,
+def _verify(suite: str, params: dict, corpus, kernel, slots: int, consts: tuple, workers: int,
             max_counterexamples: int, tolerance: float = DEFAULT_TOLERANCE,
             band: float = DEFAULT_RECHECK_BAND) -> SuiteSummary:
-    """The summary of kernel(tally, source, block_idx, *consts) over the blocks of corpus.
+    """The summary of kernel(tally, block, block_idx, *consts) over the blocks of
+    corpus, c-ranges of about slots (c, s) slots for a CorpusSpec (_blocks).
 
     Each block gets a fresh tally with these limits.  The blocks run on up to
     workers forked processes (serially with one worker or block, or without
     fork), and the tallies merge in block order; an exception from a block
     cancels the blocks not yet started.  The corpus is hashed from the size
-    the kernels counted.
+    the driver counted.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -943,7 +940,7 @@ def _verify(suite: str, params: dict, corpus, kernel, consts: tuple, workers: in
         # a comparison with NaN is false, so a NaN tolerance would pass every check
         raise ValueError(f"tolerance and recheck band must be finite, got {tolerance}, {band}")
     t0 = time.perf_counter()
-    sources, corpus_head = _blocks(corpus, kernel)
+    sources, corpus_head = _blocks(corpus, slots)
     limits = (max_counterexamples, tolerance, band)
     jobs = [(kernel, source, idx, consts, limits) for idx, source in enumerate(sources)]
     total = _Tally(*limits)
@@ -998,8 +995,8 @@ def _totient_exponent(N: int) -> int:
     return n
 
 
-def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, tuple]:
-    """The kernel and consts of plan's checks over corpus: the sieve lane where it applies."""
+def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, int, tuple]:
+    """The kernel, block size and consts of plan's checks: the sieve lane where it applies."""
     ks = {k for n in plan.n_grid for k in _piece_ks(n)}
     sieve_lane = (
         isinstance(corpus, CorpusSpec)  # only a CorpusSpec comes in c-ranges to sieve
@@ -1007,12 +1004,12 @@ def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, tuple]:
         and ks <= _FORMS.keys()  # the image radicals the sieve knows: n in {2, 4, 6}
     )
     if not sieve_lane:
-        return _k_scalar, (plan,)
+        return _k_scalar, _TRIPLE_BLOCK, (plan,)
     # build in the parent so workers share pages
     _radical_tables(corpus.max_c)
     for k in ks:
         _piece_table(k, corpus.max_c)
-    return _k_vector, (corpus.max_c, plan)
+    return _k_vector, _BLOCK_SLOTS, (corpus.max_c, plan)
 
 
 def verify_lemma1(
@@ -1061,8 +1058,8 @@ def verify_lemma2(
     that totient(N) is even.
     """
     n = _totient_exponent(N)
-    return _verify("lemma2", {"N": N, "n": n}, corpus, _k_lemma2, (N, n), workers,
-                   max_counterexamples)
+    return _verify("lemma2", {"N": N, "n": n}, corpus, _k_lemma2, _BLOCK_SLOTS, (N, n),
+                   workers, max_counterexamples)
 
 
 def verify_proof_identities(
@@ -1089,8 +1086,9 @@ def verify_proof_identities(
     """
     n_grid = _validated_grid(n_grid, int, _require_exponent)
     params = {"n": list(n_grid), "tolerance": tolerance, "radical_scale": radical_scale}
-    return _verify("identities", params, corpus, _k_identities, (n_grid, radical_scale),
-                   workers, max_counterexamples, tolerance, recheck_band)
+    return _verify("identities", params, corpus, _k_identities, _TRIPLE_BLOCK,
+                   (n_grid, radical_scale), workers, max_counterexamples, tolerance,
+                   recheck_band)
 
 
 def verify_reduction_chain(
@@ -1133,19 +1131,17 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
     qualities come from sieve tables, and each hit is recomputed
     through the factorization engine before being reported.
     """
-    sources = CorpusSpec(max_c)._sources(_BLOCK_SLOTS)  # ValueError for max_c < 3
+    sources, _ = _blocks(CorpusSpec(max_c), _BLOCK_SLOTS)  # ValueError for max_c < 3
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     lograd, _ = _radical_tables(max_c)
     hits: list[MeritReport] = []
     for source in sources:
-        c_arr, s_arr, _ = _block_grid(*source)
-        if len(c_arr) == 0:
-            continue
+        c_arr, s_arr, _, solution = _block(source)
         aabs = c_arr - s_arr
         q = np.log(c_arr.astype(np.float64)) / (lograd[aabs] + lograd[s_arr] + lograd[c_arr])
         for i in np.nonzero(q > threshold - 1e-9)[0]:
-            rep = merit(_pair(c_arr, s_arr, i), 0.0)
+            rep = merit(solution(i), 0.0)
             if rep.quality > threshold:
                 hits.append(rep)
     hits.sort(key=lambda r: -r.quality)

@@ -386,6 +386,9 @@ def test_output_bytes_are_pinned(capsys, monkeypatch, case):
     # finite, but n * eps overflows: c_lin is 0 and c_off NaN
     ["verify", "lemma1", "--max-c", "50", "--n", "2", "--eps", "1e308"],
     ["bound", "--N", "3", "--eps", "1e308", "--C", "10"],
+    # finite constants, but (1 + eps) * ln rad and the chain's sides overflow
+    ["verify", "lemma1", "--max-c", "1000", "--n", "2", "--eps", "1e307"],
+    ["verify", "chain", "--max-c", "200", "--N", "3", "--eps", "1e307", "--C", "10"],
     ["analyze", "1", "8", "-9", "--eps", "nan"],
     ["search", "--max-c", "100", "--min-quality", "nan"],
 ])

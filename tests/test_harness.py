@@ -460,8 +460,8 @@ def test_chain_lane_agreement(monkeypatch, N, eps):
     _small_blocks(monkeypatch, 1000)
     spec = CorpusSpec(max_c=100)
     listed = list(spec)
-    assert len(harness._blocks(spec, harness._k_vector)[0]) > 2
-    assert len(harness._blocks(listed, harness._k_scalar)[0]) > 1
+    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)[0]) > 2
+    assert len(harness._blocks(listed, harness._TRIPLE_BLOCK)[0]) > 1
     for workers in (1, 3):
         fast = verify_reduction_chain(spec, N, eps, 10.0, workers=workers)
         slow = verify_reduction_chain(listed, N, eps, 10.0, workers=workers)
@@ -538,13 +538,38 @@ def test_suites_agree_across_block_layouts(monkeypatch, suite, kind):
     want = (len(spec), harness._corpus_hash(head, len(spec)))
     whole = _SUITES[suite](corpus)
     assert whole.ok == (suite in ("lemma1", "lemma2"))
-    assert len(harness._blocks(corpus, harness._k_scalar)[0]) == 1
+    assert len(harness._blocks(corpus, harness._TRIPLE_BLOCK)[0]) == 1
     _small_blocks(monkeypatch, 200)
-    assert len(harness._blocks(corpus, harness._k_scalar)[0]) > 1
+    assert len(harness._blocks(corpus, harness._TRIPLE_BLOCK)[0]) > 1
     for workers in (1, 3):
         s = _SUITES[suite](corpus, workers=workers)
         assert _same_summary(s, whole)
         assert (s.corpus_size, s.corpus_hash) == want
+
+
+@pytest.mark.parametrize("suite", list(_SUITES))
+def test_suites_skip_empty_blocks(monkeypatch, suite):
+    # with 59 | abc and c <= 60 only c = 59 and 60 hold solutions, so most blocks
+    # of 20 slots are empty: the driver counts them as no triples and calls no
+    # kernel, and the summary is that of the spec in one block, and in its
+    # verdicts that of the same solutions as a list (on the scalar lane, where
+    # the spec of lemma1 and the chain at N = 7 takes the sieve lane, whose
+    # floats differ in the last bits)
+    def outcome(s):
+        return (s.corpus_size, s.checks, s.passes, s.failures, s.inconclusives,
+                [(v.triple, v.params) for v in (s.extremal, *s.counterexamples) if v])
+
+    spec = CorpusSpec(max_c=60, congruence=59)
+    whole, listed = _SUITES[suite](spec), _SUITES[suite](list(spec))
+    assert outcome(whole) == outcome(listed)
+    _small_blocks(monkeypatch, 20)
+    sizes = [len(harness._block(source)[0]) for source in harness._blocks(spec, 20)[0]]
+    assert sizes.count(0) > len(sizes) // 2 and sum(sizes) == whole.corpus_size > 0
+    for workers in (1, 3):
+        assert _same_summary(_SUITES[suite](spec, workers=workers), whole)
+    # 1000 divides no a*b*c with c <= 10: one empty block
+    none = _SUITES[suite](CorpusSpec(max_c=10, congruence=1000))
+    assert (none.corpus_size, none.checks, none.extremal, none.ok) == (0, 0, None, True)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -582,6 +607,21 @@ def test_lemma1_rejects_an_epsilon_whose_constants_overflow():
                                 (CorpusSpec(max_c=10, congruence=10**6), [2], 1e308)):
         with pytest.raises(ValueError, match="finite"):
             verify_lemma1(corpus, n_grid, [eps])
+
+
+def test_checks_that_overflow_are_rejected():
+    # the constants at eps = 1e307 are finite, but (1 + eps) * ln rad(abc)
+    # overflows once ln rad(abc) passes about 17.9, and the chain's lifted merit
+    # sooner: each slack came out +inf, a pass, on the sieve and scalar lanes
+    spec = CorpusSpec(max_c=1000)
+    runs = (lambda: verify_lemma1(spec, [2], [1e307]),
+            lambda: verify_lemma1(list(spec), [2], [1e307]),
+            lambda: verify_reduction_chain(CorpusSpec(max_c=200), 3, 1e307, 10.0))
+    for run in runs:
+        with pytest.raises(ValueError, match="finite"):
+            run()
+    # logs that stay finite still run
+    assert verify_lemma1(list(CorpusSpec(max_c=300)), [2], [1e307]).ok
 
 
 @pytest.mark.parametrize("suite", list(_SUITES))
@@ -692,6 +732,46 @@ def test_lemma1_failures_agree_across_lanes():
     assert _same_summary(fast, three)
 
 
+def test_injected_false_inequality_is_the_minimal_counterexample(monkeypatch, capsys):
+    # c_off raised by delta, between the clean run's smallest slack s1 and its
+    # second smallest s2, makes lemma1 false at the clean extremal alone: both
+    # lanes, at workers 1 and 3, report it as the one counterexample, and the
+    # CLI exits 1
+    from congabc.cli import main
+
+    spec = CorpusSpec(max_c=200)
+
+    def run(corpus, **kw):
+        return verify_lemma1(corpus, [2, 4], [0.5, 1.0], **kw)
+
+    clean = run(spec)
+    s1 = clean.min_slack
+    near = run(spec, tolerance=-(s1 + 1.0), max_counterexamples=10**6)
+    slacks = sorted(v.slack for v in near.counterexamples)
+    assert clean.ok and slacks[0] == pytest.approx(s1, abs=1e-12) and slacks[1] > s1 + 1e-4
+    delta = (s1 + slacks[1]) / 2
+    real_k, real_constants = harness.lemma_constants, harness._constants
+
+    def shift(k):
+        return replace(k, c_off=k.c_off + delta)
+
+    # the floats' constants and the 160-bit recheck's
+    monkeypatch.setattr(harness, "lemma_constants", lambda n, eps: shift(real_k(n, eps)))
+    monkeypatch.setattr(harness, "_constants",
+                        lambda n, eps, log: shift(real_constants(n, eps, log)))
+    for corpus in (spec, list(spec)):
+        for workers in (1, 3):
+            s = run(corpus, workers=workers)
+            assert (s.checks, s.failures, s.inconclusives) == (clean.checks, 1, 0)
+            (v,) = s.counterexamples
+            assert (v.triple, v.params) == (clean.extremal.triple, clean.extremal.params)
+            assert v.slack == pytest.approx(s1 - delta, abs=1e-9) and v.slack < 0
+            assert s.extremal == v
+    code = main(["verify", "lemma1", "--max-c", "200", "--n", "2,4", "--eps", "0.5,1"])
+    out, _ = capsys.readouterr()
+    assert code == 1 and "counterexample" in out
+
+
 def test_chain_failures_are_reported():
     # min slack over c <= 60 is 9.904, so a tolerance of -10 fails three checks
     s = verify_reduction_chain(CorpusSpec(max_c=60), 7, 1.0, 10.0, tolerance=-10.0)
@@ -786,10 +866,10 @@ def test_identities_record_failures_in_corpus_order(monkeypatch):
                 lhs = math.log(dd) + math.log(radical_abc(aa)) + math.log(rad_q)
                 if lhs - math.log(radical_abc(theta(aa, n).output)) < 1.0:
                     expected.append((aa, n, "radical-log-bound", None))
-    assert len(harness._blocks(spec, harness._k_identities)[0]) == 1
+    assert len(harness._blocks(spec, harness._TRIPLE_BLOCK)[0]) == 1
     assert failures(max_counterexamples=10**6) == expected
     _small_blocks(monkeypatch, 50)
-    assert len(harness._blocks(spec, harness._k_identities)[0]) > 1
+    assert len(harness._blocks(spec, harness._TRIPLE_BLOCK)[0]) > 1
     for workers in (1, 3):
         assert failures(workers=workers, max_counterexamples=10**6) == expected
         assert failures(workers=workers) == expected[:harness.DEFAULT_MAX_COUNTEREXAMPLES]
@@ -823,7 +903,7 @@ def test_identities_catch_a_dropped_piece(monkeypatch, capsys, workers):
     from congabc.cli import main
 
     _small_blocks(monkeypatch, 50)
-    assert len(harness._blocks(CorpusSpec(max_c=40), harness._k_identities)[0]) > 3
+    assert len(harness._blocks(CorpusSpec(max_c=40), harness._TRIPLE_BLOCK)[0]) > 3
     _drop_last_piece(monkeypatch)
     with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
         verify_proof_identities(CorpusSpec(max_c=40), [2, 4], workers=workers)
@@ -976,7 +1056,7 @@ def test_audit_catches_a_wrong_input_radical(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_chain_audit_catches_a_dropped_piece(monkeypatch, workers):
     _small_blocks(monkeypatch, 200)
-    assert len(harness._blocks(CorpusSpec(max_c=60), harness._k_scalar)[0]) > 3
+    assert len(harness._blocks(CorpusSpec(max_c=60), harness._TRIPLE_BLOCK)[0]) > 3
     _drop_last_piece(monkeypatch)
     with pytest.raises(harness.InternalRadicalMismatch):
         # totient(16) = 8: the scalar lane
@@ -988,7 +1068,7 @@ def _drop_a_square_prime_of_an_audited_row(monkeypatch, spec):
     # left in the cofactor, whose log is the same sum; its square makes the
     # cofactor p**2 and counts ln p twice, which the audit must see
     squares = set()
-    for idx, source in enumerate(harness._blocks(spec, harness._k_vector)[0]):
+    for idx, source in enumerate(harness._blocks(spec, harness._BLOCK_SLOTS)[0]):
         c_arr, s_arr, _ = _block_grid(*source)
         for i in harness._audit_rows(idx, len(c_arr)):
             t = _piece_value(3, int(c_arr[i]), int(s_arr[i]))
@@ -1011,7 +1091,7 @@ def test_sieve_lane_audit_catches_a_dropped_prime(monkeypatch, capsys, workers):
 
     _small_blocks(monkeypatch, 200)
     spec = CorpusSpec(max_c=60)
-    assert len(harness._blocks(spec, harness._k_vector)[0]) > 3
+    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)[0]) > 3
     assert verify_lemma1(spec, [6], [1.0], workers=workers).ok
     _drop_a_square_prime_of_an_audited_row(monkeypatch, spec)
     with pytest.raises(harness.InternalRadicalMismatch, match="the sieve gives"):
@@ -1039,7 +1119,7 @@ def test_sieve_lane_never_factorizes(monkeypatch, workers):
     monkeypatch.setattr(harness, "factorize", refuse)
     _small_blocks(monkeypatch, 2000)
     spec = CorpusSpec(max_c=200, congruence=7)
-    assert len(harness._blocks(spec, harness._k_vector)[0]) > 3
+    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)[0]) > 3
     assert verify_lemma1(spec, [2, 4, 6], [0.5, 1.0], workers=workers).ok
     assert verify_reduction_chain(spec, 9, 1.0, 10.0, workers=workers).ok
     # a margin of 5 that many checks miss: every failure is rechecked
