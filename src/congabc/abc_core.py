@@ -108,19 +108,17 @@ def radical_abc(aa: ABCSolution) -> int:
 
 
 def merit(aa: ABCSolution, epsilon: float = 0.0) -> MeritReport:
-    """Merit report for one solution at one finite epsilon >= 0."""
-    if not 0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    """Merit report for one solution at one epsilon >= 0; ValueError where
+    the merit is not a finite float (a NaN or infinite epsilon, or one so
+    large that the merit overflows)."""
     rad_abc = radical_abc(aa)
     log_rad = math.log(rad_abc)
     log_c = math.log(aa.c)
-    return MeritReport(
-        triple=aa,
-        rad_abc=rad_abc,
-        quality=log_c / log_rad,
-        merit=log_c - (1.0 + epsilon) * log_rad,
-        epsilon=float(epsilon),
-    )
+    f = log_c - (1.0 + epsilon) * log_rad
+    if not (epsilon >= 0 and math.isfinite(f)):
+        raise ValueError(f"epsilon must be nonnegative and the merit finite, got {epsilon}")
+    return MeritReport(triple=aa, rad_abc=rad_abc, quality=log_c / log_rad, merit=f,
+                       epsilon=float(epsilon))
 
 
 def quality(aa: ABCSolution) -> float:

@@ -17,8 +17,9 @@ lemma2; and --n and --eps (lemma1), --N (lemma2), --n and --radical-scale
 (identities), or --N, --C and a single --eps (chain).
 
 Exit codes: 0 pass, 1 counterexample found, 2 usage or validation
-error, 3 inconclusive results only (factorization budget exhausted),
-4 internal error (an independent cross-check disagreed: a bug).
+error or an input whose result is not a finite float, 3 inconclusive
+results only (factorization budget exhausted), 4 internal error (an
+independent cross-check disagreed: a bug).
 
 Each setting has one knob and one check.  The rho budget is only the
 CONGABC_FACTOR_BUDGET environment variable; main reads it once before

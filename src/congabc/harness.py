@@ -15,8 +15,9 @@ Inequality checks use float arithmetic with an absolute slack
 tolerance (default 1e-9); any verdict whose slack is within the
 recheck band (default 1e-6) or below -tolerance is recomputed from
 exact integers at 160-bit precision before final classification, so
-no failure is reported from floats alone.  Divisibility and identity
-checks are exact integer arithmetic throughout.
+no failure is reported from floats alone.  A slack that is not finite
+is refused (ValueError, exit 2), never judged.  Divisibility and
+identity checks are exact integer arithmetic throughout.
 
 Two lanes.  lemma1 and the chain (lemma1 at n = totient(N), rearranged)
 are one plan of checks (_Plan) over four logs per solution and n: ln c
@@ -678,20 +679,19 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
         def merits(i):
             return _merits(k, *(float(x[i]) for x in logs))
 
-        try:  # a side that overflows to +-inf would give an infinite slack, a pass
-            with np.errstate(over="raise", invalid="raise"):
-                if plan.bound is not None:
-                    over = np.flatnonzero(_merits(k, *logs)[1] > plan.bound)
-                    if len(over):
-                        raise HypothesisViolated(
-                            f"assumed constant {plan.bound} is below the observed image "
-                            f"merit {merits(over[0])[1]:.12g} at {solution(where[over[0]])}"
-                        )
-                slacks = [np.subtract(*pair)
-                          for pair in plan.sides(k, *_merits(k, *logs), plan.bound)]
-        except FloatingPointError as exc:
-            raise ValueError(f"the checks at n={n}, eps={eps} are not finite in float64: "
-                             f"{exc}") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if plan.bound is not None:
+                over = np.flatnonzero(_merits(k, *logs)[1] > plan.bound)
+                if len(over):
+                    raise HypothesisViolated(
+                        f"assumed constant {plan.bound} is below the observed image "
+                        f"merit {merits(over[0])[1]:.12g} at {solution(where[over[0]])}"
+                    )
+            slacks = [np.subtract(*pair)
+                      for pair in plan.sides(k, *_merits(k, *logs), plan.bound)]
+        # a non-finite slack is no suspect (abs(inf) < band and nan < -tol are false): a pass
+        if not all(np.isfinite(slack).all() for slack in slacks):
+            raise ValueError(f"the checks at n={n}, eps={eps} are not finite in float64")
         hp = functools.cache(lambda i: _hp_slacks(solution(where[i]), n, eps, plan))
         first = (ni * len(plan.eps_grid) + ei) * len(plan.labels)
         for j, slack in enumerate(slacks):

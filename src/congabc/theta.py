@@ -168,13 +168,14 @@ def derived_full_bound(N: int, epsilon: float, congruence_constant: float) -> fl
     restriction is vacuous (every solution has an even entry), so the
     constant is returned unchanged.  Otherwise n = totient(N) is even
     and the returned value is (congruence_constant - c_off) / c_lin,
-    an explicit bound on f(aa, epsilon) for all solutions.
+    an explicit bound on f(aa, epsilon) for all solutions.  ValueError
+    where the bound is not finite: the constant NaN, infinite or lifted past float64.
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     _require_positive(epsilon)
-    if not math.isfinite(congruence_constant):
-        raise ValueError(f"the assumed constant must be finite, got {congruence_constant}")
-    if N <= 2:
-        return float(congruence_constant)
-    return lemma_constants(totient(N), epsilon).lift(congruence_constant)
+    C = congruence_constant
+    bound = C if N <= 2 else lemma_constants(totient(N), epsilon).lift(C)
+    if not math.isfinite(bound):
+        raise ValueError(f"the bound at N={N}, epsilon={epsilon}, C={C} is not finite")
+    return float(bound)

@@ -83,6 +83,11 @@ def test_merit_examples():
     assert merit(bb, 0.0).merit == pytest.approx(-0.693147180560, abs=1e-9)
     with pytest.raises(ValueError):
         merit(aa, -0.5)
+    # eps is finite, but (1 + eps) * ln rad(abc) overflows: f was -inf
+    big = make_solution(-3, -125, 128)
+    with pytest.raises(ValueError, match="finite"):
+        merit(big, 1e308)
+    assert math.isfinite(merit(big, 1e300).merit)
 
 
 def test_quality_examples():

@@ -391,12 +391,21 @@ def test_output_bytes_are_pinned(capsys, monkeypatch, case):
     ["verify", "chain", "--max-c", "200", "--N", "3", "--eps", "1e307", "--C", "10"],
     ["analyze", "1", "8", "-9", "--eps", "nan"],
     ["search", "--max-c", "100", "--min-quality", "nan"],
+    # finite inputs whose derived bound or merit is not: the bound lifts past float64
+    # (the chain's slacks then compare against inf), or (1 + eps) * ln rad overflows
+    ["bound", "--N", "3", "--eps", "1", "--C", "1.5e308"],
+    ["bound", "--N", "3", "--eps", "1e307", "--C", "1e300"],
+    ["verify", "chain", "--max-c", "20", "--N", "3", "--eps", "1", "--C", "1.5e308"],
+    ["verify", "chain", "--max-c", "20", "--N", "3", "--eps", "1e307", "--C", "1e300"],
+    ["analyze", "3", "125", "-128", "--eps", "1e308"],
 ])
 def test_non_finite_inputs_exit_2(capsys, argv):
-    # a comparison with NaN is false: each of these printed a PASS or a nan, exit 0
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert "finite" in err
+    # a comparison with NaN is false: each of these printed a PASS, a nan or an inf,
+    # exit 0, in some format; every format exits 2 with nothing on stdout
+    for fmt in ("table", "csv", "json"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        assert "finite" in err, fmt
 
 
 # ---------------------------------------------------------------------------

@@ -616,12 +616,24 @@ def test_checks_that_overflow_are_rejected():
     spec = CorpusSpec(max_c=1000)
     runs = (lambda: verify_lemma1(spec, [2], [1e307]),
             lambda: verify_lemma1(list(spec), [2], [1e307]),
-            lambda: verify_reduction_chain(CorpusSpec(max_c=200), 3, 1e307, 10.0))
+            lambda: verify_reduction_chain(CorpusSpec(max_c=200), 3, 1e307, 10.0),
+            lambda: verify_reduction_chain(list(CorpusSpec(max_c=200)), 3, 1e307, 10.0))
     for run in runs:
         with pytest.raises(ValueError, match="finite"):
             run()
     # logs that stay finite still run
     assert verify_lemma1(list(CorpusSpec(max_c=300)), [2], [1e307]).ok
+
+
+def test_a_python_float_infinity_in_the_slacks_is_rejected(monkeypatch):
+    # the chain lifts its bound as a Python float, which overflows to inf without a
+    # numpy warning; with derived_full_bound's own check out of the way, the slack
+    # check alone must refuse it on both lanes
+    monkeypatch.setattr(harness, "derived_full_bound", lambda *args: 0.0)
+    spec = CorpusSpec(max_c=20)
+    for corpus in (spec, list(spec)):
+        with pytest.raises(ValueError, match="finite"):
+            verify_reduction_chain(corpus, 3, 1.0, 1.5e308)
 
 
 @pytest.mark.parametrize("suite", list(_SUITES))

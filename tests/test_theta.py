@@ -211,3 +211,7 @@ def test_derived_full_bound_rejects_bad_args():
         derived_full_bound(3, 0.0, 1.0)
     with pytest.raises(ValueError):
         derived_full_bound(0, 1.0, 1.0)
+    # finite inputs, but the lift (C - c_off) / c_lin passes float64
+    for eps, C in ((1.0, 1.5e308), (1e307, 1e300)):
+        with pytest.raises(ValueError, match="finite"):
+            derived_full_bound(3, eps, C)
