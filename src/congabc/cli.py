@@ -35,6 +35,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from .abc_core import ABCSolution, MeritReport, SolutionError, make_solution, merit
@@ -376,9 +377,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="table", help="output format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads -1e3 as a negative number, not an option: argparse's
+    own pattern (3.10, 3.11) has no exponent.  Its subparsers are of this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache  # one build per process: main runs many times in one process
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="congabc",
         description="ABC-solution metrics, the even-power amplification map, "
                     "and exhaustive corpus verification.",

@@ -20,22 +20,23 @@ is refused (ValueError, exit 2), never judged.  Divisibility and
 identity checks are exact integer arithmetic throughout.
 
 Two lanes.  lemma1 and the chain (lemma1 at n = totient(N), rearranged)
-are one plan of checks (_Plan) over four logs per solution and n: ln c
-and ln rad(abc) of the solution and of its image under theta.  For a
-CorpusSpec at n in {2, 4, 6} the sieve lane takes them a block at a time
-from sieve tables and the piece sieve (_lograd_piece: the primes of the
-cyclotomic pieces Phi_3, Phi_4 and Phi_6 by their roots); the scalar
-lane takes them one solution at a time from _Radicals, which factors
-the parts of the image (x, y, c, d and the pieces), not the image.  Both
-lanes judge the arrays of logs with the same code.  The full image,
-through theta, is the independent oracle.  _proved_image proves
-_Radicals' image radical against it by exact division (_is_radical) for
-the 160-bit rechecks, the identities' radical bound and the sieve lane's
-audit of _AUDIT_ROWS seeded positions of every block at every n.  The
-scalar lane's audit of each block's first solution factors the image
-instead (_exact_radicals).  The sieve lane's numbers are below
-3 * _VECTOR_MAX_C**2 < 10**10, where radical needs trial division alone,
-so that lane, its rechecks included, never calls factorize.
+are one plan of checks (_Plan) over the logs of one row per solution and
+n, (c, rad, image c, image rad): c and rad(|a*b*c|) of the solution and
+of its image under theta.  For a CorpusSpec at n in {2, 4, 6} the sieve
+lane takes them a block at a time from sieve tables and the piece sieve
+(_lograd_piece: the primes of the cyclotomic pieces Phi_3, Phi_4 and
+Phi_6 by their roots); the scalar lane takes them one solution at a time
+from _Radicals.row, which factors the parts of the image (x, y, c, d and
+the pieces), not the image.  Both lanes judge the arrays of logs with the
+same code.  The full image, through theta, is the independent oracle, and
+both its readers return the same row: _proved_image proves _Radicals' row
+by exact division (_is_radical) for the 160-bit rechecks, the identities'
+radical bound and the sieve lane's audit of _AUDIT_ROWS seeded positions
+of every block at every n; the scalar lane's audit of each block's first
+solution factors the image instead (_exact_radicals).  The sieve lane's
+numbers are below 3 * _VECTOR_MAX_C**2 < 10**10, where radical needs
+trial division alone, so that lane, its rechecks included, never calls
+factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, of the size the suite names, never by
@@ -382,16 +383,16 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
 # rechecks, the per-block audits and the identities' radical bound
 
 
-def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int]:
-    """(rad of |a*b*c|, rad of the image product, image c) exactly, each radical
-    from factorize: the scalar lane's audit, which so checks radical's cube-root
-    rule, as _proved_image cannot (_is_radical passes p**2 as rad(p**2) if p**2 | image)."""
+def _exact_radicals(aa: ABCSolution, n: int) -> tuple[int, int, int, int]:
+    """The row (c, rad(|a*b*c|), image c, image rad) exactly, each radical from
+    factorize: the scalar lane's audit, which so checks radical's cube-root rule,
+    as _proved_image cannot (_is_radical passes p**2 as rad(p**2) if p**2 | image)."""
     img = theta(aa, n).output
 
     def rad(t: ABCSolution) -> int:
         return math.prod(factorize(v).radical_value() for v in (-t.a, -t.b, t.c))
 
-    return rad(aa), rad(img), img.c
+    return aa.c, rad(aa), img.c, rad(img)
 
 
 def _is_radical(r: int, m: int) -> bool:
@@ -410,7 +411,7 @@ class InternalRadicalMismatch(RuntimeError):
 
 
 class _Radicals:
-    """rad(|a*b*c|) of one solution and the exact radicals of its images.
+    """The rows (c, rad(|a*b*c|), image c, image rad) of one solution, exactly.
 
     With x = |a|, y = |b| and dd = |a - b| = x - y, the image under theta
     at even n is (dd**n, c**n - dd**n, c**n) up to sign, each divided by
@@ -428,7 +429,7 @@ class _Radicals:
     every n and eps; below 10**15 that needs trial division alone.  A
     FactorizationFailure is kept and raised again for the same number, so
     a composite that resists the budget costs one rho run per solution,
-    not one per n.
+    though row(n) raises it at every n that needs it.
     """
 
     def __init__(self, aa: ABCSolution):
@@ -478,30 +479,28 @@ class _Radicals:
             self._parts[n] = self._rad(dd), math.lcm(2, *map(self._rad, self.pieces(n)))
         return self._parts[n]
 
-    def image(self, n: int) -> tuple[int, int]:
-        """(image c, rad of the image product) at n, exactly."""
+    def row(self, n: int) -> tuple[int, int, int, int]:
+        """The row (c, rad(|a*b*c|), image c, image rad) at n, exactly."""
         c = self.aa.c
-        return c**n >> (n if c % 2 == 0 else 0), math.lcm(self.rad_in, *self.parts(n))
+        return (c, self.rad_in, c**n >> (n if c % 2 == 0 else 0),
+                math.lcm(self.rad_in, *self.parts(n)))
 
 
-def _proved_image(rads: _Radicals, n: int) -> tuple[int, int, int]:
-    """(rad of |a*b*c|, rad of the image product, image c) of rads' solution
-    at n exactly, as _exact_radicals, from rads; InternalRadicalMismatch
-    unless they are those of the full image.
+def _proved_image(rads: _Radicals, n: int) -> tuple[int, int, int, int]:
+    """rads.row(n), the row of _exact_radicals, once proved to be that of the full
+    image |A*B*C| from theta: InternalRadicalMismatch unless it is.
 
     The image radical from the parts, a product of distinct primes, is
-    proved to be that of the full image |A*B*C| from theta by exact
-    division (_is_radical), without factoring that image.
+    proved by exact division (_is_radical), without factoring the image.
     """
-    aa = rads.aa
-    c_img, rad_img = rads.image(n)
-    img = theta(aa, n).output
-    if img.c != c_img or not _is_radical(rad_img, abs(img.a * img.b * img.c)):
+    row = rads.row(n)
+    img = theta(rads.aa, n).output
+    if img.c != row[2] or not _is_radical(row[3], abs(img.a * img.b * img.c)):
         raise InternalRadicalMismatch(
-            f"{aa} at n={n}: the pieces give (image c, image rad) = {(c_img, rad_img)}, "
+            f"{rads.aa} at n={n}: the pieces give (c, rad, image c, image rad) = {row}, "
             f"not those of the full image {img}"
         )
-    return rads.rad_in, rad_img, c_img
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +649,10 @@ def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
     """The slacks of plan's checks of one solution at (n, eps), at 160 bits, from
     _proved_image: the radicals its row was judged from, found again by the deterministic
     radical (trial division alone on the sieve lane), so no FactorizationFailure."""
-    rad_in, rad_img, c_img = _proved_image(_Radicals(aa), n)
+    row = _proved_image(_Radicals(aa), n)
     with _at_160_bits() as mp:
         k = _constants(n, mp.mpf(eps), mp.log)
-        logs = map(mp.log, (aa.c, rad_in, c_img, rad_img))
+        logs = map(mp.log, row)
         return [lhs - rhs for lhs, rhs in plan.sides(k, *_merits(k, *logs), plan.bound)]
 
 
@@ -717,16 +716,15 @@ def _audit_rows(block_idx: int, size: int) -> list[int]:
 
 
 def _audit_logs(logs: tuple, n: int, audited: dict[int, _Radicals]) -> None:
-    """Compare the sieve lane's logs of rad_in, image c and image rad at the
-    audited block positions with those of _proved_image, the full image: a
-    difference above _AUDIT_TOL raises InternalRadicalMismatch."""
+    """Compare the sieve lane's four logs at the audited block positions with
+    those of _proved_image's row, the full image: a difference above _AUDIT_TOL
+    raises InternalRadicalMismatch."""
     for i, rads in audited.items():
-        rad_in, rad_img, c_img = _proved_image(rads, n)
-        got = tuple(float(x[i]) for x in logs[1:])
-        want = tuple(map(math.log, (rad_in, c_img, rad_img)))
+        got = tuple(float(x[i]) for x in logs)
+        want = tuple(map(math.log, _proved_image(rads, n)))
         if any(abs(g - w) > _AUDIT_TOL for g, w in zip(got, want)):
             raise InternalRadicalMismatch(
-                f"{rads.aa} at n={n}: the sieve gives the logs of (rad, image c, image rad) "
+                f"{rads.aa} at n={n}: the sieve gives the logs of (c, rad, image c, image rad) "
                 f"{got}, the full image {want}"
             )
 
@@ -765,29 +763,21 @@ def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
     rows = [array("d") for _ in plan.n_grid]  # per n and row: block position, the four logs
     for local, aa in enumerate(map(solution, range(len(c)))):
         rads = _Radicals(aa)
-        try:
-            ln_in = math.log(rads.rad_in)
-        except FactorizationFailure as exc:
-            tally.inconclusive((block_idx, local, 0), len(plan.n_grid) * per_n, aa,
-                               plan.context, exc)
-            continue
         for ni, (n, at_n) in enumerate(zip(plan.n_grid, rows)):
             try:
-                c_img, rad_img = rads.image(n)
+                row = rads.row(n)
                 # the block's first solution is audited against the full image, in
                 # this try: an audit that gives up leaves this n's checks inconclusive
-                if local == 0:
-                    got, want = (rads.rad_in, rad_img, c_img), _exact_radicals(aa, n)
-                    if got != want:
-                        raise InternalRadicalMismatch(
-                            f"{aa} at n={n}: the pieces give (rad, image rad, image c) = "
-                            f"{got}, the full image {want}")
+                if local == 0 and row != (want := _exact_radicals(aa, n)):
+                    raise InternalRadicalMismatch(
+                        f"{aa} at n={n}: the pieces give (c, rad, image c, image rad) = "
+                        f"{row}, the full image {want}")
             except FactorizationFailure as exc:
-                # lemma1 names the n whose image failed, the chain has one n
+                # lemma1 names the n whose radicals gave up, the chain has one n
                 tally.inconclusive((block_idx, local, ni * per_n), per_n, aa,
                                    plan.context or {"n": n}, exc)
                 continue
-            at_n.extend((local, math.log(aa.c), ln_in, math.log(c_img), math.log(rad_img)))
+            at_n.extend((local, *map(math.log, row)))
     for ni, at_n in enumerate(rows):
         if at_n:
             where, *logs = np.frombuffer(at_n).reshape(-1, 5).T
@@ -861,7 +851,7 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
         for t, n in enumerate(n_grid):
             where, params = (block_idx, local, 3 * t + 2), {"n": n, "check": "radical-log-bound"}
             try:
-                rad_in, rad_img, _ = _proved_image(rads, n)
+                _, rad_in, _, rad_img = _proved_image(rads, n)
                 _, rad_q = rads.parts(n)
             except FactorizationFailure as exc:
                 tally.inconclusive(where, 1, aa, params, exc)

@@ -408,6 +408,24 @@ def test_non_finite_inputs_exit_2(capsys, argv):
         assert "finite" in err, fmt
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_negative_numbers_take_an_exponent(capsys, fmt):
+    # argparse's own pattern for a negative number has no exponent: each of these
+    # was "expected one argument", exit 2
+    bound = ["bound", "--N", "3", "--eps", "1", "--format", fmt, "--C"]
+    got = run_cli(capsys, *bound, "-1e3")
+    assert got[0] == 0 and got == run_cli(capsys, *bound, "-1000")
+    code, out, err = run_cli(capsys, "verify", "chain", "--max-c", "20", "--N", "3",
+                             "--eps", "1", "--C", "-1e3", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "HypothesisViolated" in err and "argument" not in err
+    code, out, _ = run_cli(capsys, "verify", "lemma1", "--max-c", "30",
+                           "--tolerance", "-1e-3", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["params"]["tolerance"] == -0.001
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

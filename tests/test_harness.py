@@ -931,12 +931,13 @@ _BIG_C = 100000007 * 100000037
 
 
 @pytest.mark.parametrize("suite, counts, params", [
+    # rad(|abc|) gives up: lemma1 names each n, as for an image that gives up
     (lambda corpus, **kw: verify_lemma1(corpus, [2, 4], [0.5, 1.0], **kw),
-     (12, 8, 4), {}),
+     (12, 8, 4), [{"n": 2}, {"n": 4}]),
     (lambda corpus, **kw: verify_reduction_chain(corpus, 3, 1.0, 10.0, **kw),
-     (6, 4, 2), {"N": 3, "eps": 1.0}),
+     (6, 4, 2), [{"N": 3, "eps": 1.0}]),
     (lambda corpus, **kw: verify_proof_identities(corpus, [2], **kw),
-     (9, 8, 1), {"n": 2, "check": "radical-log-bound"}),
+     (9, 8, 1), [{"n": 2, "check": "radical-log-bound"}]),
 ])
 def test_exhausted_factor_budget_is_inconclusive(monkeypatch, suite, counts, params):
     monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
@@ -947,7 +948,7 @@ def test_exhausted_factor_budget_is_inconclusive(monkeypatch, suite, counts, par
     assert s.failures == 0
     assert not s.ok
     assert [(v.triple, v.params, v.inconclusive) for v in s.inconclusive_examples] == [
-        (big, params, True)
+        (big, p, True) for p in params
     ]
     note = s.inconclusive_examples[0].note
     assert "rho steps" in note
@@ -982,7 +983,7 @@ def _assert_pieces_match_full_image(aa, n_grid):
     assert rads.rad_in == radical_abc(aa)
     for n in n_grid:
         img = theta(aa, n).output
-        c_img, rad_img = rads.image(n)
+        _, _, c_img, rad_img = rads.row(n)
         assert (c_img, rad_img) == (img.c, radical_abc(img)), (aa, n)
         assert math.log(c_img) == math.log(img.c)
 
@@ -1142,12 +1143,13 @@ def test_sieve_lane_never_factorizes(monkeypatch, workers):
 def test_proved_image_is_the_full_image(monkeypatch):
     for aa in CorpusSpec(60):
         rads = harness._Radicals(aa)
-        for n in (2, 4, 6):
-            assert harness._proved_image(rads, n) == harness._exact_radicals(aa, n)
+        for n in (2, 4, 6, 8):  # 8: the scalar lane's exponent
+            row = rads.row(n)
+            assert row == harness._proved_image(rads, n) == harness._exact_radicals(aa, n)
     # a piece left out: its primes are missing from the full image's
     _drop_last_piece(monkeypatch)
     rads = harness._Radicals(make_solution(-4, -3, 7))
-    assert rads.image(6)[1] == 2 * 3 * 7 * 19  # Phi_3(7, 1) = 3 * 19, Phi_6(7, 1) = 43 dropped
+    assert rads.row(6)[3] == 2 * 3 * 7 * 19  # Phi_3(7, 1) = 3 * 19, Phi_6(7, 1) = 43 dropped
     with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
         harness._proved_image(rads, 6)
 
