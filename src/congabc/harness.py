@@ -22,21 +22,21 @@ identity checks are exact integer arithmetic throughout.
 Two lanes.  lemma1 and the chain (lemma1 at n = totient(N), rearranged)
 are one plan of checks (_Plan) over the logs of one row per solution and
 n, (c, rad, image c, image rad): c and rad(|a*b*c|) of the solution and
-of its image under theta.  For a CorpusSpec at n in {2, 4, 6} the sieve
-lane takes them a block at a time from sieve tables and the piece sieve
-(_lograd_piece: the primes of the cyclotomic pieces Phi_3, Phi_4 and
-Phi_6 by their roots); the scalar lane takes them one solution at a time
-from _Radicals.row, which factors the parts of the image (x, y, c, d and
-the pieces), not the image.  Both lanes judge the arrays of logs with the
-same code.  The full image, through theta, is the independent oracle, and
-both its readers return the same row: _proved_image proves _Radicals' row
-by exact division (_is_radical) for the 160-bit rechecks, the identities'
-radical bound and the sieve lane's audit of _AUDIT_ROWS seeded positions
-of every block at every n; the scalar lane's audit of each block's first
-solution factors the image instead (_exact_radicals).  The sieve lane's
-numbers are below 3 * _VECTOR_MAX_C**2 < 10**10, where radical needs
-trial division alone, so that lane, its rechecks included, never calls
-factorize.
+of its image under theta.  The image radical is lcm(rad|abc|, rad d,
+rad 4S), d = |a - b| and S the product of the cyclotomic pieces.  The
+scalar lane takes each row from _Radicals.row, which factors those parts,
+not the image; for a CorpusSpec with c <= _VECTOR_MAX_C at n in {2, 4, 6}
+the sieve lane adds the same factors' logs a block at a time, from one
+radical table and the piece sieve (_lograd_piece).  Both lanes judge the
+arrays of logs with the same code.  The full image, through theta, is
+the independent oracle, and both its readers return the same row:
+_proved_image proves _Radicals' row by exact division (_is_radical) for
+the 160-bit rechecks, the identities' radical bound and the sieve lane's
+audit of _AUDIT_ROWS seeded positions of every block at every n; the
+scalar lane's audit of each block's first solution factors the image
+instead (_exact_radicals).  The sieve lane's numbers are below
+3 * _VECTOR_MAX_C**2 < 10**10, where radical needs trial division alone,
+so that lane, its rechecks included, never calls factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, of the size the suite names, never by
@@ -179,16 +179,14 @@ class SuiteSummary:
 # sieve tables (process-global, copy-on-write shared with forked workers)
 
 @functools.cache
-def _radical_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log rad, log of odd part of rad) for 0..limit."""
+def _radical_table(limit: int) -> np.ndarray:
+    """log rad(v) for v in 0..limit (0 at v = 0 and v = 1)."""
     rad = np.ones(limit + 1, dtype=np.int64)
     for p in _prime_array(limit):
         rad[p::p] *= p
     lograd = np.zeros(limit + 1, dtype=np.float64)
     lograd[1:] = np.log(rad[1:].astype(np.float64))
-    lograd_odd = lograd.copy()
-    lograd_odd[2::2] -= _LN2
-    return lograd, lograd_odd
+    return lograd
 
 
 # The piece sieve's quadratic forms, keyed by k: q_k(x, y) = a*x**2 + b*y**2 as
@@ -322,13 +320,12 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
     """log of the product of the primes above 3 of q_k(x, y), k a key of _FORMS.
 
     x = c - s and y = s are a block's corpus pairs and grid its layout
-    from _block_grid.  The primes of 2k are divided out first: with
-    gcd(x, y) = 1, 2 divides q_k only when x and y are odd, and 3 divides
-    q_3 only when 3 | y and q_6 only when 3 | x, so the image radical has
-    them already (ln 2 for every image, y or x for 3).  Every other prime
-    p of q_k is 1 mod k and divides none of x, y, c or d, nor another
-    piece of the same n, so these logs add to the others as the primes
-    of the lcm that _Radicals takes.
+    from _block_grid.  The primes of 2k are divided out first, as rad_in
+    has them: 2 divides one of x, y and c, 3 divides q_3 only when 3 | y
+    and q_6 only when 3 | x.  Every other prime p of q_k is 1 mod k and
+    divides none of x, y, c or d, nor another piece of the same n, so
+    these logs add to the others as the primes of the lcm that _Radicals
+    takes.
 
     The root sieve, as in the quadratic sieve: p | q_k(c - s, s) exactly
     when s = c*u mod p for a root u from _piece_table, so the hits of p in
@@ -732,23 +729,24 @@ def _audit_logs(logs: tuple, n: int, audited: dict[int, _Radicals]) -> None:
 def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> None:
     """plan's checks over one c-range of a CorpusSpec, the logs from sieve tables.
 
-    The image radical at n is 2 * (odd primes of d, c, x, y) times the primes
-    above 3 of the pieces q_k, k | n (see _Radicals and _lograd_piece).  The
-    rows of _audit_rows are checked against the full image at every n.
+    The image radical is _Radicals' lcm(rad_in, rad(dd), rad(4S)) in logs, each term
+    the log of the primes its factor adds: log rad_in, log rad(dd) less ln 2 where c
+    is even, then the pieces q_k, k | n.  One of x = |a|, y = |b| and c is even, so
+    2 | rad_in; gcd(dd, x) = gcd(y, x) = 1, likewise for y, and gcd(dd, c) | 2, so
+    the odd primes of dd (of c's parity) are new; a piece's primes dividing 2k are
+    in rad_in (_lograd_piece).  _audit_logs checks the rows of _audit_rows.
     """
-    lograd, lograd_odd = _radical_tables(max_c)
+    lograd = _radical_table(max_c)
     c_arr, s_arr, grid, solution = block
     aabs = c_arr - s_arr
-    d_arr = aabs - s_arr
     logc = np.log(c_arr.astype(np.float64))
     lnrad_abc = lograd[aabs] + lograd[s_arr] + lograd[c_arr]
-    base_odd = lograd_odd[d_arr] + lograd_odd[c_arr] + lograd_odd[aabs] + lograd_odd[s_arr]
     pieces = {k: _lograd_piece(k, aabs, s_arr, grid, max_c)
               for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
     even = (c_arr & 1) == 0
     audited = {i: _Radicals(solution(i)) for i in _audit_rows(block_idx, len(c_arr))}
     for ni, n in enumerate(plan.n_grid):
-        lnrad_img = _LN2 + base_odd
+        lnrad_img = lnrad_abc + lograd[aabs - s_arr] - _LN2 * even
         for k in _piece_ks(n):
             lnrad_img += pieces[k]
         logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img)
@@ -996,7 +994,7 @@ def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, int, tuple]:
     if not sieve_lane:
         return _k_scalar, _TRIPLE_BLOCK, (plan,)
     # build in the parent so workers share pages
-    _radical_tables(corpus.max_c)
+    _radical_table(corpus.max_c)
     for k in ks:
         _piece_table(k, corpus.max_c)
     return _k_vector, _BLOCK_SLOTS, (corpus.max_c, plan)
@@ -1124,7 +1122,7 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
     sources, _ = _blocks(CorpusSpec(max_c), _BLOCK_SLOTS)  # ValueError for max_c < 3
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    lograd, _ = _radical_tables(max_c)
+    lograd = _radical_table(max_c)
     hits: list[MeritReport] = []
     for source in sources:
         c_arr, s_arr, _, solution = _block(source)

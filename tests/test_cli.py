@@ -426,6 +426,17 @@ def test_negative_numbers_take_an_exponent(capsys, fmt):
         assert json.loads(out)["params"]["tolerance"] == -0.001
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_empty_eps_and_zero_iterations_exit_2(capsys, fmt):
+    for argv, message in [
+        (["analyze", "1", "8", "-9", "--eps", ","], "--eps must list at least one value"),
+        (["theta", "1", "2", "-3", "--n", "2", "--iter", "0"], "--iter must be at least 1"),
+    ]:
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -1117,6 +1117,28 @@ def test_sieve_lane_audit_catches_a_dropped_prime(monkeypatch, capsys, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
+def test_every_sieve_row_is_the_proved_row(monkeypatch, workers):
+    # every position of every block audited: _audit_logs compares the four logs
+    # of each row, at each n, with those of _proved_image
+    monkeypatch.setattr(harness, "_audit_rows", lambda block_idx, size: range(size))
+    _small_blocks(monkeypatch, 2000)
+    for spec in (CorpusSpec(200), CorpusSpec(400, congruence=7)):
+        assert len(harness._blocks(spec, harness._BLOCK_SLOTS)[0]) > 3
+        assert verify_lemma1(spec, [2, 4, 6], [1.0], workers=workers).ok
+    real = harness._radical_table
+
+    def table(limit):
+        # rad(175) = 5 * 7 counted as 5**2 * 7
+        lograd = real(limit).copy()
+        lograd[175] += math.log(5)
+        return lograd
+
+    monkeypatch.setattr(harness, "_radical_table", table)
+    with pytest.raises(harness.InternalRadicalMismatch, match="the sieve gives"):
+        verify_lemma1(CorpusSpec(200), [2, 4, 6], [1.0], workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
 def test_sieve_lane_never_factorizes(monkeypatch, workers):
     # its audit and its rechecks included: every number of the lane is below
     # 3 * max_c**2 and goes to trial division, so factorize, and its budget,
