@@ -50,6 +50,7 @@ import bisect
 import contextlib
 import functools
 import hashlib
+import itertools
 import math
 import multiprocessing
 import operator
@@ -85,12 +86,19 @@ _LN2 = math.log(2.0)
 # are far inside int64
 _VECTOR_MAX_C = 50_000
 # rows per block that the sieve lane checks against the full image at every n:
-# a handful of _proved_image calls, well under 1% of a block's time
+# a handful of _proved_image calls, about 1% of the time of a 300k-slot block
 _AUDIT_ROWS = 8
 # the sieve lane's logs are sums of a dozen or so logs below 30, off by about
 # 1e-13 in float64; a prime missed or counted twice moves a log by at least ln 2
 _AUDIT_TOL = 1e-6
-_BLOCK_SLOTS = 2_500_000  # (c, s) slots per block for the kernels that take numpy arrays
+# (c, s) slots per block for the kernels that take numpy arrays.  A block's
+# float64 arrays (logs, pieces, slacks) set a sieve run's peak RSS: lemma1 over
+# c <= 3000 at n 2,4 peaks at 170 MB with 2.5M slots, 74 MB at 625k, 54 MB at
+# 300k and 45 MB at 150k, over 34 MB for the interpreter with congabc.  Below
+# 300k little is left to save, and each block's fresh arrays are paged in anew:
+# lemma2 at N 7, 13, 16 over c <= 10**4 took 4.4 s at 150k, 4.1 s at 300k and
+# 3.8 s at 2.5M
+_BLOCK_SLOTS = 300_000
 _TRIPLE_BLOCK = 4096  # slots, or listed solutions, per block for the per-triple kernels
 
 
@@ -250,7 +258,7 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     primes = _primes_to(c_hi // 2)
     row, col = np.nonzero(cs[:, None] % primes == 0)
     keep = np.ones(len(c_arr), dtype=bool)
-    keep[_progressions(starts[row], reps[row], primes[col], primes[col])] = False
+    keep[_progressions(starts[row], reps[row], primes[col], primes[col])[0]] = False
     if congruence > 1:
         keep &= _congruence_mask(c_arr, s_arr, congruence)
     return c_arr[keep], s_arr[keep], (cs, reps, starts, keep)
@@ -264,8 +272,9 @@ def _primes_to(limit: int) -> np.ndarray:
     return primes[:int(np.searchsorted(primes, limit, side="right"))]
 
 
-def _progressions(starts, reps, s0, p) -> np.ndarray:
-    """The grid positions of s = s0, s0 + p, ... up to reps in each row.
+def _progressions(starts, reps, s0, p) -> tuple[np.ndarray, np.ndarray]:
+    """The grid positions of s = s0, s0 + p, ... up to reps in each row, one
+    progression after another, and the number of terms of each progression.
 
     Row r of the grid holds s = 1 .. reps[r] from position starts[r]; s0 = 0
     stands for no progression.  starts and reps broadcast against s0, and p is
@@ -275,7 +284,7 @@ def _progressions(starts, reps, s0, p) -> np.ndarray:
     step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     if np.ndim(p):
         p = np.repeat(p, count)
-    return np.repeat((starts + s0 - 1).ravel(), count) + p * step
+    return np.repeat((starts + s0 - 1).ravel(), count) + p * step, count
 
 
 def _pair(c_arr: np.ndarray, s_arr: np.ndarray, i: int) -> ABCSolution:
@@ -333,6 +342,17 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
     s = 0 mod p, never coprime, and are skipped.  At each hit p is
     divided out completely.
 
+    The primes go in bulk, an octave [2**j, 2**(j+1)) at a time: one
+    _progressions call over primes x rows x roots gives every hit of the
+    octave, prime-major, and the sequential np.add.at adds the logs in that
+    order, after the octaves below.  So each element adds its logs in
+    ascending prime order, as one prime at a time would, and the sums are
+    the same floats.  An octave's hits number about slots/(j ln 2), so a
+    pass holds less than a block's worth.  np.floor_divide.at divides an
+    element hit by several primes once per prime, then again while p still
+    divides, as p**2 can divide q_k even with p above the row length
+    (c = 7, s = 3: q_4 = 5**2).
+
     The bound: with q_k = a*x**2 + b*y**2, c**2 - x**2 = y*(c + x) and
     b*y < a*(c + x) (y < x, and b <= 3a), so q_k < a*c**2.  Each prime p
     is sieved over the rows with a*c**2 >= p**2, so row c has lost every
@@ -357,19 +377,22 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
     primes, logp, roots = _piece_table(k, max_c)
     out = np.zeros(len(t), dtype=np.float64)
     c_hi = int(cs[-1])
-    for i in range(int(np.searchsorted(primes, math.isqrt(a * c_hi * c_hi), side="right"))):
-        p = int(primes[i])
-        row = int(np.searchsorted(cs, math.isqrt(-(-p * p // a) - 1) + 1))  # a*c**2 >= p**2
-        pos = _progressions(starts[row:, None], reps[row:, None],
-                            (cs[row:, None] % p) * roots[i] % p, p)
-        hit = rank[pos[keep[pos]]]
-        out[hit] += logp[i]
-        w = t[hit] // p
-        again = w % p == 0
-        while again.any():
-            w[again] //= p
-            again &= w % p == 0
-        t[hit] = w
+    end = int(np.searchsorted(primes, math.isqrt(a * c_hi * c_hi), side="right"))
+    octaves = np.searchsorted(primes[:end], [1 << j for j in range(c_hi.bit_length() + 2)])
+    for lo, hi in itertools.pairwise(octaves.tolist()):
+        p = primes[lo:hi, None, None]
+        s0 = (cs[:, None] % p) * roots[lo:hi, None, :] % p  # primes x rows x roots
+        s0 = np.where(a * cs[:, None] ** 2 >= p * p, s0, 0)
+        pos, count = _progressions(starts[:, None], reps[:, None], s0, np.broadcast_to(p, s0.shape))
+        at = np.repeat(np.arange(lo, hi), count.reshape(s0.shape).sum(axis=(1, 2)))
+        kept = keep[pos]
+        hit, at = rank[pos[kept]], at[kept]
+        np.add.at(out, hit, logp[at])
+        p = primes[at]
+        while len(hit):
+            np.floor_divide.at(t, hit, p)
+            again = t[hit] % p == 0
+            hit, p = hit[again], p[again]
     rest = t > 1
     out[rest] += np.log(t[rest].astype(np.float64))
     return out
@@ -793,8 +816,10 @@ def _k_lemma2(tally: _Tally, block, block_idx: int, N: int, n: int) -> None:
                             for i in range(len(c_arr))], dtype=np.int64)
     else:
         # |A*B*C| = d**n * (c**n - d**n) * c**n with d = c - 2s, both halved
-        # when c is even, so the witness comes from a residue table of n-th powers
-        pow_mod = np.array([pow(v, n, N) for v in range(int(c_arr[-1]) + 1)], dtype=np.int64)
+        # when c is even, so the witness comes from a residue table of n-th powers,
+        # v**n mod N for v up to c_hi from the N residues
+        pow_mod = np.array([pow(v, n, N) for v in range(N)], dtype=np.int64)
+        pow_mod = pow_mod[np.arange(int(c_arr[-1]) + 1) % N]
         halve = 1 - (c_arr & 1)
         pv = pow_mod[c_arr >> halve]
         pu = pow_mod[(c_arr - 2 * s_arr) >> halve]

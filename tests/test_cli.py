@@ -519,3 +519,23 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (code, b"")
+
+
+# the child's own peak RSS in kilobytes, on stderr after the command's output
+_PEAK_RSS = ("import resource, sys\n"
+             "from congabc.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_sieve_run_peak_rss_is_bounded_by_the_block():
+    # a sieve run's peak RSS follows _BLOCK_SLOTS, not the corpus: over c <= 3000
+    # (2.25M slots) it is about 55 MB in 300k-slot blocks, about 170 MB in one block
+    argv = ["verify", "lemma1", "--max-c", "3000", "--n", "2,4", "--eps", "0.1,1"]
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv, "--format", "json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == "pass"
+    assert int(proc.stderr.split()[-1]) / 1024 < 100

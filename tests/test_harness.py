@@ -211,21 +211,52 @@ def test_spec_corpus_size_and_hash_match_the_spec(workers):
         assert (s.corpus_size, s.corpus_hash) == want, s.suite
 
 
-@pytest.mark.parametrize("c_lo, c_hi, congruence, max_c", [
-    (1500, 1600, 1, 10_000),  # a block that does not start at c = 3
-    (3, 400, 7, 400),         # a congruence-restricted block
-])
-def test_sum_squares_root_sieve_matches_factorization(c_lo, c_hi, congruence, max_c):
-    c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
-    got = _lograd_piece(4, c_arr - s_arr, s_arr, grid, max_c)
-    pairs = list(zip(c_arr.tolist(), s_arr.tolist()))
-    assert len(got) == len(pairs) > 0
+# every c up to 300 as a block of its own: most primes lie above the row length
+# (c - 1)/2 and hit it at most once per root, and some divide the piece twice
+# (c = 7, s = 3: 4**2 + 3**2 = 5**2)
+_ONE_ROW_BLOCKS = [(c, c) for c in range(3, 301)]
+
+
+def _ascending_log_sum(m):
+    """The logs of the primes of m from factorize, added in ascending order as the
+    sieve adds them: its sums must not depend on how it groups the primes."""
+    total = 0.0
+    for logp in np.log(np.array(sorted(p for p, _ in factorize(m).factors), dtype=np.float64)):
+        total += logp
+    return total
+
+
+def _sieved_pieces(k, blocks, congruence, max_c):
+    """The (c, s) pairs of the blocks and _lograd_piece's log of each, block by block."""
+    pairs, got = [], []
+    for c_lo, c_hi in blocks:
+        c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
+        logs = _lograd_piece(k, c_arr - s_arr, s_arr, grid, max_c).tolist()
+        assert len(logs) == len(c_arr) > 0
+        pairs += zip(c_arr.tolist(), s_arr.tolist())
+        got += logs
+    return pairs, got
+
+
+_SIEVE_BLOCKS = pytest.mark.parametrize("blocks, congruence, max_c", [
+    ([(3, 60)], 1, 60),           # the first rows, where a prime p up to sqrt(a)*c has p > c
+    ([(1500, 1600)], 1, 10_000),  # a block that does not start at c = 3
+    ([(3, 400)], 7, 400),         # a congruence-restricted block
+    (_ONE_ROW_BLOCKS, 1, 300),
+], ids=["3-60-1-60", "1500-1600-1-10000", "3-400-7-400", "one-row-blocks"])
+
+
+@_SIEVE_BLOCKS
+def test_sum_squares_root_sieve_matches_factorization(blocks, congruence, max_c):
+    pairs, got = _sieved_pieces(4, blocks, congruence, max_c)
     if congruence == 7:
         assert (8, 1) in pairs  # 7**2 + 1**2 = 2 * 5**2
         assert any(c == 65 for c, _ in pairs)  # 5 | 65 and 13 | 65
-    for (c, s), value in zip(pairs, got.tolist()):
+    if blocks[0][0] == 3 and congruence == 1:
+        assert (7, 3) in pairs  # 4**2 + 3**2 = 5**2, 5 above the row length 3
+    for (c, s), value in zip(pairs, got):
         t = (c - s) ** 2 + s**2
-        assert value == pytest.approx(math.log(radical(t >> valuation2(t))), abs=1e-12)
+        assert value == _ascending_log_sum(t >> valuation2(t)), (c, s)
 
 
 def _piece_value(k, c, s):
@@ -239,25 +270,17 @@ def _piece_value(k, c, s):
 
 
 @pytest.mark.parametrize("k", [3, 6])
-@pytest.mark.parametrize("c_lo, c_hi, congruence, max_c", [
-    (3, 60, 1, 60),           # the first rows, where a prime p up to sqrt(3)*c has p > c
-    (1500, 1600, 1, 10_000),  # a block that does not start at c = 3
-    (3, 400, 7, 400),         # a congruence-restricted block
-])
-def test_cube_root_sieve_matches_factorization(k, c_lo, c_hi, congruence, max_c):
+@_SIEVE_BLOCKS
+def test_cube_root_sieve_matches_factorization(k, blocks, congruence, max_c):
     # Phi_3 = 3x**2 + y**2 and Phi_6 = x**2 + 3y**2 at n = 6, against factorize
-    c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
-    got = _lograd_piece(k, c_arr - s_arr, s_arr, grid, max_c)
-    pairs = list(zip(c_arr.tolist(), s_arr.tolist()))
-    assert len(got) == len(pairs) > 0
-    if c_lo == 3 and congruence == 1:
+    pairs, got = _sieved_pieces(k, blocks, congruence, max_c)
+    if blocks[0][0] == 3 and congruence == 1:
         assert (7, 3) in pairs  # 3 | y: Phi_3 = 57 = 3 * 19, Phi_6 = 43
         assert _piece_value(3, 5, 1) == 7**2  # c < p = 7 < sqrt(3) * c
         assert _piece_value(3, 33, 13) == 37**2  # c < p = 37 < sqrt(3) * c
         assert {(5, 1), (33, 13)} <= set(pairs)
-    for (c, s), value in zip(pairs, got.tolist()):
-        want = math.log(math.prod(p for p, _ in factorize(_piece_value(k, c, s)).factors))
-        assert value == pytest.approx(want, abs=1e-12), (c, s)
+    for (c, s), value in zip(pairs, got):
+        assert value == _ascending_log_sum(_piece_value(k, c, s)), (c, s)
 
 
 @pytest.mark.parametrize("n_grid, kernel", [
