@@ -120,22 +120,24 @@ class CorpusSpec:
     congruence: int = 1
 
     def __post_init__(self):
+        if not (isinstance(self.max_c, int) and isinstance(self.congruence, int)):
+            raise ValueError(f"max_c and congruence must be integers: {self}")
         if self.max_c < 3:
             raise ValueError("max_c must be at least 3")
         if self.congruence < 1:
             raise ValueError("congruence must be a positive integer")
 
     def __iter__(self) -> Iterator[ABCSolution]:
-        for source in _blocks(self, _TRIPLE_BLOCK)[0]:
+        for source in _blocks(self, _TRIPLE_BLOCK):
             c, _, _, solution = _block(source)
             yield from map(solution, range(len(c)))
 
     def __len__(self) -> int:
-        return sum(len(_block(source)[0]) for source in _blocks(self, _BLOCK_SLOTS)[0])
+        return sum(len(_block(source)[0]) for source in _blocks(self, _BLOCK_SLOTS))
 
     def digest(self) -> str:
         """Stable identifier of the corpus this spec denotes."""
-        return _corpus_hash(_spec_head(self), len(self))
+        return _corpus_hash(self, len(self))
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,8 @@ class LemmaVerdict:
 
 @dataclass(frozen=True)
 class SuiteSummary:
-    """Aggregate outcome of one verification suite over one corpus."""
+    """Aggregate outcome of one verification suite over one corpus: each check
+    counts once, so passes = checks - failures - inconclusives."""
 
     suite: str
     params: dict
@@ -277,14 +280,13 @@ def _progressions(starts, reps, s0, p) -> tuple[np.ndarray, np.ndarray]:
     progression after another, and the number of terms of each progression.
 
     Row r of the grid holds s = 1 .. reps[r] from position starts[r]; s0 = 0
-    stands for no progression.  starts and reps broadcast against s0, and p is
-    one step or one per progression (s0's shape).
+    stands for no progression.  starts, reps and the steps p, one per
+    progression, broadcast against s0.
     """
     count = np.where(s0 > 0, (reps - s0) // p + 1, 0).ravel()
     step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    if np.ndim(p):
-        p = np.repeat(p, count)
-    return np.repeat((starts + s0 - 1).ravel(), count) + p * step, count
+    p = np.repeat(np.broadcast_to(p, s0.shape), count)
+    return np.repeat(starts + s0 - 1, count) + p * step, count
 
 
 def _pair(c_arr: np.ndarray, s_arr: np.ndarray, i: int) -> ABCSolution:
@@ -308,21 +310,16 @@ def _congruence_mask(c_arr: np.ndarray, s_arr: np.ndarray, N: int) -> np.ndarray
     return (c_arr - s_arr) * s_arr % N * (c_arr % N) % N == 0
 
 
-def _spec_head(spec: CorpusSpec):
-    return hashlib.sha256(f"exhaustive:max_c={spec.max_c};congruence={spec.congruence};".encode())
-
-
-def _list_head(triples: list[ABCSolution]):
+def _corpus_hash(corpus, size: int) -> str:
+    """The corpus hash: sha256 of the spec, or of every triple of a list, then the size."""
     h = hashlib.sha256()
-    for aa in triples:
-        h.update(f"{aa.a},{aa.b},{aa.c};".encode())
-    return h
-
-
-def _corpus_hash(head, size: int) -> str:
-    """The corpus hash: sha256 of its head (the spec, or every triple), then its size."""
-    head.update(f"size={size}".encode())
-    return head.hexdigest()
+    if isinstance(corpus, CorpusSpec):
+        h.update(f"exhaustive:max_c={corpus.max_c};congruence={corpus.congruence};".encode())
+    else:
+        for aa in corpus:
+            h.update(f"{aa.a},{aa.b},{aa.c};".encode())
+    h.update(f"size={size}".encode())
+    return h.hexdigest()
 
 
 def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
@@ -383,7 +380,7 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
         p = primes[lo:hi, None, None]
         s0 = (cs[:, None] % p) * roots[lo:hi, None, :] % p  # primes x rows x roots
         s0 = np.where(a * cs[:, None] ** 2 >= p * p, s0, 0)
-        pos, count = _progressions(starts[:, None], reps[:, None], s0, np.broadcast_to(p, s0.shape))
+        pos, count = _progressions(starts[:, None], reps[:, None], s0, p)
         at = np.repeat(np.arange(lo, hi), count.reshape(s0.shape).sum(axis=(1, 2)))
         kept = keep[pos]
         hit, at = rank[pos[kept]], at[kept]
@@ -456,7 +453,6 @@ class _Radicals:
         self.aa = aa
         self._known: dict[int, int | FactorizationFailure] = {}
         self._phis: dict[int, int] = {}
-        self._parts: dict[int, tuple[int, int]] = {}
 
     def _rad(self, v: int) -> int:
         known = self._known.get(v)
@@ -494,10 +490,7 @@ class _Radicals:
 
     def parts(self, n: int) -> tuple[int, int]:
         """(rad(dd), rad(4S)) at n, exactly."""
-        if n not in self._parts:
-            dd = self.aa.b - self.aa.a
-            self._parts[n] = self._rad(dd), math.lcm(2, *map(self._rad, self.pieces(n)))
-        return self._parts[n]
+        return self._rad(self.aa.b - self.aa.a), math.lcm(2, *map(self._rad, self.pieces(n)))
 
     def row(self, n: int) -> tuple[int, int, int, int]:
         """The row (c, rad(|a*b*c|), image c, image rad) at n, exactly."""
@@ -545,7 +538,6 @@ class _Tally:
     band: float
     triples: int = 0
     checks: int = 0
-    passes: int = 0
     failures: int = 0
     inconclusives: int = 0
     counterexamples: list = field(default_factory=list)
@@ -554,7 +546,6 @@ class _Tally:
 
     def passed(self, k: int = 1) -> None:
         self.checks += k
-        self.passes += k
 
     def _keep(self, examples: list, where: tuple, verdict: Callable[[], LemmaVerdict]) -> None:
         """Put (where, verdict()) into examples if where is among the cap smallest."""
@@ -604,7 +595,6 @@ class _Tally:
         """Fold in the tally of a later block, whose keys are all larger."""
         self.triples += later.triples
         self.checks += later.checks
-        self.passes += later.passes
         self.failures += later.failures
         self.inconclusives += later.inconclusives
         self.counterexamples += later.counterexamples[: self.cap - len(self.counterexamples)]
@@ -699,15 +689,18 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
             return _merits(k, *(float(x[i]) for x in logs))
 
         with np.errstate(over="ignore", invalid="ignore"):
+            f_in, f_img = _merits(k, *logs)
             if plan.bound is not None:
-                over = np.flatnonzero(_merits(k, *logs)[1] > plan.bound)
+                over = np.flatnonzero(f_img > plan.bound)
                 if len(over):
                     raise HypothesisViolated(
                         f"assumed constant {plan.bound} is below the observed image "
                         f"merit {merits(over[0])[1]:.12g} at {solution(where[over[0]])}"
                     )
-            slacks = [np.subtract(*pair)
-                      for pair in plan.sides(k, *_merits(k, *logs), plan.bound)]
+            pairs = plan.sides(k, f_in, f_img, plan.bound)
+            del f_in, f_img  # each array goes once no slack needs it (peak memory)
+            slacks = [np.subtract(*pair) for pair in pairs]
+            del pairs
         # a non-finite slack is no suspect (abs(inf) < band and nan < -tol are false): a pass
         if not all(np.isfinite(slack).all() for slack in slacks):
             raise ValueError(f"the checks at n={n}, eps={eps} are not finite in float64")
@@ -895,8 +888,8 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
 # the driver: one for every suite
 
 
-def _blocks(corpus, slots: int) -> tuple[list, object]:
-    """The block sources of corpus in corpus order, and its hash head.
+def _blocks(corpus, slots: int) -> list:
+    """The block sources of corpus, a CorpusSpec or a list, in corpus order.
 
     A CorpusSpec is cut into c-ranges (c_lo, c_hi, congruence) of about
     slots (c, s) slots, the size the suite names: _BLOCK_SLOTS for the
@@ -905,11 +898,8 @@ def _blocks(corpus, slots: int) -> tuple[list, object]:
     The layout depends on the corpus and the suite, never on the worker count.
     """
     if isinstance(corpus, CorpusSpec):
-        return ([(lo, hi, corpus.congruence) for lo, hi in _c_blocks(corpus.max_c, slots)],
-                _spec_head(corpus))
-    triples = list(corpus)
-    sources = [triples[i:i + _TRIPLE_BLOCK] for i in range(0, len(triples), _TRIPLE_BLOCK)]
-    return sources, _list_head(triples)
+        return [(lo, hi, corpus.congruence) for lo, hi in _c_blocks(corpus.max_c, slots)]
+    return [corpus[i:i + _TRIPLE_BLOCK] for i in range(0, len(corpus), _TRIPLE_BLOCK)]
 
 
 def _block(source) -> tuple:
@@ -944,8 +934,8 @@ def _verify(suite: str, params: dict, corpus, kernel, slots: int, consts: tuple,
     Each block gets a fresh tally with these limits.  The blocks run on up to
     workers forked processes (serially with one worker or block, or without
     fork), and the tallies merge in block order; an exception from a block
-    cancels the blocks not yet started.  The corpus is hashed from the size
-    the driver counted.
+    cancels the blocks not yet started.  Any corpus but a CorpusSpec is read
+    into a list once, then cut and hashed, with the size the driver counted.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -953,7 +943,9 @@ def _verify(suite: str, params: dict, corpus, kernel, slots: int, consts: tuple,
         # a comparison with NaN is false, so a NaN tolerance would pass every check
         raise ValueError(f"tolerance and recheck band must be finite, got {tolerance}, {band}")
     t0 = time.perf_counter()
-    sources, corpus_head = _blocks(corpus, slots)
+    if not isinstance(corpus, CorpusSpec):
+        corpus = list(corpus)
+    sources = _blocks(corpus, slots)
     limits = (max_counterexamples, tolerance, band)
     jobs = [(kernel, source, idx, consts, limits) for idx, source in enumerate(sources)]
     total = _Tally(*limits)
@@ -975,26 +967,32 @@ def _verify(suite: str, params: dict, corpus, kernel, slots: int, consts: tuple,
         params=params,
         corpus_size=total.triples,
         checks=total.checks,
-        passes=total.passes,
+        passes=total.checks - total.failures - total.inconclusives,
         failures=total.failures,
         inconclusives=total.inconclusives,
         min_slack=best[1].slack if best else None,
         extremal=best[1] if best else None,
         counterexamples=tuple(v for _, v in total.counterexamples),
         inconclusive_examples=tuple(v for _, v in total.inconclusive_examples),
-        corpus_hash=_corpus_hash(corpus_head, total.triples),
+        corpus_hash=_corpus_hash(corpus, total.triples),
         wall_time=time.perf_counter() - t0,
         workers=workers,
     )
 
 
 def _validated_grid(values, kind, check) -> tuple:
-    """values as a nonempty tuple of kind, each entry passed to check, which raises."""
+    """values as a nonempty tuple of kind without repeats, each entry passed to check,
+    which raises.  An exponent that int() would change, such as 4.9, is refused."""
+    values = tuple(values)
     grid = tuple(map(kind, values))
     if not grid:
         raise ValueError("parameter grids must be nonempty")
-    for v in grid:
-        check(v)
+    for i, (v, g) in enumerate(zip(values, grid)):
+        if kind is int and v != g:
+            raise ValueError(f"exponents must be integers, got {v!r}")
+        check(g)
+        if g in grid[:i]:
+            raise ValueError(f"parameter grids must not repeat a value, got {g!r} twice")
     return grid
 
 
@@ -1144,7 +1142,7 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
     qualities come from sieve tables, and each hit is recomputed
     through the factorization engine before being reported.
     """
-    sources, _ = _blocks(CorpusSpec(max_c), _BLOCK_SLOTS)  # ValueError for max_c < 3
+    sources = _blocks(CorpusSpec(max_c), _BLOCK_SLOTS)  # ValueError for max_c < 3
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     lograd = _radical_table(max_c)

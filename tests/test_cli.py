@@ -437,6 +437,19 @@ def test_empty_eps_and_zero_iterations_exit_2(capsys, fmt):
         assert message in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_repeated_grid_values_exit_2(capsys, fmt):
+    # each repeat counted every check of the repeated value again, exit 0
+    for argv, message in [
+        (["verify", "lemma1", "--max-c", "30", "--n", "2,2"], "got 2 twice"),
+        (["verify", "lemma1", "--max-c", "30", "--n", "2", "--eps", "1,1"], "got 1.0 twice"),
+        (["verify", "identities", "--max-c", "30", "--n", "2,2"], "got 2 twice"),
+    ]:
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -110,6 +110,15 @@ def test_corpus_spec_validation_and_hash():
     assert CorpusSpec(max_c=50).digest() != CorpusSpec(max_c=50, congruence=2).digest()
 
 
+@pytest.mark.parametrize("kw", [{"max_c": 1000.0}, {"max_c": 100, "congruence": 7.0},
+                                {"max_c": "100"}])
+def test_corpus_spec_refuses_a_non_integral_bound(kw):
+    # CorpusSpec(max_c=1000.0) was built, then len() or a suite failed with a
+    # TypeError deep in the block cutting or the radical table
+    with pytest.raises(ValueError, match="integers"):
+        CorpusSpec(**kw)
+
+
 # ---------------------------------------------------------------------------
 # verify_lemma1
 
@@ -361,6 +370,28 @@ def test_lemma1_grid_validation():
         verify_lemma1(corpus, [2], [])
 
 
+@pytest.mark.parametrize("run", [
+    lambda grid: verify_lemma1(CorpusSpec(max_c=30), grid, [1.0]),
+    lambda grid: verify_proof_identities(CorpusSpec(max_c=30), grid),
+])
+def test_suites_refuse_an_exponent_that_int_would_change(run):
+    # 4.9 ran at n = 4 and reported "n": [4]; an integral float is that integer
+    for grid in ([4.9], [2, 4.5]):
+        with pytest.raises(ValueError, match=f"integers, got {grid[-1]}"):
+            run(grid)
+    assert run([4.0]).params["n"] == run([4]).params["n"] == [4]
+
+
+def test_suites_refuse_a_repeated_grid_value():
+    # --n 2,2 --eps 1,1 counted each of 138 triples' checks four times
+    spec = CorpusSpec(max_c=30)
+    for run, value in ((lambda: verify_lemma1(spec, [2, 4, 2], [1.0]), "2"),
+                       (lambda: verify_lemma1(spec, [2], [0.5, 1, 1.0]), "1.0"),
+                       (lambda: verify_proof_identities(spec, [4, 4]), "4")):
+        with pytest.raises(ValueError, match=f"repeat a value, got {value} twice"):
+            run()
+
+
 def test_suites_reject_exponents_above_the_cap():
     # theta's rule, even with 2 <= n <= 64, holds for the suites' grids too
     spec = CorpusSpec(max_c=3)
@@ -483,8 +514,8 @@ def test_chain_lane_agreement(monkeypatch, N, eps):
     _small_blocks(monkeypatch, 1000)
     spec = CorpusSpec(max_c=100)
     listed = list(spec)
-    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)[0]) > 2
-    assert len(harness._blocks(listed, harness._TRIPLE_BLOCK)[0]) > 1
+    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)) > 2
+    assert len(harness._blocks(listed, harness._TRIPLE_BLOCK)) > 1
     for workers in (1, 3):
         fast = verify_reduction_chain(spec, N, eps, 10.0, workers=workers)
         slow = verify_reduction_chain(listed, N, eps, 10.0, workers=workers)
@@ -557,13 +588,12 @@ def test_suites_agree_across_block_layouts(monkeypatch, suite, kind):
     # every suite gives the same summary, and the corpus its size and hash
     spec = CorpusSpec(max_c=60)
     corpus = spec if kind == "spec" else list(spec)
-    head = harness._spec_head(spec) if kind == "spec" else harness._list_head(corpus)
-    want = (len(spec), harness._corpus_hash(head, len(spec)))
+    want = (len(spec), harness._corpus_hash(corpus, len(spec)))
     whole = _SUITES[suite](corpus)
     assert whole.ok == (suite in ("lemma1", "lemma2"))
-    assert len(harness._blocks(corpus, harness._TRIPLE_BLOCK)[0]) == 1
+    assert len(harness._blocks(corpus, harness._TRIPLE_BLOCK)) == 1
     _small_blocks(monkeypatch, 200)
-    assert len(harness._blocks(corpus, harness._TRIPLE_BLOCK)[0]) > 1
+    assert len(harness._blocks(corpus, harness._TRIPLE_BLOCK)) > 1
     for workers in (1, 3):
         s = _SUITES[suite](corpus, workers=workers)
         assert _same_summary(s, whole)
@@ -586,7 +616,7 @@ def test_suites_skip_empty_blocks(monkeypatch, suite):
     whole, listed = _SUITES[suite](spec), _SUITES[suite](list(spec))
     assert outcome(whole) == outcome(listed)
     _small_blocks(monkeypatch, 20)
-    sizes = [len(harness._block(source)[0]) for source in harness._blocks(spec, 20)[0]]
+    sizes = [len(harness._block(source)[0]) for source in harness._blocks(spec, 20)]
     assert sizes.count(0) > len(sizes) // 2 and sum(sizes) == whole.corpus_size > 0
     for workers in (1, 3):
         assert _same_summary(_SUITES[suite](spec, workers=workers), whole)
@@ -901,10 +931,10 @@ def test_identities_record_failures_in_corpus_order(monkeypatch):
                 lhs = math.log(dd) + math.log(radical_abc(aa)) + math.log(rad_q)
                 if lhs - math.log(radical_abc(theta(aa, n).output)) < 1.0:
                     expected.append((aa, n, "radical-log-bound", None))
-    assert len(harness._blocks(spec, harness._TRIPLE_BLOCK)[0]) == 1
+    assert len(harness._blocks(spec, harness._TRIPLE_BLOCK)) == 1
     assert failures(max_counterexamples=10**6) == expected
     _small_blocks(monkeypatch, 50)
-    assert len(harness._blocks(spec, harness._TRIPLE_BLOCK)[0]) > 1
+    assert len(harness._blocks(spec, harness._TRIPLE_BLOCK)) > 1
     for workers in (1, 3):
         assert failures(workers=workers, max_counterexamples=10**6) == expected
         assert failures(workers=workers) == expected[:harness.DEFAULT_MAX_COUNTEREXAMPLES]
@@ -938,7 +968,7 @@ def test_identities_catch_a_dropped_piece(monkeypatch, capsys, workers):
     from congabc.cli import main
 
     _small_blocks(monkeypatch, 50)
-    assert len(harness._blocks(CorpusSpec(max_c=40), harness._TRIPLE_BLOCK)[0]) > 3
+    assert len(harness._blocks(CorpusSpec(max_c=40), harness._TRIPLE_BLOCK)) > 3
     _drop_last_piece(monkeypatch)
     with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
         verify_proof_identities(CorpusSpec(max_c=40), [2, 4], workers=workers)
@@ -1092,7 +1122,7 @@ def test_audit_catches_a_wrong_input_radical(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_chain_audit_catches_a_dropped_piece(monkeypatch, workers):
     _small_blocks(monkeypatch, 200)
-    assert len(harness._blocks(CorpusSpec(max_c=60), harness._TRIPLE_BLOCK)[0]) > 3
+    assert len(harness._blocks(CorpusSpec(max_c=60), harness._TRIPLE_BLOCK)) > 3
     _drop_last_piece(monkeypatch)
     with pytest.raises(harness.InternalRadicalMismatch):
         # totient(16) = 8: the scalar lane
@@ -1104,7 +1134,7 @@ def _drop_a_square_prime_of_an_audited_row(monkeypatch, spec):
     # left in the cofactor, whose log is the same sum; its square makes the
     # cofactor p**2 and counts ln p twice, which the audit must see
     squares = set()
-    for idx, source in enumerate(harness._blocks(spec, harness._BLOCK_SLOTS)[0]):
+    for idx, source in enumerate(harness._blocks(spec, harness._BLOCK_SLOTS)):
         c_arr, s_arr, _ = _block_grid(*source)
         for i in harness._audit_rows(idx, len(c_arr)):
             t = _piece_value(3, int(c_arr[i]), int(s_arr[i]))
@@ -1127,7 +1157,7 @@ def test_sieve_lane_audit_catches_a_dropped_prime(monkeypatch, capsys, workers):
 
     _small_blocks(monkeypatch, 200)
     spec = CorpusSpec(max_c=60)
-    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)[0]) > 3
+    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)) > 3
     assert verify_lemma1(spec, [6], [1.0], workers=workers).ok
     _drop_a_square_prime_of_an_audited_row(monkeypatch, spec)
     with pytest.raises(harness.InternalRadicalMismatch, match="the sieve gives"):
@@ -1146,7 +1176,7 @@ def test_every_sieve_row_is_the_proved_row(monkeypatch, workers):
     monkeypatch.setattr(harness, "_audit_rows", lambda block_idx, size: range(size))
     _small_blocks(monkeypatch, 2000)
     for spec in (CorpusSpec(200), CorpusSpec(400, congruence=7)):
-        assert len(harness._blocks(spec, harness._BLOCK_SLOTS)[0]) > 3
+        assert len(harness._blocks(spec, harness._BLOCK_SLOTS)) > 3
         assert verify_lemma1(spec, [2, 4, 6], [1.0], workers=workers).ok
     real = harness._radical_table
 
@@ -1177,7 +1207,7 @@ def test_sieve_lane_never_factorizes(monkeypatch, workers):
     monkeypatch.setattr(harness, "factorize", refuse)
     _small_blocks(monkeypatch, 2000)
     spec = CorpusSpec(max_c=200, congruence=7)
-    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)[0]) > 3
+    assert len(harness._blocks(spec, harness._BLOCK_SLOTS)) > 3
     assert verify_lemma1(spec, [2, 4, 6], [0.5, 1.0], workers=workers).ok
     assert verify_reduction_chain(spec, 9, 1.0, 10.0, workers=workers).ok
     # a margin of 5 that many checks miss: every failure is rechecked
