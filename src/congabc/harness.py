@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit
-from .numtheory import FactorizationFailure, _prime_array, factorize, radical, totient
+from .numtheory import FactorizationFailure, _prime_array, _primes_to, factorize, radical, totient
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -267,14 +267,6 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     return c_arr[keep], s_arr[keep], (cs, reps, starts, keep)
 
 
-def _primes_to(limit: int) -> np.ndarray:
-    """The primes up to limit, a view of the cached _prime_array of the next
-    power of two, so that the cache holds one array per doubling of limit
-    rather than one per block."""
-    primes = _prime_array(1 << limit.bit_length())
-    return primes[:int(np.searchsorted(primes, limit, side="right"))]
-
-
 def _progressions(starts, reps, s0, p) -> tuple[np.ndarray, np.ndarray]:
     """The grid positions of s = s0, s0 + p, ... up to reps in each row, one
     progression after another, and the number of terms of each progression.
@@ -443,7 +435,7 @@ class _Radicals:
     is computed once per solution, shared by every n with k | n (_phi).
     Each number's radical is taken once per solution by numtheory's
     radical, in the order x, y, c, dd, then the pieces by k, and shared by
-    every n and eps; below 10**15 that needs trial division alone.  A
+    every n and eps; below 2**63 that needs trial division alone.  A
     FactorizationFailure is kept and raised again for the same number, so
     a composite that resists the budget costs one rho run per solution,
     though row(n) raises it at every n that needs it.

@@ -7,19 +7,21 @@ runs four stages:
 
 - trial division by the primes below 10**5 (_trial_divide), from the
   package's one prime sieve, _prime_array, which also builds the
-  harness's numpy sieve tables: the 168 primes below 1000 in a Python
-  loop, the rest as one numpy remainder over the primes up to sqrt(n)
-  (exact for any n, by 30-bit limbs above 2**63);
+  harness's numpy sieve tables, sliced by _primes_to: the 168 primes
+  below 1000 in a Python loop, the rest as one numpy remainder over the
+  primes up to sqrt(n) (exact for any n, by 30-bit limbs above 2**63);
 - the Baillie-PSW primality test (one deterministic test for every n:
   a strong base-2 test plus a strong Lucas test);
 - a perfect-power step, so that q**k with q above the trial bound is
   split by an exact k-th root rather than by rho;
 - Brent's variant of Pollard's rho, with an iteration budget.
 
-radical needs no split: it trial divides only up to the cube root, and
-below 10**15 = _TRIAL_BOUND**3 the cofactor left is 1, p, p*q or p**2,
-whose radical one isqrt decides.  Only a cofactor of 10**15 or more
-goes on to the last three stages (_split), which factorize shares.
+radical needs no split below 2**63: it trial divides every such n up to
+its cube root, by the primes below _CUBE_BOUND = 2**21, and the
+cofactor left is 1, p, p*q or p**2, whose radical one isqrt decides.
+From 2**63 on it trial divides by the primes below 10**5 only, and a
+cofactor of 10**15 = _TRIAL_BOUND**3 or more goes on to the last three
+stages (_split), which factorize shares.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 _TRIAL_BOUND = 100_000
+# radical trial divides each n < 2**63 up to its true cube root, which is
+# below 2**21 since (2**21)**3 = 2**63: the primes below _CUBE_BOUND are then
+# one int64 remainder away, with no limbs.  Above 2**63 it keeps _TRIAL_BOUND,
+# where each prime costs a limb remainder and rho decides the cofactor anyway.
+_CUBE_BOUND = 1 << 21
 # The trial primes below _LOOP_BOUND (168 of them) are tried one at a time
 # in Python, which beats a numpy call on the many small arguments; with no
 # other stage that loop fully factors every n < 1009**2, 1009 being the
@@ -102,14 +109,21 @@ def _prime_array(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return np.flatnonzero(sieve)
+
+
+def _primes_to(limit: int) -> np.ndarray:
+    """The primes up to limit, a view of the cached _prime_array of the next
+    power of two, so that the cache holds one array per doubling of limit
+    rather than one per limit."""
+    primes = _prime_array(1 << limit.bit_length())
+    return primes[:int(np.searchsorted(primes, limit, side="right"))]
 
 
 @functools.cache
 def _loop_primes() -> tuple[int, ...]:
     """The trial primes below _LOOP_BOUND, as Python ints for the loop."""
-    primes = _prime_array(_TRIAL_BOUND)
-    return tuple(primes[primes < _LOOP_BOUND].tolist())
+    return tuple(_primes_to(_LOOP_BOUND).tolist())
 
 
 @functools.cache
@@ -119,10 +133,10 @@ def _loop_powers(root: int) -> tuple[tuple[int, int], ...]:
 
 
 def _residues(n: int, primes: np.ndarray) -> np.ndarray:
-    """n % p for every p in primes (int64, each below 2**17), exactly, for n >= 0.
+    """n % p for every p in primes (int64), exactly, for n >= 0.
 
     Below 2**63 this is one int64 remainder; above, a Horner pass over
-    the 30-bit limbs of n from the top.
+    the 30-bit limbs of n from the top, which needs every p below 2**17.
     """
     if n < 1 << 63:
         return n % primes
@@ -313,13 +327,14 @@ def rho_budget() -> int:
     return budget
 
 
-def _trial_divide(n: int, root: int = 2) -> tuple[dict[int, int], int]:
+def _trial_divide(n: int, root: int = 2, top: int = _TRIAL_BOUND) -> tuple[dict[int, int], int]:
     """(counts, cofactor): the exponents in n >= 1 of the primes p below
-    _TRIAL_BOUND with p**root <= n, and n with them divided out.  n shrinks
-    as primes are divided out, so the cofactor m keeps no such prime with
+    top with p**root <= n, and n with them divided out.  n shrinks as
+    primes are divided out, so the cofactor m keeps no such prime with
     p**root <= m.  Those below _LOOP_BOUND are tried in a Python loop, the
     rest up to the root of n as one numpy remainder (_residues); only the
-    primes that divide n are divided out."""
+    primes that divide n are divided out.  From 2**63 on, _residues takes
+    limbs, which needs top <= 2**17."""
     counts: dict[int, int] = {}
     small = _loop_powers(root)
     for p, power in small:
@@ -328,9 +343,7 @@ def _trial_divide(n: int, root: int = 2) -> tuple[dict[int, int], int]:
         if n % p == 0:
             n = _divide_out(n, p, counts)
     else:  # the loop primes ran out before p**root > n
-        bound = _iroot(n, root) if n < _TRIAL_BOUND**root else _TRIAL_BOUND
-        primes = _prime_array(_TRIAL_BOUND)
-        primes = primes[len(small) : int(np.searchsorted(primes, bound, side="right"))]
+        primes = _primes_to(_iroot(n, root) if n < top**root else top - 1)[len(small):]
         for p in primes[_residues(n, primes) == 0].tolist():
             n = _divide_out(n, p, counts)
     return counts, n
@@ -383,19 +396,22 @@ def _split(counts: dict[int, int], m: int) -> Factorization:
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n >= 1; radical(1) = 1.
 
-    Trial division up to the cube root (_trial_divide at root 3) leaves a
-    cofactor m with no prime factor p < _TRIAL_BOUND with p**3 <= m.  Below
-    _TRIAL_BOUND**3 = 10**15 no larger prime has p**3 <= m either, so every
+    Trial division up to the cube root (_trial_divide at root 3) by the
+    primes below top leaves a cofactor m with no prime factor p < top with
+    p**3 <= m.  Below top**3 no larger prime has p**3 <= m either, so every
     prime factor of m exceeds its cube root: m is 1, p, p*q or p**2, and its
     radical is isqrt(m) when m is a square, else m, with no primality test
-    and no rho (the n**(1/3) bound of Lehman's method).  A cofactor of
-    10**15 or more was tried against every prime below _TRIAL_BOUND, so
-    _split takes it as factorize does, with no second trial division.
+    and no rho (the n**(1/3) bound of Lehman's method).  top is _CUBE_BOUND
+    below 2**63 = _CUBE_BOUND**3, so every such n takes this path, and
+    _TRIAL_BOUND from there on.  A cofactor of 10**15 = _TRIAL_BOUND**3 or
+    more was tried against every prime below _TRIAL_BOUND, so _split takes
+    it as factorize does, with no second trial division.
     """
     if n < 1:
         raise ValueError("radical expects n >= 1")
-    counts, m = _trial_divide(n, 3)
-    if m >= _TRIAL_BOUND**3:
+    top = _CUBE_BOUND if n < 1 << 63 else _TRIAL_BOUND
+    counts, m = _trial_divide(n, 3, top)
+    if m >= top**3:
         return _split(counts, m).radical_value()
     r = math.isqrt(m)
     return math.prod(counts, start=r if r * r == m else m)

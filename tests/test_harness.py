@@ -978,9 +978,11 @@ def test_identities_catch_a_dropped_piece(monkeypatch, capsys, workers):
     assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
 
 
-# two primes, out of reach of a one-step rho; above 10**15, where radical
-# needs neither rho nor a primality test, and so it goes to factorize
-_BIG_C = 100000007 * 100000037
+# two primes near 3.04 * 10**9, out of reach of rho at 1000 steps; from 2**63 on,
+# where radical trial divides by the primes below 10**5 only, and so it goes to
+# rho.  _BIG_C - 2 .. _BIG_C + 2 leave a prime or a cofactor below 10**15 there,
+# so no other number of the test triples needs rho.
+_BIG_C = 3037000507 * 3037000537
 
 
 @pytest.mark.parametrize("suite, counts, params", [

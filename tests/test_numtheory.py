@@ -82,6 +82,13 @@ def _next_prime(lo: int) -> int:
     return k
 
 
+def _prev_prime(hi: int) -> int:
+    k = hi - 1 + hi % 2
+    while not is_probable_prime(k):
+        k -= 2
+    return k
+
+
 def test_factorize_random_128bit_products():
     # 200 seeded 128-bit integers with known factorizations.  Prime
     # sizes stay within reach of the default rho budget (a uniform
@@ -266,33 +273,63 @@ def test_radical_cube_root_rule_matches_factorize():
         radical(0)
 
 
-def test_radical_above_10_15_trial_divides_once(monkeypatch):
-    # a cofactor of 10**15 or more has met every trial prime, so the stages
-    # after trial division take it as it is, not n from the start again
+def test_radical_from_2_63_trial_divides_once(monkeypatch):
+    # from 2**63 on, trial division stops at 10**5, and a cofactor of 10**15 or
+    # more has met every trial prime, so the stages after trial division take it
+    # as it is, not n from the start again
     p, q = 100_000_007, 100_000_037
     calls = []
     real = numtheory._trial_divide
 
-    def spy(n, root=2):
-        calls.append(n)
-        return real(n, root)
+    def spy(n, root=2, top=numtheory._TRIAL_BOUND):
+        calls.append((n, top))
+        return real(n, root, top)
 
     monkeypatch.setattr(numtheory, "_trial_divide", spy)
-    for n, want in ((12 * p * q, 6 * p * q), (7 * 99_991 * p * p, 7 * 99_991 * p), (p**3, p)):
+    for n, want in ((12 * 997 * p * q, 6 * 997 * p * q), (7 * 99_991 * p * p, 7 * 99_991 * p),
+                    (p**3, p)):
+        assert n >= 1 << 63
         calls.clear()
         assert radical(n) == want
-        assert calls == [n]
+        assert calls == [(n, numtheory._TRIAL_BOUND)]
 
 
-def test_radical_below_10_15_needs_no_primality_test_nor_rho(monkeypatch):
-    want = {n: factorize(n).radical_value() for n in _rule_cases() if n < 10**15}
-
-    def refuse(*args):
-        raise AssertionError("radical below 10**15 went past trial division")
-
+def _refuse_below_2_63(monkeypatch):
+    """Make is_probable_prime, _rho_brent and factorize raise for every n < 2**63."""
     for name in ("is_probable_prime", "_rho_brent", "factorize"):
-        monkeypatch.setattr(numtheory, name, refuse)
+        def guard(n, *args, _name=name, _real=getattr(numtheory, name)):
+            if n < 1 << 63:
+                raise AssertionError(f"radical below 2**63 called {_name}({n})")
+            return _real(n, *args)
+
+        monkeypatch.setattr(numtheory, name, guard)
+
+
+def test_radical_below_2_63_needs_no_primality_test_nor_rho(monkeypatch):
+    want = {n: factorize(n).radical_value() for n in _rule_cases() if n < 1 << 63}
+    _refuse_below_2_63(monkeypatch)
     assert {n: radical(n) for n in want} == want
+
+
+def test_radical_cube_root_rule_from_10_15_to_2_63(monkeypatch):
+    # the range that trial division up to the true cube root settles: cofactors
+    # of 10**15 or more, built from primes just above 10**5, just below 2**21
+    # (whose cube is just below 2**63) and just below sqrt(2**63) ~ 3.04 * 10**9
+    lo = [p for p in _prime_array(100_200).tolist() if p > 100_000][:3]
+    hi = _prime_array(1 << 21).tolist()[-3:]
+    top = _prev_prime(math.isqrt(1 << 63))
+    top = [top, _prev_prime(top - 1)]
+    cases = []
+    for p, q, r in (lo, hi):
+        cases += [p**3, p * p * q, q * q * r, p * q * r]
+        # pq with q the prime just below 2**63 / p: trial division leaves q
+        cases += [t * _prev_prime((1 << 63) // t) for t in (p, r)]
+    cases += [p * p for p in top] + [top[0] * top[1]]
+    assert all(10**15 <= n < 1 << 63 for n in cases)
+    cases += [(1 << 63) - 1, 1 << 63, (1 << 63) + 1]
+    want = {n: factorize(n).radical_value() for n in cases}
+    _refuse_below_2_63(monkeypatch)
+    assert {n: radical(n) for n in cases} == want
 
 
 def test_totient_examples():
