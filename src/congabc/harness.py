@@ -28,13 +28,16 @@ scalar lane takes each row from _Radicals.row, which factors those parts,
 not the image; for a CorpusSpec with c <= _VECTOR_MAX_C at n in {2, 4, 6}
 the sieve lane adds the same factors' logs a block at a time, from one
 radical table and the piece sieve (_lograd_piece).  Both lanes judge the
-arrays of logs with the same code.  The full image, through theta, is
-the independent oracle, and both its readers return the same row:
-_proved_image proves _Radicals' row by exact division (_is_radical) for
-the 160-bit rechecks, the identities' radical bound and the sieve lane's
-audit of _AUDIT_ROWS seeded positions of every block at every n; the
-scalar lane's audit of each block's first solution factors the image
-instead (_exact_radicals).  The sieve lane's numbers are below
+arrays of logs with the same code, which takes lemma1's scalar rows at
+an n with a piece on a multiple of the image radical (_Radicals.bound)
+and makes a row exact only for a suspect or the extremal.  The full
+image, through theta, is the independent oracle, and both its readers
+return the same row: _proved_image proves _Radicals' row by exact
+division (_is_radical) for the 160-bit rechecks, the identities' radical
+bound and the audit of _AUDIT_ROWS seeded positions of every block at
+every n, in the sieve lane and of the scalar lane's bounds; the scalar
+lane's audit of each block's first solution factors the image instead
+(_exact_radicals).  The sieve lane's numbers are below
 3 * _VECTOR_MAX_C**2 < 10**10, where radical needs trial division alone,
 so that lane, its rechecks included, never calls factorize.
 
@@ -47,6 +50,7 @@ order, so summaries are reproducible bit-for-bit regardless of parallelism.
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import functools
 import hashlib
@@ -434,11 +438,11 @@ class _Radicals:
     Phi_k has about c**phi(k) digits where the image has c**n.  Each Phi_k
     is computed once per solution, shared by every n with k | n (_phi).
     Each number's radical is taken once per solution by numtheory's
-    radical, in the order x, y, c, dd, then the pieces by k, and shared by
-    every n and eps; below 2**63 that needs trial division alone.  A
-    FactorizationFailure is kept and raised again for the same number, so
-    a composite that resists the budget costs one rho run per solution,
-    though row(n) raises it at every n that needs it.
+    radical, in the order x, y, c, dd, then the pieces by k (bound takes
+    none of theirs), and shared by every n and eps; below 2**63 that needs
+    trial division alone.  A FactorizationFailure is kept and raised again
+    for the same number, so a composite that resists the budget costs one
+    rho run per solution, though row(n) raises it at every n that needs it.
     """
 
     def __init__(self, aa: ABCSolution):
@@ -490,20 +494,35 @@ class _Radicals:
         return (c, self.rad_in, c**n >> (n if c % 2 == 0 else 0),
                 math.lcm(self.rad_in, *self.parts(n)))
 
+    def bound(self, n: int) -> tuple[int, int, int, int]:
+        """The row at n with U for the image radical, no piece factored: U is
+        lcm(rad_in, rad(dd)) times each piece Phi_k(c, dd) with the primes of 2k
+        divided out, a multiple of the image radical.  2 divides rad_in, and an
+        odd p | k that divides Phi_k(c, dd) divides Phi_m(c, dd), m = k / p**v
+        (Roitman, "On Zsigmondy primes", Proc. AMS 125, 1997): x or y for
+        m <= 2, else the piece Phi_m, which keeps p.  So no prime is lost."""
+        c, ks = self.aa.c, _piece_ks(n)
+        u = math.lcm(self.rad_in, self._rad(self.aa.b - self.aa.a)) * math.prod(
+            v // math.gcd(v, (2 * k) ** v.bit_length()) for k, v in zip(ks, self.pieces(n)))
+        return c, self.rad_in, c**n >> (n if c % 2 == 0 else 0), u
 
-def _proved_image(rads: _Radicals, n: int) -> tuple[int, int, int, int]:
+
+def _proved_image(rads: _Radicals, n: int, bound: bool = False) -> tuple[int, int, int, int]:
     """rads.row(n), the row of _exact_radicals, once proved to be that of the full
-    image |A*B*C| from theta: InternalRadicalMismatch unless it is.
+    image |A*B*C| from theta: InternalRadicalMismatch unless it is.  With bound,
+    rads.bound(n), once every prime of the image is proved to divide its U.
 
     The image radical from the parts, a product of distinct primes, is
     proved by exact division (_is_radical), without factoring the image.
     """
-    row = rads.row(n)
+    row = rads.bound(n) if bound else rads.row(n)
     img = theta(rads.aa, n).output
-    if img.c != row[2] or not _is_radical(row[3], abs(img.a * img.b * img.c)):
+    m = abs(img.a * img.b * img.c)
+    if img.c != row[2] or not (pow(row[3], m.bit_length(), m) == 0 if bound
+                               else _is_radical(row[3], m)):
         raise InternalRadicalMismatch(
-            f"{rads.aa} at n={n}: the pieces give (c, rad, image c, image rad) = {row}, "
-            f"not those of the full image {img}"
+            f"{rads.aa} at n={n}: the pieces give (c, rad, image c, "
+            f"{'U' if bound else 'image rad'}) = {row}, not those of the full image {img}"
         )
     return row
 
@@ -665,15 +684,31 @@ def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
 
 
 def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple, where,
-                solution) -> None:
+                solution, bounded=None, exact=None) -> None:
     """Judge plan's checks at its ni-th n over the rows of one block.
 
     logs holds the arrays of the four logs, one row per solution, where[i]
     the block position of row i and solution(p) the solution at p.  A row's
     sides come from the same formula on its logs, bit for bit the arrays'
     entries, so only the slack arrays are kept (peak memory).
+
+    Where bounded[i] is set, row i's fourth log is that of a multiple of the
+    image radical, and exact(i) the exact one: lemma1's slacks fall as it grows.
+    A bounded suspect is made exact before it is judged (inconclusive if that
+    gives up), and the argmin until it is exact, which finds the exact argmin.
     """
     n = plan.n_grid[ni]
+    failed, held = {}, collections.Counter()  # rows that gave up, and their suspect checks
+
+    def make_exact(i) -> bool:
+        """Whether row i is exact, made so if it is bounded and has not given up."""
+        if bounded is not None and bounded[i] and i not in failed:
+            try:
+                logs[3][i], bounded[i] = exact(i), False
+            except FactorizationFailure as exc:
+                failed[i] = exc
+        return i not in failed
+
     for ei, eps in enumerate(plan.eps_grid):
         k = lemma_constants(n, eps)
 
@@ -703,14 +738,27 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
             suspects = np.flatnonzero((np.abs(slack) < tally.band) | (slack < -tally.tolerance))
             tally.passed(len(slack) - len(suspects))
             for i in suspects.tolist():
+                if not make_exact(i):
+                    held[i] += 1
+                    continue
                 lhs, rhs = plan.sides(k, *merits(i), plan.bound)[j]
                 slack[i] = tally.judge((block_idx, where[i], first + j), lhs - rhs,
                                        lambda: hp(i)[j], solution(where[i]), params, lhs, rhs)
             i = int(np.argmin(slack))
-            low = float(slack[i])
+            while bounded is not None and bounded[i] and make_exact(i):
+                slack[i] = operator.sub(*plan.sides(k, *merits(i), plan.bound)[j])
+                i = int(np.argmin(slack))
+            low, exc = float(slack[i]), failed.get(i)
             lhs, rhs = plan.sides(k, *merits(i), plan.bound)[j]
+            # one that stayed bounded passes only if its slack clears the band
+            passed = low >= -tally.tolerance and (exc is None or abs(low) >= tally.band)
+            note = f"slack is a lower bound, from a multiple of the image radical: {exc}"
             tally.offer((low, block_idx, where[i], first + j), lambda: LemmaVerdict(
-                solution(where[i]), params, lhs, rhs, low, low >= -tally.tolerance))
+                solution(where[i]), params, lhs, rhs, low, passed,
+                inconclusive=exc is not None and not passed, note=note if exc else ""))
+    for i, count in held.items():
+        tally.inconclusive((block_idx, where[i], ni * len(plan.eps_grid) * len(plan.labels)),
+                           count, solution(where[i]), plan.context or {"n": n}, failed[i])
 
 
 def _audit_rows(block_idx: int, size: int) -> list[int]:
@@ -763,15 +811,21 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
 
 
 def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
-    """plan's checks over one block, the logs from each solution's _Radicals."""
+    """plan's checks over one block, the logs from each solution's _Radicals; at
+    an n with a piece lemma1's rows but the first take _Radicals.bound.  The
+    chain's stay exact: its second check and hypothesis rise with the radical."""
     per_n = len(plan.eps_grid) * len(plan.labels)
     c, _, _, solution = block
-    rows = [array("d") for _ in plan.n_grid]  # per n and row: block position, the four logs
+    audited = set(_audit_rows(block_idx, len(c)))
+    radicals = []
+    rows = [array("d") for _ in plan.n_grid]  # per n and row: position, bounded, the four logs
     for local, aa in enumerate(map(solution, range(len(c)))):
         rads = _Radicals(aa)
+        radicals.append(rads)
         for ni, (n, at_n) in enumerate(zip(plan.n_grid, rows)):
+            bound = local > 0 and n > 2 and plan.sides is _lemma1_sides
             try:
-                row = rads.row(n)
+                row = rads.bound(n) if bound else rads.row(n)
                 # the block's first solution is audited against the full image, in
                 # this try: an audit that gives up leaves this n's checks inconclusive
                 if local == 0 and row != (want := _exact_radicals(aa, n)):
@@ -783,12 +837,15 @@ def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
                 tally.inconclusive((block_idx, local, ni * per_n), per_n, aa,
                                    plan.context or {"n": n}, exc)
                 continue
-            at_n.extend((local, *map(math.log, row)))
+            if bound and local in audited:
+                _proved_image(rads, n, bound=True)
+            at_n.extend((local, bound, *map(math.log, row)))
     for ni, at_n in enumerate(rows):
         if at_n:
-            where, *logs = np.frombuffer(at_n).reshape(-1, 5).T
-            where = where.astype(np.int64).tolist()
-            _judge_rows(tally, plan, block_idx, ni, tuple(logs), where, solution)
+            where, bounded, *logs = np.frombuffer(at_n).reshape(-1, 6).T
+            where, n = where.astype(np.int64).tolist(), plan.n_grid[ni]
+            _judge_rows(tally, plan, block_idx, ni, tuple(logs), where, solution,
+                        bounded.astype(bool), lambda i: math.log(radicals[where[i]].row(n)[3]))
 
 
 def _k_lemma2(tally: _Tally, block, block_idx: int, N: int, n: int) -> None:
@@ -1029,9 +1086,11 @@ def verify_lemma1(
 
     For every (solution, n, eps): the image merit at eps_out must be
     at least c_lin * f(solution, eps) + c_off, within tolerance.  A
-    CorpusSpec with every n in {2, 4, 6} takes the sieve lane, any other
-    corpus the scalar lane; both judge the same formula, and near ties
-    and float failures are rechecked with it at 160 bits.
+    CorpusSpec with max_c <= _VECTOR_MAX_C and every n in {2, 4, 6} takes
+    the sieve lane, any other corpus the scalar lane; both judge the same
+    formula, and near ties and float failures are rechecked with it at
+    160 bits.  An extremal whose radicals give up is reported with the
+    slack of a multiple of the image radical, a lower bound (_judge_rows).
     """
     n_grid = _validated_grid(n_grid, int, _require_exponent)
     # each eps's constants before any block runs: they overflow first at the largest n
@@ -1114,8 +1173,8 @@ def verify_reduction_chain(
     rearranged: the input merit is at most lifted = (f(image, eps_out)
     - c_off) / c_lin, and lifted is at most derived_full_bound(N, eps,
     assumed_constant).  The lanes are lemma1's: the sieve lane takes a
-    CorpusSpec when n is 2, 4 or 6 (N in {3, 4, 5, 6, 7, 8, 9, 10, 12,
-    14, 18}).
+    CorpusSpec with max_c <= _VECTOR_MAX_C when n is 2, 4 or 6 (N in
+    {3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18}); every row is exact.
     """
     n = _totient_exponent(N)
     bound = derived_full_bound(N, eps, assumed_constant)  # NonpositiveEpsilon for eps <= 0

@@ -7,7 +7,8 @@ runs four stages:
 
 - trial division by the primes below 10**5 (_trial_divide), from the
   package's one prime sieve, _prime_array, which also builds the
-  harness's numpy sieve tables, sliced by _primes_to: the 168 primes
+  harness's numpy sieve tables, sliced by _primes_to from the one
+  array it keeps: the 168 primes
   below 1000 in a Python loop, the rest as one numpy remainder over the
   primes up to sqrt(n) (exact for any n, by 30-bit limbs above 2**63);
 - the Baillie-PSW primality test (one deterministic test for every n:
@@ -101,7 +102,6 @@ def valuation2(n: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-@functools.cache
 def _prime_array(limit: int) -> np.ndarray:
     """The primes up to limit, ascending (sieve of Eratosthenes)."""
     sieve = np.ones(limit + 1, dtype=bool)
@@ -112,11 +112,17 @@ def _prime_array(limit: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
+# the one prime array kept, as [bound, the primes up to bound]
+_SIEVED: list = [1, _prime_array(1)]
+
+
 def _primes_to(limit: int) -> np.ndarray:
-    """The primes up to limit, a view of the cached _prime_array of the next
-    power of two, so that the cache holds one array per doubling of limit
-    rather than one per limit."""
-    primes = _prime_array(1 << limit.bit_length())
+    """The primes up to limit, a view of the one prime array kept.  A limit
+    above its bound replaces it by the primes up to the next power of two,
+    so every limit is a slice of the largest array built so far."""
+    if limit > _SIEVED[0]:
+        _SIEVED[:] = 1 << limit.bit_length(), _prime_array(1 << limit.bit_length())
+    primes = _SIEVED[1]
     return primes[:int(np.searchsorted(primes, limit, side="right"))]
 
 

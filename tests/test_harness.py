@@ -1317,3 +1317,137 @@ def test_identities_radical_bound_needs_no_factored_image(monkeypatch):
     s = verify_proof_identities([first], [2])
     assert (s.checks, s.passes, s.inconclusives) == (3, 3, 0)
     assert s.extremal.params == {"n": 2, "check": "radical-log-bound"}
+
+
+# ---------------------------------------------------------------------------
+# the scalar lane's bounded rows: lemma1 judged on a multiple of the image radical
+
+
+_BOUNDED_RUNS = {
+    "n8,12": (CorpusSpec(150), [8, 12], [0.5, 1.0], {}),
+    "n8-tol-7": (CorpusSpec(150), [8], [0.1, 1.0], {"tolerance": -7.0}),
+    "n16": (CorpusSpec(100), [16], [1.0], {}),
+    "n16-tol-12.5": (CorpusSpec(100), [16], [1.0], {"tolerance": -12.5}),
+    "n32": (CorpusSpec(30), [32], [1.0], {}),
+    "list-n2,4,6-tol-4": (list(CorpusSpec(100)), [2, 4, 6], [0.5, 1.0], {"tolerance": -4.0}),
+    "sampled": (_sample(10**8, 150, seed=1), [2, 4], [0.1, 1.0], {}),
+}
+
+
+@pytest.mark.parametrize("run", list(_BOUNDED_RUNS))
+def test_bounded_rows_agree_with_exact_rows(monkeypatch, run):
+    # the same summary, every counterexample kept, as when every row is exact,
+    # over several blocks at workers 1 and 3
+    corpus, n_grid, eps_grid, kw = _BOUNDED_RUNS[run]
+    kw = {**kw, "max_counterexamples": 10**6}
+    _small_blocks(monkeypatch, 60)
+    assert len(harness._blocks(corpus, harness._TRIPLE_BLOCK)) > 2
+    bounded = [verify_lemma1(corpus, n_grid, eps_grid, workers=w, **kw) for w in (1, 3)]
+    assert ("tolerance" in kw) == (bounded[0].failures > 0)
+    monkeypatch.setattr(harness._Radicals, "bound", harness._Radicals.row)  # every row exact
+    for s, workers in zip(bounded, (1, 3)):
+        assert _same_summary(s, verify_lemma1(corpus, n_grid, eps_grid, workers=workers, **kw))
+
+
+def test_a_tie_between_bounded_and_exact_rows_goes_by_position():
+    # (-4, -3, 7) at n = 4: Phi_4(7, 1) = 2 * 5**2, so U = 5 * rad and the
+    # bounded slack is below the exact one, 9.98; once made exact it ties with
+    # the same solution's exact row, and the first position is the extremal
+    aa, other = make_solution(-4, -3, 7), make_solution(-23, -14, 37)  # slack 10.59
+    rads = harness._Radicals(aa)
+    assert rads.bound(4)[3] == 5 * rads.row(4)[3]
+    exact, bound = (tuple(map(math.log, row(4))) for row in (rads.row, rads.bound))
+    want = verify_lemma1([aa], [4], [1.0]).extremal
+    plan = harness._Plan((4,), (1.0,), harness._lemma1_sides)
+    for first_bounded in (True, False):
+        tally = harness._Tally(25, 1e-9, 1e-6)
+        logs = tuple(map(np.array, zip(*((bound, exact) if first_bounded else (exact, bound)))))
+        harness._judge_rows(tally, plan, 0, 0, logs, [0, 1], lambda p: aa,
+                            np.array([first_bounded, not first_bounded]), lambda i: exact[3])
+        assert tally.best == ((want.slack, 0, 0, 0), want)
+    # through the scalar lane: the block's first row is exact, the others bounded
+    for corpus, position in (([aa, other, aa], 0), ([other, aa, aa], 1)):
+        tally = harness._run_block((harness._k_scalar, corpus, 0, (plan,), (25, 1e-9, 1e-6)))
+        assert tally.best == ((want.slack, 0, position, 0), want)
+
+
+def test_only_the_rows_made_exact_take_the_radical_of_their_piece(monkeypatch):
+    # a sampled-sized batch at n 2, 4: Phi_4 = c**2 + dd**2 goes to radical only
+    # for the rows _Radicals.row makes exact, the audited first and the extremal
+    batch = _sample(10**8, 150, seed=0)
+    phi4 = {aa.c**2 + (aa.b - aa.a) ** 2: aa for aa in batch}
+    taken, exact = set(), set()
+    real_radical, real_row = harness.radical, harness._Radicals.row
+    monkeypatch.setattr(harness, "radical", lambda v: taken.add(v) or real_radical(v))
+    monkeypatch.setattr(harness._Radicals, "row",
+                        lambda self, n: exact.add((self.aa, n)) or real_row(self, n))
+    s = verify_lemma1(batch, [2, 4], [0.1, 1.0])
+    assert s.ok
+    made = {aa for aa, n in exact if n == 4}
+    assert batch[0] in made and len(made) == 2  # the first, and one extremal at both eps
+    assert {phi4[v] for v in taken & phi4.keys()} == made
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("wrong", ["over-stripped", "piece-dropped"])
+def test_bound_audit_catches_a_missing_prime(monkeypatch, capsys, wrong, workers):
+    # a U that misses a prime of the image: its 5s divided out as if 5 were a
+    # prime of 2k, or the piece at k = n left out.  The audited rows of every
+    # block prove that each prime of the full image divides U
+    from congabc.cli import main
+
+    real = harness._Radicals.bound
+
+    def bound(self, n):
+        c, rad_in, c_img, u = real(self, n)
+        if wrong == "over-stripped":
+            return c, rad_in, c_img, u // math.gcd(u, 5 ** u.bit_length())
+        piece = self._phi(n)
+        return c, rad_in, c_img, u // (piece // math.gcd(piece, (2 * n) ** piece.bit_length()))
+
+    _small_blocks(monkeypatch, 200)
+    spec = CorpusSpec(max_c=60)
+    assert verify_lemma1(spec, [4, 8, 16], [1.0], workers=workers).ok
+    monkeypatch.setattr(harness._Radicals, "bound", bound)
+    for corpus, n_grid in ((list(spec), [4]), (spec, [8]), (spec, [2, 16])):
+        with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
+            verify_lemma1(corpus, n_grid, [1.0], workers=workers)
+    code = main(["verify", "lemma1", "--max-c", "60", "--n", "8", "--eps", "1",
+                 "--workers", str(workers)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
+
+
+# (-237, -2, 239) at n = 16: Phi_16(239, 235) = 239**8 + 235**8, above 2**63,
+# leaves 586682472942195809 after trial division, two primes that rho does not
+# split in one step; its other numbers need no rho.  Its exact slack at eps
+# 0.5 is 19.35; U is 89 times the image radical, so its bounded slack is 14.76,
+# below the 17.76 of (-2, -1, 3), the exact extremal
+_T16 = make_solution(-237, -2, 239)
+
+
+@pytest.mark.parametrize("tolerance, counts", [(1e-9, (6, 6, 0)), (-15.0, (6, 4, 2))])
+def test_a_bounded_row_whose_piece_resists_rho(monkeypatch, tolerance, counts):
+    # at position 1, so bounded: a check whose bounded slack clears the band
+    # passes; a suspect that cannot be made exact is inconclusive, one example
+    # for the row; the extremal that cannot be is reported with its bounded
+    # slack, a lower bound, and a note naming the failure
+    monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
+    x = make_solution(-1, -2, 3)
+    s = verify_lemma1([x, _T16, x], [16], [0.5, 1.0], tolerance=tolerance)
+    assert (s.checks, s.passes, s.inconclusives, s.failures) == (*counts, 0)
+    k = lemma_constants(16, 0.5)
+    logs = map(math.log, harness._Radicals(_T16).bound(16))
+    ((lhs, rhs),) = harness._lemma1_sides(k, *harness._merits(k, *logs), None)
+    v = s.extremal
+    assert (v.triple, v.params, v.lhs, v.rhs, v.slack) == (_T16, {"n": 16, "eps": 0.5}, lhs,
+                                                           rhs, lhs - rhs)
+    assert v.note.startswith("slack is a lower bound") and "586682472942195809" in v.note
+    assert (v.passed, v.inconclusive) == ((True, False) if tolerance > 0 else (False, True))
+    assert [(e.triple, e.params) for e in s.inconclusive_examples] == (
+        [] if tolerance > 0 else [(_T16, {"n": 16})])
+    monkeypatch.delenv("CONGABC_FACTOR_BUDGET")
+    exact = verify_lemma1([x, _T16, x], [16], [0.5, 1.0], tolerance=tolerance)
+    assert exact.ok and exact.extremal.triple == x
+    assert v.slack < verify_lemma1([_T16], [16], [0.5]).min_slack

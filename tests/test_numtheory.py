@@ -2,8 +2,10 @@
 
 import math
 import random
+import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +69,24 @@ def test_factorize_exhaustive_round_trip():
         assert f.value() == k
         assert all(p in primes and e >= 1 for p, e in f.factors)
         assert all(p < q for (p, _), (q, _) in zip(f.factors, f.factors[1:]))
+
+
+def test_primes_to_slices_one_array(monkeypatch):
+    # over rising and falling limits each slice is the primes up to its limit,
+    # a view of the one array kept; only a limit above its bound builds another,
+    # and the array it replaces is freed
+    monkeypatch.setattr(numtheory, "_SIEVED", [1, _prime_array(1)])
+    built = []
+    real = numtheory._prime_array
+    monkeypatch.setattr(numtheory, "_prime_array",
+                        lambda limit: built.append(weakref.ref(a := real(limit))) or a)
+    for limit in (0, 1, 2, 1000, 10, 1 << 18, 1023, 5000, (1 << 18) + 1, 3, 1 << 19):
+        primes = numtheory._primes_to(limit)
+        assert primes.tolist() == real(limit).tolist()
+        assert np.shares_memory(primes, numtheory._SIEVED[1]) or limit < 2
+    del primes
+    assert numtheory._SIEVED[0] == 1 << 19
+    assert [ref() is not None for ref in built] == [False, False, True]
 
 
 def test_factorize_mersenne_67():
