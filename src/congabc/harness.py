@@ -27,19 +27,23 @@ rad 4S), d = |a - b| and S the product of the cyclotomic pieces.  The
 scalar lane takes each row from _Radicals.row, which factors those parts,
 not the image; for a CorpusSpec with c <= _VECTOR_MAX_C at n in {2, 4, 6}
 the sieve lane adds the same factors' logs a block at a time, from one
-radical table and the piece sieve (_lograd_piece).  Both lanes judge the
-arrays of logs with the same code, which takes lemma1's scalar rows at
-an n with a piece on a multiple of the image radical (_Radicals.bound)
-and makes a row exact only for a suspect or the extremal.  The full
-image, through theta, is the independent oracle, and both its readers
-return the same row: _proved_image proves _Radicals' row by exact
-division (_is_radical) for the 160-bit rechecks, the identities' radical
-bound and the audit of _AUDIT_ROWS seeded positions of every block at
-every n, in the sieve lane and of the scalar lane's bounds; the scalar
-lane's audit of each block's first solution factors the image instead
-(_exact_radicals).  The sieve lane's numbers are below
-3 * _VECTOR_MAX_C**2 < 10**10, where radical needs trial division alone,
-so that lane, its rechecks included, never calls factorize.
+radical table and the values of the pieces (_piece_values).  Both lanes
+judge lemma1's rows at an n with a piece on a multiple U of the image
+radical (_Radicals.bound; the sieve lane adds each piece's log whole),
+and both judge the arrays of logs with the same code, which makes a row
+exact only for a suspect or the extremal.  The chain's rows are exact,
+its pieces' radicals on the sieve lane from the piece sieve
+(_lograd_piece).  The full image, through theta, is the independent
+oracle, and both its readers return the same row: _proved_image proves
+_Radicals' row by exact division (_is_radical), or that every prime of
+the image divides U, for the 160-bit rechecks, the identities' radical
+bound, the sieve lane's rows made exact and the audit of _AUDIT_ROWS
+seeded positions of every block at every n, in the sieve lane and of the
+scalar lane's bounds; the scalar lane's audit of each block's first
+solution factors the image instead (_exact_radicals).  The sieve lane's
+numbers are below 3 * _VECTOR_MAX_C**2 < 10**10, where radical needs
+trial division alone, so that lane, its rechecks included, never calls
+factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, of the size the suite names, never by
@@ -67,7 +71,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit
-from .numtheory import FactorizationFailure, _prime_array, _primes_to, factorize, radical, totient
+from .numtheory import (FactorizationFailure, _prime_array, _primes_to, _trial_divide,
+                        factorize, radical, totient)
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -95,6 +100,11 @@ _AUDIT_ROWS = 8
 # the sieve lane's logs are sums of a dozen or so logs below 30, off by about
 # 1e-13 in float64; a prime missed or counted twice moves a log by at least ln 2
 _AUDIT_TOL = 1e-6
+# added to the sieve lane's log of U, which like the exact log is a sum of logs and,
+# where U is the radical, differs from it by float error alone, about 1e-13: so a
+# bounded slack is strictly below the exact one, as on the scalar lane, which
+# _judge_rows' suspect test and argmin loop rely on.  Far below _AUDIT_TOL and ln 5
+_BOUND_MARGIN = 1e-9
 # (c, s) slots per block for the kernels that take numpy arrays.  A block's
 # float64 arrays (logs, pieces, slacks) set a sieve run's peak RSS: lemma1 over
 # c <= 3000 at n 2,4 peaks at 170 MB with 2.5M slots, 74 MB at 625k, 54 MB at
@@ -211,9 +221,10 @@ def _radical_table(limit: int) -> np.ndarray:
 _FORMS = {3: (3, 1), 4: (1, 1), 6: (1, 3)}
 
 
-def _piece_ks(n: int) -> list[int]:
+@functools.cache
+def _piece_ks(n: int) -> tuple[int, ...]:
     """The k | n with k > 2: the cyclotomic pieces of the image at n."""
-    return [k for k in range(3, n + 1) if n % k == 0]
+    return tuple(k for k in range(3, n + 1) if n % k == 0)
 
 
 @functools.cache
@@ -318,16 +329,44 @@ def _corpus_hash(corpus, size: int) -> str:
     return h.hexdigest()
 
 
-def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
-    """log of the product of the primes above 3 of q_k(x, y), k a key of _FORMS.
+def _piece_values(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """t_k = q_k(x, y) with the primes of 2k divided out, k a key of _FORMS:
+    the piece Phi_k(c, d) as _Radicals.bound takes it.
 
-    x = c - s and y = s are a block's corpus pairs and grid its layout
-    from _block_grid.  The primes of 2k are divided out first, as rad_in
-    has them: 2 divides one of x, y and c, 3 divides q_3 only when 3 | y
-    and q_6 only when 3 | x.  Every other prime p of q_k is 1 mod k and
-    divides none of x, y, c or d, nor another piece of the same n, so
-    these logs add to the others as the primes of the lcm that _Radicals
+    x = c - s and y = s are a block's corpus pairs.  rad_in has the primes
+    of 2k: 2 divides one of x, y and c, 3 divides q_3 only when 3 | y and
+    q_6 only when 3 | x.  Every other prime p of q_k is 1 mod k and divides
+    none of x, y, c or d, nor another piece of the same n, so the logs of
+    t_k's primes add to the others as the primes of the lcm that _Radicals
     takes.
+    """
+    a, b = _FORMS[k]
+    t = a * x * x + b * y * y  # below 3 * max_c**2, far inside int64
+    for q in (2, 3):
+        if 2 * k % q == 0:
+            at = np.flatnonzero(t % q == 0)
+            while len(at):
+                t[at] //= q
+                at = at[t[at] % q == 0]
+    return t
+
+
+def _lograd_value(t: int) -> float:
+    """log rad(t) for one t_k of _piece_values, the same float as _lograd_piece's:
+    np.log of t's distinct primes from trial division, which completes below
+    3 * _VECTOR_MAX_C**2, added left to right in ascending order.  Not sum(),
+    which compensates from Python 3.12 on, nor np.sum, which adds pairwise."""
+    counts, rest = _trial_divide(t)
+    primes = [*counts, rest] if rest > 1 else [*counts]  # the cofactor, a prime, is the largest
+    total = 0.0
+    for logp in np.log(np.array(primes, dtype=np.float64)).tolist():
+        total += logp
+    return total
+
+
+def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
+    """log rad(t_k) of _piece_values for a block's corpus pairs x = c - s and
+    y = s, grid their layout from _block_grid: the chain's piece sieve.
 
     The root sieve, as in the quadratic sieve: p | q_k(c - s, s) exactly
     when s = c*u mod p for a root u from _piece_table, so the hits of p in
@@ -357,14 +396,8 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
     the verdict bytes, do not depend on where the sieve stops and equal
     those of trial division.
     """
-    a, b = _FORMS[k]
-    t = a * x * x + b * y * y  # below 3 * max_c**2, far inside int64
-    for q in (2, 3):
-        if 2 * k % q == 0:
-            at = np.flatnonzero(t % q == 0)
-            while len(at):
-                t[at] //= q
-                at = at[t[at] % q == 0]
+    a = _FORMS[k][0]
+    t = _piece_values(k, x, y)
     cs, reps, starts, keep = grid
     rank = np.cumsum(keep) - 1
     primes, logp, roots = _piece_table(k, max_c)
@@ -501,9 +534,11 @@ class _Radicals:
         odd p | k that divides Phi_k(c, dd) divides Phi_m(c, dd), m = k / p**v
         (Roitman, "On Zsigmondy primes", Proc. AMS 125, 1997): x or y for
         m <= 2, else the piece Phi_m, which keeps p.  So no prime is lost."""
-        c, ks = self.aa.c, _piece_ks(n)
-        u = math.lcm(self.rad_in, self._rad(self.aa.b - self.aa.a)) * math.prod(
-            v // math.gcd(v, (2 * k) ** v.bit_length()) for k, v in zip(ks, self.pieces(n)))
+        c = self.aa.c
+        u = math.lcm(self.rad_in, self._rad(self.aa.b - self.aa.a))
+        for k in _piece_ks(n):
+            v = self._phi(k)
+            u *= v // math.gcd(v, (2 * k) ** v.bit_length())
         return c, self.rad_in, c**n >> (n if c % 2 == 0 else 0), u
 
 
@@ -666,11 +701,13 @@ def _at_160_bits():
         yield mpmath
 
 
-def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
+def _hp_slacks(rads: _Radicals, n: int, eps: float, plan: _Plan) -> list:
     """The slacks of plan's checks of one solution at (n, eps), at 160 bits, from
-    _proved_image: the radicals its row was judged from, found again by the deterministic
-    radical (trial division alone on the sieve lane), so no FactorizationFailure."""
-    row = _proved_image(_Radicals(aa), n)
+    _proved_image of the _Radicals its row was judged from, so no radical is taken
+    twice.  None gives up: on the scalar lane a row is made exact, its radicals
+    taken, before it is rechecked, and the sieve lane's numbers need trial division
+    alone."""
+    row = _proved_image(rads, n)
     with _at_160_bits() as mp:
         k = _constants(n, mp.mpf(eps), mp.log)
         logs = map(mp.log, row)
@@ -684,11 +721,12 @@ def _hp_slacks(aa: ABCSolution, n: int, eps: float, plan: _Plan) -> list:
 
 
 def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple, where,
-                solution, bounded=None, exact=None) -> None:
+                radicals, bounded=None, exact=None) -> None:
     """Judge plan's checks at its ni-th n over the rows of one block.
 
     logs holds the arrays of the four logs, one row per solution, where[i]
-    the block position of row i and solution(p) the solution at p.  A row's
+    the block position of row i and radicals(p) the _Radicals of the solution
+    at p, which the 160-bit rechecks read.  A row's
     sides come from the same formula on its logs, bit for bit the arrays'
     entries, so only the slack arrays are kept (peak memory).
 
@@ -698,6 +736,10 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
     gives up), and the argmin until it is exact, which finds the exact argmin.
     """
     n = plan.n_grid[ni]
+
+    def solution(p):
+        return radicals(p).aa
+
     failed, held = {}, collections.Counter()  # rows that gave up, and their suspect checks
 
     def make_exact(i) -> bool:
@@ -731,7 +773,7 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
         # a non-finite slack is no suspect (abs(inf) < band and nan < -tol are false): a pass
         if not all(np.isfinite(slack).all() for slack in slacks):
             raise ValueError(f"the checks at n={n}, eps={eps} are not finite in float64")
-        hp = functools.cache(lambda i: _hp_slacks(solution(where[i]), n, eps, plan))
+        hp = functools.cache(lambda i: _hp_slacks(radicals(where[i]), n, eps, plan))
         first = (ni * len(plan.eps_grid) + ei) * len(plan.labels)
         for j, slack in enumerate(slacks):
             params = {**plan.context, "n": n, "eps": eps, **plan.labels[j]}
@@ -768,18 +810,23 @@ def _audit_rows(block_idx: int, size: int) -> list[int]:
     return sorted(random.Random(block_idx).sample(range(size), min(size, _AUDIT_ROWS)))
 
 
-def _audit_logs(logs: tuple, n: int, audited: dict[int, _Radicals]) -> None:
-    """Compare the sieve lane's four logs at the audited block positions with
-    those of _proved_image's row, the full image: a difference above _AUDIT_TOL
-    raises InternalRadicalMismatch."""
-    for i, rads in audited.items():
-        got = tuple(float(x[i]) for x in logs)
-        want = tuple(map(math.log, _proved_image(rads, n)))
-        if any(abs(g - w) > _AUDIT_TOL for g, w in zip(got, want)):
-            raise InternalRadicalMismatch(
-                f"{rads.aa} at n={n}: the sieve gives the logs of (c, rad, image c, image rad) "
-                f"{got}, the full image {want}"
-            )
+def _audit_logs(got: tuple, rads: _Radicals, n: int, bound: bool = False) -> None:
+    """Compare the sieve lane's four logs of one row with those of _proved_image's
+    row, the full image, or with bound those of its U: a difference above
+    _AUDIT_TOL raises InternalRadicalMismatch."""
+    want = tuple(map(math.log, _proved_image(rads, n, bound)))
+    if any(abs(g - w) > _AUDIT_TOL for g, w in zip(got, want)):
+        raise InternalRadicalMismatch(
+            f"{rads.aa} at n={n}: the sieve gives the logs of (c, rad, image c, "
+            f"{'U' if bound else 'image rad'}) {got}, the full image {want}"
+        )
+
+
+def _takes_bounds(plan: _Plan) -> bool:
+    """Whether plan's rows at an n with a piece are judged on a multiple of the
+    image radical (_Radicals.bound): lemma1's, whose slacks fall as it grows, but
+    not the chain's, whose second check and hypothesis rise with it."""
+    return plan.sides is _lemma1_sides
 
 
 def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> None:
@@ -790,24 +837,49 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
     is even, then the pieces q_k, k | n.  One of x = |a|, y = |b| and c is even, so
     2 | rad_in; gcd(dd, x) = gcd(y, x) = 1, likewise for y, and gcd(dd, c) | 2, so
     the odd primes of dd (of c's parity) are new; a piece's primes dividing 2k are
-    in rad_in (_lograd_piece).  _audit_logs checks the rows of _audit_rows.
+    in rad_in (_piece_values).
+
+    lemma1 adds each piece t_k whole, so its last log at n in {4, 6} is that of
+    _Radicals.bound's U, raised by _BOUND_MARGIN, and _judge_rows takes those rows
+    as bounded: a row made exact adds the primes of its pieces from trial division
+    (_lograd_value), the same floats as the piece sieve, and is audited against
+    _proved_image.  The chain, whose hypothesis needs the radical itself, takes the
+    piece sieve (_lograd_piece).  The rows of _audit_rows are audited at every n,
+    the bounded ones against their U.
     """
     lograd = _radical_table(max_c)
     c_arr, s_arr, grid, solution = block
     aabs = c_arr - s_arr
     logc = np.log(c_arr.astype(np.float64))
     lnrad_abc = lograd[aabs] + lograd[s_arr] + lograd[c_arr]
-    pieces = {k: _lograd_piece(k, aabs, s_arr, grid, max_c)
-              for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
     even = (c_arr & 1) == 0
-    audited = {i: _Radicals(solution(i)) for i in _audit_rows(block_idx, len(c_arr))}
+    on_bounds = _takes_bounds(plan)
+    pieces = {k: _piece_values(k, aabs, s_arr) if on_bounds
+              else _lograd_piece(k, aabs, s_arr, grid, max_c)
+              for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
+    del aabs  # dd = c - 2s: one array fewer while the rows are judged (peak memory)
+    radicals = functools.cache(lambda i: _Radicals(solution(i)))
+    audited = _audit_rows(block_idx, len(c_arr))
     for ni, n in enumerate(plan.n_grid):
-        lnrad_img = lnrad_abc + lograd[aabs - s_arr] - _LN2 * even
+        bound = on_bounds and n > 2
+        lnrad_img = lnrad_abc + lograd[c_arr - 2 * s_arr] - _LN2 * even  # lcm(rad_in, rad dd)
         for k in _piece_ks(n):
-            lnrad_img += pieces[k]
+            lnrad_img += np.log(pieces[k]) if bound else pieces[k]
+        if bound:
+            lnrad_img += _BOUND_MARGIN
         logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img)
-        _audit_logs(logs, n, audited)
-        _judge_rows(tally, plan, block_idx, ni, logs, range(len(c_arr)), solution)
+        for i in audited:
+            _audit_logs(tuple(float(x[i]) for x in logs), radicals(i), n, bound)
+
+        def exact(i, n=n, logs=logs):
+            value = float(lnrad_abc[i] + lograd[c_arr[i] - 2 * s_arr[i]] - _LN2 * even[i])
+            for k in _piece_ks(n):
+                value += _lograd_value(int(pieces[k][i]))
+            _audit_logs((*(float(x[i]) for x in logs[:3]), value), radicals(i), n)
+            return value
+
+        _judge_rows(tally, plan, block_idx, ni, logs, range(len(c_arr)), radicals,
+                    np.full(len(c_arr), bound), exact)
 
 
 def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
@@ -823,7 +895,7 @@ def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
         rads = _Radicals(aa)
         radicals.append(rads)
         for ni, (n, at_n) in enumerate(zip(plan.n_grid, rows)):
-            bound = local > 0 and n > 2 and plan.sides is _lemma1_sides
+            bound = local > 0 and n > 2 and _takes_bounds(plan)
             try:
                 row = rads.bound(n) if bound else rads.row(n)
                 # the block's first solution is audited against the full image, in
@@ -844,7 +916,7 @@ def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
         if at_n:
             where, bounded, *logs = np.frombuffer(at_n).reshape(-1, 6).T
             where, n = where.astype(np.int64).tolist(), plan.n_grid[ni]
-            _judge_rows(tally, plan, block_idx, ni, tuple(logs), where, solution,
+            _judge_rows(tally, plan, block_idx, ni, tuple(logs), where, radicals.__getitem__,
                         bounded.astype(bool), lambda i: math.log(radicals[where[i]].row(n)[3]))
 
 
@@ -1067,8 +1139,9 @@ def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, int, tuple]:
         return _k_scalar, _TRIPLE_BLOCK, (plan,)
     # build in the parent so workers share pages
     _radical_table(corpus.max_c)
-    for k in ks:
-        _piece_table(k, corpus.max_c)
+    if not _takes_bounds(plan):  # the piece sieve serves only the chain
+        for k in ks:
+            _piece_table(k, corpus.max_c)
     return _k_vector, _BLOCK_SLOTS, (corpus.max_c, plan)
 
 
@@ -1089,8 +1162,10 @@ def verify_lemma1(
     CorpusSpec with max_c <= _VECTOR_MAX_C and every n in {2, 4, 6} takes
     the sieve lane, any other corpus the scalar lane; both judge the same
     formula, and near ties and float failures are rechecked with it at
-    160 bits.  An extremal whose radicals give up is reported with the
-    slack of a multiple of the image radical, a lower bound (_judge_rows).
+    160 bits.  At an n with a piece both judge a row on a multiple of the
+    image radical (_Radicals.bound), a lower bound on its slack, and make
+    it exact only for a suspect or the extremal.  An extremal whose
+    radicals give up is reported with that lower bound (_judge_rows).
     """
     n_grid = _validated_grid(n_grid, int, _require_exponent)
     # each eps's constants before any block runs: they overflow first at the largest n

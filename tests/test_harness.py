@@ -292,6 +292,17 @@ def test_cube_root_sieve_matches_factorization(k, blocks, congruence, max_c):
         assert value == _ascending_log_sum(_piece_value(k, c, s)), (c, s)
 
 
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_a_row_made_exact_adds_the_floats_of_the_piece_sieve(k):
+    # lemma1's sieve rows made exact take each t_k's primes by trial division: the
+    # same float as the piece sieve's, bit for bit, on every row
+    for source in harness._blocks(CorpusSpec(300), harness._BLOCK_SLOTS):
+        c_arr, s_arr, grid = _block_grid(*source)
+        t = harness._piece_values(k, c_arr - s_arr, s_arr).tolist()
+        want = _lograd_piece(k, c_arr - s_arr, s_arr, grid, 300).tolist()
+        assert list(map(harness._lograd_value, t)) == want
+
+
 @pytest.mark.parametrize("n_grid, kernel", [
     ([2], "_k_vector"), ([4], "_k_vector"), ([6], "_k_vector"), ([2, 4, 6], "_k_vector"),
     ([8], "_k_scalar"), ([2, 8], "_k_scalar"), ([12], "_k_scalar"),
@@ -1155,15 +1166,19 @@ def _drop_a_square_prime_of_an_audited_row(monkeypatch, spec):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_sieve_lane_audit_catches_a_dropped_prime(monkeypatch, capsys, workers):
+    # the piece sieve serves the chain alone: lemma1 adds each piece whole, reads
+    # no table, and gives the same summary without the prime
     from congabc.cli import main
 
     _small_blocks(monkeypatch, 200)
     spec = CorpusSpec(max_c=60)
     assert len(harness._blocks(spec, harness._BLOCK_SLOTS)) > 3
-    assert verify_lemma1(spec, [6], [1.0], workers=workers).ok
+    clean = verify_lemma1(spec, [2, 6], [1.0], workers=workers)
+    assert clean.ok and verify_reduction_chain(spec, 7, 1.0, 10.0, workers=workers).ok
     _drop_a_square_prime_of_an_audited_row(monkeypatch, spec)
+    assert _same_summary(verify_lemma1(spec, [2, 6], [1.0], workers=workers), clean)
     with pytest.raises(harness.InternalRadicalMismatch, match="the sieve gives"):
-        verify_lemma1(spec, [2, 6], [1.0], workers=workers)
+        verify_reduction_chain(spec, 7, 1.0, 10.0, workers=workers)
     code = main(["verify", "chain", "--max-c", "60", "--N", "7", "--eps", "1", "--C", "10",
                  "--workers", str(workers)])
     out, err = capsys.readouterr()
@@ -1331,6 +1346,9 @@ _BOUNDED_RUNS = {
     "n32": (CorpusSpec(30), [32], [1.0], {}),
     "list-n2,4,6-tol-4": (list(CorpusSpec(100)), [2, 4, 6], [0.5, 1.0], {"tolerance": -4.0}),
     "sampled": (_sample(10**8, 150, seed=1), [2, 4], [0.1, 1.0], {}),
+    # the sieve lane: the piece sieve once the bound is off
+    "sieve-n4,6-tol-4": (CorpusSpec(200), [4, 6], [0.5, 1.0], {"tolerance": -4.0}),
+    "sieve-n2,4,6-tol-4": (CorpusSpec(200), [2, 4, 6], [0.1, 1.0], {"tolerance": -4.0}),
 }
 
 
@@ -1344,7 +1362,7 @@ def test_bounded_rows_agree_with_exact_rows(monkeypatch, run):
     assert len(harness._blocks(corpus, harness._TRIPLE_BLOCK)) > 2
     bounded = [verify_lemma1(corpus, n_grid, eps_grid, workers=w, **kw) for w in (1, 3)]
     assert ("tolerance" in kw) == (bounded[0].failures > 0)
-    monkeypatch.setattr(harness._Radicals, "bound", harness._Radicals.row)  # every row exact
+    monkeypatch.setattr(harness, "_takes_bounds", lambda plan: False)  # every row exact
     for s, workers in zip(bounded, (1, 3)):
         assert _same_summary(s, verify_lemma1(corpus, n_grid, eps_grid, workers=workers, **kw))
 
@@ -1362,13 +1380,27 @@ def test_a_tie_between_bounded_and_exact_rows_goes_by_position():
     for first_bounded in (True, False):
         tally = harness._Tally(25, 1e-9, 1e-6)
         logs = tuple(map(np.array, zip(*((bound, exact) if first_bounded else (exact, bound)))))
-        harness._judge_rows(tally, plan, 0, 0, logs, [0, 1], lambda p: aa,
+        harness._judge_rows(tally, plan, 0, 0, logs, [0, 1], lambda p: rads,
                             np.array([first_bounded, not first_bounded]), lambda i: exact[3])
         assert tally.best == ((want.slack, 0, 0, 0), want)
     # through the scalar lane: the block's first row is exact, the others bounded
     for corpus, position in (([aa, other, aa], 0), ([other, aa, aa], 1)):
         tally = harness._run_block((harness._k_scalar, corpus, 0, (plan,), (25, 1e-9, 1e-6)))
         assert tally.best == ((want.slack, 0, position, 0), want)
+
+
+def test_a_recheck_takes_no_radical_its_row_took(monkeypatch):
+    # two solutions without a number in common, so a value that radical sees twice
+    # is one row's: every check fails, and each recheck, of the exact first row and
+    # of the bounded second made exact, reads the _Radicals its row was judged from
+    corpus = [make_solution(-1, -2, 3), make_solution(-11, -16, 27)]
+    taken, rechecks = [], []
+    real_radical, real_hp = harness.radical, harness._hp_slacks
+    monkeypatch.setattr(harness, "radical", lambda v: taken.append(v) or real_radical(v))
+    monkeypatch.setattr(harness, "_hp_slacks", lambda *a: rechecks.append(a) or real_hp(*a))
+    s = verify_lemma1(corpus, [2, 8], [0.5, 1.0], tolerance=-100.0)
+    assert s.failures == s.checks == len(rechecks) == 8
+    assert len(taken) == len(set(taken))
 
 
 def test_only_the_rows_made_exact_take_the_radical_of_their_piece(monkeypatch):
@@ -1413,6 +1445,33 @@ def test_bound_audit_catches_a_missing_prime(monkeypatch, capsys, wrong, workers
         with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
             verify_lemma1(corpus, n_grid, [1.0], workers=workers)
     code = main(["verify", "lemma1", "--max-c", "60", "--n", "8", "--eps", "1",
+                 "--workers", str(workers)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sieve_bound_audit_catches_an_over_stripped_piece(monkeypatch, capsys, workers):
+    # t_4 with its 5s divided out as if 5 were a prime of 2k: lemma1's log of U
+    # misses them, and the audit of its bounded rows sees it
+    from congabc.cli import main
+
+    real = harness._piece_values
+
+    def values(k, x, y):
+        t = real(k, x, y)
+        while k == 4 and (at := np.flatnonzero(t % 5 == 0)).size:
+            t[at] //= 5
+        return t
+
+    _small_blocks(monkeypatch, 200)
+    spec = CorpusSpec(max_c=60)
+    assert verify_lemma1(spec, [4], [1.0], workers=workers).ok
+    monkeypatch.setattr(harness, "_piece_values", values)
+    with pytest.raises(harness.InternalRadicalMismatch, match="the sieve gives.* U"):
+        verify_lemma1(spec, [2, 4], [1.0], workers=workers)
+    code = main(["verify", "lemma1", "--max-c", "60", "--n", "4", "--eps", "1",
                  "--workers", str(workers)])
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
