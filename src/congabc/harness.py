@@ -49,6 +49,14 @@ One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, of the size the suite names, never by
 the worker count.  It reads each block once and merges the tallies in corpus
 order, so summaries are reproducible bit-for-bit regardless of parallelism.
+
+The kernels of a c-range write its block-sized arrays into one workspace per
+process (_WORKSPACE), whose named buffers keep their pages from block to
+block, so only the first block faults them in.  Two rules keep it sound:
+nothing outlives the block that holds a view of a buffer (a tally keeps
+Python ints and floats, and a generator over a CorpusSpec copies), and
+nothing reads a buffer past the current block's length (every kernel works
+on the views of its own length).  A list block never touches the workspace.
 """
 
 from __future__ import annotations
@@ -114,6 +122,10 @@ _BOUND_MARGIN = 1e-9
 # 3.8 s at 2.5M
 _BLOCK_SLOTS = 300_000
 _TRIPLE_BLOCK = 4096  # slots, or listed solutions, per block for the per-triple kernels
+# a workspace buffer grows to an eighth more than it is asked for, so a block a few
+# rows longer than the one before fits the pages it already has: a block of
+# _BLOCK_SLOTS varies by at most max_c / 2 slots, under 9% below _VECTOR_MAX_C
+_WORKSPACE_HEADROOM = 8
 
 
 class HypothesisViolated(ValueError):
@@ -143,8 +155,9 @@ class CorpusSpec:
 
     def __iter__(self) -> Iterator[ABCSolution]:
         for source in _blocks(self, _TRIPLE_BLOCK):
-            c, _, _, solution = _block(source)
-            yield from map(solution, range(len(c)))
+            c, s, _, _ = _block(source)
+            # copies: the generator outlives the block, and so its views of the workspace
+            yield from map(functools.partial(_pair, c.copy(), s.copy()), range(len(c)))
 
     def __len__(self) -> int:
         return sum(len(_block(source)[0]) for source in _blocks(self, _BLOCK_SLOTS))
@@ -198,6 +211,56 @@ class SuiteSummary:
     @property
     def ok(self) -> bool:
         return self.failures == 0 and self.inconclusives == 0
+
+
+# ---------------------------------------------------------------------------
+# the workspace of the range blocks
+
+
+class _Workspace:
+    """Named 1-D buffers that the kernels of c-range blocks write into.
+
+    ws(name, size, dtype) is a view of the first size entries of buffer name,
+    which grows, with _WORKSPACE_HEADROOM, when it is shorter and never
+    shrinks; one buffer may be viewed as int64 in one phase and float64 in the
+    next.  A view is good until the next request for its name.  Kernels write
+    with out= and in place; np.take takes mode "clip", its indices being in
+    range, as the default "raise" copies out= through a temporary.  The names:
+
+      "c", "s"          the block's pairs (_block_grid)
+      "keep"            the grid's mask of corpus pairs (_block_grid)
+      "scratch0..2"     scratch of any dtype, free again once the function that
+                        asked returns: _block_grid's rows, _progressions'
+                        positions, _piece_values' terms, _lograd_piece's ranks,
+                        _judge_rows' slacks, _k_lemma2's residues
+      "mask0", "mask1"  bool scratch, likewise
+      "logc", "lnrad_abc", "img", "lnrad_img", "even", "bounded"
+                        the sieve lane's logs and masks (_k_vector)
+      "piece<j>", "lograd"  the j-th piece t_k of an n (_piece_values), and
+                        log rad(t_k) (_lograd_piece)
+    """
+
+    def __init__(self):
+        self._raw: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
+        nbytes = size * np.dtype(dtype).itemsize
+        raw = self._raw.get(name)
+        if raw is None or len(raw) < nbytes:
+            self._raw.pop(name, None)  # the old pages go before the new ones come
+            raw = np.empty(nbytes + nbytes // _WORKSPACE_HEADROOM, dtype=np.uint8)
+            self._raw[name] = raw
+        return raw[:nbytes].view(dtype)
+
+
+# one per process: a forked worker starts from a copy of its parent's
+_WORKSPACE = _Workspace()
+
+
+def _fresh(name: str, size: int, dtype=np.int64) -> np.ndarray:
+    """A new array in place of a workspace buffer: the scalar lane's, whose
+    blocks are small and may be lists, which never touch the workspace."""
+    return np.empty(size, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +327,42 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
 
     Row c of the full grid holds s = 1 .. (c-1)//2 from position starts[row];
     keep marks the corpus pairs (gcd(s, c) = 1, and N | abc for congruence
-    N > 1), so grid position g holds output pair cumsum(keep)[g] - 1.
+    N > 1), so grid position g holds output pair cumsum(keep)[g] - 1.  The
+    pairs and keep are views of the workspace.
     """
     cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
     reps = (cs - 1) // 2
-    c_arr = np.repeat(cs, reps)
     starts = np.cumsum(reps) - reps
-    s_arr = np.arange(len(c_arr), dtype=np.int64) - np.repeat(starts, reps) + 1
+    size = int(reps.sum())
+    keep = _WORKSPACE("keep", size, bool)
+    keep.fill(True)
     # gcd(s, c) > 1 exactly when s = 0 mod a prime p of c, and such an s < c/2
-    # has p <= c/2: the multiples of p in the rows of its multiples
+    # has p <= c/2: the multiples of p in the rows of its multiples, a slice each
     primes = _primes_to(c_hi // 2)
     row, col = np.nonzero(cs[:, None] % primes == 0)
-    keep = np.ones(len(c_arr), dtype=bool)
-    keep[_progressions(starts[row], reps[row], primes[col], primes[col])[0]] = False
+    p = primes[col]
+    for lo, hi, step in zip((starts[row] + p - 1).tolist(), (starts + reps)[row].tolist(),
+                            p.tolist()):
+        keep[lo:hi:step] = False
+    # the kept positions, found once for c and s (np.compress(keep, ..., out=)
+    # finds them per array and copies out= through a temporary), then each one's
+    # row: a running sum of markers at each row's first kept position (s = 1 is
+    # kept in every row)
+    at = np.flatnonzero(keep)
+    kept = len(at)
+    rows = _WORKSPACE("scratch0", kept)
+    rows.fill(0)
+    rows[np.searchsorted(at, starts[1:])] = 1
+    np.cumsum(rows, out=rows)
+    c = np.take(cs, rows, out=_WORKSPACE("c", kept), mode="clip")
+    s = np.take(starts, rows, out=_WORKSPACE("s", kept), mode="clip")
+    np.subtract(at, s, out=s)
+    s += 1
     if congruence > 1:
-        keep &= _congruence_mask(c_arr, s_arr, congruence)
-    return c_arr[keep], s_arr[keep], (cs, reps, starts, keep)
+        sel = _congruence_mask(c, s, congruence)
+        keep[keep] = sel
+        c, s = c[sel], s[sel]
+    return c, s, (cs, reps, starts, keep)
 
 
 def _progressions(starts, reps, s0, p) -> tuple[np.ndarray, np.ndarray]:
@@ -288,12 +371,25 @@ def _progressions(starts, reps, s0, p) -> tuple[np.ndarray, np.ndarray]:
 
     Row r of the grid holds s = 1 .. reps[r] from position starts[r]; s0 = 0
     stands for no progression.  starts, reps and the steps p, one per
-    progression, broadcast against s0.
+    progression, broadcast against s0.  The positions are a view of the
+    workspace's scratch0.
     """
     count = np.where(s0 > 0, (reps - s0) // p + 1, 0).ravel()
-    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    p = np.repeat(np.broadcast_to(p, s0.shape), count)
-    return np.repeat(starts + s0 - 1, count) + p * step, count
+    live = count > 0
+    terms = count[live]
+    first = np.broadcast_to(starts + s0 - 1, s0.shape).ravel()[live]
+    step = np.broadcast_to(p, s0.shape).ravel()[live]
+    at = np.cumsum(terms) - terms  # where each progression begins
+    pos = _WORKSPACE("scratch0", int(terms.sum()))
+    # a running sum of differences gives each position its progression's step, and a
+    # second the positions: each the one before plus its step, the first of each
+    # progression the jump from the last of the one before
+    pos.fill(0)
+    pos[at] = np.diff(step, prepend=0)
+    np.cumsum(pos, out=pos)
+    last = first + step * (terms - 1)
+    pos[at] = first - np.concatenate(([0], last[:-1]))
+    return np.cumsum(pos, out=pos), count
 
 
 def _pair(c_arr: np.ndarray, s_arr: np.ndarray, i: int) -> ABCSolution:
@@ -338,16 +434,23 @@ def _piece_values(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     q_6 only when 3 | x.  Every other prime p of q_k is 1 mod k and divides
     none of x, y, c or d, nor another piece of the same n, so the logs of
     t_k's primes add to the others as the primes of the lcm that _Radicals
-    takes.
+    takes.  t_k is written over x, whose buffer the caller chooses.
     """
     a, b = _FORMS[k]
-    t = a * x * x + b * y * y  # below 3 * max_c**2, far inside int64
-    for q in (2, 3):
-        if 2 * k % q == 0:
-            at = np.flatnonzero(t % q == 0)
-            while len(at):
-                t[at] //= q
-                at = at[t[at] % q == 0]
+    size = len(x)
+    t = np.multiply(x, x, out=x)
+    term = np.multiply(y, y, out=_WORKSPACE("scratch1", size))
+    t *= a
+    term *= b
+    t += term  # below 3 * max_c**2, far inside int64
+    # the 2s at once: t & -t is the largest power of 2 dividing t > 0
+    t //= np.bitwise_and(t, np.negative(t, out=term), out=term)
+    if k % 3 == 0:
+        at = np.flatnonzero(np.equal(np.remainder(t, 3, out=term), 0,
+                                     out=_WORKSPACE("mask0", size, bool)))
+        while len(at):
+            t[at] //= 3
+            at = at[t[at] % 3 == 0]
     return t
 
 
@@ -364,9 +467,9 @@ def _lograd_value(t: int) -> float:
     return total
 
 
-def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
-    """log rad(t_k) of _piece_values for a block's corpus pairs x = c - s and
-    y = s, grid their layout from _block_grid: the chain's piece sieve.
+def _lograd_piece(k: int, t: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
+    """log rad(t) for the t_k of _piece_values of a block's corpus pairs, grid
+    their layout from _block_grid: the chain's piece sieve.  It divides t.
 
     The root sieve, as in the quadratic sieve: p | q_k(c - s, s) exactly
     when s = c*u mod p for a root u from _piece_table, so the hits of p in
@@ -383,7 +486,9 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
     pass holds less than a block's worth.  np.floor_divide.at divides an
     element hit by several primes once per prime, then again while p still
     divides, as p**2 can divide q_k even with p above the row length
-    (c = 7, s = 3: q_4 = 5**2).
+    (c = 7, s = 3: q_4 = 5**2).  A hit that p does not divide is a wrong
+    table or value, InternalRadicalMismatch, where the division would go on
+    forever.
 
     The bound: with q_k = a*x**2 + b*y**2, c**2 - x**2 = y*(c + x) and
     b*y < a*(c + x) (y < x, and b <= 3a), so q_k < a*c**2.  Each prime p
@@ -397,11 +502,12 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
     those of trial division.
     """
     a = _FORMS[k][0]
-    t = _piece_values(k, x, y)
     cs, reps, starts, keep = grid
-    rank = np.cumsum(keep) - 1
+    rank = np.cumsum(keep, out=_WORKSPACE("scratch1", len(keep), np.int32))  # below 2**31
+    rank -= 1
     primes, logp, roots = _piece_table(k, max_c)
-    out = np.zeros(len(t), dtype=np.float64)
+    out = _WORKSPACE("lograd", len(t), np.float64)
+    out.fill(0.0)
     c_hi = int(cs[-1])
     end = int(np.searchsorted(primes, math.isqrt(a * c_hi * c_hi), side="right"))
     octaves = np.searchsorted(primes[:end], [1 << j for j in range(c_hi.bit_length() + 2)])
@@ -415,13 +521,18 @@ def _lograd_piece(k: int, x: np.ndarray, y: np.ndarray, grid: tuple, max_c: int)
         hit, at = rank[pos[kept]], at[kept]
         np.add.at(out, hit, logp[at])
         p = primes[at]
+        if (wrong := np.flatnonzero(t[hit] % p)).size:
+            i = wrong[0]
+            raise InternalRadicalMismatch(
+                f"the piece sieve of t_{k} hits block position {hit[i]} with the prime "
+                f"{p[i]}, which does not divide its value {t[hit[i]]}")
         while len(hit):
             np.floor_divide.at(t, hit, p)
             again = t[hit] % p == 0
             hit, p = hit[again], p[again]
-    rest = t > 1
-    out[rest] += np.log(t[rest].astype(np.float64))
-    return out
+    rest = np.greater(t, 1, out=_WORKSPACE("mask0", len(t), bool))
+    return np.add(out, np.log(t, out=_WORKSPACE("scratch0", len(t), np.float64), where=rest),
+                  out=out, where=rest)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +561,28 @@ def _is_radical(r: int, m: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # exact image radicals from the cyclotomic pieces
+
+
+@functools.cache
+def _mobius_divisors(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The j | k with mu(k/j) = +1, and those with mu(k/j) = -1 (Moebius mu)."""
+    up, down = [], []
+    for j in (j for j in range(1, k + 1) if k % j == 0):
+        counts, rest = _trial_divide(k // j)
+        if max(counts.values(), default=1) == 1:  # k/j squarefree: rest is 1 or a prime
+            (down if (len(counts) + (rest > 1)) % 2 else up).append(j)
+    return tuple(up), tuple(down)
+
+
+def _cyclotomic(k: int, c: int, dd: int) -> int:
+    """Phi_k(c, dd), the homogeneous cyclotomic value, in one step: the product of
+    (c**j - dd**j)**mu(k/j) over j | k, the factors with mu = +1 multiplied and
+    their product divided exactly by that of the factors with mu = -1 (Moebius
+    inversion of c**k - dd**k = the product of the Phi_j(c, dd) over j | k).
+    No factor is 0 while |dd| != c, which holds for every solution: |a - b| = c
+    would need a = 0 or b = 0."""
+    up, down = _mobius_divisors(k)
+    return math.prod(c**j - dd**j for j in up) // math.prod(c**j - dd**j for j in down)
 
 
 class InternalRadicalMismatch(RuntimeError):
@@ -500,17 +633,10 @@ class _Radicals:
         return math.lcm(*map(self._rad, (-self.aa.a, -self.aa.b, self.aa.c)))
 
     def _phi(self, k: int) -> int:
-        """Phi_k(c, dd), the homogeneous cyclotomic value: c**k - dd**k divided
-        exactly by the Phi_j(c, dd) of the proper divisors j of k, since
-        c**k - dd**k is the product of the Phi_j over j | k."""
+        """Phi_k(c, dd), the homogeneous cyclotomic value (_cyclotomic), once per k."""
         v = self._phis.get(k)
         if v is None:
-            c, dd = self.aa.c, self.aa.b - self.aa.a
-            v = c**k - dd**k
-            for j in range(1, k // 2 + 1):
-                if k % j == 0:
-                    v //= self._phi(j)
-            self._phis[k] = v
+            v = self._phis[k] = _cyclotomic(k, self.aa.c, self.aa.b - self.aa.a)
         return v
 
     def pieces(self, n: int) -> list[int]:
@@ -672,6 +798,25 @@ def _chain_sides(k: LemmaConstants, f_in, f_img, bound) -> tuple:
     return ((lifted, f_in), (k.lift(bound), lifted))
 
 
+def _merit_arrays(k: LemmaConstants, logs: tuple, f_in: np.ndarray, f_img: np.ndarray) -> None:
+    """_merits over arrays of logs, into f_in and f_img: the same operations in the
+    same order, so each entry is the float _merits gives from that row's logs."""
+    logc, lnrad_in, ln_c_img, lnrad_img = logs
+    np.subtract(logc, np.multiply(lnrad_in, 1.0 + k.epsilon, out=f_in), out=f_in)
+    np.subtract(ln_c_img, np.multiply(lnrad_img, 1.0 + k.eps_out, out=f_img), out=f_img)
+
+
+def _slack_arrays(plan: "_Plan", k: LemmaConstants, f_in: np.ndarray, f_img: np.ndarray) -> tuple:
+    """The slacks lhs - rhs of plan.sides over the arrays of _merit_arrays, in their
+    place, each entry the float that plan.sides gives from that row's merits."""
+    if plan.sides is _lemma1_sides:  # f_img - (c_lin * f_in + c_off)
+        np.add(np.multiply(f_in, k.c_lin, out=f_in), k.c_off, out=f_in)
+        return (np.subtract(f_img, f_in, out=f_img),)
+    # the chain: lifted - f_in and lift(bound) - lifted, lifted = (f_img - c_off) / c_lin
+    lifted = np.divide(np.subtract(f_img, k.c_off, out=f_img), k.c_lin, out=f_img)
+    return np.subtract(lifted, f_in, out=f_in), np.subtract(k.lift(plan.bound), lifted, out=lifted)
+
+
 @dataclass(frozen=True)
 class _Plan:
     """The checks lemma1 or the chain makes of every solution, in both lanes.
@@ -721,14 +866,15 @@ def _hp_slacks(rads: _Radicals, n: int, eps: float, plan: _Plan) -> list:
 
 
 def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple, where,
-                radicals, bounded=None, exact=None) -> None:
+                radicals, bounded=None, exact=None, buf=_fresh) -> None:
     """Judge plan's checks at its ni-th n over the rows of one block.
 
     logs holds the arrays of the four logs, one row per solution, where[i]
     the block position of row i and radicals(p) the _Radicals of the solution
-    at p, which the 160-bit rechecks read.  A row's
-    sides come from the same formula on its logs, bit for bit the arrays'
-    entries, so only the slack arrays are kept (peak memory).
+    at p, which the 160-bit rechecks read.  A row's sides come from the same
+    formula on its logs, bit for bit the arrays' entries (_merit_arrays,
+    _slack_arrays), so only the slack arrays are kept, in buffers from buf
+    (the workspace, or _fresh).
 
     Where bounded[i] is set, row i's fourth log is that of a multiple of the
     image radical, and exact(i) the exact one: lemma1's slacks fall as it grows.
@@ -736,6 +882,9 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
     gives up), and the argmin until it is exact, which finds the exact argmin.
     """
     n = plan.n_grid[ni]
+    size = len(where)
+    f_in, f_img = buf("scratch0", size, np.float64), buf("scratch1", size, np.float64)
+    near, below = buf("mask0", size, bool), buf("mask1", size, bool)
 
     def solution(p):
         return radicals(p).aa
@@ -758,27 +907,27 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
             return _merits(k, *(float(x[i]) for x in logs))
 
         with np.errstate(over="ignore", invalid="ignore"):
-            f_in, f_img = _merits(k, *logs)
-            if plan.bound is not None:
-                over = np.flatnonzero(f_img > plan.bound)
-                if len(over):
-                    raise HypothesisViolated(
-                        f"assumed constant {plan.bound} is below the observed image "
-                        f"merit {merits(over[0])[1]:.12g} at {solution(where[over[0]])}"
-                    )
-            pairs = plan.sides(k, f_in, f_img, plan.bound)
-            del f_in, f_img  # each array goes once no slack needs it (peak memory)
-            slacks = [np.subtract(*pair) for pair in pairs]
-            del pairs
+            _merit_arrays(k, logs, f_in, f_img)
+            if plan.bound is not None and np.greater(f_img, plan.bound, out=near).any():
+                i = int(np.argmax(near))  # the first row over the bound
+                raise HypothesisViolated(
+                    f"assumed constant {plan.bound} is below the observed image "
+                    f"merit {merits(i)[1]:.12g} at {solution(where[i])}"
+                )
+            slacks = _slack_arrays(plan, k, f_in, f_img)
         # a non-finite slack is no suspect (abs(inf) < band and nan < -tol are false): a pass
-        if not all(np.isfinite(slack).all() for slack in slacks):
+        if not all(np.isfinite(slack, out=near).all() for slack in slacks):
             raise ValueError(f"the checks at n={n}, eps={eps} are not finite in float64")
         hp = functools.cache(lambda i: _hp_slacks(radicals(where[i]), n, eps, plan))
         first = (ni * len(plan.eps_grid) + ei) * len(plan.labels)
         for j, slack in enumerate(slacks):
             params = {**plan.context, "n": n, "eps": eps, **plan.labels[j]}
-            suspects = np.flatnonzero((np.abs(slack) < tally.band) | (slack < -tally.tolerance))
-            tally.passed(len(slack) - len(suspects))
+            # the suspects: |slack| < band, as -band < slack < band, or slack < -tolerance
+            np.less(slack, tally.band, out=near)
+            near &= np.greater(slack, -tally.band, out=below)
+            near |= np.less(slack, -tally.tolerance, out=below)
+            suspects = np.flatnonzero(near)
+            tally.passed(size - len(suspects))
             for i in suspects.tolist():
                 if not make_exact(i):
                     held[i] += 1
@@ -849,25 +998,41 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
     """
     lograd = _radical_table(max_c)
     c_arr, s_arr, grid, solution = block
-    aabs = c_arr - s_arr
-    logc = np.log(c_arr.astype(np.float64))
-    lnrad_abc = lograd[aabs] + lograd[s_arr] + lograd[c_arr]
-    even = (c_arr & 1) == 0
+    size, ws = len(c_arr), _WORKSPACE
+    aabs = np.subtract(c_arr, s_arr, out=ws("scratch0", size))
+    logc = np.log(c_arr, out=ws("logc", size, np.float64))
+    # lograd[aabs] + lograd[s] + lograd[c], every index at most max_c
+    lnrad_abc = np.take(lograd, aabs, out=ws("lnrad_abc", size, np.float64), mode="clip")
+    term = ws("scratch1", size, np.float64)
+    lnrad_abc += np.take(lograd, s_arr, out=term, mode="clip")
+    lnrad_abc += np.take(lograd, c_arr, out=term, mode="clip")
+    even = np.equal(np.bitwise_and(c_arr, 1, out=ws("scratch1", size)), 0,
+                    out=ws("even", size, bool))
     on_bounds = _takes_bounds(plan)
-    pieces = {k: _piece_values(k, aabs, s_arr) if on_bounds
-              else _lograd_piece(k, aabs, s_arr, grid, max_c)
-              for k in {k for n in plan.n_grid for k in _piece_ks(n)}}
-    del aabs  # dd = c - 2s: one array fewer while the rows are judged (peak memory)
     radicals = functools.cache(lambda i: _Radicals(solution(i)))
-    audited = _audit_rows(block_idx, len(c_arr))
+    audited = _audit_rows(block_idx, size)
+    img, lnrad_img = ws("img", size, np.float64), ws("lnrad_img", size, np.float64)
+    bounded = ws("bounded", size, bool)
     for ni, n in enumerate(plan.n_grid):
         bound = on_bounds and n > 2
-        lnrad_img = lnrad_abc + lograd[c_arr - 2 * s_arr] - _LN2 * even  # lcm(rad_in, rad dd)
-        for k in _piece_ks(n):
-            lnrad_img += np.log(pieces[k]) if bound else pieces[k]
+        # lcm(rad_in, rad dd): lnrad_abc + lograd[dd] - _LN2 * even, dd = c - 2s
+        dd = np.multiply(s_arr, 2, out=ws("scratch0", size))
+        np.take(lograd, np.subtract(c_arr, dd, out=dd), out=lnrad_img, mode="clip")
+        np.add(lnrad_abc, lnrad_img, out=lnrad_img)
+        np.subtract(lnrad_img, _LN2, out=lnrad_img, where=even)
+        # the pieces of this n, each added as it is taken: lemma1's exact rows
+        # read them all, the chain's piece sieve spends each
+        pieces = {}
+        for j, k in enumerate(_piece_ks(n)):
+            x = np.subtract(c_arr, s_arr, out=ws(f"piece{j if bound else 0}", size))
+            pieces[k] = _piece_values(k, x, s_arr)
+            lnrad_img += (np.log(pieces[k], out=ws("scratch1", size, np.float64)) if bound
+                          else _lograd_piece(k, pieces[k], grid, max_c))
         if bound:
             lnrad_img += _BOUND_MARGIN
-        logs = (logc, lnrad_abc, n * logc - (n * _LN2) * even, lnrad_img)
+        # the image's c: n * logc - (n * _LN2) * even
+        np.subtract(np.multiply(logc, n, out=img), n * _LN2, out=img, where=even)
+        logs = (logc, lnrad_abc, img, lnrad_img)
         for i in audited:
             _audit_logs(tuple(float(x[i]) for x in logs), radicals(i), n, bound)
 
@@ -878,8 +1043,8 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
             _audit_logs((*(float(x[i]) for x in logs[:3]), value), radicals(i), n)
             return value
 
-        _judge_rows(tally, plan, block_idx, ni, logs, range(len(c_arr)), radicals,
-                    np.full(len(c_arr), bound), exact)
+        bounded.fill(bound)
+        _judge_rows(tally, plan, block_idx, ni, logs, range(size), radicals, bounded, exact, ws)
 
 
 def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
@@ -931,13 +1096,26 @@ def _k_lemma2(tally: _Tally, block, block_idx: int, N: int, n: int) -> None:
     else:
         # |A*B*C| = d**n * (c**n - d**n) * c**n with d = c - 2s, both halved
         # when c is even, so the witness comes from a residue table of n-th powers,
-        # v**n mod N for v up to c_hi from the N residues
-        pow_mod = np.array([pow(v, n, N) for v in range(N)], dtype=np.int64)
-        pow_mod = pow_mod[np.arange(int(c_arr[-1]) + 1) % N]
-        halve = 1 - (c_arr & 1)
-        pv = pow_mod[c_arr >> halve]
-        pu = pow_mod[(c_arr - 2 * s_arr) >> halve]
-        witness = pu * ((pv - pu) % N) % N * pv % N
+        # v**n mod N for v up to c_hi from the N residues (np.resize repeats them):
+        # residues below N and products of two fit int32
+        size = len(c_arr)
+        residues = np.array([pow(v, n, N) for v in range(N)], dtype=np.int32)
+        residues = np.resize(residues, int(c_arr[-1]) + 1)
+        v = _WORKSPACE("scratch0", size)
+        even = np.equal(np.bitwise_and(c_arr, 1, out=v), 0, out=_WORKSPACE("mask0", size, bool))
+        np.copyto(v, c_arr)
+        np.right_shift(v, 1, out=v, where=even)
+        pv = np.take(residues, v, out=_WORKSPACE("scratch1", size, np.int32), mode="clip")
+        np.subtract(c_arr, np.multiply(s_arr, 2, out=v), out=v)
+        np.right_shift(v, 1, out=v, where=even)
+        pu = np.take(residues, v, out=_WORKSPACE("scratch2", size, np.int32), mode="clip")
+        # pu * ((pv - pu) % N) % N * pv % N
+        witness = np.subtract(pv, pu, out=v)
+        witness %= N
+        witness *= pu
+        witness %= N
+        witness *= pv
+        witness %= N
     bad = np.flatnonzero(witness)
     tally.passed(len(witness) - len(bad))
     for i in bad.tolist():

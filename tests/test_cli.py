@@ -534,21 +534,38 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     assert (proc.returncode, err) == (code, b"")
 
 
-# the child's own peak RSS in kilobytes, on stderr after the command's output
-_PEAK_RSS = ("import resource, sys\n"
-             "from congabc.cli import main\n"
-             "code = main(sys.argv[1:])\n"
-             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-             "sys.exit(code)\n")
+# the child's own peak RSS in kilobytes and its minor page faults, on stderr
+# after the command's output
+_RUSAGE = ("import resource, sys\n"
+           "from congabc.cli import main\n"
+           "code = main(sys.argv[1:])\n"
+           "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+           "print(usage.ru_maxrss, usage.ru_minflt, file=sys.stderr)\n"
+           "sys.exit(code)\n")
+
+
+def _sieve_run_usage(max_c: int) -> tuple[float, int]:
+    """(peak RSS in MB, minor page faults) of a child running lemma1 over
+    c <= max_c at n 2,4 and eps 0.1,1: the sieve lane."""
+    argv = ["verify", "lemma1", "--max-c", str(max_c), "--n", "2,4", "--eps", "0.1,1"]
+    proc = subprocess.run([sys.executable, "-c", _RUSAGE, *argv, "--format", "json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == "pass"
+    maxrss, minflt = map(int, proc.stderr.split()[-2:])
+    return maxrss / 1024, minflt
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
 def test_sieve_run_peak_rss_is_bounded_by_the_block():
     # a sieve run's peak RSS follows _BLOCK_SLOTS, not the corpus: over c <= 3000
-    # (2.25M slots) it is about 55 MB in 300k-slot blocks, about 170 MB in one block
-    argv = ["verify", "lemma1", "--max-c", "3000", "--n", "2,4", "--eps", "0.1,1"]
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv, "--format", "json"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["result"] == "pass"
-    assert int(proc.stderr.split()[-1]) / 1024 < 100
+    # (2.25M slots) it is about 50 MB in 300k-slot blocks, about 170 MB in one block
+    assert _sieve_run_usage(3000)[0] < 100
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt as Linux counts it")
+def test_sieve_run_page_faults_follow_the_block_not_the_corpus():
+    # every block after the first writes into the workspace's pages: c <= 6000 has
+    # four times the slots of c <= 3000 and about as many faults (10k each).  With
+    # fresh arrays in every block they were 47k and 174k
+    assert _sieve_run_usage(6000)[1] < 1.5 * _sieve_run_usage(3000)[1]

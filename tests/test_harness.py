@@ -240,7 +240,8 @@ def _sieved_pieces(k, blocks, congruence, max_c):
     pairs, got = [], []
     for c_lo, c_hi in blocks:
         c_arr, s_arr, grid = _block_grid(c_lo, c_hi, congruence)
-        logs = _lograd_piece(k, c_arr - s_arr, s_arr, grid, max_c).tolist()
+        t = harness._piece_values(k, c_arr - s_arr, s_arr)
+        logs = _lograd_piece(k, t, grid, max_c).tolist()
         assert len(logs) == len(c_arr) > 0
         pairs += zip(c_arr.tolist(), s_arr.tolist())
         got += logs
@@ -299,7 +300,7 @@ def test_a_row_made_exact_adds_the_floats_of_the_piece_sieve(k):
     for source in harness._blocks(CorpusSpec(300), harness._BLOCK_SLOTS):
         c_arr, s_arr, grid = _block_grid(*source)
         t = harness._piece_values(k, c_arr - s_arr, s_arr).tolist()
-        want = _lograd_piece(k, c_arr - s_arr, s_arr, grid, 300).tolist()
+        want = _lograd_piece(k, harness._piece_values(k, c_arr - s_arr, s_arr), grid, 300).tolist()
         assert list(map(harness._lograd_value, t)) == want
 
 
@@ -1389,6 +1390,26 @@ def test_a_tie_between_bounded_and_exact_rows_goes_by_position():
         assert tally.best == ((want.slack, 0, position, 0), want)
 
 
+@pytest.mark.parametrize("sides, bound", [(harness._lemma1_sides, None),
+                                          (harness._chain_sides, 30.0)])
+@pytest.mark.parametrize("n, eps", [(2, 0.1), (4, 1.0), (6, 2.5)])
+def test_slack_arrays_are_the_float_formula_bit_for_bit(sides, bound, n, eps):
+    # the judge writes its slacks in place (_merit_arrays, _slack_arrays) and
+    # reads a suspect's or the extremal's sides from the float formula: the
+    # two must agree on every row, to the last bit
+    rng = random.Random(n)
+    logs = tuple(np.array([rng.uniform(0.0, 40.0) for _ in range(500)]) for _ in range(4))
+    plan = harness._Plan((n,), (eps,), sides, bound)
+    k = lemma_constants(n, eps)
+    f_in, f_img = np.empty(500), np.empty(500)
+    harness._merit_arrays(k, logs, f_in, f_img)
+    slacks = harness._slack_arrays(plan, k, f_in, f_img)
+    assert len(slacks) == len(sides(k, 0.0, 0.0, bound))
+    for i in range(500):
+        merits = harness._merits(k, *(float(x[i]) for x in logs))
+        assert [float(s[i]) for s in slacks] == [lhs - rhs for lhs, rhs in sides(k, *merits, bound)]
+
+
 def test_a_recheck_takes_no_radical_its_row_took(monkeypatch):
     # two solutions without a number in common, so a value that radical sees twice
     # is one row's: every check fails, and each recheck, of the exact first row and
@@ -1477,6 +1498,99 @@ def test_sieve_bound_audit_catches_an_over_stripped_piece(monkeypatch, capsys, w
     assert (code, out) == (4, "")
     assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
 
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_piece_sieve_refuses_a_hit_that_does_not_divide(monkeypatch, capsys, workers):
+    # t_4 with its 5s divided out: the chain's piece sieve still hits 5 wherever
+    # 5 | q_4, and must say so rather than divide a value 5 does not divide, which
+    # reaches 0 and then divides forever
+    from congabc.cli import main
+
+    real = harness._piece_values
+
+    def values(k, x, y):
+        t = real(k, x, y)
+        while k == 4 and (at := np.flatnonzero(t % 5 == 0)).size:
+            t[at] //= 5
+        return t
+
+    _small_blocks(monkeypatch, 200)
+    spec = CorpusSpec(max_c=60)
+    assert verify_reduction_chain(spec, 5, 1.0, 10.0, workers=workers).ok
+    monkeypatch.setattr(harness, "_piece_values", values)
+    with pytest.raises(harness.InternalRadicalMismatch, match="which does not divide"):
+        verify_reduction_chain(spec, 5, 1.0, 10.0, workers=workers)
+    code = main(["verify", "chain", "--max-c", "60", "--N", "5", "--eps", "1", "--C", "10",
+                 "--workers", str(workers)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
+
+
+def test_cyclotomic_values_multiply_to_the_power_difference():
+    # _cyclotomic takes Phi_k in one step by Moebius inversion; the oracle is the
+    # product over the divisors, c**k - dd**k
+    for k in range(1, DEFAULT_EXPONENT_CAP + 1):
+        divisors = [j for j in range(1, k + 1) if k % j == 0]
+        for c in range(2, 31):
+            for dd in range(1, c):
+                if math.gcd(c, dd) == 1:
+                    got = math.prod(harness._cyclotomic(j, c, dd) for j in divisors)
+                    assert got == c**k - dd**k, (k, c, dd)
+
+
+def _canonical(summary: SuiteSummary) -> str:
+    from congabc.cli import _canon, _summary_record
+    return _canon(_summary_record(summary))
+
+
+_WORKSPACE_SUITES = {
+    "lemma1": lambda corpus, workers: verify_lemma1(
+        corpus, [2, 4, 6], [0.1, 1.0], tolerance=-6.0, max_counterexamples=10**6,
+        workers=workers),
+    "chain": lambda corpus, workers: verify_reduction_chain(corpus, 7, 1.0, 10.0,
+                                                            workers=workers),
+    "lemma2": lambda corpus, workers: verify_lemma2(corpus, 13, workers=workers),
+    "identities": lambda corpus, workers: verify_proof_identities(
+        corpus, [2, 4, 6, 8], radical_scale=40, workers=workers),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("suite", sorted(_WORKSPACE_SUITES))
+def test_workspace_reuse_leaks_nothing_into_a_later_run(monkeypatch, suite, workers):
+    # each suite over a larger corpus and then a smaller one in one process, in
+    # small blocks, so the last block is shorter than the buffers: the smaller
+    # run's summary is that of a run on a fresh workspace, byte for byte.  In
+    # between every buffer is filled with 0xff bytes (NaN as float64, -1 as
+    # int64), so a read past a block's length or of a value no kernel wrote
+    # shows; forked workers start from those buffers
+    run = _WORKSPACE_SUITES[suite]
+    _small_blocks(monkeypatch, 700)
+    small, large = CorpusSpec(max_c=90), CorpusSpec(max_c=160)
+    assert len(harness._blocks(small, harness._BLOCK_SLOTS)) > 2
+    monkeypatch.setattr(harness, "_WORKSPACE", harness._Workspace())
+    want = _canonical(run(small, workers))
+    workspace = harness._Workspace()
+    monkeypatch.setattr(harness, "_WORKSPACE", workspace)
+    run(large, 1)
+    assert workspace._raw
+    for raw in workspace._raw.values():
+        raw.fill(0xFF)
+    assert _canonical(run(small, workers)) == want
+
+
+def test_a_listed_corpus_never_touches_the_workspace(monkeypatch):
+    # list blocks (the scalar lane and the list paths of lemma2 and the
+    # identities) allocate no workspace buffer
+    listed = list(CorpusSpec(max_c=40))
+    workspace = harness._Workspace()
+    monkeypatch.setattr(harness, "_WORKSPACE", workspace)
+    assert verify_lemma1(listed, [2, 4, 8], [0.1, 1.0]).ok
+    assert verify_reduction_chain(listed, 7, 1.0, 10.0).ok
+    assert verify_lemma2(listed, 13).ok
+    assert verify_proof_identities(listed, [2, 4]).ok
+    assert workspace._raw == {}
 
 # (-237, -2, 239) at n = 16: Phi_16(239, 235) = 239**8 + 235**8, above 2**63,
 # leaves 586682472942195809 after trial division, two primes that rho does not
