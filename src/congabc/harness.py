@@ -33,7 +33,9 @@ radical (_Radicals.bound; the sieve lane adds each piece's log whole),
 and both judge the arrays of logs with the same code, which makes a row
 exact only for a suspect or the extremal.  The chain's rows are exact,
 its pieces' radicals on the sieve lane from the piece sieve
-(_lograd_piece).  The full image, through theta, is the independent
+(_lograd_piece), which multiplies their primes into integers, and a
+sieve row made exact reads the same integers from _Radicals: each takes
+one np.log of each.  The full image, through theta, is the independent
 oracle, and both its readers return the same row: _proved_image proves
 _Radicals' row by exact division (_is_radical), or that every prime of
 the image divides U, for the 160-bit rechecks, the identities' radical
@@ -98,9 +100,9 @@ HP_PRECISION_BITS = 160
 DEFAULT_MAX_COUNTEREXAMPLES = 25
 
 _LN2 = math.log(2.0)
-# the largest c of the sieve lane: a size guard on its tables and root-sieve
-# passes (primes up to sqrt(3) * max_c); the values sieved, below 3 * max_c**2,
-# are far inside int64
+# the largest c of the sieve lane and of search_quality: a size guard on their
+# tables and root-sieve passes (primes up to sqrt(3) * max_c); the values sieved,
+# below 3 * max_c**2, are far inside int64
 _VECTOR_MAX_C = 50_000
 # rows per block that the sieve lane checks against the full image at every n:
 # a handful of _proved_image calls, about 1% of the time of a 300k-slot block
@@ -236,8 +238,8 @@ class _Workspace:
       "mask0", "mask1"  bool scratch, likewise
       "logc", "lnrad_abc", "img", "lnrad_img", "even", "bounded"
                         the sieve lane's logs and masks (_k_vector)
-      "piece<j>", "lograd"  the j-th piece t_k of an n (_piece_values), and
-                        log rad(t_k) (_lograd_piece)
+      "piece", "lograd" a piece t_k (_piece_values), and the piece sieve's
+                        rad(t_k), then its log (_lograd_piece)
     """
 
     def __init__(self):
@@ -291,10 +293,10 @@ def _piece_ks(n: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _piece_table(k: int, max_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The primes p = 1 mod k that the piece sieve of q_k needs up to max_c, their
-    logs, and the two roots u = (1 - zeta**-1)/2 mod p, zeta either primitive k-th
-    root of unity mod p: p | Phi_k(c, d) exactly when c = zeta*d, that is s = c*u.
+def _piece_table(k: int, max_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p = 1 mod k that the piece sieve of q_k needs up to max_c, and
+    the two roots u = (1 - zeta**-1)/2 mod p, zeta either primitive k-th root of
+    unity mod p: p | Phi_k(c, d) exactly when c = zeta*d, that is s = c*u.
     (For k = 4 these are (1 +- i)/2; for k = 3 and 6, (3 +- r)/4 and (1 +- r)/4
     with r = 2*omega + 1 = sqrt(-3), omega a primitive cube root of unity.)"""
     primes = _prime_array(math.isqrt(_FORMS[k][0] * max_c * max_c))
@@ -305,7 +307,7 @@ def _piece_table(k: int, max_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
                     if all(pow(z, k // q, p) != 1 for q in (2, 3) if k % q == 0))
         half = (p + 1) // 2
         roots[i] = (1 - pow(zeta, -1, p)) * half % p, (1 - zeta) * half % p
-    return sel, np.log(sel.astype(np.float64)), roots
+    return sel, roots
 
 
 def _c_blocks(max_c: int, target_slots: int) -> list[tuple[int, int]]:
@@ -454,60 +456,42 @@ def _piece_values(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return t
 
 
-def _lograd_value(t: int) -> float:
-    """log rad(t) for one t_k of _piece_values, the same float as _lograd_piece's:
-    np.log of t's distinct primes from trial division, which completes below
-    3 * _VECTOR_MAX_C**2, added left to right in ascending order.  Not sum(),
-    which compensates from Python 3.12 on, nor np.sum, which adds pairwise."""
-    counts, rest = _trial_divide(t)
-    primes = [*counts, rest] if rest > 1 else [*counts]  # the cofactor, a prime, is the largest
-    total = 0.0
-    for logp in np.log(np.array(primes, dtype=np.float64)).tolist():
-        total += logp
-    return total
-
-
 def _lograd_piece(k: int, t: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
     """log rad(t) for the t_k of _piece_values of a block's corpus pairs, grid
-    their layout from _block_grid: the chain's piece sieve.  It divides t.
+    their layout from _block_grid: the chain's piece sieve.  It leaves rad(t) in t.
 
     The root sieve, as in the quadratic sieve: p | q_k(c - s, s) exactly
     when s = c*u mod p for a root u from _piece_table, so the hits of p in
     row c are two progressions of step p; rows with p | c start both at
     s = 0 mod p, never coprime, and are skipped.  At each hit p is
-    divided out completely.
+    multiplied into the row's radical and divided out of t completely.
 
     The primes go in bulk, an octave [2**j, 2**(j+1)) at a time: one
     _progressions call over primes x rows x roots gives every hit of the
-    octave, prime-major, and the sequential np.add.at adds the logs in that
-    order, after the octaves below.  So each element adds its logs in
-    ascending prime order, as one prime at a time would, and the sums are
-    the same floats.  An octave's hits number about slots/(j ln 2), so a
-    pass holds less than a block's worth.  np.floor_divide.at divides an
-    element hit by several primes once per prime, then again while p still
-    divides, as p**2 can divide q_k even with p above the row length
-    (c = 7, s = 3: q_4 = 5**2).  A hit that p does not divide is a wrong
-    table or value, InternalRadicalMismatch, where the division would go on
-    forever.
+    octave.  An octave's hits number about slots/(j ln 2), so a pass holds
+    less than a block's worth.  np.floor_divide.at divides an element hit
+    by several primes once per prime, then again while p still divides, as
+    p**2 can divide q_k even with p above the row length (c = 7, s = 3:
+    q_4 = 5**2).  A hit that p does not divide is a wrong table or value,
+    InternalRadicalMismatch, where the division would go on forever.
 
     The bound: with q_k = a*x**2 + b*y**2, c**2 - x**2 = y*(c + x) and
     b*y < a*(c + x) (y < x, and b <= 3a), so q_k < a*c**2.  Each prime p
     is sieved over the rows with a*c**2 >= p**2, so row c has lost every
     prime p with p**2 <= a*c**2.  A composite cofactor m would have a
     prime factor q with q**2 <= m < a*c**2, sieved already; so what is
-    left is 1 or one prime, and no row needs a fallback.  Logs are added
-    in ascending prime order, that prime last: a prime's log is the same
-    float whether the sieve or the cofactor supplies it, so the sums, and
-    the verdict bytes, do not depend on where the sieve stops and equal
-    those of trial division.
+    left is 1 or one prime, the radical's last factor, and no row needs a
+    fallback.  The radical, below 3 * _VECTOR_MAX_C**2 < 2**53, is exact
+    in int64 and float64, and its one np.log is the float of any route to
+    it (a row made exact reads it from _Radicals).
     """
     a = _FORMS[k][0]
     cs, reps, starts, keep = grid
     rank = np.cumsum(keep, out=_WORKSPACE("scratch1", len(keep), np.int32))  # below 2**31
     rank -= 1
-    primes, logp, roots = _piece_table(k, max_c)
-    out = _WORKSPACE("lograd", len(t), np.float64)
-    out.fill(0.0)
+    primes, roots = _piece_table(k, max_c)
+    rad = _WORKSPACE("lograd", len(t))
+    rad.fill(1)
     c_hi = int(cs[-1])
     end = int(np.searchsorted(primes, math.isqrt(a * c_hi * c_hi), side="right"))
     octaves = np.searchsorted(primes[:end], [1 << j for j in range(c_hi.bit_length() + 2)])
@@ -516,11 +500,10 @@ def _lograd_piece(k: int, t: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
         s0 = (cs[:, None] % p) * roots[lo:hi, None, :] % p  # primes x rows x roots
         s0 = np.where(a * cs[:, None] ** 2 >= p * p, s0, 0)
         pos, count = _progressions(starts[:, None], reps[:, None], s0, p)
-        at = np.repeat(np.arange(lo, hi), count.reshape(s0.shape).sum(axis=(1, 2)))
         kept = keep[pos]
-        hit, at = rank[pos[kept]], at[kept]
-        np.add.at(out, hit, logp[at])
-        p = primes[at]
+        hit = rank[pos[kept]]
+        p = np.repeat(primes[lo:hi], count.reshape(s0.shape).sum(axis=(1, 2)))[kept]
+        np.multiply.at(rad, hit, p)
         if (wrong := np.flatnonzero(t[hit] % p)).size:
             i = wrong[0]
             raise InternalRadicalMismatch(
@@ -530,9 +513,8 @@ def _lograd_piece(k: int, t: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
             np.floor_divide.at(t, hit, p)
             again = t[hit] % p == 0
             hit, p = hit[again], p[again]
-    rest = np.greater(t, 1, out=_WORKSPACE("mask0", len(t), bool))
-    return np.add(out, np.log(t, out=_WORKSPACE("scratch0", len(t), np.float64), where=rest),
-                  out=out, where=rest)
+    t *= rad  # the cofactor, 1 or a prime; rad's buffer then takes the logs
+    return np.log(t, out=_WORKSPACE("lograd", len(t), np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -990,11 +972,11 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
 
     lemma1 adds each piece t_k whole, so its last log at n in {4, 6} is that of
     _Radicals.bound's U, raised by _BOUND_MARGIN, and _judge_rows takes those rows
-    as bounded: a row made exact adds the primes of its pieces from trial division
-    (_lograd_value), the same floats as the piece sieve, and is audited against
-    _proved_image.  The chain, whose hypothesis needs the radical itself, takes the
-    piece sieve (_lograd_piece).  The rows of _audit_rows are audited at every n,
-    the bounded ones against their U.
+    as bounded: a row made exact adds np.log of each rad(t_k), read from the
+    _Radicals it is audited with (_proved_image).  The chain, whose hypothesis
+    needs the radical itself, takes the piece sieve (_lograd_piece), np.log of the
+    same integers.  Each piece is built, logged and dropped in one buffer.  The
+    rows of _audit_rows are audited at every n, the bounded ones against their U.
     """
     lograd = _radical_table(max_c)
     c_arr, s_arr, grid, solution = block
@@ -1020,14 +1002,10 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
         np.take(lograd, np.subtract(c_arr, dd, out=dd), out=lnrad_img, mode="clip")
         np.add(lnrad_abc, lnrad_img, out=lnrad_img)
         np.subtract(lnrad_img, _LN2, out=lnrad_img, where=even)
-        # the pieces of this n, each added as it is taken: lemma1's exact rows
-        # read them all, the chain's piece sieve spends each
-        pieces = {}
-        for j, k in enumerate(_piece_ks(n)):
-            x = np.subtract(c_arr, s_arr, out=ws(f"piece{j if bound else 0}", size))
-            pieces[k] = _piece_values(k, x, s_arr)
-            lnrad_img += (np.log(pieces[k], out=ws("scratch1", size, np.float64)) if bound
-                          else _lograd_piece(k, pieces[k], grid, max_c))
+        for k in _piece_ks(n):
+            t = _piece_values(k, np.subtract(c_arr, s_arr, out=ws("piece", size)), s_arr)
+            lnrad_img += (np.log(t, out=ws("scratch1", size, np.float64)) if bound
+                          else _lograd_piece(k, t, grid, max_c))
         if bound:
             lnrad_img += _BOUND_MARGIN
         # the image's c: n * logc - (n * _LN2) * even
@@ -1037,10 +1015,12 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
             _audit_logs(tuple(float(x[i]) for x in logs), radicals(i), n, bound)
 
         def exact(i, n=n, logs=logs):
+            rads = radicals(i)
             value = float(lnrad_abc[i] + lograd[c_arr[i] - 2 * s_arr[i]] - _LN2 * even[i])
             for k in _piece_ks(n):
-                value += _lograd_value(int(pieces[k][i]))
-            _audit_logs((*(float(x[i]) for x in logs[:3]), value), radicals(i), n)
+                r = rads._rad(rads._phi(k))
+                value += np.log(r // math.gcd(r, 2 * k))
+            _audit_logs((*(float(x[i]) for x in logs[:3]), value), rads, n)
             return value
 
         bounded.fill(bound)
@@ -1446,6 +1426,8 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
     qualities come from sieve tables, and each hit is recomputed
     through the factorization engine before being reported.
     """
+    if max_c > _VECTOR_MAX_C:  # before _blocks, which walks every c
+        raise ValueError(f"max_c {max_c} is above the size guard _VECTOR_MAX_C = {_VECTOR_MAX_C}")
     sources = _blocks(CorpusSpec(max_c), _BLOCK_SLOTS)  # ValueError for max_c < 3
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")

@@ -348,6 +348,21 @@ def test_search_empty_and_invalid(capsys):
     assert code == 2
 
 
+def test_search_above_the_size_guard_exits_2_before_any_table(capsys, monkeypatch):
+    # --max-c 10**9 would cut a billion c into blocks, then take a table of at
+    # least 17 bytes per c: refused before either
+    from congabc import harness
+
+    def unreachable(*args):
+        raise AssertionError("reached a table past the size guard")
+
+    monkeypatch.setattr(harness, "_c_blocks", unreachable)
+    monkeypatch.setattr(harness, "_radical_table", unreachable)
+    code, out, err = run_cli(capsys, "search", "--max-c", str(10**9))
+    assert (code, out) == (2, "")
+    assert "_VECTOR_MAX_C" in err
+
+
 def test_search_json(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--max-c", "100", "--min-quality", "1.2", "--format", "json"
@@ -535,12 +550,15 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
 
 
 # the child's own peak RSS in kilobytes and its minor page faults, on stderr
-# after the command's output
+# after the command's output.  The peak is VmHWM, not ru_maxrss: a child started
+# by vfork and exec inherits its parent's high-water mark in ru_maxrss, so a large
+# parent (a pytest process that ran other tests) would be measured instead
 _RUSAGE = ("import resource, sys\n"
            "from congabc.cli import main\n"
            "code = main(sys.argv[1:])\n"
-           "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
-           "print(usage.ru_maxrss, usage.ru_minflt, file=sys.stderr)\n"
+           "with open('/proc/self/status') as f:\n"
+           "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
+           "print(hwm, resource.getrusage(resource.RUSAGE_SELF).ru_minflt, file=sys.stderr)\n"
            "sys.exit(code)\n")
 
 
@@ -552,11 +570,11 @@ def _sieve_run_usage(max_c: int) -> tuple[float, int]:
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"] == "pass"
-    maxrss, minflt = map(int, proc.stderr.split()[-2:])
-    return maxrss / 1024, minflt
+    peak, minflt = map(int, proc.stderr.split()[-2:])
+    return peak / 1024, minflt
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is in /proc/self/status on Linux")
 def test_sieve_run_peak_rss_is_bounded_by_the_block():
     # a sieve run's peak RSS follows _BLOCK_SLOTS, not the corpus: over c <= 3000
     # (2.25M slots) it is about 50 MB in 300k-slot blocks, about 170 MB in one block

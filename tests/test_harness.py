@@ -226,13 +226,9 @@ def test_spec_corpus_size_and_hash_match_the_spec(workers):
 _ONE_ROW_BLOCKS = [(c, c) for c in range(3, 301)]
 
 
-def _ascending_log_sum(m):
-    """The logs of the primes of m from factorize, added in ascending order as the
-    sieve adds them: its sums must not depend on how it groups the primes."""
-    total = 0.0
-    for logp in np.log(np.array(sorted(p for p, _ in factorize(m).factors), dtype=np.float64)):
-        total += logp
-    return total
+def _log_radical(m):
+    """np.log of factorize's radical of m: the piece sieve's float, exactly."""
+    return np.log(factorize(m).radical_value())
 
 
 def _sieved_pieces(k, blocks, congruence, max_c):
@@ -253,7 +249,8 @@ _SIEVE_BLOCKS = pytest.mark.parametrize("blocks, congruence, max_c", [
     ([(1500, 1600)], 1, 10_000),  # a block that does not start at c = 3
     ([(3, 400)], 7, 400),         # a congruence-restricted block
     (_ONE_ROW_BLOCKS, 1, 300),
-], ids=["3-60-1-60", "1500-1600-1-10000", "3-400-7-400", "one-row-blocks"])
+    ([(50_000, 50_000)], 1, 50_000),  # the lane's largest row: the last octave of primes
+], ids=["3-60-1-60", "1500-1600-1-10000", "3-400-7-400", "one-row-blocks", "50000-50000-1-50000"])
 
 
 @_SIEVE_BLOCKS
@@ -266,7 +263,7 @@ def test_sum_squares_root_sieve_matches_factorization(blocks, congruence, max_c)
         assert (7, 3) in pairs  # 4**2 + 3**2 = 5**2, 5 above the row length 3
     for (c, s), value in zip(pairs, got):
         t = (c - s) ** 2 + s**2
-        assert value == _ascending_log_sum(t >> valuation2(t)), (c, s)
+        assert value == _log_radical(t >> valuation2(t)), (c, s)
 
 
 def _piece_value(k, c, s):
@@ -290,18 +287,38 @@ def test_cube_root_sieve_matches_factorization(k, blocks, congruence, max_c):
         assert _piece_value(3, 33, 13) == 37**2  # c < p = 37 < sqrt(3) * c
         assert {(5, 1), (33, 13)} <= set(pairs)
     for (c, s), value in zip(pairs, got):
-        assert value == _ascending_log_sum(_piece_value(k, c, s)), (c, s)
+        assert value == _log_radical(_piece_value(k, c, s)), (c, s)
 
 
 @pytest.mark.parametrize("k", [3, 4, 6])
-def test_a_row_made_exact_adds_the_floats_of_the_piece_sieve(k):
-    # lemma1's sieve rows made exact take each t_k's primes by trial division: the
-    # same float as the piece sieve's, bit for bit, on every row
-    for source in harness._blocks(CorpusSpec(300), harness._BLOCK_SLOTS):
-        c_arr, s_arr, grid = _block_grid(*source)
-        t = harness._piece_values(k, c_arr - s_arr, s_arr).tolist()
-        want = _lograd_piece(k, harness._piece_values(k, c_arr - s_arr, s_arr), grid, 300).tolist()
-        assert list(map(harness._lograd_value, t)) == want
+def test_a_row_made_exact_adds_the_floats_of_the_piece_sieve(monkeypatch, k):
+    # a lemma1 row made exact on the sieve lane reads rad(t_k) from its _Radicals,
+    # rad Phi_k with the primes of 2k divided out, and the chain's piece sieve
+    # multiplies the primes of t_k: the same integer on every row, so exact(i) and
+    # the chain's fourth log at an n with the piece are the same float, bit for bit
+    n = 4 if k == 4 else 6
+    got = []
+
+    def judge(tally, plan, block_idx, ni, logs, where, radicals, bounded, exact, buf):
+        got.append([exact(i) for i in where] if bounded.all() else logs[3].tolist())
+
+    monkeypatch.setattr(harness, "_judge_rows", judge)
+    lemma1 = harness._Plan((n,), (1.0,), harness._lemma1_sides)
+    chain = harness._Plan((n,), (1.0,), harness._chain_sides, 10.0)
+    for idx, source in enumerate(harness._blocks(CorpusSpec(300), harness._BLOCK_SLOTS)):
+        block = harness._block(source)
+        c_arr, s_arr, grid, solution = block
+        t = harness._piece_values(k, c_arr - s_arr, s_arr)
+        _lograd_piece(k, t, grid, 300)
+        for i, value in enumerate(t.tolist()):
+            rads = harness._Radicals(solution(i))
+            r = rads._rad(rads._phi(k))
+            assert r // math.gcd(r, 2 * k) == value, solution(i)
+        got.clear()
+        for plan in (lemma1, chain):
+            harness._k_vector(harness._Tally(1, 1e-9, 1e-6), block, idx, 300, plan)
+        made_exact, sieved = got
+        assert made_exact == sieved
 
 
 @pytest.mark.parametrize("n_grid, kernel", [
@@ -761,6 +778,19 @@ def test_search_quality_threshold_is_strict():
         search_quality(2, 1.0)
 
 
+def test_search_quality_refuses_max_c_above_the_size_guard(monkeypatch):
+    # the check comes before the blocks and the radical table are built
+    def unreachable(*args):
+        raise AssertionError("reached a table past the size guard")
+
+    monkeypatch.setattr(harness, "_c_blocks", unreachable)
+    monkeypatch.setattr(harness, "_radical_table", unreachable)
+    with pytest.raises(ValueError, match="_VECTOR_MAX_C"):
+        search_quality(harness._VECTOR_MAX_C + 1, 1.0)
+    with pytest.raises(ValueError, match="_VECTOR_MAX_C"):
+        search_quality(10**9, 1.0)
+
+
 def test_suite_summary_shape():
     s = verify_lemma1(CorpusSpec(max_c=50), [2], [1.0])
     assert isinstance(s, SuiteSummary)
@@ -1145,7 +1175,7 @@ def test_chain_audit_catches_a_dropped_piece(monkeypatch, workers):
 
 def _drop_a_square_prime_of_an_audited_row(monkeypatch, spec):
     # dropped from the Phi_3 table, a prime of a piece to the first power is
-    # left in the cofactor, whose log is the same sum; its square makes the
+    # left in the cofactor, which makes the same radical; its square makes the
     # cofactor p**2 and counts ln p twice, which the audit must see
     squares = set()
     for idx, source in enumerate(harness._blocks(spec, harness._BLOCK_SLOTS)):
@@ -1158,9 +1188,9 @@ def _drop_a_square_prime_of_an_audited_row(monkeypatch, spec):
     real = harness._piece_table
 
     def table(k, max_c):
-        primes, logp, roots = real(k, max_c)
+        primes, roots = real(k, max_c)
         keep = primes != (drop if k == 3 else 0)
-        return primes[keep], logp[keep], roots[keep]
+        return primes[keep], roots[keep]
 
     monkeypatch.setattr(harness, "_piece_table", table)
 
