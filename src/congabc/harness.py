@@ -70,7 +70,6 @@ import functools
 import hashlib
 import itertools
 import math
-import multiprocessing
 import operator
 import random
 import time
@@ -105,7 +104,8 @@ _LN2 = math.log(2.0)
 # below 3 * max_c**2, are far inside int64
 _VECTOR_MAX_C = 50_000
 # rows per block that the sieve lane checks against the full image at every n:
-# a handful of _proved_image calls, about 1% of the time of a 300k-slot block
+# a handful of _proved_image calls of about 23 us each, 8% of the time of lemma1 at
+# n 2,4 over c <= 3000 in 100k-slot blocks (3% in 300k-slot blocks)
 _AUDIT_ROWS = 8
 # the sieve lane's logs are sums of a dozen or so logs below 30, off by about
 # 1e-13 in float64; a prime missed or counted twice moves a log by at least ln 2
@@ -115,19 +115,19 @@ _AUDIT_TOL = 1e-6
 # bounded slack is strictly below the exact one, as on the scalar lane, which
 # _judge_rows' suspect test and argmin loop rely on.  Far below _AUDIT_TOL and ln 5
 _BOUND_MARGIN = 1e-9
-# (c, s) slots per block for the kernels that take numpy arrays.  A block's
-# float64 arrays (logs, pieces, slacks) set a sieve run's peak RSS: lemma1 over
-# c <= 3000 at n 2,4 peaks at 170 MB with 2.5M slots, 74 MB at 625k, 54 MB at
-# 300k and 45 MB at 150k, over 34 MB for the interpreter with congabc.  Below
-# 300k little is left to save, and each block's fresh arrays are paged in anew:
-# lemma2 at N 7, 13, 16 over c <= 10**4 took 4.4 s at 150k, 4.1 s at 300k and
-# 3.8 s at 2.5M
-_BLOCK_SLOTS = 300_000
+# (c, s) slots per block for the kernels that take numpy arrays.  Every block writes
+# into the workspace's pages, so the size sets the peak RSS and how much of a
+# block's ~15 buffers, most of 8 bytes a slot, stays in cache.  Swept over lemma1
+# at c <= 3000, n 2,4 (CPU s, peak RSS) and lemma2 at N = 3..50, c <= 1000 (CPU s),
+# medians of six fresh processes: 50k 0.165 s, 37.8 MB, 0.380 s; 75k 0.163, 39.2,
+# 0.379; 100k 0.161, 40.5, 0.385; 150k 0.165, 43.0, 0.397; 300k 0.181, 51.3, 0.417.
+# Below 100k the time is flat while the audits (_AUDIT_ROWS per block) grow
+_BLOCK_SLOTS = 100_000
 _TRIPLE_BLOCK = 4096  # slots, or listed solutions, per block for the per-triple kernels
-# a workspace buffer grows to an eighth more than it is asked for, so a block a few
+# a workspace buffer grows to a quarter more than it is asked for, so a block a few
 # rows longer than the one before fits the pages it already has: a block of
-# _BLOCK_SLOTS varies by at most max_c / 2 slots, under 9% below _VECTOR_MAX_C
-_WORKSPACE_HEADROOM = 8
+# _BLOCK_SLOTS varies by at most max_c / 2 slots, 25% at _VECTOR_MAX_C
+_WORKSPACE_HEADROOM = 4
 
 
 class HypothesisViolated(ValueError):
@@ -235,8 +235,8 @@ class _Workspace:
                         asked returns: _block_grid's rows, _progressions'
                         positions, _piece_values' terms, _lograd_piece's ranks,
                         _judge_rows' slacks, _k_lemma2's residues
-      "mask0", "mask1"  bool scratch, likewise
-      "logc", "lnrad_abc", "img", "lnrad_img", "even", "bounded"
+      "mask0"           bool scratch, likewise
+      "logc", "lnrad_abc", "lnrad_dd", "img", "lnrad_img", "even", "bounded"
                         the sieve lane's logs and masks (_k_vector)
       "piece", "lograd" a piece t_k (_piece_values), and the piece sieve's
                         rad(t_k), then its log (_lograd_piece)
@@ -584,7 +584,8 @@ class _Radicals:
 
     lcms, not products, since the Phi_k can share primes dividing n.  A
     Phi_k has about c**phi(k) digits where the image has c**n.  Each Phi_k
-    is computed once per solution, shared by every n with k | n (_phi).
+    is computed once per solution, shared by every n with k | n (_phi), and
+    parts(n) once per n, shared by row(n) and check (iii) of the identities.
     Each number's radical is taken once per solution by numtheory's
     radical, in the order x, y, c, dd, then the pieces by k (bound takes
     none of theirs), and shared by every n and eps; below 2**63 that needs
@@ -597,6 +598,7 @@ class _Radicals:
         self.aa = aa
         self._known: dict[int, int | FactorizationFailure] = {}
         self._phis: dict[int, int] = {}
+        self._parts: dict[int, tuple[int, int]] = {}
 
     def _rad(self, v: int) -> int:
         known = self._known.get(v)
@@ -626,8 +628,12 @@ class _Radicals:
         return [self._phi(k) for k in _piece_ks(n)]
 
     def parts(self, n: int) -> tuple[int, int]:
-        """(rad(dd), rad(4S)) at n, exactly."""
-        return self._rad(self.aa.b - self.aa.a), math.lcm(2, *map(self._rad, self.pieces(n)))
+        """(rad(dd), rad(4S)) at n, exactly, once per n."""
+        got = self._parts.get(n)
+        if got is None:
+            got = self._parts[n] = (self._rad(self.aa.b - self.aa.a),
+                                    math.lcm(2, *map(self._rad, self.pieces(n))))
+        return got
 
     def row(self, n: int) -> tuple[int, int, int, int]:
         """The row (c, rad(|a*b*c|), image c, image rad) at n, exactly."""
@@ -866,7 +872,8 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
     n = plan.n_grid[ni]
     size = len(where)
     f_in, f_img = buf("scratch0", size, np.float64), buf("scratch1", size, np.float64)
-    near, below = buf("mask0", size, bool), buf("mask1", size, bool)
+    near = buf("mask0", size, bool)
+    screen = max(tally.band, -tally.tolerance)  # above every suspect's slack
 
     def solution(p):
         return radicals(p).aa
@@ -904,11 +911,11 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
         first = (ni * len(plan.eps_grid) + ei) * len(plan.labels)
         for j, slack in enumerate(slacks):
             params = {**plan.context, "n": n, "eps": eps, **plan.labels[j]}
-            # the suspects: |slack| < band, as -band < slack < band, or slack < -tolerance
-            np.less(slack, tally.band, out=near)
-            near &= np.greater(slack, -tally.band, out=below)
-            near |= np.less(slack, -tally.tolerance, out=below)
-            suspects = np.flatnonzero(near)
+            # the suspects, |slack| < band or slack < -tolerance, from the rows below
+            # the screen, in row order
+            rows = np.flatnonzero(np.less(slack, screen, out=near))
+            under = slack[rows]
+            suspects = rows[(np.abs(under) < tally.band) | (under < -tally.tolerance)]
             tally.passed(size - len(suspects))
             for i in suspects.tolist():
                 if not make_exact(i):
@@ -993,15 +1000,18 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
     on_bounds = _takes_bounds(plan)
     radicals = functools.cache(lambda i: _Radicals(solution(i)))
     audited = _audit_rows(block_idx, size)
+    # lcm(rad_in, rad dd), the same at every n: lnrad_abc + lograd[dd] - _LN2 * even,
+    # dd = c - 2s
+    dd = np.multiply(s_arr, 2, out=ws("scratch0", size))
+    lnrad_dd = np.take(lograd, np.subtract(c_arr, dd, out=dd),
+                       out=ws("lnrad_dd", size, np.float64), mode="clip")
+    np.add(lnrad_abc, lnrad_dd, out=lnrad_dd)
+    np.subtract(lnrad_dd, _LN2, out=lnrad_dd, where=even)
     img, lnrad_img = ws("img", size, np.float64), ws("lnrad_img", size, np.float64)
     bounded = ws("bounded", size, bool)
     for ni, n in enumerate(plan.n_grid):
         bound = on_bounds and n > 2
-        # lcm(rad_in, rad dd): lnrad_abc + lograd[dd] - _LN2 * even, dd = c - 2s
-        dd = np.multiply(s_arr, 2, out=ws("scratch0", size))
-        np.take(lograd, np.subtract(c_arr, dd, out=dd), out=lnrad_img, mode="clip")
-        np.add(lnrad_abc, lnrad_img, out=lnrad_img)
-        np.subtract(lnrad_img, _LN2, out=lnrad_img, where=even)
+        np.copyto(lnrad_img, lnrad_dd)
         for k in _piece_ks(n):
             t = _piece_values(k, np.subtract(c_arr, s_arr, out=ws("piece", size)), s_arr)
             lnrad_img += (np.log(t, out=ws("scratch1", size, np.float64)) if bound
@@ -1016,7 +1026,7 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
 
         def exact(i, n=n, logs=logs):
             rads = radicals(i)
-            value = float(lnrad_abc[i] + lograd[c_arr[i] - 2 * s_arr[i]] - _LN2 * even[i])
+            value = float(lnrad_dd[i])
             for k in _piece_ks(n):
                 r = rads._rad(rads._phi(k))
                 value += np.log(r // math.gcd(r, 2 * k))
@@ -1112,23 +1122,29 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
                   radical_scale: int | None) -> None:
     """The exact identities, and the radical bound up to radical_scale, over one block.
 
-    Checks (i) and (ii) run on the whole block at once, over numpy object
-    arrays of Python ints, which never wrap, and record their failures from
-    those arrays; then the rows with c <= radical_scale take check (iii).  At
-    the t-th n, check j (0, 1, 2 for (i), (ii), (iii)) has the key (block_idx,
-    position, 3*t + j), so the tally keeps them per solution, per n, in that
-    order, however they were visited.  Check (iii) takes rad(|a*b*c|) and
-    the image radical from one _Radicals per solution, proved against
-    theta's image by _proved_image, and rad(4 * S) from its parts: check (i)
-    is what shows S = _identity_sum(c, dd, n) to be the product of the
-    pieces.
+    Checks (i) and (ii) run on the whole block at once and record their
+    failures from its arrays: int64 at an n with n * c_hi**n < 2**62, c_hi the
+    block's largest c, as no term exceeds (n/2 + 1) * c**n, else numpy object
+    arrays of Python ints, which never wrap.  Then the rows with c <=
+    radical_scale take check (iii).  At the t-th n, check j (0, 1, 2 for (i),
+    (ii), (iii)) has the key (block_idx, position, 3*t + j), so the tally
+    keeps them per solution, per n, in that order, however they were
+    visited.  Check (iii) takes rad(|a*b*c|) and the image radical from one
+    _Radicals per solution, proved against theta's image by _proved_image,
+    and rad(4 * S) from its parts: check (i) is what shows
+    S = _identity_sum(c, dd, n) to be the product of the pieces.
     """
-    c, s, _, solution = block
-    c, s = c.astype(object), s.astype(object)
-    a, b = s - c, -s
-    dd = np.abs(a - b)
-    ab = a * b  # positive
+    c_arr, s_arr, _, solution = block
+    c_hi = int(c_arr.max())
+
+    @functools.cache
+    def terms(dtype) -> tuple:
+        c, s = c_arr.astype(dtype), s_arr.astype(dtype)
+        a, b = s - c, -s
+        return c, np.abs(a - b), a * b  # ab positive
+
     for t, n in enumerate(n_grid):
+        c, dd, ab = terms(np.int64 if n * c_hi**n < 1 << 62 else object)
         power_diff = c**n - dd**n
         diff = power_diff - 4 * ab * _identity_sum(c, dd, n)
         margin = 2 * n * c ** (n - 2) - np.abs(power_diff // ab)
@@ -1138,11 +1154,12 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
             tally.passed(int(ok.sum()))
             for i in np.flatnonzero(~ok).tolist():
                 tally.failed((block_idx, i, 3 * t + j), solution(i), {"n": n, "check": check},
-                             witness=witness[i])
+                             witness=int(witness[i]))
     scale = math.inf if radical_scale is None else radical_scale
-    for local in np.flatnonzero(c <= scale).tolist():
+    for local in np.flatnonzero(c_arr <= scale).tolist():
         aa = solution(local)
         rads = _Radicals(aa)
+        dd = aa.b - aa.a
         for t, n in enumerate(n_grid):
             where, params = (block_idx, local, 3 * t + 2), {"n": n, "check": "radical-log-bound"}
             try:
@@ -1153,7 +1170,7 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
                 continue
 
             def sides(log):  # floats with math.log, and the recheck's 160 bits
-                return log(dd[local]) + log(rad_in) + log(rad_q), log(rad_img)
+                return log(dd) + log(rad_in) + log(rad_q), log(rad_img)
 
             def recheck():
                 with _at_160_bits() as mp:
@@ -1230,14 +1247,17 @@ def _verify(suite: str, params: dict, corpus, kernel, slots: int, consts: tuple,
     total = _Tally(*limits)
     with contextlib.ExitStack() as stack:
         parts = map(_run_block, jobs)
-        if workers > 1 and len(jobs) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        if workers > 1 and len(jobs) > 1:
             # not multiprocessing.Pool: its terminate can hang on a task too large
             # for the pipe (a list block), and it waits forever on a dead worker;
-            # imported here, as it adds about 15 ms to every start-up
+            # both imported here, as together they add about 20 ms to every start-up
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(ProcessPoolExecutor(min(workers, len(jobs)), mp_context=ctx))
-            parts = pool.map(_run_block, jobs)
+            if "fork" in multiprocessing.get_all_start_methods():
+                ctx = multiprocessing.get_context("fork")
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(min(workers, len(jobs)), mp_context=ctx))
+                parts = pool.map(_run_block, jobs)
         for part in parts:
             total.absorb(part)
     best = total.best

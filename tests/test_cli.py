@@ -577,13 +577,14 @@ def _sieve_run_usage(max_c: int) -> tuple[float, int]:
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is in /proc/self/status on Linux")
 def test_sieve_run_peak_rss_is_bounded_by_the_block():
     # a sieve run's peak RSS follows _BLOCK_SLOTS, not the corpus: over c <= 3000
-    # (2.25M slots) it is about 50 MB in 300k-slot blocks, about 170 MB in one block
+    # (2.25M slots) it is about 41 MB in 100k-slot blocks, 51 MB in 300k-slot blocks
+    # and about 170 MB in one block
     assert _sieve_run_usage(3000)[0] < 100
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt as Linux counts it")
 def test_sieve_run_page_faults_follow_the_block_not_the_corpus():
     # every block after the first writes into the workspace's pages: c <= 6000 has
-    # four times the slots of c <= 3000 and about as many faults (10k each).  With
+    # four times the slots of c <= 3000 and about as many faults (7k each).  With
     # fresh arrays in every block they were 47k and 174k
     assert _sieve_run_usage(6000)[1] < 1.5 * _sieve_run_usage(3000)[1]

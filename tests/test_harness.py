@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -936,6 +937,27 @@ def test_identities_injected_sum_fails_everywhere(monkeypatch):
     assert {v.params["check"] for v in s.counterexamples} == {"power-difference-identity"}
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_identities_fail_alike_on_both_sides_of_the_int64_bound(monkeypatch, workers):
+    # checks (i) and (ii) take int64 arrays at n where n * c_hi**n < 2**62, c_hi a
+    # block's largest c, else object arrays: at n = 8 the bound falls at c_hi = 165,
+    # between two blocks here, and every check (i) must fail on both sides with the
+    # witness -4ab of the object path, a Python int
+    real = harness._identity_sum
+    monkeypatch.setattr(harness, "_identity_sum", lambda c, dd, n: real(c, dd, n) + 1)
+    _small_blocks(monkeypatch, 2000)
+    spec = CorpusSpec(max_c=200)
+    c_his = [hi for _, hi, _ in harness._blocks(spec, harness._TRIPLE_BLOCK)]
+    assert 157 in c_his and 181 in c_his and 8 * 157**8 < 2**62 <= 8 * 181**8
+    s = verify_proof_identities(spec, [2, 8], radical_scale=0, workers=workers,
+                                max_counterexamples=10**6)
+    assert (s.checks, s.failures) == (2 * 2 * len(spec), 2 * len(spec))
+    expected = [((aa, n), -4 * aa.a * aa.b) for aa in spec for n in (2, 8)]
+    assert [((v.triple, v.params["n"]), v.witness) for v in s.counterexamples] == expected
+    assert {v.params["check"] for v in s.counterexamples} == {"power-difference-identity"}
+    assert {type(v.witness) for v in s.counterexamples} == {int}
+
+
 def test_identities_arrays_never_wrap(monkeypatch):
     # c**64 has 4161 bits: (i) and (ii) run on object arrays of Python ints
     big = make_solution(-(2**65 - 1), -1, 2**65)
@@ -1418,6 +1440,65 @@ def test_a_tie_between_bounded_and_exact_rows_goes_by_position():
     for corpus, position in (([aa, other, aa], 0), ([other, aa, aa], 1)):
         tally = harness._run_block((harness._k_scalar, corpus, 0, (plan,), (25, 1e-9, 1e-6)))
         assert tally.best == ((want.slack, 0, position, 0), want)
+
+
+def _judge_hand_made(monkeypatch, slacks, tolerance, band):
+    """(tally, rows judged one at a time, rows rechecked) of _judge_rows over rows
+    whose slacks are the given floats: the first log is the slack, the others 0,
+    a plan whose one check is (f_in, 0), and a recheck that returns the slack."""
+    aa = make_solution(-1, -2, 3)
+    rows = [SimpleNamespace(aa=aa, i=i) for i in range(len(slacks))]
+    judged, rechecked = [], []
+
+    def hp(rads, n, eps, plan):
+        rechecked.append(rads.i)
+        return [slacks[rads.i]]
+
+    monkeypatch.setattr(harness, "_slack_arrays", lambda plan, k, f_in, f_img: (f_in,))
+    monkeypatch.setattr(harness, "_hp_slacks", hp)
+    plan = harness._Plan((2,), (1.0,), lambda k, f_in, f_img, bound: ((f_in, 0.0),))
+    tally = harness._Tally(10**6, tolerance, band)
+    judge = tally.judge
+    tally.judge = lambda where, *rest: judged.append(where[1]) or judge(where, *rest)
+    logs = (np.array(slacks, dtype=np.float64), *(np.zeros(len(slacks)) for _ in range(3)))
+    harness._judge_rows(tally, plan, 0, 0, logs, range(len(slacks)), rows.__getitem__)
+    return tally, judged, rechecked
+
+
+# rows in every region of the suspect rule |slack| < band or slack < -tolerance,
+# the suspects among them, and the rows that fail
+_SCREENED = {
+    # tolerance <= band: the band reaches below -tolerance
+    "tolerance-below-band": (1e-9, 1e-6, [-1.0, -5e-7, -1e-9, 5e-7, 1e-6, 2.0],
+                             [0, 1, 2, 3], [0, 1]),
+    # tolerance > band: row 1, between -tolerance and -band, is no suspect
+    "tolerance-above-band": (1e-3, 1e-6, [-1.0, -1e-4, -5e-7, 5e-7, 1e-6, 2.0],
+                             [0, 2, 3], [0]),
+    # a negative tolerance: every slack below 6 fails, after its recheck
+    "tolerance--6": (-6.0, 1e-6, [-1.0, 3.0, 5e-7, 6.0, 7.0], [0, 1, 2], [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCREENED))
+def test_judge_screens_suspects_with_the_three_comparison_rule(monkeypatch, case):
+    # _judge_rows screens rows with one comparison, slack < max(band, -tolerance),
+    # then applies the rule to those rows only: the same suspects, in row order
+    tolerance, band, slacks, suspects, failing = _SCREENED[case]
+    assert suspects == [i for i, x in enumerate(slacks) if abs(x) < band or x < -tolerance]
+    tally, judged, rechecked = _judge_hand_made(monkeypatch, slacks, tolerance, band)
+    assert judged == rechecked == suspects
+    assert (tally.checks, tally.failures) == (len(slacks), len(failing))
+    assert [where[1] for where, _ in tally.counterexamples] == failing
+    assert tally.best[0][:3] == (min(slacks), 0, slacks.index(min(slacks)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_judge_refuses_a_non_finite_hand_made_slack(monkeypatch, value):
+    # a NaN or +inf slack is below no screen and -inf below every one: each is
+    # refused before any row is screened, whatever the tolerance
+    for tolerance in (1e-9, 1e-3, -6.0):
+        with pytest.raises(ValueError, match="not finite"):
+            _judge_hand_made(monkeypatch, [1.0, value, -1.0], tolerance, 1e-6)
 
 
 @pytest.mark.parametrize("sides, bound", [(harness._lemma1_sides, None),
