@@ -80,7 +80,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit
-from .numtheory import (FactorizationFailure, _prime_array, _primes_to, _trial_divide,
+from .numtheory import (FactorizationFailure, _prime_array, _primes_to, _strip, _trial_divide,
                         factorize, radical, totient)
 from .theta import (
     DEFAULT_EXPONENT_CAP,
@@ -652,7 +652,7 @@ class _Radicals:
         u = math.lcm(self.rad_in, self._rad(self.aa.b - self.aa.a))
         for k in _piece_ks(n):
             v = self._phi(k)
-            u *= v // math.gcd(v, (2 * k) ** v.bit_length())
+            u *= _strip(v, math.gcd(v, 2 * k))
         return c, self.rad_in, c**n >> (n if c % 2 == 0 else 0), u
 
 

@@ -17,12 +17,9 @@ runs four stages:
   split by an exact k-th root rather than by rho;
 - Brent's variant of Pollard's rho, with an iteration budget.
 
-radical needs no split below 2**63: it trial divides every such n up to
-its cube root, by the primes below _CUBE_BOUND = 2**21, and the
-cofactor left is 1, p, p*q or p**2, whose radical one isqrt decides.
-From 2**63 on it trial divides by the primes below 10**5 only, and a
-cofactor of 10**15 = _TRIAL_BOUND**3 or more goes on to the last three
-stages (_split), which factorize shares.
+radical finds the primes below 1000 by one gcd with their product, takes
+the numpy remainder only for a cofactor of 1009**3 or more, and needs the
+last three stages (_split, which factorize shares) only from 2**63 on.
 """
 
 from __future__ import annotations
@@ -41,10 +38,10 @@ _TRIAL_BOUND = 100_000
 # one int64 remainder away, with no limbs.  Above 2**63 it keeps _TRIAL_BOUND,
 # where each prime costs a limb remainder and rho decides the cofactor anyway.
 _CUBE_BOUND = 1 << 21
-# The trial primes below _LOOP_BOUND (168 of them) are tried one at a time
-# in Python, which beats a numpy call on the many small arguments; with no
-# other stage that loop fully factors every n < 1009**2, 1009 being the
-# next prime.  Only larger n reach the numpy stage.
+# The primes below _LOOP_BOUND (168 of them): _trial_divide tries them one at
+# a time in Python, which beats a numpy call on small arguments, and radical
+# finds them by one gcd with their product.  A cofactor without them has no
+# prime below 1009, so below 1009**3 at most two; only above, the numpy stage.
 _LOOP_BOUND = 1000
 _LIMB_BITS = 30  # r * 2**30 + limb < 2**47 for r < p < 2**17: exact in int64
 DEFAULT_RHO_BUDGET = 1 << 26
@@ -103,13 +100,16 @@ def valuation2(n: int) -> int:
 
 
 def _prime_array(limit: int) -> np.ndarray:
-    """The primes up to limit, ascending (sieve of Eratosthenes)."""
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
+    """The primes up to limit, ascending, as int64 (sieve of Eratosthenes)."""
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    sieve = np.ones((limit + 1) // 2, dtype=bool)  # sieve[i] stands for 2*i + 1
+    sieve[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = False
+    return np.concatenate((np.array([2], dtype=np.int64), 2 * np.flatnonzero(sieve) + 1))
 
 
 # the one prime array kept, as [bound, the primes up to bound]
@@ -130,6 +130,21 @@ def _primes_to(limit: int) -> np.ndarray:
 def _loop_primes() -> tuple[int, ...]:
     """The trial primes below _LOOP_BOUND, as Python ints for the loop."""
     return tuple(_primes_to(_LOOP_BOUND).tolist())
+
+
+@functools.cache
+def _loop_product() -> int:
+    """The product of the loop primes: its gcd with n is their part of rad(n)."""
+    return math.prod(_loop_primes())
+
+
+def _strip(n: int, h: int) -> int:
+    """n with every prime of h divided out, for h | n: each next h = gcd(n, h*h)
+    keeps the primes of h left in n, so p**e goes in about log2(e) rounds."""
+    while h > 1:
+        n //= h
+        h = math.gcd(n, h * h)
+    return n
 
 
 @functools.cache
@@ -333,14 +348,13 @@ def rho_budget() -> int:
     return budget
 
 
-def _trial_divide(n: int, root: int = 2, top: int = _TRIAL_BOUND) -> tuple[dict[int, int], int]:
+def _trial_divide(n: int, root: int = 2) -> tuple[dict[int, int], int]:
     """(counts, cofactor): the exponents in n >= 1 of the primes p below
-    top with p**root <= n, and n with them divided out.  n shrinks as
-    primes are divided out, so the cofactor m keeps no such prime with
+    _TRIAL_BOUND with p**root <= n, and n with them divided out.  n shrinks
+    as primes are divided out, so the cofactor m keeps no such prime with
     p**root <= m.  Those below _LOOP_BOUND are tried in a Python loop, the
     rest up to the root of n as one numpy remainder (_residues); only the
-    primes that divide n are divided out.  From 2**63 on, _residues takes
-    limbs, which needs top <= 2**17."""
+    primes that divide n are divided out."""
     counts: dict[int, int] = {}
     small = _loop_powers(root)
     for p, power in small:
@@ -349,7 +363,7 @@ def _trial_divide(n: int, root: int = 2, top: int = _TRIAL_BOUND) -> tuple[dict[
         if n % p == 0:
             n = _divide_out(n, p, counts)
     else:  # the loop primes ran out before p**root > n
-        primes = _primes_to(_iroot(n, root) if n < top**root else top - 1)[len(small):]
+        primes = _primes_to(min(_iroot(n, root), _TRIAL_BOUND - 1))[len(small):]
         for p in primes[_residues(n, primes) == 0].tolist():
             n = _divide_out(n, p, counts)
     return counts, n
@@ -402,25 +416,28 @@ def _split(counts: dict[int, int], m: int) -> Factorization:
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n >= 1; radical(1) = 1.
 
-    Trial division up to the cube root (_trial_divide at root 3) by the
-    primes below top leaves a cofactor m with no prime factor p < top with
-    p**3 <= m.  Below top**3 no larger prime has p**3 <= m either, so every
-    prime factor of m exceeds its cube root: m is 1, p, p*q or p**2, and its
-    radical is isqrt(m) when m is a square, else m, with no primality test
-    and no rho (the n**(1/3) bound of Lehman's method).  top is _CUBE_BOUND
-    below 2**63 = _CUBE_BOUND**3, so every such n takes this path, and
-    _TRIAL_BOUND from there on.  A cofactor of 10**15 = _TRIAL_BOUND**3 or
-    more was tried against every prime below _TRIAL_BOUND, so _split takes
-    it as factorize does, with no second trial division.
+    gcd(n, _loop_product()) is the part of the loop primes, and _strip divides
+    it out.  The cofactor m below 1009**3, or once trial divided up to its
+    cube root by the primes below top (the numpy stage), has every prime
+    factor above its cube root: m is 1, p, p*q or p**2, and its radical is
+    isqrt(m) when m is a square, else m, with no primality test and no rho
+    (the n**(1/3) bound of Lehman's method).  top is _CUBE_BOUND for n below
+    2**63 = _CUBE_BOUND**3, and _TRIAL_BOUND from there on, where a cofactor
+    of 10**15 = _TRIAL_BOUND**3 or more goes to _split as in factorize.
     """
     if n < 1:
         raise ValueError("radical expects n >= 1")
-    top = _CUBE_BOUND if n < 1 << 63 else _TRIAL_BOUND
-    counts, m = _trial_divide(n, 3, top)
-    if m >= top**3:
-        return _split(counts, m).radical_value()
+    rad = math.gcd(n, _loop_product())
+    m = _strip(n, rad)
+    if m >= 1009**3:  # else m has at most two primes, each at least 1009
+        top = _CUBE_BOUND if n < 1 << 63 else _TRIAL_BOUND
+        primes = _primes_to(min(_iroot(m, 3), top - 1))[len(_loop_primes()):]
+        found = math.prod(primes[_residues(m, primes) == 0].tolist())
+        rad, m = rad * found, _strip(m, found)
+        if m >= top**3:
+            return rad * _split({}, m).radical_value()
     r = math.isqrt(m)
-    return math.prod(counts, start=r if r * r == m else m)
+    return rad * (r if r * r == m else m)
 
 
 def totient(n: int) -> int:

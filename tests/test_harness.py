@@ -1420,6 +1420,19 @@ def test_bounded_rows_agree_with_exact_rows(monkeypatch, run):
         assert _same_summary(s, verify_lemma1(corpus, n_grid, eps_grid, workers=workers, **kw))
 
 
+def test_bound_strips_the_primes_of_2k_as_the_power_gcd_did():
+    # U divides each piece Phi_k(c, dd) by every power of the primes of 2k; the
+    # gcd strip must give the same U as dividing by gcd(v, (2k)**bitlen(v))
+    for aa in CorpusSpec(200):
+        rads = harness._Radicals(aa)
+        for n in (4, 6, 8, 12, 16, 30):
+            u = math.lcm(rads.rad_in, radical(aa.b - aa.a))
+            for k in harness._piece_ks(n):
+                v = rads._phi(k)
+                u *= v // math.gcd(v, (2 * k) ** v.bit_length())
+            assert rads.bound(n)[3] == u, (aa, n)
+
+
 def test_a_tie_between_bounded_and_exact_rows_goes_by_position():
     # (-4, -3, 7) at n = 4: Phi_4(7, 1) = 2 * 5**2, so U = 5 * rad and the
     # bounded slack is below the exact one, 9.98; once made exact it ties with

@@ -89,6 +89,21 @@ def test_primes_to_slices_one_array(monkeypatch):
     assert [ref() is not None for ref in built] == [False, False, True]
 
 
+def test_prime_array_matches_a_plain_sieve():
+    # the odd-only sieve gives the same int64 primes as a plain sieve over all n
+    def plain(limit):
+        flags = [False, False] + [True] * (limit - 1)
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p :: p] = [False] * len(range(p * p, limit + 1, p))
+        return [n for n in range(limit + 1) if flags[n]]
+
+    for limit in [*range(201), 1024, 1 << 17, 1 << 21]:
+        primes = _prime_array(limit)
+        assert primes.dtype == np.int64, limit
+        assert primes.tolist() == plain(limit), limit
+
+
 def test_factorize_mersenne_67():
     # classic known answer, forces the rho path on a 67-bit composite
     f = factorize(2**67 - 1)
@@ -294,24 +309,86 @@ def test_radical_cube_root_rule_matches_factorize():
 
 
 def test_radical_from_2_63_trial_divides_once(monkeypatch):
-    # from 2**63 on, trial division stops at 10**5, and a cofactor of 10**15 or
-    # more has met every trial prime, so the stages after trial division take it
-    # as it is, not n from the start again
+    # from 2**63 on, the numpy stage runs once, on the cofactor the gcd with the
+    # loop primes leaves, over the primes from 1009 to below 10**5; a cofactor
+    # of 10**15 or more has then met every trial prime, so _split takes it as
+    # it is, not n from the start again
     p, q = 100_000_007, 100_000_037
     calls = []
-    real = numtheory._trial_divide
+    real_residues, real_split = numtheory._residues, numtheory._split
 
-    def spy(n, root=2, top=numtheory._TRIAL_BOUND):
-        calls.append((n, top))
-        return real(n, root, top)
+    def residues_spy(n, primes):
+        calls.append(("residues", n, primes[0], primes[-1]))
+        return real_residues(n, primes)
 
-    monkeypatch.setattr(numtheory, "_trial_divide", spy)
-    for n, want in ((12 * 997 * p * q, 6 * 997 * p * q), (7 * 99_991 * p * p, 7 * 99_991 * p),
-                    (p**3, p)):
+    def split_spy(counts, m):
+        calls.append(("split", m))
+        return real_split(counts, m)
+
+    monkeypatch.setattr(numtheory, "_residues", residues_spy)
+    monkeypatch.setattr(numtheory, "_split", split_spy)
+    below = _prev_prime(numtheory._TRIAL_BOUND)
+    for n, want, stages in (
+        (12 * 997 * 1009 * p * q, 6 * 997 * 1009 * p * q,
+         [("residues", 1009 * p * q, 1009, below), ("split", p * q)]),
+        (7 * 99_991 * p * p, 7 * 99_991 * p,
+         [("residues", 99_991 * p * p, 1009, below), ("split", p * p)]),
+        (p**3, p, [("residues", p**3, 1009, below), ("split", p**3)]),
+        (12 * 997 * p * q, 6 * 997 * p * q, [("residues", p * q, 1009, below), ("split", p * q)]),
+    ):
         assert n >= 1 << 63
         calls.clear()
         assert radical(n) == want
-        assert calls == [(n, numtheory._TRIAL_BOUND)]
+        assert calls == stages, n
+
+
+_LOOP_PRIMORIAL = math.prod(numtheory._loop_primes())
+
+
+def test_radical_where_gcd_and_numpy_stages_meet():
+    # high powers of loop primes, cofactors on both sides of 1009**2 and
+    # 1009**3, the loop primorial and its square, and a number from 2**63 on
+    p, q = 100_000_007, 100_000_037
+    cases = [1, 2**62, 3**39, 997**6,
+             997**3, 997**2 * 1009, 1009**2, 1009**3 - 1, 1009**3, 1009 * 1013 * 1019,
+             _LOOP_PRIMORIAL, _LOOP_PRIMORIAL**2, 12 * 997 * p * q]
+    assert 12 * 997 * p * q >= 1 << 63
+    for n in cases:
+        assert radical(n) == factorize(n).radical_value(), n
+
+
+_NEAR_PRIMES = [p for p in _prime_array(1100).tolist() if p > 1000] + _ABOVE_PRIMES[:10]
+
+
+@given(
+    st.dictionaries(st.sampled_from(numtheory._loop_primes()), st.integers(1, 40), max_size=10),
+    st.sampled_from(_NEAR_PRIMES), st.sampled_from(_NEAR_PRIMES), st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_radical_of_loop_primes_times_a_small_cofactor(small, p, q, shape):
+    # loop primes to any power, stripped by gcds, times a cofactor 1, p, p*q or
+    # p**2 with p and q just above 1000 or just above 10**5
+    n = math.prod(r**e for r, e in small.items()) * (1, p, p * q, p * p)[shape]
+    want = math.prod(small) * (1, p, math.lcm(p, q), p)[shape]
+    assert radical(n) == factorize(n).radical_value() == want
+
+
+def test_radical_skips_the_numpy_stage_below_1009_cubed(monkeypatch):
+    # a cofactor below 1009**3 left by the gcd is 1, p, p*q or p**2: one isqrt,
+    # no remainder over the primes above 1000
+    rng = random.Random(31)
+    cases = [*range(1, 20_001), 2**62, 997**6 * 1009**2, 1009**3 - 1, 1009 * 1013,
+             _LOOP_PRIMORIAL**2 * 32_003**2, 12 * 997 * 1009 * 1013]
+    assert all(numtheory._strip(n, math.gcd(n, _LOOP_PRIMORIAL)) < 1009**3 for n in cases)
+    cases += [rng.randrange(1, 1009**3) for _ in range(2000)]
+    want = {n: factorize(n).radical_value() for n in cases}
+    calls = []
+    real = numtheory._residues
+    monkeypatch.setattr(numtheory, "_residues",
+                        lambda n, primes: calls.append(n) or real(n, primes))
+    assert {n: radical(n) for n in cases} == want
+    assert calls == []
+    assert radical(1009**3) == 1009 and calls == [1009**3]  # the spy sees the stage
 
 
 def _refuse_below_2_63(monkeypatch):
