@@ -22,30 +22,19 @@ identity checks are exact integer arithmetic throughout.
 Two lanes.  lemma1 and the chain (lemma1 at n = totient(N), rearranged)
 are one plan of checks (_Plan) over the logs of one row per solution and
 n, (c, rad, image c, image rad): c and rad(|a*b*c|) of the solution and
-of its image under theta.  The image radical is lcm(rad|abc|, rad d,
-rad 4S), d = |a - b| and S the product of the cyclotomic pieces.  The
-scalar lane takes each row from _Radicals.row, which factors those parts,
-not the image; for a CorpusSpec with c <= _VECTOR_MAX_C at n in {2, 4, 6}
-the sieve lane adds the same factors' logs a block at a time, from one
-radical table and the values of the pieces (_piece_values).  Both lanes
-judge lemma1's rows at an n with a piece on a multiple U of the image
-radical (_Radicals.bound; the sieve lane adds each piece's log whole),
-and both judge the arrays of logs with the same code, which makes a row
-exact only for a suspect or the extremal.  The chain's rows are exact,
-its pieces' radicals on the sieve lane from the piece sieve
-(_lograd_piece), which multiplies their primes into integers, and a
-sieve row made exact reads the same integers from _Radicals: each takes
-one np.log of each.  The full image, through theta, is the independent
-oracle, and both its readers return the same row: _proved_image proves
-_Radicals' row by exact division (_is_radical), or that every prime of
-the image divides U, for the 160-bit rechecks, the identities' radical
-bound, the sieve lane's rows made exact and the audit of _AUDIT_ROWS
-seeded positions of every block at every n, in the sieve lane and of the
-scalar lane's bounds; the scalar lane's audit of each block's first
-solution factors the image instead (_exact_radicals).  The sieve lane's
-numbers are below 3 * _VECTOR_MAX_C**2 < 10**10, where radical needs
-trial division alone, so that lane, its rechecks included, never calls
-factorize.
+of its image under theta.  Both lanes take those logs by one float
+formula (_judge_logs), from np.log of rad|a|, rad|b|, rad c, rad |a - b|
+and a part of each cyclotomic piece of the image.  The scalar lane reads
+these integers from each solution's _Radicals, which factors them, not
+the image; for a CorpusSpec with c <= _VECTOR_MAX_C at n in {2, 4, 6} the
+sieve lane reads the same integers a block at a time from one radical
+table, the pieces' values and their sieve.  So the lanes agree bit for
+bit.  The full image, through theta, is the independent oracle
+(_proved_image, _exact_radicals) of the 160-bit rechecks, the identities'
+radical bound, every row made exact and the audit of _AUDIT_ROWS seeded
+positions of every block at every n.  The sieve lane's numbers are below
+3 * _VECTOR_MAX_C**2 < 10**10, where radical needs trial division alone,
+so that lane, its rechecks included, never calls factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, of the size the suite names, never by
@@ -73,7 +62,6 @@ import math
 import operator
 import random
 import time
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -103,18 +91,22 @@ _LN2 = math.log(2.0)
 # tables and root-sieve passes (primes up to sqrt(3) * max_c); the values sieved,
 # below 3 * max_c**2, are far inside int64
 _VECTOR_MAX_C = 50_000
-# rows per block that the sieve lane checks against the full image at every n:
+# rows per block that both lanes check against the full image at every n:
 # a handful of _proved_image calls of about 23 us each, 8% of the time of lemma1 at
 # n 2,4 over c <= 3000 in 100k-slot blocks (3% in 300k-slot blocks)
 _AUDIT_ROWS = 8
-# the sieve lane's logs are sums of a dozen or so logs below 30, off by about
-# 1e-13 in float64; a prime missed or counted twice moves a log by at least ln 2
+# a row's logs, in both lanes, are sums of a few logs of integers, each off by about
+# an ulp in float64, about 1e-13 at the sieve lane's sizes; a prime missed or
+# counted twice moves a log by at least ln 2
 _AUDIT_TOL = 1e-6
-# added to the sieve lane's log of U, which like the exact log is a sum of logs and,
-# where U is the radical, differs from it by float error alone, about 1e-13: so a
-# bounded slack is strictly below the exact one, as on the scalar lane, which
-# _judge_rows' suspect test and argmin loop rely on.  Far below _AUDIT_TOL and ln 5
+# added to the log of U: where U is the radical its log is the exact one, the same
+# floats summed in the same order, so a bounded slack is strictly below the exact
+# one, which _judge_rows' suspect test and argmin loop rely on.  Far below
+# _AUDIT_TOL and ln 5, the least U / radical above 1
 _BOUND_MARGIN = 1e-9
+# the least integer that float() cannot round to a float64: the largest float64,
+# 2**1024 - 2**971, plus half its ulp
+_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
 # (c, s) slots per block for the kernels that take numpy arrays.  Every block writes
 # into the workspace's pages, so the size sets the peak RSS and how much of a
 # block's ~15 buffers, most of 8 bytes a slot, stays in cache.  Swept over lemma1
@@ -237,7 +229,7 @@ class _Workspace:
                         _judge_rows' slacks, _k_lemma2's residues
       "mask0"           bool scratch, likewise
       "logc", "lnrad_abc", "lnrad_dd", "img", "lnrad_img", "even", "bounded"
-                        the sieve lane's logs and masks (_k_vector)
+                        the sieve lane's logs and masks (_k_vector, _judge_logs)
       "piece", "lograd" a piece t_k (_piece_values), and the piece sieve's
                         rad(t_k), then its log (_lograd_piece)
     """
@@ -429,14 +421,14 @@ def _corpus_hash(corpus, size: int) -> str:
 
 def _piece_values(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """t_k = q_k(x, y) with the primes of 2k divided out, k a key of _FORMS:
-    the piece Phi_k(c, d) as _Radicals.bound takes it.
+    the piece Phi_k(c, d) as _Radicals.piece takes it on a bounded row.
 
-    x = c - s and y = s are a block's corpus pairs.  rad_in has the primes
-    of 2k: 2 divides one of x, y and c, 3 divides q_3 only when 3 | y and
-    q_6 only when 3 | x.  Every other prime p of q_k is 1 mod k and divides
-    none of x, y, c or d, nor another piece of the same n, so the logs of
-    t_k's primes add to the others as the primes of the lcm that _Radicals
-    takes.  t_k is written over x, whose buffer the caller chooses.
+    x = c - s and y = s are a block's corpus pairs.  rad_in has the primes of
+    2k: 2 divides one of x, y and c, 3 divides q_3 only when 3 | y and q_6 only
+    when 3 | x.  Every other prime p of q_k is 1 mod k and divides none of x, y,
+    c or d, nor another piece of the same n, so the logs of t_k's primes add to
+    the others as the primes of the lcm that _Radicals takes; so do d's odd
+    primes, as gcd(d, x*y) = 1 and gcd(d, c) | 2.  t_k is written over x.
     """
     a, b = _FORMS[k]
     size = len(x)
@@ -468,22 +460,19 @@ def _lograd_piece(k: int, t: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
 
     The primes go in bulk, an octave [2**j, 2**(j+1)) at a time: one
     _progressions call over primes x rows x roots gives every hit of the
-    octave.  An octave's hits number about slots/(j ln 2), so a pass holds
-    less than a block's worth.  np.floor_divide.at divides an element hit
-    by several primes once per prime, then again while p still divides, as
-    p**2 can divide q_k even with p above the row length (c = 7, s = 3:
-    q_4 = 5**2).  A hit that p does not divide is a wrong table or value,
-    InternalRadicalMismatch, where the division would go on forever.
+    octave, about slots/(j ln 2), less than a block's worth.
+    np.floor_divide.at divides an element hit by several primes once per
+    prime, then again while p still divides, as p**2 can divide q_k even with
+    p above the row length (c = 7, s = 3: q_4 = 5**2).  A hit that p does not
+    divide is a wrong table or value, InternalRadicalMismatch, where the
+    division would go on forever.
 
     The bound: with q_k = a*x**2 + b*y**2, c**2 - x**2 = y*(c + x) and
-    b*y < a*(c + x) (y < x, and b <= 3a), so q_k < a*c**2.  Each prime p
-    is sieved over the rows with a*c**2 >= p**2, so row c has lost every
-    prime p with p**2 <= a*c**2.  A composite cofactor m would have a
-    prime factor q with q**2 <= m < a*c**2, sieved already; so what is
-    left is 1 or one prime, the radical's last factor, and no row needs a
-    fallback.  The radical, below 3 * _VECTOR_MAX_C**2 < 2**53, is exact
-    in int64 and float64, and its one np.log is the float of any route to
-    it (a row made exact reads it from _Radicals).
+    b*y < a*(c + x) (y < x, and b <= 3a), so q_k < a*c**2.  Row c is sieved
+    by every prime p with p**2 <= a*c**2, so a composite cofactor m, with a
+    prime factor q, q**2 <= m < a*c**2, cannot be left: what is left is 1 or
+    the radical's last prime.  The radical, below 3 * _VECTOR_MAX_C**2 <
+    2**53, is exact in float64, and its np.log is that of _Radicals.piece's.
     """
     a = _FORMS[k][0]
     cs, reps, starts, keep = grid
@@ -558,11 +547,9 @@ def _mobius_divisors(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _cyclotomic(k: int, c: int, dd: int) -> int:
     """Phi_k(c, dd), the homogeneous cyclotomic value, in one step: the product of
-    (c**j - dd**j)**mu(k/j) over j | k, the factors with mu = +1 multiplied and
-    their product divided exactly by that of the factors with mu = -1 (Moebius
-    inversion of c**k - dd**k = the product of the Phi_j(c, dd) over j | k).
-    No factor is 0 while |dd| != c, which holds for every solution: |a - b| = c
-    would need a = 0 or b = 0."""
+    (c**j - dd**j)**mu(k/j) over j | k (Moebius inversion of c**k - dd**k = the
+    product of the Phi_j(c, dd) over j | k), the factors with mu = -1 dividing
+    exactly.  No factor is 0, as |dd| = |a - b| = c would need a = 0 or b = 0."""
     up, down = _mobius_divisors(k)
     return math.prod(c**j - dd**j for j in up) // math.prod(c**j - dd**j for j in down)
 
@@ -582,16 +569,11 @@ class _Radicals:
 
         rad(|A*B*C|) = lcm(rad_in, rad(dd), rad(4S)),  rad(4S) = lcm(2, rad(Phi_k(c, dd)), ...)
 
-    lcms, not products, since the Phi_k can share primes dividing n.  A
-    Phi_k has about c**phi(k) digits where the image has c**n.  Each Phi_k
-    is computed once per solution, shared by every n with k | n (_phi), and
-    parts(n) once per n, shared by row(n) and check (iii) of the identities.
-    Each number's radical is taken once per solution by numtheory's
-    radical, in the order x, y, c, dd, then the pieces by k (bound takes
-    none of theirs), and shared by every n and eps; below 2**63 that needs
-    trial division alone.  A FactorizationFailure is kept and raised again
-    for the same number, so a composite that resists the budget costs one
-    rho run per solution, though row(n) raises it at every n that needs it.
+    lcms, not products, since the Phi_k can share primes dividing n.  Each
+    Phi_k is computed once per solution (_phi), parts(n) once per n, and each
+    number's radical once (_rad), shared by every n and eps.  A
+    FactorizationFailure is kept and raised again for the same number, so a
+    composite that resists the budget costs one rho run per solution.
     """
 
     def __init__(self, aa: ABCSolution):
@@ -641,29 +623,33 @@ class _Radicals:
         return (c, self.rad_in, c**n >> (n if c % 2 == 0 else 0),
                 math.lcm(self.rad_in, *self.parts(n)))
 
+    def piece(self, k: int, bound: bool) -> int:
+        """The piece Phi_k(c, dd) with the primes of 2k divided out, t_k, where
+        bound, no radical taken; else rad(t_k), the primes the piece adds to the
+        image radical."""
+        v = self._phi(k)
+        if bound:
+            return _strip(v, math.gcd(v, 2 * k))
+        r = self._rad(v)
+        return r // math.gcd(r, 2 * k)
+
     def bound(self, n: int) -> tuple[int, int, int, int]:
         """The row at n with U for the image radical, no piece factored: U is
-        lcm(rad_in, rad(dd)) times each piece Phi_k(c, dd) with the primes of 2k
-        divided out, a multiple of the image radical.  2 divides rad_in, and an
-        odd p | k that divides Phi_k(c, dd) divides Phi_m(c, dd), m = k / p**v
-        (Roitman, "On Zsigmondy primes", Proc. AMS 125, 1997): x or y for
-        m <= 2, else the piece Phi_m, which keeps p.  So no prime is lost."""
-        c = self.aa.c
-        u = math.lcm(self.rad_in, self._rad(self.aa.b - self.aa.a))
-        for k in _piece_ks(n):
-            v = self._phi(k)
-            u *= _strip(v, math.gcd(v, 2 * k))
+        lcm(rad_in, rad(dd)) times each t_k (piece), a multiple of the image
+        radical.  2 divides rad_in, and an odd p | k that divides Phi_k(c, dd)
+        divides Phi_m(c, dd), m = k / p**v (Roitman, "On Zsigmondy primes",
+        Proc. AMS 125, 1997): x or y for m <= 2, else the piece Phi_m, which
+        keeps p.  So no prime is lost."""
+        c, u = self.aa.c, math.lcm(self.rad_in, self._rad(self.aa.b - self.aa.a))
+        u *= math.prod(self.piece(k, True) for k in _piece_ks(n))
         return c, self.rad_in, c**n >> (n if c % 2 == 0 else 0), u
 
 
 def _proved_image(rads: _Radicals, n: int, bound: bool = False) -> tuple[int, int, int, int]:
     """rads.row(n), the row of _exact_radicals, once proved to be that of the full
-    image |A*B*C| from theta: InternalRadicalMismatch unless it is.  With bound,
-    rads.bound(n), once every prime of the image is proved to divide its U.
-
-    The image radical from the parts, a product of distinct primes, is
-    proved by exact division (_is_radical), without factoring the image.
-    """
+    image |A*B*C| from theta by exact division (_is_radical), without factoring
+    the image: InternalRadicalMismatch unless it is.  With bound, rads.bound(n),
+    once every prime of the image is proved to divide its U."""
     row = rads.bound(n) if bound else rads.row(n)
     img = theta(rads.aa, n).output
     m = abs(img.a * img.b * img.c)
@@ -769,6 +755,16 @@ class _Tally:
 # lemma1 and the chain: one formula each, for floats, arrays and mpf
 
 
+def _logs(values) -> np.ndarray:
+    """np.log of the float64 of each integer of a sequence, as a row takes every log,
+    or math.log from _FLOAT_LIMIT on, which no float64 holds: the rule goes by the
+    value, not the lane (the sieve lane's numbers are below 2**53)."""
+    logs = np.log(np.array([v if v < _FLOAT_LIMIT else 1 for v in values], dtype=np.float64))
+    for i in (i for i, v in enumerate(values) if v >= _FLOAT_LIMIT):
+        logs[i] = math.log(values[i])
+    return logs
+
+
 def _merits(k: LemmaConstants, logc, lnrad_in, ln_c_img, lnrad_img) -> tuple:
     """(f(solution, eps), f(image, eps_out)) from the four logs."""
     return logc - (1.0 + k.epsilon) * lnrad_in, ln_c_img - (1.0 + k.eps_out) * lnrad_img
@@ -837,9 +833,8 @@ def _at_160_bits():
 def _hp_slacks(rads: _Radicals, n: int, eps: float, plan: _Plan) -> list:
     """The slacks of plan's checks of one solution at (n, eps), at 160 bits, from
     _proved_image of the _Radicals its row was judged from, so no radical is taken
-    twice.  None gives up: on the scalar lane a row is made exact, its radicals
-    taken, before it is rechecked, and the sieve lane's numbers need trial division
-    alone."""
+    twice.  None gives up: a row is made exact, its radicals taken, before it is
+    rechecked."""
     row = _proved_image(rads, n)
     with _at_160_bits() as mp:
         k = _constants(n, mp.mpf(eps), mp.log)
@@ -942,16 +937,16 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
 
 
 def _audit_rows(block_idx: int, size: int) -> list[int]:
-    """The block positions the sieve lane audits: a sample drawn by a generator
+    """The block positions both lanes audit: a sample drawn by a generator
     seeded from the block index alone, so it does not depend on the workers.
     (random, not numpy.random: importing that adds about 2 MB to a run's RSS.)"""
     return sorted(random.Random(block_idx).sample(range(size), min(size, _AUDIT_ROWS)))
 
 
 def _audit_logs(got: tuple, rads: _Radicals, n: int, bound: bool = False) -> None:
-    """Compare the sieve lane's four logs of one row with those of _proved_image's
-    row, the full image, or with bound those of its U: a difference above
-    _AUDIT_TOL raises InternalRadicalMismatch."""
+    """Compare the four logs of one row with those of _proved_image's row, the full
+    image, or with bound those of its U: a difference above _AUDIT_TOL raises
+    InternalRadicalMismatch."""
     want = tuple(map(math.log, _proved_image(rads, n, bound)))
     if any(abs(g - w) > _AUDIT_TOL for g, w in zip(got, want)):
         raise InternalRadicalMismatch(
@@ -961,118 +956,123 @@ def _audit_logs(got: tuple, rads: _Radicals, n: int, bound: bool = False) -> Non
 
 
 def _takes_bounds(plan: _Plan) -> bool:
-    """Whether plan's rows at an n with a piece are judged on a multiple of the
-    image radical (_Radicals.bound): lemma1's, whose slacks fall as it grows, but
-    not the chain's, whose second check and hypothesis rise with it."""
+    """Whether plan's rows at an n with a piece are judged on a multiple of the image
+    radical (_Radicals.bound): lemma1's, whose slacks fall as it grows, not the chain's."""
     return plan.sides is _lemma1_sides
 
 
-def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> None:
-    """plan's checks over one c-range of a CorpusSpec, the logs from sieve tables.
+def _judge_logs(tally: _Tally, plan: _Plan, block_idx: int, nis, logc: np.ndarray,
+                lograds: tuple, even: np.ndarray, pieces, where, radicals, audit, buf) -> None:
+    """plan's checks at plan.n_grid[ni], ni in nis, over the rows of one block, by
+    the float formula of both lanes, from np.log of integers (_logs).
 
-    The image radical is _Radicals' lcm(rad_in, rad(dd), rad(4S)) in logs, each term
-    the log of the primes its factor adds: log rad_in, log rad(dd) less ln 2 where c
-    is even, then the pieces q_k, k | n.  One of x = |a|, y = |b| and c is even, so
-    2 | rad_in; gcd(dd, x) = gcd(y, x) = 1, likewise for y, and gcd(dd, c) | 2, so
-    the odd primes of dd (of c's parity) are new; a piece's primes dividing 2k are
-    in rad_in (_piece_values).
+    where and radicals are _judge_rows'.  logc holds log c, lograds log rad of
+    |a|, |b|, c and d = |a - b| (summed in place), even marks the rows of even c,
+    and pieces(n, bound) gives the log of each piece k | n, k > 2.  At n, each
+    term the log of the primes its factor adds to the image radical (_piece_values):
 
-    lemma1 adds each piece t_k whole, so its last log at n in {4, 6} is that of
-    _Radicals.bound's U, raised by _BOUND_MARGIN, and _judge_rows takes those rows
-    as bounded: a row made exact adds np.log of each rad(t_k), read from the
-    _Radicals it is audited with (_proved_image).  The chain, whose hypothesis
-    needs the radical itself, takes the piece sieve (_lograd_piece), np.log of the
-    same integers.  Each piece is built, logged and dropped in one buffer.  The
-    rows of _audit_rows are audited at every n, the bounded ones against their U.
+      log rad_in = (log rad|a| + log rad|b|) + log rad c
+      lnrad_dd   = log rad_in + log rad d, less ln 2 where c is even
+      image c    = n * log c, less n * ln 2 where c is even
+      image rad  = lnrad_dd + the log of each piece
+
+    lemma1's rows at an n with a piece are bounded (_takes_bounds): each piece
+    is t_k, so the last log is that of _Radicals.bound's U, plus _BOUND_MARGIN,
+    and exact(i) makes row i exact with rad(t_k), as the other rows take it
+    (_Radicals.piece).  The rows of audit, at every n, and those made exact are
+    audited (_audit_logs).  Arrays come from buf, as in _judge_rows.
     """
-    lograd = _radical_table(max_c)
-    c_arr, s_arr, grid, solution = block
-    size, ws = len(c_arr), _WORKSPACE
-    aabs = np.subtract(c_arr, s_arr, out=ws("scratch0", size))
-    logc = np.log(c_arr, out=ws("logc", size, np.float64))
-    # lograd[aabs] + lograd[s] + lograd[c], every index at most max_c
-    lnrad_abc = np.take(lograd, aabs, out=ws("lnrad_abc", size, np.float64), mode="clip")
-    term = ws("scratch1", size, np.float64)
-    lnrad_abc += np.take(lograd, s_arr, out=term, mode="clip")
-    lnrad_abc += np.take(lograd, c_arr, out=term, mode="clip")
-    even = np.equal(np.bitwise_and(c_arr, 1, out=ws("scratch1", size)), 0,
-                    out=ws("even", size, bool))
-    on_bounds = _takes_bounds(plan)
-    radicals = functools.cache(lambda i: _Radicals(solution(i)))
-    audited = _audit_rows(block_idx, size)
-    # lcm(rad_in, rad dd), the same at every n: lnrad_abc + lograd[dd] - _LN2 * even,
-    # dd = c - 2s
-    dd = np.multiply(s_arr, 2, out=ws("scratch0", size))
-    lnrad_dd = np.take(lograd, np.subtract(c_arr, dd, out=dd),
-                       out=ws("lnrad_dd", size, np.float64), mode="clip")
-    np.add(lnrad_abc, lnrad_dd, out=lnrad_dd)
-    np.subtract(lnrad_dd, _LN2, out=lnrad_dd, where=even)
-    img, lnrad_img = ws("img", size, np.float64), ws("lnrad_img", size, np.float64)
-    bounded = ws("bounded", size, bool)
-    for ni, n in enumerate(plan.n_grid):
-        bound = on_bounds and n > 2
+    lnrad_abc, lnrad_b, lnrad_c, lnrad_dd = lograds
+    np.add(np.add(lnrad_abc, lnrad_b, out=lnrad_abc), lnrad_c, out=lnrad_abc)
+    np.subtract(np.add(lnrad_abc, lnrad_dd, out=lnrad_dd), _LN2, out=lnrad_dd, where=even)
+    img, lnrad_img = (buf(name, len(where), np.float64) for name in ("img", "lnrad_img"))
+    bounded = buf("bounded", len(where), bool)
+    for ni in nis:
+        n = plan.n_grid[ni]
+        bound = n > 2 and _takes_bounds(plan)
         np.copyto(lnrad_img, lnrad_dd)
-        for k in _piece_ks(n):
-            t = _piece_values(k, np.subtract(c_arr, s_arr, out=ws("piece", size)), s_arr)
-            lnrad_img += (np.log(t, out=ws("scratch1", size, np.float64)) if bound
-                          else _lograd_piece(k, t, grid, max_c))
+        for term in pieces(n, bound):
+            lnrad_img += term
         if bound:
             lnrad_img += _BOUND_MARGIN
-        # the image's c: n * logc - (n * _LN2) * even
         np.subtract(np.multiply(logc, n, out=img), n * _LN2, out=img, where=even)
         logs = (logc, lnrad_abc, img, lnrad_img)
-        for i in audited:
-            _audit_logs(tuple(float(x[i]) for x in logs), radicals(i), n, bound)
+        for i in audit:
+            _audit_logs(tuple(float(x[i]) for x in logs), radicals(where[i]), n, bound)
 
         def exact(i, n=n, logs=logs):
-            rads = radicals(i)
-            value = float(lnrad_dd[i])
+            rads, value = radicals(where[i]), float(lnrad_dd[i])
             for k in _piece_ks(n):
-                r = rads._rad(rads._phi(k))
-                value += np.log(r // math.gcd(r, 2 * k))
+                value += _logs([rads.piece(k, False)])[0]
             _audit_logs((*(float(x[i]) for x in logs[:3]), value), rads, n)
             return value
 
         bounded.fill(bound)
-        _judge_rows(tally, plan, block_idx, ni, logs, range(size), radicals, bounded, exact, ws)
+        _judge_rows(tally, plan, block_idx, ni, logs, where, radicals, bounded, exact, buf)
+
+
+def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> None:
+    """plan's checks over one c-range of a CorpusSpec (_judge_logs): each log rad from
+    one radical table, each piece's from its values t_k (_piece_values), or where not
+    bounded their sieve (_lograd_piece), in buffers of the workspace alone."""
+    lograd = _radical_table(max_c)
+    c_arr, s_arr, grid, solution = block
+    size, ws = len(c_arr), _WORKSPACE
+
+    def table(values, name):  # every value at most max_c
+        return np.take(lograd, values, out=ws(name, size, np.float64), mode="clip")
+
+    def pieces(n, bound):
+        for k in _piece_ks(n):
+            t = _piece_values(k, np.subtract(c_arr, s_arr, out=ws("piece", size)), s_arr)
+            yield (np.log(t, out=ws("scratch1", size, np.float64)) if bound
+                   else _lograd_piece(k, t, grid, max_c))
+
+    # log rad of |a| = c - s, |b| = s, c and d = c - 2s; |b|'s and c's in the
+    # buffers of the image logs, which _judge_logs takes once it has summed them
+    d = ws("scratch0", size)
+    lograds = (table(np.subtract(c_arr, s_arr, out=d), "lnrad_abc"), table(s_arr, "img"),
+               table(c_arr, "lnrad_img"),
+               table(np.subtract(c_arr, np.multiply(s_arr, 2, out=d), out=d), "lnrad_dd"))
+    even = np.equal(np.bitwise_and(c_arr, 1, out=d), 0, out=ws("even", size, bool))
+    _judge_logs(tally, plan, block_idx, range(len(plan.n_grid)),
+                np.log(c_arr, out=ws("logc", size, np.float64)), lograds, even, pieces,
+                range(size), functools.cache(lambda i: _Radicals(solution(i))),
+                _audit_rows(block_idx, size), ws)
 
 
 def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
-    """plan's checks over one block, the logs from each solution's _Radicals; at
-    an n with a piece lemma1's rows but the first take _Radicals.bound.  The
-    chain's stay exact: its second check and hypothesis rise with the radical."""
-    per_n = len(plan.eps_grid) * len(plan.labels)
-    c, _, _, solution = block
-    audited = set(_audit_rows(block_idx, len(c)))
-    radicals = []
-    rows = [array("d") for _ in plan.n_grid]  # per n and row: position, bounded, the four logs
-    for local, aa in enumerate(map(solution, range(len(c)))):
-        rads = _Radicals(aa)
-        radicals.append(rads)
-        for ni, (n, at_n) in enumerate(zip(plan.n_grid, rows)):
-            bound = local > 0 and n > 2 and _takes_bounds(plan)
+    """plan's checks over one block (_judge_logs), from each solution's integers in
+    its _Radicals: rad|a|, rad|b|, rad c, rad d and at each n the pieces.  The
+    block's first solution is audited against the full image (_exact_radicals).
+    A row whose radicals or audit give up at an n is inconclusive there."""
+    per_n, solution = len(plan.eps_grid) * len(plan.labels), block[3]
+    radicals = [_Radicals(solution(i)) for i in range(len(block[0]))]
+    audited = set(_audit_rows(block_idx, len(radicals)))
+    for ni, n in enumerate(plan.n_grid):
+        bound, rows = n > 2 and _takes_bounds(plan), []
+        for local, rads in enumerate(radicals):
+            aa = rads.aa
             try:
-                row = rads.bound(n) if bound else rads.row(n)
-                # the block's first solution is audited against the full image, in
-                # this try: an audit that gives up leaves this n's checks inconclusive
-                if local == 0 and row != (want := _exact_radicals(aa, n)):
+                row = (local, aa.c, *map(rads._rad, (-aa.a, -aa.b, aa.c, aa.b - aa.a)),
+                       *(rads.piece(k, bound) for k in _piece_ks(n)))
+                # the audit is in this try: if it gives up, so do this n's checks
+                if local == 0 and (got := rads.row(n)) != (want := _exact_radicals(aa, n)):
                     raise InternalRadicalMismatch(
                         f"{aa} at n={n}: the pieces give (c, rad, image c, image rad) = "
-                        f"{row}, the full image {want}")
+                        f"{got}, the full image {want}")
+                rows.append(row)
             except FactorizationFailure as exc:
                 # lemma1 names the n whose radicals gave up, the chain has one n
                 tally.inconclusive((block_idx, local, ni * per_n), per_n, aa,
                                    plan.context or {"n": n}, exc)
-                continue
-            if bound and local in audited:
-                _proved_image(rads, n, bound=True)
-            at_n.extend((local, bound, *map(math.log, row)))
-    for ni, at_n in enumerate(rows):
-        if at_n:
-            where, bounded, *logs = np.frombuffer(at_n).reshape(-1, 6).T
-            where, n = where.astype(np.int64).tolist(), plan.n_grid[ni]
-            _judge_rows(tally, plan, block_idx, ni, tuple(logs), where, radicals.__getitem__,
-                        bounded.astype(bool), lambda i: math.log(radicals[where[i]].row(n)[3]))
+        if rows:
+            where, cs, *ints = zip(*rows)
+            logs = [_logs(col) for col in ints]
+            _judge_logs(tally, plan, block_idx, (ni,), _logs(cs), logs[:4],
+                        np.array([v % 2 == 0 for v in cs]), lambda n, bound: logs[4:], where,
+                        radicals.__getitem__, [i for i, p in enumerate(where) if p in audited],
+                        _fresh)
 
 
 def _k_lemma2(tally: _Tally, block, block_idx: int, N: int, n: int) -> None:
@@ -1338,9 +1338,9 @@ def verify_lemma1(
     For every (solution, n, eps): the image merit at eps_out must be
     at least c_lin * f(solution, eps) + c_off, within tolerance.  A
     CorpusSpec with max_c <= _VECTOR_MAX_C and every n in {2, 4, 6} takes
-    the sieve lane, any other corpus the scalar lane; both judge the same
-    formula, and near ties and float failures are rechecked with it at
-    160 bits.  At an n with a piece both judge a row on a multiple of the
+    the sieve lane, any other corpus the scalar lane; both take the same
+    floats (_judge_logs), and near ties and float failures are rechecked
+    with the formula at 160 bits.  At an n with a piece both judge a row on a multiple of the
     image radical (_Radicals.bound), a lower bound on its slack, and make
     it exact only for a suspect or the extremal.  An extremal whose
     radicals give up is reported with that lower bound (_judge_rows).

@@ -18,8 +18,8 @@ runs four stages:
 - Brent's variant of Pollard's rho, with an iteration budget.
 
 radical finds the primes below 1000 by one gcd with their product, takes
-the numpy remainder only for a cofactor of 1009**3 or more, and needs the
-last three stages (_split, which factorize shares) only from 2**63 on.
+the numpy remainder only for a cofactor of 1009**3 or more, and the last
+three stages (_split, which factorize shares) only for one of 2**63 or more.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _TRIAL_BOUND = 100_000
-# radical trial divides each n < 2**63 up to its true cube root, which is
-# below 2**21 since (2**21)**3 = 2**63: the primes below _CUBE_BOUND are then
-# one int64 remainder away, with no limbs.  Above 2**63 it keeps _TRIAL_BOUND,
-# where each prime costs a limb remainder and rho decides the cofactor anyway.
+# radical trial divides a cofactor m < 2**63 (what the gcd with the primes below
+# 1000 leaves) up to its cube root, below 2**21 = _CUBE_BOUND: those primes are one
+# int64 remainder away, with no limbs.  From 2**63 on it keeps _TRIAL_BOUND, where
+# each prime costs a limb remainder and rho decides the cofactor anyway.
 _CUBE_BOUND = 1 << 21
 # The primes below _LOOP_BOUND (168 of them): _trial_divide tries them one at
 # a time in Python, which beats a numpy call on small arguments, and radical
@@ -421,16 +421,16 @@ def radical(n: int) -> int:
     cube root by the primes below top (the numpy stage), has every prime
     factor above its cube root: m is 1, p, p*q or p**2, and its radical is
     isqrt(m) when m is a square, else m, with no primality test and no rho
-    (the n**(1/3) bound of Lehman's method).  top is _CUBE_BOUND for n below
-    2**63 = _CUBE_BOUND**3, and _TRIAL_BOUND from there on, where a cofactor
-    of 10**15 = _TRIAL_BOUND**3 or more goes to _split as in factorize.
+    (the n**(1/3) bound of Lehman's method).  top is _CUBE_BOUND for m (not n)
+    below 2**63 = _CUBE_BOUND**3, so that m never meets rho, and _TRIAL_BOUND
+    from there on, where an m of 10**15 = _TRIAL_BOUND**3 or more goes to _split.
     """
     if n < 1:
         raise ValueError("radical expects n >= 1")
     rad = math.gcd(n, _loop_product())
     m = _strip(n, rad)
     if m >= 1009**3:  # else m has at most two primes, each at least 1009
-        top = _CUBE_BOUND if n < 1 << 63 else _TRIAL_BOUND
+        top = _CUBE_BOUND if m < 1 << 63 else _TRIAL_BOUND
         primes = _primes_to(min(_iroot(m, 3), top - 1))[len(_loop_primes()):]
         found = math.prod(primes[_residues(m, primes) == 0].tolist())
         rad, m = rad * found, _strip(m, found)

@@ -1,5 +1,6 @@
 """Corpus harness tests: enumeration, suites, lanes, determinism."""
 
+import itertools
 import math
 import random
 import subprocess
@@ -162,16 +163,31 @@ def test_lemma1_corpus_spec_clean():
     assert s.min_slack > 0
 
 
-def test_lemma1_lane_agreement():
-    spec = CorpusSpec(max_c=300)
-    fast = verify_lemma1(spec, [2, 4], [0.5, 1.0])
-    slow = verify_lemma1(list(spec), [2, 4], [0.5, 1.0])
-    assert (fast.checks, fast.passes, fast.failures) == (
-        slow.checks, slow.passes, slow.failures,
-    )
-    assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
-    assert fast.extremal.triple == slow.extremal.triple
-    assert fast.extremal.params == slow.extremal.params
+def _same_verdicts(one: SuiteSummary, other: SuiteSummary) -> bool:
+    """Whether two summaries of one corpus agree bit for bit: every count, the
+    minimum slack, the extremal and every example, lhs, rhs and slack included.
+    Their params and corpus hash may differ, as a spec and a list name a corpus
+    differently."""
+    ignored = dict(params={}, corpus_hash="", wall_time=0.0, workers=0)
+    return replace(one, **ignored) == replace(other, **ignored)
+
+
+# the tolerances at which the lane-agreement tests keep every counterexample
+_KEEP_ALL_LEMMA1 = dict(tolerance=-6.0, max_counterexamples=10**6)
+_KEEP_ALL_CHAIN = dict(tolerance=-20.0, max_counterexamples=10**6)
+
+
+def test_lemma1_lane_agreement(monkeypatch):
+    # both lanes take every log with one float formula, so they agree to the
+    # last bit, over several blocks
+    _small_blocks(monkeypatch, 6000)
+    runs = [(CorpusSpec(max_c=300), {}), (CorpusSpec(max_c=150), _KEEP_ALL_LEMMA1)]
+    for (spec, kw), workers in itertools.product(runs, (1, 3)):
+        fast = verify_lemma1(spec, [2, 4], [0.5, 1.0], workers=workers, **kw)
+        slow = verify_lemma1(list(spec), [2, 4], [0.5, 1.0], workers=workers, **kw)
+        assert fast.checks == 4 * len(spec)
+        assert (fast.failures > 0) == ("tolerance" in kw)
+        assert _same_verdicts(fast, slow)
 
 
 # N = 1025 * 1024 * 2049 >= 2**31 is |abc| of (-1025, -1024, 2049); 2 * N exceeds
@@ -182,16 +198,17 @@ _CONGRUENCE_CASES = [(7, 36_576, 400), (16, 12_260, 400), (60, 18_296, 400),
 
 @pytest.mark.parametrize("N, checks, max_c", _CONGRUENCE_CASES,
                          ids=[f"{N}-{checks}" for N, checks, _ in _CONGRUENCE_CASES])
-def test_lemma1_lane_agreement_congruence(N, checks, max_c):
+def test_lemma1_lane_agreement_congruence(monkeypatch, N, checks, max_c):
     spec = CorpusSpec(max_c=max_c, congruence=N)
     assert harness._plan_kernel(harness._Plan((2,), (1.0,), None), spec)[0] is harness._k_vector
-    fast = verify_lemma1(spec, [2, 4], [0.5, 1.0])
-    slow = verify_lemma1(list(spec), [2, 4], [0.5, 1.0])
-    assert fast.checks == slow.checks == checks
-    assert (fast.passes, fast.failures) == (slow.passes, slow.failures)
-    assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
-    assert fast.extremal.triple == slow.extremal.triple
-    assert fast.extremal.params == slow.extremal.params
+    listed = list(spec)
+    _small_blocks(monkeypatch, 5000)
+    # checks counts both eps; every counterexample kept at one eps keeps the run short
+    for workers, eps_grid, kw in ((1, [0.5, 1.0], {}), (3, [1.0], _KEEP_ALL_LEMMA1)):
+        fast = verify_lemma1(spec, [2, 4], eps_grid, workers=workers, **kw)
+        slow = verify_lemma1(listed, [2, 4], eps_grid, workers=workers, **kw)
+        assert fast.checks == checks * len(eps_grid) // 2
+        assert _same_verdicts(fast, slow)
 
 
 @pytest.mark.parametrize("N", [7, 1025 * 1024 * 2049, 3_999_997 * 3 * 4_000_000,
@@ -333,19 +350,16 @@ def test_plan_kernel_takes_the_sieve_lane_at_n_2_4_6(n_grid, kernel):
 
 
 @pytest.mark.parametrize("congruence", [1, 7])
-def test_lemma1_lane_agreement_at_n6(congruence):
+def test_lemma1_lane_agreement_at_n6(monkeypatch, congruence):
+    _small_blocks(monkeypatch, 6000)
     spec = CorpusSpec(max_c=300, congruence=congruence)
     listed = list(spec)
-    for kw in ({}, dict(tolerance=-6.0, max_counterexamples=10**6)):
-        fast = verify_lemma1(spec, [6], [0.5, 1.0], **kw)
-        slow = verify_lemma1(listed, [6], [0.5, 1.0], **kw)
-        assert fast.checks == slow.checks == 2 * len(listed)
-        assert (fast.passes, fast.failures) == (slow.passes, slow.failures)
-        assert fast.inconclusives == slow.inconclusives == 0
-        assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
-        assert fast.extremal.triple == slow.extremal.triple
-        assert fast.extremal.params == slow.extremal.params
-        assert _verdict_keys(fast.counterexamples) == _verdict_keys(slow.counterexamples)
+    for kw, workers in itertools.product(({}, _KEEP_ALL_LEMMA1), (1, 3)):
+        fast = verify_lemma1(spec, [6], [0.5, 1.0], workers=workers, **kw)
+        slow = verify_lemma1(listed, [6], [0.5, 1.0], workers=workers, **kw)
+        assert fast.checks == 2 * len(listed)
+        assert fast.inconclusives == 0
+        assert _same_verdicts(fast, slow)
     assert fast.failures > 0
 
 
@@ -549,22 +563,15 @@ def test_chain_lane_agreement(monkeypatch, N, eps):
     for workers in (1, 3):
         fast = verify_reduction_chain(spec, N, eps, 10.0, workers=workers)
         slow = verify_reduction_chain(listed, N, eps, 10.0, workers=workers)
-        assert fast.checks == slow.checks == fast.passes == slow.passes == 2 * len(spec)
-        assert fast.failures == slow.failures == fast.inconclusives == slow.inconclusives == 0
-        assert fast.min_slack == pytest.approx(slow.min_slack, abs=1e-9)
-        assert fast.extremal.triple == slow.extremal.triple
-        assert fast.extremal.params == slow.extremal.params
+        assert fast.checks == fast.passes == 2 * len(spec)
+        assert _same_verdicts(fast, slow)
     # a tolerance of -20 fails most input-merit checks, and at N = 3, 5 and
     # 8 some derived-bound checks too
-    kw = dict(tolerance=-20.0, max_counterexamples=10**6)
     for workers in (1, 3):
-        fast = verify_reduction_chain(spec, N, eps, 10.0, workers=workers, **kw)
-        slow = verify_reduction_chain(listed, N, eps, 10.0, workers=workers, **kw)
-        assert fast.failures == slow.failures == len(fast.counterexamples) > 0
-        assert (fast.checks, fast.passes) == (slow.checks, slow.passes)
-        assert {(v.triple, v.params["check"]) for v in fast.counterexamples} == {
-            (v.triple, v.params["check"]) for v in slow.counterexamples
-        }
+        fast = verify_reduction_chain(spec, N, eps, 10.0, workers=workers, **_KEEP_ALL_CHAIN)
+        slow = verify_reduction_chain(listed, N, eps, 10.0, workers=workers, **_KEEP_ALL_CHAIN)
+        assert fast.failures == len(fast.counterexamples) > 0
+        assert _same_verdicts(fast, slow)
         checks = {v.params["check"] for v in fast.counterexamples}
         assert len(checks) == (1 if N == 12 else 2)
 
@@ -807,10 +814,6 @@ def test_suite_summary_shape():
 # failure, fault-injection and inconclusive paths
 
 
-def _verdict_keys(verdicts):
-    return {(v.triple, v.params["n"], v.params["eps"]) for v in verdicts}
-
-
 def _same_summary(one: SuiteSummary, other: SuiteSummary) -> bool:
     return replace(one, wall_time=0.0, workers=0) == replace(other, wall_time=0.0, workers=0)
 
@@ -822,15 +825,10 @@ def test_lemma1_failures_agree_across_lanes():
     kw = dict(tolerance=-5.0, max_counterexamples=1000)
     fast = verify_lemma1(spec, [2, 4], [0.5, 1.0], **kw)
     slow = verify_lemma1(list(spec), [2, 4], [0.5, 1.0], **kw)
-    assert fast.checks == slow.checks == 4 * len(spec)
-    assert fast.failures == slow.failures == len(fast.counterexamples) == 777
-    assert (fast.passes, fast.inconclusives) == (slow.passes, slow.inconclusives)
-    assert _verdict_keys(fast.counterexamples) == _verdict_keys(slow.counterexamples)
-    # one block, so both lanes list them in the same order too
-    assert [(v.triple, v.params) for v in fast.counterexamples] == [
-        (v.triple, v.params) for v in slow.counterexamples
-    ]
-    assert all(not v.passed and v.slack < 5.0 for v in fast.counterexamples + slow.counterexamples)
+    assert fast.checks == 4 * len(spec)
+    assert fast.failures == len(fast.counterexamples) == 777
+    assert _same_verdicts(fast, slow)  # the same records, in the same order
+    assert all(not v.passed and v.slack < 5.0 for v in fast.counterexamples)
     assert not fast.ok and not slow.ok
     for corpus in (spec, list(spec)):
         capped = verify_lemma1(corpus, [2, 4], [0.5, 1.0], tolerance=-5.0)
@@ -1449,7 +1447,8 @@ def test_a_tie_between_bounded_and_exact_rows_goes_by_position():
         harness._judge_rows(tally, plan, 0, 0, logs, [0, 1], lambda p: rads,
                             np.array([first_bounded, not first_bounded]), lambda i: exact[3])
         assert tally.best == ((want.slack, 0, 0, 0), want)
-    # through the scalar lane: the block's first row is exact, the others bounded
+    # through the scalar lane, where every row at n = 4 is bounded: the argmin is
+    # made exact until it is exact, and the tie goes to the first position
     for corpus, position in (([aa, other, aa], 0), ([other, aa, aa], 1)):
         tally = harness._run_block((harness._k_scalar, corpus, 0, (plan,), (25, 1e-9, 1e-6)))
         assert tally.best == ((want.slack, 0, position, 0), want)
@@ -1550,19 +1549,25 @@ def test_a_recheck_takes_no_radical_its_row_took(monkeypatch):
 
 def test_only_the_rows_made_exact_take_the_radical_of_their_piece(monkeypatch):
     # a sampled-sized batch at n 2, 4: Phi_4 = c**2 + dd**2 goes to radical only
-    # for the rows _Radicals.row makes exact, the audited first and the extremal
+    # for the rows made exact, which read rad(t_4) (_Radicals.piece without
+    # bound): one extremal at both eps.  The first row's audit against the full
+    # image takes it too
     batch = _sample(10**8, 150, seed=0)
     phi4 = {aa.c**2 + (aa.b - aa.a) ** 2: aa for aa in batch}
-    taken, exact = set(), set()
-    real_radical, real_row = harness.radical, harness._Radicals.row
+    taken, made = set(), set()
+    real_radical, real_piece = harness.radical, harness._Radicals.piece
+
+    def piece(self, k, bound):
+        if not bound:
+            made.add(self.aa)
+        return real_piece(self, k, bound)
+
     monkeypatch.setattr(harness, "radical", lambda v: taken.add(v) or real_radical(v))
-    monkeypatch.setattr(harness._Radicals, "row",
-                        lambda self, n: exact.add((self.aa, n)) or real_row(self, n))
+    monkeypatch.setattr(harness._Radicals, "piece", piece)
     s = verify_lemma1(batch, [2, 4], [0.1, 1.0])
     assert s.ok
-    made = {aa for aa, n in exact if n == 4}
-    assert batch[0] in made and len(made) == 2  # the first, and one extremal at both eps
-    assert {phi4[v] for v in taken & phi4.keys()} == made
+    assert len(made) == 1 and batch[0] not in made
+    assert {phi4[v] for v in taken & phi4.keys()} == made | {batch[0]}
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -1716,31 +1721,52 @@ def test_a_listed_corpus_never_touches_the_workspace(monkeypatch):
     assert verify_proof_identities(listed, [2, 4]).ok
     assert workspace._raw == {}
 
-# (-237, -2, 239) at n = 16: Phi_16(239, 235) = 239**8 + 235**8, above 2**63,
-# leaves 586682472942195809 after trial division, two primes that rho does not
-# split in one step; its other numbers need no rho.  Its exact slack at eps
-# 0.5 is 19.35; U is 89 times the image radical, so its bounded slack is 14.76,
-# below the 17.76 of (-2, -1, 3), the exact extremal
-_T16 = make_solution(-237, -2, 239)
+def _formula_logs(aa: ABCSolution, n: int, bound: bool) -> tuple:
+    """The four logs of aa's row at n by the float formula, one float operation at
+    a time: np.log of each integer's float64, summed in the judge's order.  With
+    bound each piece is t_k, and _BOUND_MARGIN is added."""
+    def log(v):
+        return float(np.log(float(v)))
+
+    rads, ln2 = harness._Radicals(aa), math.log(2.0)
+    even = aa.c % 2 == 0
+    logc = log(aa.c)
+    lnrad_in = (log(radical(-aa.a)) + log(radical(-aa.b))) + log(radical(aa.c))
+    lnrad_img = lnrad_in + log(radical(aa.b - aa.a)) - (ln2 if even else 0.0)
+    for k in harness._piece_ks(n):
+        lnrad_img += log(rads.piece(k, bound))
+    if bound:
+        lnrad_img += harness._BOUND_MARGIN
+    return logc, lnrad_in, logc * n - (n * ln2 if even else 0.0), lnrad_img
+
+
+# (-401, -8, 409) at n = 16: Phi_16(409, 393) = 409**8 + 393**8 is 2 * 25409 *
+# 5602001 * 4749436529, whose cofactor after the gcd with the primes below 1000 is
+# above 2**63; so radical trial divides it only up to 10**5 and gives
+# 26606348184894529 to rho, which does not split it in one step.  Its other numbers
+# need no rho.  Its exact slacks are above 20.7; U is 289 times the image radical
+# (17**3 | Phi_8), so its bounded slack is 14.94, below the 17.76 of (-2, -1, 3),
+# the exact extremal
+_T16 = make_solution(-401, -8, 409)
 
 
 @pytest.mark.parametrize("tolerance, counts", [(1e-9, (6, 6, 0)), (-15.0, (6, 4, 2))])
 def test_a_bounded_row_whose_piece_resists_rho(monkeypatch, tolerance, counts):
-    # at position 1, so bounded: a check whose bounded slack clears the band
+    # at n = 16, so bounded: a check whose bounded slack clears the band
     # passes; a suspect that cannot be made exact is inconclusive, one example
     # for the row; the extremal that cannot be is reported with its bounded
-    # slack, a lower bound, and a note naming the failure
+    # slack, a lower bound, from the float formula, and a note naming the failure
     monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1")
     x = make_solution(-1, -2, 3)
     s = verify_lemma1([x, _T16, x], [16], [0.5, 1.0], tolerance=tolerance)
     assert (s.checks, s.passes, s.inconclusives, s.failures) == (*counts, 0)
     k = lemma_constants(16, 0.5)
-    logs = map(math.log, harness._Radicals(_T16).bound(16))
+    logs = _formula_logs(_T16, 16, bound=True)
     ((lhs, rhs),) = harness._lemma1_sides(k, *harness._merits(k, *logs), None)
     v = s.extremal
     assert (v.triple, v.params, v.lhs, v.rhs, v.slack) == (_T16, {"n": 16, "eps": 0.5}, lhs,
                                                            rhs, lhs - rhs)
-    assert v.note.startswith("slack is a lower bound") and "586682472942195809" in v.note
+    assert v.note.startswith("slack is a lower bound") and "26606348184894529" in v.note
     assert (v.passed, v.inconclusive) == ((True, False) if tolerance > 0 else (False, True))
     assert [(e.triple, e.params) for e in s.inconclusive_examples] == (
         [] if tolerance > 0 else [(_T16, {"n": 16})])
@@ -1748,3 +1774,32 @@ def test_a_bounded_row_whose_piece_resists_rho(monkeypatch, tolerance, counts):
     exact = verify_lemma1([x, _T16, x], [16], [0.5, 1.0], tolerance=tolerance)
     assert exact.ok and exact.extremal.triple == x
     assert v.slack < verify_lemma1([_T16], [16], [0.5]).min_slack
+
+
+def test_logs_take_math_log_from_the_float_limit():
+    # the least integer that no float64 holds, and one below it, which rounds to
+    # the largest float64
+    limit = harness._FLOAT_LIMIT
+    assert float(limit - 1) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(limit)
+    got = harness._logs([3, limit - 1, limit, 2**4000]).tolist()
+    assert got == [np.log(3.0), np.log(sys.float_info.max), math.log(limit), math.log(2**4000)]
+
+
+def test_a_piece_past_the_float_range_is_judged(monkeypatch):
+    # (-2**64, -1, 2**64 + 1) at n = 32: its piece t_32 is beyond the float64
+    # range, so its log is math.log's; the row is bounded, its Phi_32 resists
+    # rho, and so it is the extremal with its bounded slack, a lower bound
+    monkeypatch.setenv("CONGABC_FACTOR_BUDGET", "1000")
+    big = make_solution(-(2**64), -1, 2**64 + 1)
+    assert harness._Radicals(big).piece(32, True) >= harness._FLOAT_LIMIT
+    s = verify_lemma1([make_solution(-2, -1, 3), big], [32], [1.0])
+    assert (s.checks, s.passes, s.inconclusives) == (2, 2, 0)
+    v = s.extremal
+    assert v.triple == big and math.isfinite(v.slack) and (v.passed, v.inconclusive) == (True, False)
+    assert v.note == (
+        "slack is a lower bound, from a multiple of the image radical: no factor of "
+        f"{2**128 + 1} found within 1000 rho steps; raise the budget by setting "
+        "CONGABC_FACTOR_BUDGET")
+    assert v.slack == pytest.approx(26.4056, abs=1e-4)

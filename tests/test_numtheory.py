@@ -309,10 +309,12 @@ def test_radical_cube_root_rule_matches_factorize():
 
 
 def test_radical_from_2_63_trial_divides_once(monkeypatch):
-    # from 2**63 on, the numpy stage runs once, on the cofactor the gcd with the
-    # loop primes leaves, over the primes from 1009 to below 10**5; a cofactor
-    # of 10**15 or more has then met every trial prime, so _split takes it as
-    # it is, not n from the start again
+    # for a cofactor of 2**63 or more (what the gcd with the loop primes leaves),
+    # the numpy stage runs once, over the primes from 1009 to below 10**5; a
+    # cofactor of 10**15 or more has then met every trial prime, so _split takes
+    # it as it is, not n from the start again.  The rule goes by the cofactor, not
+    # n: one below 2**63 is trial divided up to its cube root and needs no _split,
+    # however large n is
     p, q = 100_000_007, 100_000_037
     calls = []
     real_residues, real_split = numtheory._residues, numtheory._split
@@ -334,9 +336,11 @@ def test_radical_from_2_63_trial_divides_once(monkeypatch):
         (7 * 99_991 * p * p, 7 * 99_991 * p,
          [("residues", 99_991 * p * p, 1009, below), ("split", p * p)]),
         (p**3, p, [("residues", p**3, 1009, below), ("split", p**3)]),
-        (12 * 997 * p * q, 6 * 997 * p * q, [("residues", p * q, 1009, below), ("split", p * q)]),
+        (12 * 997 * p * q, 6 * 997 * p * q,
+         [("residues", p * q, 1009, _prev_prime(numtheory._iroot(p * q, 3) + 1))]),
     ):
         assert n >= 1 << 63
+        assert (stages[-1][0] == "split") == (stages[0][1] >= 1 << 63)
         calls.clear()
         assert radical(n) == want
         assert calls == stages, n
