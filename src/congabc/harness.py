@@ -26,15 +26,15 @@ of its image under theta.  Both lanes take those logs by one float
 formula (_judge_logs), from np.log of rad|a|, rad|b|, rad c, rad |a - b|
 and a part of each cyclotomic piece of the image.  The scalar lane reads
 these integers from each solution's _Radicals, which factors them, not
-the image; for a CorpusSpec with c <= _VECTOR_MAX_C at n in {2, 4, 6} the
-sieve lane reads the same integers a block at a time from one radical
-table, the pieces' values and their sieve.  So the lanes agree bit for
-bit.  The full image, through theta, is the independent oracle
-(_proved_image, _exact_radicals) of the 160-bit rechecks, the identities'
-radical bound, every row made exact and the audit of _AUDIT_ROWS seeded
-positions of every block at every n.  The sieve lane's numbers are below
-3 * _VECTOR_MAX_C**2 < 10**10, where radical needs trial division alone,
-so that lane, its rechecks included, never calls factorize.
+the image; for a CorpusSpec with c <= _VECTOR_MAX_C whose every piece fits
+int64 (_plan_kernel) the sieve lane reads the same integers a block at a time
+from one radical table, the pieces' values, by the scalar lane's table
+(_phi_table), and their sieve.  So the lanes agree bit for bit.  The full image,
+through theta, is the independent oracle (_proved_image, _exact_radicals) of
+the 160-bit rechecks, the identities' radical bound, every row made exact and
+the audit of _AUDIT_ROWS seeded positions of every block at every n.  The
+sieve lane's numbers are below 2**63, where radical needs no rho, so that
+lane, its rechecks included, never calls factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
 of a CorpusSpec or slices of a list, of the size the suite names, never by
@@ -68,8 +68,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit
-from .numtheory import (FactorizationFailure, _prime_array, _primes_to, _strip, _trial_divide,
-                        factorize, radical, totient)
+from .numtheory import (FactorizationFailure, _prime_array, _primes_to, _strip, factorize,
+                        radical, totient)
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -89,7 +89,7 @@ DEFAULT_MAX_COUNTEREXAMPLES = 25
 _LN2 = math.log(2.0)
 # the largest c of the sieve lane and of search_quality: a size guard on their
 # tables and root-sieve passes (primes up to sqrt(3) * max_c); the values sieved,
-# below 3 * max_c**2, are far inside int64
+# below 3 * max_c**2, are far inside int64, and _plan_kernel bounds the pieces
 _VECTOR_MAX_C = 50_000
 # rows per block that both lanes check against the full image at every n:
 # a handful of _proved_image calls of about 23 us each, 8% of the time of lemma1 at
@@ -108,12 +108,9 @@ _BOUND_MARGIN = 1e-9
 # 2**1024 - 2**971, plus half its ulp
 _FLOAT_LIMIT = (1 << 1024) - (1 << 970)
 # (c, s) slots per block for the kernels that take numpy arrays.  Every block writes
-# into the workspace's pages, so the size sets the peak RSS and how much of a
-# block's ~15 buffers, most of 8 bytes a slot, stays in cache.  Swept over lemma1
-# at c <= 3000, n 2,4 (CPU s, peak RSS) and lemma2 at N = 3..50, c <= 1000 (CPU s),
-# medians of six fresh processes: 50k 0.165 s, 37.8 MB, 0.380 s; 75k 0.163, 39.2,
-# 0.379; 100k 0.161, 40.5, 0.385; 150k 0.165, 43.0, 0.397; 300k 0.181, 51.3, 0.417.
-# Below 100k the time is flat while the audits (_AUDIT_ROWS per block) grow
+# into the workspace's pages, so the size sets the peak RSS and how much of a block's
+# ~15 buffers stays in cache.  A sweep from 50k to 300k slots (CHANGES.md) found the
+# time flat below 100k, while the audits (_AUDIT_ROWS per block) grow
 _BLOCK_SLOTS = 100_000
 _TRIPLE_BLOCK = 4096  # slots, or listed solutions, per block for the per-triple kernels
 # a workspace buffer grows to a quarter more than it is asked for, so a block a few
@@ -225,8 +222,8 @@ class _Workspace:
       "keep"            the grid's mask of corpus pairs (_block_grid)
       "scratch0..2"     scratch of any dtype, free again once the function that
                         asked returns: _block_grid's rows, _progressions'
-                        positions, _piece_values' terms, _lograd_piece's ranks,
-                        _judge_rows' slacks, _k_lemma2's residues
+                        positions, _piece_values' powers and terms, _lograd_piece's
+                        ranks, _judge_rows' slacks, _k_lemma2's residues
       "mask0"           bool scratch, likewise
       "logc", "lnrad_abc", "lnrad_dd", "img", "lnrad_img", "even", "bounded"
                         the sieve lane's logs and masks (_k_vector, _judge_logs)
@@ -271,17 +268,32 @@ def _radical_table(limit: int) -> np.ndarray:
     return lograd
 
 
-# The piece sieve's quadratic forms, keyed by k: q_k(x, y) = a*x**2 + b*y**2 as
-# (a, b), in x = c - s and y = s, is the cyclotomic piece Phi_k(c, d) of the image
-# (d = c - 2s = x - y): Phi_4 = c**2 + d**2 = 2*q_4, Phi_3 = c**2 + c*d + d**2 = q_3,
-# Phi_6 = c**2 - c*d + d**2 = q_6.  These are the pieces of n in {4, 6}.
-_FORMS = {3: (3, 1), 4: (1, 1), 6: (1, 3)}
-
-
 @functools.cache
 def _piece_ks(n: int) -> tuple[int, ...]:
     """The k | n with k > 2: the cyclotomic pieces of the image at n."""
     return tuple(k for k in range(3, n + 1) if n % k == 0)
+
+
+@functools.cache
+def _phi_table(k: int) -> tuple[int, ...]:
+    """The one table of Phi_k, k > 2: Phi_k(x + y, x - y) = the sum over j = 0..m of
+    b_j * X**(m - j) * Y**j, m = totient(k)/2, X = x**2, Y = y**2 in x = |a|, y = |b| (Phi_k
+    is palindromic).  In u = x/y, highest power first: (u + 1)**k - (u - 1)**k divided
+    exactly by Phi_j(u + 1, u - 1) = 2, 2u or the table of j, j | k below k."""
+    q = [math.comb(k, i) * (1 - (-1) ** i) for i in range(1, k + 1)]
+    for j in (j for j in range(1, k) if k % j == 0):
+        den = [v for b in _phi_table(j) for v in (b, 0)][:-1] if j > 2 else [2, 0][:j]
+        for i in range(len(q) - len(den) + 1):  # long division, every step exact
+            q[i] //= den[0]
+            q[i + 1:i + len(den)] = [r - q[i] * v for r, v in zip(q[i + 1:], den[1:])]
+        del q[len(q) - len(den) + 1:]
+    return tuple(q[::2])
+
+
+def _sieve_lead(k: int) -> int:
+    """a of the piece sieve's q_k = a*x**2 + b*y**2, Phi_k(x + y, x - y) over its content:
+    the tables at k = 3, 4, 6 are (3, 1), (2, 2), (1, 3), so a is 3, 1, 1."""
+    return _phi_table(k)[0] // math.gcd(*_phi_table(k))
 
 
 @functools.cache
@@ -291,7 +303,7 @@ def _piece_table(k: int, max_c: int) -> tuple[np.ndarray, np.ndarray]:
     unity mod p: p | Phi_k(c, d) exactly when c = zeta*d, that is s = c*u.
     (For k = 4 these are (1 +- i)/2; for k = 3 and 6, (3 +- r)/4 and (1 +- r)/4
     with r = 2*omega + 1 = sqrt(-3), omega a primitive cube root of unity.)"""
-    primes = _prime_array(math.isqrt(_FORMS[k][0] * max_c * max_c))
+    primes = _prime_array(math.isqrt(_sieve_lead(k) * max_c * max_c))
     sel = primes[primes % k == 1]
     roots = np.empty((len(sel), 2), dtype=np.int64)
     for i, p in enumerate(sel.tolist()):
@@ -420,31 +432,34 @@ def _corpus_hash(corpus, size: int) -> str:
 
 
 def _piece_values(k: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """t_k = q_k(x, y) with the primes of 2k divided out, k a key of _FORMS:
-    the piece Phi_k(c, d) as _Radicals.piece takes it on a bounded row.
+    """t_k = Phi_k(c, d) with the primes of 2k divided out, by Horner on _phi_table as
+    _Radicals._phi: the piece as _Radicals.piece takes it on a bounded row.
 
-    x = c - s and y = s are a block's corpus pairs.  rad_in has the primes of
-    2k: 2 divides one of x, y and c, 3 divides q_3 only when 3 | y and q_6 only
-    when 3 | x.  Every other prime p of q_k is 1 mod k and divides none of x, y,
-    c or d, nor another piece of the same n, so the logs of t_k's primes add to
-    the others as the primes of the lcm that _Radicals takes; so do d's odd
-    primes, as gcd(d, x*y) = 1 and gcd(d, c) | 2.  t_k is written over x.
+    x = c - s and y = s are a block's corpus pairs; every term fits int64 (_plan_kernel).
+    A prime of t_k is 1 mod k and divides none of x, y, c or d, nor another t of the same
+    n, and each prime of 2k is in rad_in or a piece that keeps it (_Radicals.bound); so the
+    logs of t_k's primes add to the others as the primes of the lcm that _Radicals takes;
+    so do d's odd primes, as gcd(d, x*y) = 1 and gcd(d, c) | 2.  t_k is written over x.
     """
-    a, b = _FORMS[k]
-    size = len(x)
-    t = np.multiply(x, x, out=x)
-    term = np.multiply(y, y, out=_WORKSPACE("scratch1", size))
-    t *= a
-    term *= b
-    t += term  # below 3 * max_c**2, far inside int64
+    b = _phi_table(k)
+    m, size = len(b) - 1, len(x)
+    big_x = np.multiply(x, x, out=x if m == 1 else _WORKSPACE("scratch0", size))
+    t = np.multiply(big_x, b[0], out=x)
+    power = np.multiply(y, y, out=_WORKSPACE("scratch1", size))  # Y**j
+    term = power if m == 1 else _WORKSPACE("scratch2", size)
+    for j in range(1, m + 1):
+        if j > 1:  # h*X, and Y**j from Y**(j - 1)
+            t *= big_x
+            power *= np.multiply(y, y, out=term)
+        t += np.multiply(power, b[j], out=term)
     # the 2s at once: t & -t is the largest power of 2 dividing t > 0
     t //= np.bitwise_and(t, np.negative(t, out=term), out=term)
-    if k % 3 == 0:
-        at = np.flatnonzero(np.equal(np.remainder(t, 3, out=term), 0,
+    for p in (p for p in _primes_to(k)[1:].tolist() if k % p == 0):
+        at = np.flatnonzero(np.equal(np.remainder(t, p, out=term), 0,
                                      out=_WORKSPACE("mask0", size, bool)))
         while len(at):
-            t[at] //= 3
-            at = at[t[at] % 3 == 0]
+            t[at] //= p
+            at = at[t[at] % p == 0]
     return t
 
 
@@ -467,14 +482,14 @@ def _lograd_piece(k: int, t: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
     divide is a wrong table or value, InternalRadicalMismatch, where the
     division would go on forever.
 
-    The bound: with q_k = a*x**2 + b*y**2, c**2 - x**2 = y*(c + x) and
-    b*y < a*(c + x) (y < x, and b <= 3a), so q_k < a*c**2.  Row c is sieved
-    by every prime p with p**2 <= a*c**2, so a composite cofactor m, with a
-    prime factor q, q**2 <= m < a*c**2, cannot be left: what is left is 1 or
-    the radical's last prime.  The radical, below 3 * _VECTOR_MAX_C**2 <
-    2**53, is exact in float64, and its np.log is that of _Radicals.piece's.
+    The bound, at degree 2: t_k <= q_k = a*x**2 + b*y**2 (_sieve_lead) < a*c**2,
+    as c**2 - x**2 = y*(c + x) and b*y < a*(c + x) (y < x, b <= 3a).  Row c is
+    sieved by every prime p with p**2 <= a*c**2, so a composite cofactor m, with a
+    prime factor q, q**2 <= m < a*c**2, cannot be left: what is left is 1 or the
+    radical's last prime.  The radical, below 3 * _VECTOR_MAX_C**2 < 2**53, is
+    exact in float64, and its np.log is that of _Radicals.piece's.
     """
-    a = _FORMS[k][0]
+    a = _sieve_lead(k)
     cs, reps, starts, keep = grid
     rank = np.cumsum(keep, out=_WORKSPACE("scratch1", len(keep), np.int32))  # below 2**31
     rank -= 1
@@ -534,26 +549,6 @@ def _is_radical(r: int, m: int) -> bool:
 # exact image radicals from the cyclotomic pieces
 
 
-@functools.cache
-def _mobius_divisors(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The j | k with mu(k/j) = +1, and those with mu(k/j) = -1 (Moebius mu)."""
-    up, down = [], []
-    for j in (j for j in range(1, k + 1) if k % j == 0):
-        counts, rest = _trial_divide(k // j)
-        if max(counts.values(), default=1) == 1:  # k/j squarefree: rest is 1 or a prime
-            (down if (len(counts) + (rest > 1)) % 2 else up).append(j)
-    return tuple(up), tuple(down)
-
-
-def _cyclotomic(k: int, c: int, dd: int) -> int:
-    """Phi_k(c, dd), the homogeneous cyclotomic value, in one step: the product of
-    (c**j - dd**j)**mu(k/j) over j | k (Moebius inversion of c**k - dd**k = the
-    product of the Phi_j(c, dd) over j | k), the factors with mu = -1 dividing
-    exactly.  No factor is 0, as |dd| = |a - b| = c would need a = 0 or b = 0."""
-    up, down = _mobius_divisors(k)
-    return math.prod(c**j - dd**j for j in up) // math.prod(c**j - dd**j for j in down)
-
-
 class InternalRadicalMismatch(RuntimeError):
     """The image radical from the pieces differs from the full image's; a bug."""
 
@@ -569,11 +564,11 @@ class _Radicals:
 
         rad(|A*B*C|) = lcm(rad_in, rad(dd), rad(4S)),  rad(4S) = lcm(2, rad(Phi_k(c, dd)), ...)
 
-    lcms, not products, since the Phi_k can share primes dividing n.  Each
-    Phi_k is computed once per solution (_phi), parts(n) once per n, and each
-    number's radical once (_rad), shared by every n and eps.  A
-    FactorizationFailure is kept and raised again for the same number, so a
-    composite that resists the budget costs one rho run per solution.
+    lcms, not products, since the Phi_k can share primes dividing n.  Each Phi_k is computed
+    once per solution (_phi, on the sieve lane's table), parts(n) once per n, and each
+    number's radical once (_rad), shared by every n and eps.  A FactorizationFailure is kept
+    and raised again for the same number, so a composite that resists the budget costs one
+    rho run per solution; the sieve lane's rows made exact, pieces below 2**63, none.
     """
 
     def __init__(self, aa: ABCSolution):
@@ -599,10 +594,13 @@ class _Radicals:
         return math.lcm(*map(self._rad, (-self.aa.a, -self.aa.b, self.aa.c)))
 
     def _phi(self, k: int) -> int:
-        """Phi_k(c, dd), the homogeneous cyclotomic value (_cyclotomic), once per k."""
+        """Phi_k(c, dd) once per k, by Horner on _phi_table: h = h*X + b_j*Y**j."""
         v = self._phis.get(k)
         if v is None:
-            v = self._phis[k] = _cyclotomic(k, self.aa.c, self.aa.b - self.aa.a)
+            big_x, big_y, v, power = self.aa.a**2, self.aa.b**2, 0, 1
+            for b in _phi_table(k):
+                v, power = v * big_x + b * power, power * big_y
+            self._phis[k] = v
         return v
 
     def pieces(self, n: int) -> list[int]:
@@ -758,7 +756,7 @@ class _Tally:
 def _logs(values) -> np.ndarray:
     """np.log of the float64 of each integer of a sequence, as a row takes every log,
     or math.log from _FLOAT_LIMIT on, which no float64 holds: the rule goes by the
-    value, not the lane (the sieve lane's numbers are below 2**53)."""
+    value, not the lane (the sieve lane's numbers are below 2**63)."""
     logs = np.log(np.array([v if v < _FLOAT_LIMIT else 1 for v in values], dtype=np.float64))
     for i in (i for i, v in enumerate(values) if v >= _FLOAT_LIMIT):
         logs[i] = math.log(values[i])
@@ -1014,7 +1012,7 @@ def _judge_logs(tally: _Tally, plan: _Plan, block_idx: int, nis, logc: np.ndarra
 def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> None:
     """plan's checks over one c-range of a CorpusSpec (_judge_logs): each log rad from
     one radical table, each piece's from its values t_k (_piece_values), or where not
-    bounded their sieve (_lograd_piece), in buffers of the workspace alone."""
+    bounded their sieve (_lograd_piece, degree 2), in buffers of the workspace alone."""
     lograd = _radical_table(max_c)
     c_arr, s_arr, grid, solution = block
     size, ws = len(c_arr), _WORKSPACE
@@ -1311,7 +1309,9 @@ def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, int, tuple]:
     sieve_lane = (
         isinstance(corpus, CorpusSpec)  # only a CorpusSpec comes in c-ranges to sieve
         and corpus.max_c <= _VECTOR_MAX_C
-        and ks <= _FORMS.keys()  # the image radicals the sieve knows: n in {2, 4, 6}
+        # every Horner term fits int64 (y < x < max_c); an exact row needs degree 2
+        and all(sum(map(abs, b := _phi_table(k))) * corpus.max_c ** (2 * len(b) - 2) < 1 << 63
+                and (_takes_bounds(plan) or len(b) == 2) for k in ks)
     )
     if not sieve_lane:
         return _k_scalar, _TRIPLE_BLOCK, (plan,)
@@ -1337,8 +1337,8 @@ def verify_lemma1(
 
     For every (solution, n, eps): the image merit at eps_out must be
     at least c_lin * f(solution, eps) + c_off, within tolerance.  A
-    CorpusSpec with max_c <= _VECTOR_MAX_C and every n in {2, 4, 6} takes
-    the sieve lane, any other corpus the scalar lane; both take the same
+    CorpusSpec with max_c <= _VECTOR_MAX_C whose pieces fit int64 (_plan_kernel)
+    takes the sieve lane, any other corpus the scalar lane; both take the same
     floats (_judge_logs), and near ties and float failures are rechecked
     with the formula at 160 bits.  At an n with a piece both judge a row on a multiple of the
     image radical (_Radicals.bound), a lower bound on its slack, and make
@@ -1425,9 +1425,9 @@ def verify_reduction_chain(
     image merit exceeds it.  Per solution two checks, lemma1 at (n, eps)
     rearranged: the input merit is at most lifted = (f(image, eps_out)
     - c_off) / c_lin, and lifted is at most derived_full_bound(N, eps,
-    assumed_constant).  The lanes are lemma1's: the sieve lane takes a
-    CorpusSpec with max_c <= _VECTOR_MAX_C when n is 2, 4 or 6 (N in
-    {3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18}); every row is exact.
+    assumed_constant).  The lanes are lemma1's, every row exact: the sieve lane
+    takes a CorpusSpec with max_c <= _VECTOR_MAX_C when n is 2, 4 or 6 (N in
+    {3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18}), whose pieces, of degree 2, it sieves.
     """
     n = _totient_exponent(N)
     bound = derived_full_bound(N, eps, assumed_constant)  # NonpositiveEpsilon for eps <= 0

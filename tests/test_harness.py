@@ -341,26 +341,56 @@ def test_a_row_made_exact_adds_the_floats_of_the_piece_sieve(monkeypatch, k):
 
 @pytest.mark.parametrize("n_grid, kernel", [
     ([2], "_k_vector"), ([4], "_k_vector"), ([6], "_k_vector"), ([2, 4, 6], "_k_vector"),
-    ([8], "_k_scalar"), ([2, 8], "_k_scalar"), ([12], "_k_scalar"),
 ])
 def test_plan_kernel_takes_the_sieve_lane_at_n_2_4_6(n_grid, kernel):
-    plan = harness._Plan(tuple(n_grid), (1.0,), None)
-    assert harness._plan_kernel(plan, CorpusSpec(max_c=100))[0] is getattr(harness, kernel)
-    assert harness._plan_kernel(plan, list(CorpusSpec(max_c=10)))[0] is harness._k_scalar
+    # every piece of degree 2: both lemma1 and the chain's exact rows, whose piece
+    # sieve knows that degree alone
+    for sides in (harness._lemma1_sides, harness._chain_sides):
+        plan = harness._Plan(tuple(n_grid), (1.0,), sides)
+        assert harness._plan_kernel(plan, CorpusSpec(max_c=100))[0] is getattr(harness, kernel)
+        assert harness._plan_kernel(plan, list(CorpusSpec(max_c=10)))[0] is harness._k_scalar
+
+
+@pytest.mark.parametrize("sides, n_grid, max_c, kernel", [
+    ("lemma1", [8], 100, "_k_vector"), ("lemma1", [2, 8], 100, "_k_vector"),
+    ("lemma1", [10], 100, "_k_vector"), ("lemma1", [12], 100, "_k_vector"),
+    ("lemma1", [8], 27_554, "_k_vector"),  # 16 * 27,554**4 < 2**63, the sum of (2, 12, 2)
+    ("lemma1", [8], 27_555, "_k_scalar"),  # one more and t_8's terms can leave int64
+    ("lemma1", [14], 724, "_k_vector"), ("lemma1", [14], 725, "_k_scalar"),
+    ("lemma1", [16], 117, "_k_vector"), ("lemma1", [16], 118, "_k_scalar"),
+    ("lemma1", [32], 100, "_k_scalar"),
+    ("chain", [8], 100, "_k_scalar"),  # N = 16: an exact row of degree 4, no piece sieve
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else str(v))
+def test_plan_kernel_reads_the_lane_from_the_table(sides, n_grid, max_c, kernel):
+    # a spec takes the sieve lane when every Horner term of every piece fits int64,
+    # sum |b_j| * max_c**totient(k) < 2**63, and, on a row that is not bounded,
+    # every piece has degree 2
+    plan = harness._Plan(tuple(n_grid), (1.0,), getattr(harness, f"_{sides}_sides"))
+    assert harness._plan_kernel(plan, CorpusSpec(max_c=max_c))[0] is getattr(harness, kernel)
+
+
+# per n, a tolerance at which some checks over c <= 300 fail, every counterexample kept
+_FAILING_TOLERANCE = {6: -6.0, 8: -7.0, 10: -8.5, 12: -10.0}
 
 
 @pytest.mark.parametrize("congruence", [1, 7])
 def test_lemma1_lane_agreement_at_n6(monkeypatch, congruence):
+    # and at n = 8, 10 and 12, whose pieces of degree 4 the sieve lane takes by
+    # Horner on int64 from the table the scalar lane evaluates on Python ints
     _small_blocks(monkeypatch, 6000)
     spec = CorpusSpec(max_c=300, congruence=congruence)
     listed = list(spec)
-    for kw, workers in itertools.product(({}, _KEEP_ALL_LEMMA1), (1, 3)):
-        fast = verify_lemma1(spec, [6], [0.5, 1.0], workers=workers, **kw)
-        slow = verify_lemma1(listed, [6], [0.5, 1.0], workers=workers, **kw)
-        assert fast.checks == 2 * len(listed)
-        assert fast.inconclusives == 0
-        assert _same_verdicts(fast, slow)
-    assert fast.failures > 0
+    for n, tolerance in _FAILING_TOLERANCE.items():
+        assert harness._plan_kernel(harness._Plan((n,), (1.0,), harness._lemma1_sides),
+                                    spec)[0] is harness._k_vector
+        runs = ({}, {**_KEEP_ALL_LEMMA1, "tolerance": tolerance})
+        for kw, workers in itertools.product(runs, (1, 3)):
+            fast = verify_lemma1(spec, [n], [0.5, 1.0], workers=workers, **kw)
+            slow = verify_lemma1(listed, [n], [0.5, 1.0], workers=workers, **kw)
+            assert fast.checks == 2 * len(listed)
+            assert fast.inconclusives == 0
+            assert (fast.failures > 0) == bool(kw)
+            assert _same_verdicts(fast, slow)
 
 
 def test_lemma1_worker_count_is_invisible():
@@ -393,8 +423,8 @@ def test_import_leaves_mpmath_to_the_first_recheck():
 
 
 def test_lemma1_wide_grid_clean():
-    # full exponent and epsilon grids; higher n goes through the
-    # factorization lane, so keep the corpus modest
+    # full exponent and epsilon grids; rows made exact at n = 8 take their
+    # pieces' radicals one at a time, so keep the corpus modest
     s = verify_lemma1(CorpusSpec(max_c=200), [2, 4, 6, 8], [0.1, 0.5, 1.0, 2.0])
     assert s.failures == 0 and s.inconclusives == 0
     assert s.checks == 16 * len(CorpusSpec(max_c=200))
@@ -1162,8 +1192,9 @@ def _drop_last_piece(monkeypatch):
 
 @pytest.mark.parametrize("corpus, n_grid", [
     ([make_solution(-1, -2, 3), make_solution(-1, -4, 5)], [2, 4]),
-    (CorpusSpec(max_c=30), [8]),  # n = 8 on a spec: the scalar lane
+    (CorpusSpec(max_c=30), [8]),  # the sieve lane at n = 8: a row made exact is audited
     (CorpusSpec(max_c=30), [6]),  # the sieve lane, whose oracle takes the pieces too
+    (list(CorpusSpec(max_c=30)), [8]),  # n = 8 on the scalar lane
 ])
 def test_lemma1_audit_catches_a_dropped_piece(monkeypatch, corpus, n_grid):
     _drop_last_piece(monkeypatch)
@@ -1262,8 +1293,8 @@ def test_every_sieve_row_is_the_proved_row(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_sieve_lane_never_factorizes(monkeypatch, workers):
     # its audit and its rechecks included: every number of the lane is below
-    # 3 * max_c**2 and goes to trial division, so factorize, and its budget,
-    # never matter
+    # 2**63, where radical trial divides to the cube root and needs no rho, so
+    # factorize, and its budget, never matter
     real = numtheory.factorize
 
     def refuse(n, *args, **kwargs):
@@ -1277,16 +1308,20 @@ def test_sieve_lane_never_factorizes(monkeypatch, workers):
     spec = CorpusSpec(max_c=200, congruence=7)
     assert len(harness._blocks(spec, harness._BLOCK_SLOTS)) > 3
     assert verify_lemma1(spec, [2, 4, 6], [0.5, 1.0], workers=workers).ok
+    assert verify_lemma1(spec, [8, 10, 12], [0.5, 1.0], workers=workers).ok
     assert verify_reduction_chain(spec, 9, 1.0, 10.0, workers=workers).ok
-    # a margin of 5 that many checks miss: every failure is rechecked
+    # a margin that many checks miss: every failure is rechecked, and its row, at
+    # n = 8 too, made exact
     s = verify_lemma1(spec, [2, 4, 6], [0.5, 1.0], tolerance=-5.0, workers=workers)
+    assert s.failures > 0 and s.inconclusives == 0
+    s = verify_lemma1(spec, [8, 10, 12], [0.5, 1.0], tolerance=-7.0, workers=workers)
     assert s.failures > 0 and s.inconclusives == 0
 
 
 def test_proved_image_is_the_full_image(monkeypatch):
     for aa in CorpusSpec(60):
         rads = harness._Radicals(aa)
-        for n in (2, 4, 6, 8):  # 8: the scalar lane's exponent
+        for n in (2, 4, 6, 8):  # 8: a piece of degree 4
             row = rads.row(n)
             assert row == harness._proved_image(rads, n) == harness._exact_radicals(aa, n)
     # a piece left out: its primes are missing from the full image's
@@ -1386,14 +1421,19 @@ def test_identities_radical_bound_needs_no_factored_image(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the scalar lane's bounded rows: lemma1 judged on a multiple of the image radical
+# bounded rows in both lanes: lemma1 judged on a multiple of the image radical
 
 
 _BOUNDED_RUNS = {
+    # a spec at n = 8 to 16 is on the sieve lane, its list twin on the scalar lane
     "n8,12": (CorpusSpec(150), [8, 12], [0.5, 1.0], {}),
     "n8-tol-7": (CorpusSpec(150), [8], [0.1, 1.0], {"tolerance": -7.0}),
     "n16": (CorpusSpec(100), [16], [1.0], {}),
     "n16-tol-12.5": (CorpusSpec(100), [16], [1.0], {"tolerance": -12.5}),
+    "list-n8,12": (list(CorpusSpec(150)), [8, 12], [0.5, 1.0], {}),
+    "list-n8-tol-7": (list(CorpusSpec(150)), [8], [0.1, 1.0], {"tolerance": -7.0}),
+    "list-n16": (list(CorpusSpec(100)), [16], [1.0], {}),
+    "list-n16-tol-12.5": (list(CorpusSpec(100)), [16], [1.0], {"tolerance": -12.5}),
     "n32": (CorpusSpec(30), [32], [1.0], {}),
     "list-n2,4,6-tol-4": (list(CorpusSpec(100)), [2, 4, 6], [0.5, 1.0], {"tolerance": -4.0}),
     "sampled": (_sample(10**8, 150, seed=1), [2, 4], [0.1, 1.0], {}),
@@ -1591,7 +1631,8 @@ def test_bound_audit_catches_a_missing_prime(monkeypatch, capsys, wrong, workers
     spec = CorpusSpec(max_c=60)
     assert verify_lemma1(spec, [4, 8, 16], [1.0], workers=workers).ok
     monkeypatch.setattr(harness._Radicals, "bound", bound)
-    for corpus, n_grid in ((list(spec), [4]), (spec, [8]), (spec, [2, 16])):
+    for corpus, n_grid in ((list(spec), [4]), (spec, [8]), (spec, [2, 16]),
+                           (list(spec), [8]), (list(spec), [2, 16])):
         with pytest.raises(harness.InternalRadicalMismatch, match="not those of the full image"):
             verify_lemma1(corpus, n_grid, [1.0], workers=workers)
     code = main(["verify", "lemma1", "--max-c", "60", "--n", "8", "--eps", "1",
@@ -1656,16 +1697,37 @@ def test_piece_sieve_refuses_a_hit_that_does_not_divide(monkeypatch, capsys, wor
     assert err.startswith("internal error: ") and "InternalRadicalMismatch" in err
 
 
+def _phi(k, c, dd):
+    """Phi_k(c, dd): c - dd and c + dd at k = 1 and 2, else _Radicals._phi, Horner on
+    the table, at x = c + dd and y = c - dd, whose Phi_k(2c, 2dd) is 2**totient(k) times
+    Phi_k(c, dd), so that c and dd need not have one parity."""
+    if k <= 2:
+        return c - dd if k == 1 else c + dd
+    return harness._Radicals(ABCSolution(-(c + dd), dd - c, 2 * c))._phi(k) >> totient(k)
+
+
 def test_cyclotomic_values_multiply_to_the_power_difference():
-    # _cyclotomic takes Phi_k in one step by Moebius inversion; the oracle is the
-    # product over the divisors, c**k - dd**k
+    # the one table of Phi_k; the oracle is the product over the divisors, c**k - dd**k
     for k in range(1, DEFAULT_EXPONENT_CAP + 1):
         divisors = [j for j in range(1, k + 1) if k % j == 0]
         for c in range(2, 31):
             for dd in range(1, c):
                 if math.gcd(c, dd) == 1:
-                    got = math.prod(harness._cyclotomic(j, c, dd) for j in divisors)
+                    got = math.prod(_phi(j, c, dd) for j in divisors)
                     assert got == c**k - dd**k, (k, c, dd)
+
+
+def test_piece_values_wrap_nowhere_at_the_lanes_limit():
+    # c = 27,554 is the largest c with 16 * c**4 < 2**63, 16 the sum of the tables
+    # of k = 5, 8, 10 and 12: every int64 t_k of the row is the Python-int value
+    c_arr, s_arr, _ = _block_grid(27_554, 27_554)
+    c_arr, s_arr = c_arr.copy(), s_arr.copy()
+    for k in (5, 8, 10, 12):
+        assert sum(harness._phi_table(k)) == 16
+        got = harness._piece_values(k, c_arr - s_arr, s_arr).tolist()
+        for (c, s), t in zip(zip(c_arr.tolist(), s_arr.tolist()), got):
+            v = harness._Radicals(ABCSolution(s - c, -s, c))._phi(k)
+            assert t == numtheory._strip(v, math.gcd(v, 2 * k)), (k, c, s)
 
 
 def _canonical(summary: SuiteSummary) -> str:
@@ -1675,7 +1737,7 @@ def _canonical(summary: SuiteSummary) -> str:
 
 _WORKSPACE_SUITES = {
     "lemma1": lambda corpus, workers: verify_lemma1(
-        corpus, [2, 4, 6], [0.1, 1.0], tolerance=-6.0, max_counterexamples=10**6,
+        corpus, [2, 4, 6, 8], [0.1, 1.0], tolerance=-6.0, max_counterexamples=10**6,
         workers=workers),
     "chain": lambda corpus, workers: verify_reduction_chain(corpus, 7, 1.0, 10.0,
                                                             workers=workers),
