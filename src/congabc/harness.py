@@ -229,6 +229,8 @@ class _Workspace:
                         the sieve lane's logs and masks (_k_vector, _judge_logs)
       "piece", "lograd" a piece t_k (_piece_values), and the piece sieve's
                         rad(t_k), then its log (_lograd_piece)
+      "logt<k>"         log t_k for the block, where more than one n of lemma1's
+                        grid takes the piece k (_k_vector): "logt4" at n 8, 12
     """
 
     def __init__(self):
@@ -328,13 +330,31 @@ def _c_blocks(max_c: int, target_slots: int) -> list[tuple[int, int]]:
     return blocks
 
 
+_LEAST_PRIME: list = [np.zeros(0, dtype=np.int32)]
+
+
+def _least_primes_to(limit: int) -> np.ndarray:
+    """The least prime factor of each v in 0..limit (v itself below 2), int32, a view
+    of the one table kept, grown as _primes_to's prime array: a limit past it builds
+    the table to the next power of two, from the primes up to its square root."""
+    if limit >= len(_LEAST_PRIME[0]):
+        size = 1 << limit.bit_length()
+        table = np.arange(size, dtype=np.int32)
+        for p in _primes_to(math.isqrt(size - 1))[::-1].tolist():  # the least p writes last
+            table[p * p::p] = p
+        _LEAST_PRIME[0] = table
+    return _LEAST_PRIME[0][:limit + 1]
+
+
 def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     """Corpus pairs (c, s) of the block, in corpus order, and the grid layout.
 
     Row c of the full grid holds s = 1 .. (c-1)//2 from position starts[row];
     keep marks the corpus pairs (gcd(s, c) = 1, and N | abc for congruence
     N > 1), so grid position g holds output pair cumsum(keep)[g] - 1.  The
-    pairs and keep are views of the workspace.
+    pairs and keep are views of the workspace, at every congruence.  Each c's
+    primes come from _least_primes_to, and the pairs are placed by each row's
+    count of kept positions.
     """
     cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
     reps = (cs - 1) // 2
@@ -342,32 +362,39 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     size = int(reps.sum())
     keep = _WORKSPACE("keep", size, bool)
     keep.fill(True)
-    # gcd(s, c) > 1 exactly when s = 0 mod a prime p of c, and such an s < c/2
-    # has p <= c/2: the multiples of p in the rows of its multiples, a slice each
-    primes = _primes_to(c_hi // 2)
-    row, col = np.nonzero(cs[:, None] % primes == 0)
-    p = primes[col]
-    for lo, hi, step in zip((starts[row] + p - 1).tolist(), (starts + reps)[row].tolist(),
-                            p.tolist()):
-        keep[lo:hi:step] = False
+    # gcd(s, c) > 1 exactly when s = 0 mod a prime p of c, and such an s has
+    # p <= reps: the multiples of p in the row, a slice each.  The primes of each
+    # c come from the least prime factors, one pass per prime power: the least
+    # prime of v / p is p again until p is divided out
+    least, row, v, last = _least_primes_to(c_hi), np.arange(len(cs)), cs, 0
+    while len(row):
+        p = least[v].astype(np.int64)
+        new = (p != last) & (p <= reps[row])
+        for lo, hi, step in zip((starts[row] + p - 1)[new].tolist(),
+                                (starts + reps)[row][new].tolist(), p[new].tolist()):
+            keep[lo:hi:step] = False
+        v = v // p
+        live = v > 1
+        row, v, last = row[live], v[live], p[live]
     # the kept positions, found once for c and s (np.compress(keep, ..., out=)
-    # finds them per array and copies out= through a temporary), then each one's
-    # row: a running sum of markers at each row's first kept position (s = 1 is
-    # kept in every row)
+    # finds them per array and copies out= through a temporary), and each row's
+    # count of them, from its first (s = 1 is kept in every row); s = position -
+    # starts[row] + 1, the row's start read by c from a table over 0..c_hi
     at = np.flatnonzero(keep)
     kept = len(at)
-    rows = _WORKSPACE("scratch0", kept)
-    rows.fill(0)
-    rows[np.searchsorted(at, starts[1:])] = 1
-    np.cumsum(rows, out=rows)
-    c = np.take(cs, rows, out=_WORKSPACE("c", kept), mode="clip")
-    s = np.take(starts, rows, out=_WORKSPACE("s", kept), mode="clip")
+    count = np.diff(np.searchsorted(at, starts), append=kept)
+    c = _WORKSPACE("c", kept)
+    c[:] = np.repeat(cs.astype(np.int32), count)  # half the temporary of int64
+    before = np.zeros(c_hi + 1, dtype=np.int64)
+    before[c_lo:] = starts - 1
+    s = np.take(before, c, out=_WORKSPACE("s", kept), mode="clip")
     np.subtract(at, s, out=s)
-    s += 1
     if congruence > 1:
         sel = _congruence_mask(c, s, congruence)
         keep[keep] = sel
-        c, s = c[sel], s[sel]
+        kept = int(np.count_nonzero(sel))
+        c[:kept], s[:kept] = c[sel], s[sel]
+        c, s = c[:kept], s[:kept]
     return c, s, (cs, reps, starts, keep)
 
 
@@ -566,14 +593,16 @@ class _Radicals:
 
     lcms, not products, since the Phi_k can share primes dividing n.  Each Phi_k is computed
     once per solution (_phi, on the sieve lane's table), parts(n) once per n, and each
-    number's radical once (_rad), shared by every n and eps.  A FactorizationFailure is kept
-    and raised again for the same number, so a composite that resists the budget costs one
-    rho run per solution; the sieve lane's rows made exact, pieces below 2**63, none.
+    number's radical once (_rad) in the memo known, shared by every n and eps, and by
+    every _Radicals given the same memo (the identities share one per block).  A
+    FactorizationFailure is kept and raised again for the same number, so a composite
+    that resists the budget costs one rho run per memo; the sieve lane's rows made
+    exact, pieces below 2**63, none.
     """
 
-    def __init__(self, aa: ABCSolution):
+    def __init__(self, aa: ABCSolution, known: dict | None = None):
         self.aa = aa
-        self._known: dict[int, int | FactorizationFailure] = {}
+        self._known: dict[int, int | FactorizationFailure] = {} if known is None else known
         self._phis: dict[int, int] = {}
         self._parts: dict[int, tuple[int, int]] = {}
 
@@ -1020,11 +1049,21 @@ def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> 
     def table(values, name):  # every value at most max_c
         return np.take(lograd, values, out=ws(name, size, np.float64), mode="clip")
 
+    # each bounded log once per block: that of a piece that more than one n of the
+    # grid takes (t_4 at n 8, 12) in a buffer of its own, any other in scratch1,
+    # which no later n reads
+    ks, kept = [k for n in plan.n_grid for k in _piece_ks(n)], {}
+
     def pieces(n, bound):
         for k in _piece_ks(n):
-            t = _piece_values(k, np.subtract(c_arr, s_arr, out=ws("piece", size)), s_arr)
-            yield (np.log(t, out=ws("scratch1", size, np.float64)) if bound
-                   else _lograd_piece(k, t, grid, max_c))
+            if k not in kept:
+                t = _piece_values(k, np.subtract(c_arr, s_arr, out=ws("piece", size)), s_arr)
+                if not bound:  # the chain, at its one n
+                    yield _lograd_piece(k, t, grid, max_c)
+                    continue
+                name = f"logt{k}" if ks.count(k) > 1 else "scratch1"
+                kept[k] = np.log(t, out=ws(name, size, np.float64))
+            yield kept[k]
 
     # log rad of |a| = c - s, |b| = s, c and d = c - 2s; |b|'s and c's in the
     # buffers of the image logs, which _judge_logs takes once it has summed them
@@ -1073,37 +1112,41 @@ def _k_scalar(tally: _Tally, block, block_idx: int, plan: _Plan) -> None:
                         _fresh)
 
 
+def _lemma2_witnesses(N: int, n: int) -> np.ndarray:
+    """The witness |A*B*C| mod N of the image at n of the solution (c, s), s = |b|,
+    at position (c mod 2N) * N + s mod N: it depends on those residues alone.
+
+    |A*B*C| = d**n * (c**n - d**n) * c**n with d = c - 2s, both halved when c is
+    even; c' = c or c/2 and d' = c - 2s or c/2 - s are fixed mod N by c mod 2N and
+    s mod N.  totient(N) <= DEFAULT_EXPONENT_CAP = 64 forces N <= 240, so the
+    table has 2N**2 < 2**17 entries, and pu * (pv - pu + N) * pv < N**3 fits int32.
+    """
+    power = np.array([pow(v, n, N) for v in range(N)], dtype=np.int32)
+    r, q = np.arange(2 * N)[:, None], np.arange(N)
+    half = r % 2 == 0
+    pv = power[np.where(half, r // 2, r) % N]
+    pu = power[np.where(half, r // 2 - q, r - 2 * q) % N]
+    return (pu * (pv - pu + N) * pv % N).ravel()
+
+
 def _k_lemma2(tally: _Tally, block, block_idx: int, N: int, n: int) -> None:
-    """N | A*B*C for the image at n of each solution of one block, exactly."""
-    # the witness |A*B*C| mod N is below N, and totient(N) <= DEFAULT_EXPONENT_CAP
-    # = 64 forces N <= 240, so it and products of two residues fit int64
+    """N | A*B*C for the image at n of each solution of one block, exactly.
+
+    A list block takes the full image through theta, the oracle.  A c-range
+    reads each witness |A*B*C| mod N from one table (_lemma2_witnesses) at
+    (c mod 2N) * N + s mod N, whose two terms are taken from tables over
+    0..c_hi: three takes and one add, no remainder of the block's arrays.
+    """
     c_arr, s_arr, grid, solution = block
     if grid is None:  # a list block: the full image through theta
         witness = np.array([abs(math.prod(theta(solution(i), n).raw)) % N
                             for i in range(len(c_arr))], dtype=np.int64)
     else:
-        # |A*B*C| = d**n * (c**n - d**n) * c**n with d = c - 2s, both halved
-        # when c is even, so the witness comes from a residue table of n-th powers,
-        # v**n mod N for v up to c_hi from the N residues (np.resize repeats them):
-        # residues below N and products of two fit int32
-        size = len(c_arr)
-        residues = np.array([pow(v, n, N) for v in range(N)], dtype=np.int32)
-        residues = np.resize(residues, int(c_arr[-1]) + 1)
-        v = _WORKSPACE("scratch0", size)
-        even = np.equal(np.bitwise_and(c_arr, 1, out=v), 0, out=_WORKSPACE("mask0", size, bool))
-        np.copyto(v, c_arr)
-        np.right_shift(v, 1, out=v, where=even)
-        pv = np.take(residues, v, out=_WORKSPACE("scratch1", size, np.int32), mode="clip")
-        np.subtract(c_arr, np.multiply(s_arr, 2, out=v), out=v)
-        np.right_shift(v, 1, out=v, where=even)
-        pu = np.take(residues, v, out=_WORKSPACE("scratch2", size, np.int32), mode="clip")
-        # pu * ((pv - pu) % N) % N * pv % N
-        witness = np.subtract(pv, pu, out=v)
-        witness %= N
-        witness *= pu
-        witness %= N
-        witness *= pv
-        witness %= N
+        size, v = len(c_arr), np.arange(int(c_arr[-1]) + 1)  # s < c <= c_hi
+        at = np.take(v % (2 * N) * N, c_arr, out=_WORKSPACE("scratch0", size), mode="clip")
+        at += np.take(v % N, s_arr, out=_WORKSPACE("scratch1", size), mode="clip")
+        witness = np.take(_lemma2_witnesses(N, n), at, out=_WORKSPACE("scratch2", size, np.int32),
+                          mode="clip")
     bad = np.flatnonzero(witness)
     tally.passed(len(witness) - len(bad))
     for i in bad.tolist():
@@ -1114,6 +1157,15 @@ def _identity_sum(c, dd, n: int):
     """sum of c**(n-2-2i) * dd**(2i) for 0 <= i < n/2 (exact), of ints or of
     object arrays of ints."""
     return sum(c ** (n - 2 - 2 * i) * dd ** (2 * i) for i in range(n // 2))
+
+
+def _radical_sides(rads: _Radicals, n: int, log) -> tuple:
+    """The sides of check (iii) at n by log, math.log or the recheck's at 160 bits:
+    log dd + log rad(|a*b*c|) + log rad(4 * S) and log of the image radical, proved
+    by _proved_image, with rad(4 * S) from rads.parts(n)."""
+    _, rad_in, _, rad_img = _proved_image(rads, n)
+    _, rad_q = rads.parts(n)
+    return log(rads.aa.b - rads.aa.a) + log(rad_in) + log(rad_q), log(rad_img)
 
 
 def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
@@ -1128,9 +1180,13 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
     (ii), (iii)) has the key (block_idx, position, 3*t + j), so the tally
     keeps them per solution, per n, in that order, however they were
     visited.  Check (iii) takes rad(|a*b*c|) and the image radical from one
-    _Radicals per solution, proved against theta's image by _proved_image,
-    and rad(4 * S) from its parts: check (i) is what shows
-    S = _identity_sum(c, dd, n) to be the product of the pieces.
+    _Radicals per solution, proved against theta's image by _proved_image at
+    every (solution, n), and rad(4 * S) from its parts (_radical_sides): check
+    (i) is what shows S = _identity_sum(c, dd, n) to be the product of the
+    pieces.  The block's _Radicals share one radical memo, and its rows are
+    judged in bulk, as _judge_rows does: only the floats are kept, the suspects
+    go through tally.judge (its integers taken again for the 160-bit recheck),
+    the others count as passed at once, and the argmin is offered once.
     """
     c_arr, s_arr, _, solution = block
     c_hi = int(c_arr.max())
@@ -1154,28 +1210,45 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
                 tally.failed((block_idx, i, 3 * t + j), solution(i), {"n": n, "check": check},
                              witness=int(witness[i]))
     scale = math.inf if radical_scale is None else radical_scale
-    for local in np.flatnonzero(c_arr <= scale).tolist():
-        aa = solution(local)
-        rads = _Radicals(aa)
-        dd = aa.b - aa.a
+    rows = np.flatnonzero(c_arr <= scale).tolist()
+    per_row = len(n_grid)
+    known: dict = {}  # one radical memo for the block's _Radicals
+    lhs, rhs = np.full((2, len(rows) * per_row), np.nan)  # NaN where inconclusive
+
+    def params(t):
+        return {"n": n_grid[t], "check": "radical-log-bound"}
+
+    for r, local in enumerate(rows):
+        rads = _Radicals(solution(local), known)
         for t, n in enumerate(n_grid):
-            where, params = (block_idx, local, 3 * t + 2), {"n": n, "check": "radical-log-bound"}
             try:
-                _, rad_in, _, rad_img = _proved_image(rads, n)
-                _, rad_q = rads.parts(n)
+                lhs[r * per_row + t], rhs[r * per_row + t] = _radical_sides(rads, n, math.log)
             except FactorizationFailure as exc:
-                tally.inconclusive(where, 1, aa, params, exc)
-                continue
+                tally.inconclusive((block_idx, local, 3 * t + 2), 1, rads.aa, params(t), exc)
+    # the rows judged, in (position, n) order, so np.argmin breaks ties as the keys do
+    live = np.flatnonzero(~np.isnan(lhs))
+    slack = np.subtract(lhs[live], rhs[live])
 
-            def sides(log):  # floats with math.log, and the recheck's 160 bits
-                return log(dd) + log(rad_in) + log(rad_q), log(rad_img)
+    def verdict(i):  # the key, solution, params and sides of the i-th row judged
+        r, t = divmod(int(live[i]), per_row)
+        return ((block_idx, rows[r], 3 * t + 2), solution(rows[r]), params(t),
+                float(lhs[live[i]]), float(rhs[live[i]]))
 
-            def recheck():
-                with _at_160_bits() as mp:
-                    return operator.sub(*sides(mp.log))
+    suspects = np.flatnonzero((np.abs(slack) < tally.band) | (slack < -tally.tolerance))
+    tally.passed(len(slack) - len(suspects))
+    for i in suspects.tolist():
+        where, aa, params_i, lhs_i, rhs_i = verdict(i)
 
-            lhs, rhs = sides(math.log)
-            tally.judge(where, lhs - rhs, recheck, aa, params, lhs, rhs)
+        def recheck():  # the integers taken again, from the block's memo
+            with _at_160_bits() as mp:
+                return operator.sub(*_radical_sides(_Radicals(aa, known), params_i["n"], mp.log))
+
+        slack[i] = tally.judge(where, float(slack[i]), recheck, aa, params_i, lhs_i, rhs_i)
+    if len(slack):  # a suspect's verdict is judge's, offered under the same key
+        i = int(np.argmin(slack))
+        (where, aa, params_i, lhs_i, rhs_i), low = verdict(i), float(slack[i])
+        tally.offer((low, *where), lambda: LemmaVerdict(aa, params_i, lhs_i, rhs_i, low,
+                                                        low >= -tally.tolerance))
 
 
 # ---------------------------------------------------------------------------
