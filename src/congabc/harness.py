@@ -68,8 +68,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .abc_core import ABCSolution, MeritReport, merit
-from .numtheory import (FactorizationFailure, _prime_array, _primes_to, _strip, factorize,
-                        radical, totient)
+from .numtheory import FactorizationFailure, _primes_to, _strip, factorize, radical, totient
 from .theta import (
     DEFAULT_EXPONENT_CAP,
     ExponentCapExceeded,
@@ -101,7 +100,7 @@ _AUDIT_ROWS = 8
 _AUDIT_TOL = 1e-6
 # added to the log of U: where U is the radical its log is the exact one, the same
 # floats summed in the same order, so a bounded slack is strictly below the exact
-# one, which _judge_rows' suspect test and argmin loop rely on.  Far below
+# one, which _Tally.judge's suspect test and argmin loop rely on.  Far below
 # _AUDIT_TOL and ln 5, the least U / radical above 1
 _BOUND_MARGIN = 1e-9
 # the least integer that float() cannot round to a float64: the largest float64,
@@ -263,7 +262,7 @@ def _fresh(name: str, size: int, dtype=np.int64) -> np.ndarray:
 def _radical_table(limit: int) -> np.ndarray:
     """log rad(v) for v in 0..limit (0 at v = 0 and v = 1)."""
     rad = np.ones(limit + 1, dtype=np.int64)
-    for p in _prime_array(limit):
+    for p in _primes_to(limit):
         rad[p::p] *= p
     lograd = np.zeros(limit + 1, dtype=np.float64)
     lograd[1:] = np.log(rad[1:].astype(np.float64))
@@ -305,7 +304,7 @@ def _piece_table(k: int, max_c: int) -> tuple[np.ndarray, np.ndarray]:
     unity mod p: p | Phi_k(c, d) exactly when c = zeta*d, that is s = c*u.
     (For k = 4 these are (1 +- i)/2; for k = 3 and 6, (3 +- r)/4 and (1 +- r)/4
     with r = 2*omega + 1 = sqrt(-3), omega a primitive cube root of unity.)"""
-    primes = _prime_array(math.isqrt(_sieve_lead(k) * max_c * max_c))
+    primes = _primes_to(math.isqrt(_sieve_lead(k) * max_c * max_c))
     sel = primes[primes % k == 1]
     roots = np.empty((len(sel), 2), dtype=np.int64)
     for i, p in enumerate(sel.tolist()):
@@ -703,7 +702,8 @@ class _Tally:
     corpus order, however the checks of a block were visited and however
     the corpus was cut into blocks.  best is (key, verdict) with the
     smallest key (slack, *where) seen, so the extremal verdict does not
-    depend on how the blocks were spread over workers.
+    depend on how the blocks were spread over workers.  judge is the one
+    judge of every float check, a block's slacks of one check at a time.
     """
 
     cap: int
@@ -744,25 +744,57 @@ class _Tally:
         if self.best is None or key < self.best[0]:
             self.best = (key, verdict())
 
-    def judge(self, where: tuple, slack: float, recheck, aa, params, lhs, rhs) -> float:
-        """Count one inequality check; it passes when slack >= -tolerance.
+    def judge(self, slack: np.ndarray, below: np.ndarray, verdict, recheck, bounded=None,
+              exact=None) -> list[int]:
+        """Judge one float check over a block's entries, slack[i] = lhs - rhs of
+        entry i, in place; returns the suspects held bounded, which it leaves uncounted.
 
-        A near tie (|slack| < band) or a float failure is decided by
-        recheck(), the slack recomputed from exact integers at 160 bits,
-        which cannot give up (_hp_slacks).  The verdict competes for best
-        under the key (slack, *where).  Returns the final slack.
+        An entry passes when its slack is at least -tolerance.  The suspects, |slack|
+        < band or slack < -tolerance, are screened by slack < max(band, -tolerance)
+        into the bool buffer below; the others pass at once.  verdict(i) gives entry
+        i's (where, solution, params, lhs, rhs) by the float formula, where growing
+        with i; a suspect still one on those sides is decided by recheck(i), its slack
+        from exact integers at 160 bits (_hp_slacks), which it keeps.
+
+        Where bounded[i] is set, entry i's slack is a lower bound, and exact(i) makes
+        it exact, clearing bounded[i], or returns the FactorizationFailure that stops
+        it.  A bounded suspect is made exact before it is judged, and the argmin until
+        it is exact: the exact argmin.  Only that is offered, as every final slack is
+        in place and keys grow with i; one that stayed bounded passes only if its
+        slack clears the band.
         """
-        if abs(slack) < self.band or slack < -self.tolerance:
-            hp = recheck()
-            passed, slack = bool(hp >= -self.tolerance), float(hp)
-        else:
-            passed = slack >= -self.tolerance
-        if passed:
-            self.passed()
-        else:
-            self.failed(where, aa, params, lhs, rhs, slack)
-        self.offer((slack, *where), lambda: LemmaVerdict(aa, params, lhs, rhs, slack, passed))
-        return slack
+        def gave_up(i):  # what keeps entry i bounded, None once it is exact
+            return exact(i) if bounded is not None and bounded[i] else None
+
+        rows = np.flatnonzero(np.less(slack, max(self.band, -self.tolerance), out=below))
+        under = slack[rows]
+        held, lost = [], set()
+        for i in rows[(np.abs(under) < self.band) | (under < -self.tolerance)].tolist():
+            if gave_up(i):
+                held.append(i)
+                continue
+            where, aa, params, lhs, rhs = verdict(i)
+            hp = lhs - rhs
+            if abs(hp) < self.band or hp < -self.tolerance:
+                hp = recheck(i)
+            slack[i] = low = float(hp)
+            if hp < -self.tolerance:  # the 160-bit slack decides, not its float
+                lost.add(i)
+                self.failed(where, aa, params, lhs, rhs, low)
+        self.passed(len(slack) - len(held) - len(lost))
+        if len(slack):
+            i = int(np.argmin(slack))
+            while bounded is not None and bounded[i] and exact(i) is None:
+                slack[i] = operator.sub(*verdict(i)[3:])
+                i = int(np.argmin(slack))
+            (where, aa, params, lhs, rhs), low, exc = verdict(i), float(slack[i]), gave_up(i)
+            passed = (i not in lost and low >= -self.tolerance
+                      and (exc is None or abs(low) >= self.band))
+            note = f"slack is a lower bound, from a multiple of the image radical: {exc}"
+            self.offer((low, *where), lambda: LemmaVerdict(
+                aa, params, lhs, rhs, low, passed, inconclusive=exc is not None and not passed,
+                note=note if exc else ""))
+        return held
 
     def absorb(self, later: "_Tally") -> None:
         """Fold in the tally of a later block, whose keys are all larger."""
@@ -877,7 +909,7 @@ def _hp_slacks(rads: _Radicals, n: int, eps: float, plan: _Plan) -> list:
 
 def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple, where,
                 radicals, bounded=None, exact=None, buf=_fresh) -> None:
-    """Judge plan's checks at its ni-th n over the rows of one block.
+    """Judge plan's checks at its ni-th n over the rows of one block (tally.judge).
 
     logs holds the arrays of the four logs, one row per solution, where[i]
     the block position of row i and radicals(p) the _Radicals of the solution
@@ -887,29 +919,24 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
     (the workspace, or _fresh).
 
     Where bounded[i] is set, row i's fourth log is that of a multiple of the
-    image radical, and exact(i) the exact one: lemma1's slacks fall as it grows.
-    A bounded suspect is made exact before it is judged (inconclusive if that
-    gives up), and the argmin until it is exact, which finds the exact argmin.
+    image radical (lemma1's), and exact(i) the exact one, which settle writes
+    in for the judge once, for every eps.  A row whose radicals give up counts
+    the checks it was held at as inconclusive, under its first check's key at n.
     """
     n = plan.n_grid[ni]
     size = len(where)
     f_in, f_img = buf("scratch0", size, np.float64), buf("scratch1", size, np.float64)
     near = buf("mask0", size, bool)
-    screen = max(tally.band, -tally.tolerance)  # above every suspect's slack
-
-    def solution(p):
-        return radicals(p).aa
-
     failed, held = {}, collections.Counter()  # rows that gave up, and their suspect checks
 
-    def make_exact(i) -> bool:
-        """Whether row i is exact, made so if it is bounded and has not given up."""
-        if bounded is not None and bounded[i] and i not in failed:
+    def settle(i):
+        """Make bounded row i exact, once: the FactorizationFailure that stops it, else None."""
+        if i not in failed:
             try:
                 logs[3][i], bounded[i] = exact(i), False
             except FactorizationFailure as exc:
                 failed[i] = exc
-        return i not in failed
+        return failed.get(i)
 
     for ei, eps in enumerate(plan.eps_grid):
         k = lemma_constants(n, eps)
@@ -923,7 +950,7 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
                 i = int(np.argmax(near))  # the first row over the bound
                 raise HypothesisViolated(
                     f"assumed constant {plan.bound} is below the observed image "
-                    f"merit {merits(i)[1]:.12g} at {solution(where[i])}"
+                    f"merit {merits(i)[1]:.12g} at {radicals(where[i]).aa}"
                 )
             slacks = _slack_arrays(plan, k, f_in, f_img)
         # a non-finite slack is no suspect (abs(inf) < band and nan < -tol are false): a pass
@@ -933,34 +960,15 @@ def _judge_rows(tally: _Tally, plan: _Plan, block_idx: int, ni: int, logs: tuple
         first = (ni * len(plan.eps_grid) + ei) * len(plan.labels)
         for j, slack in enumerate(slacks):
             params = {**plan.context, "n": n, "eps": eps, **plan.labels[j]}
-            # the suspects, |slack| < band or slack < -tolerance, from the rows below
-            # the screen, in row order
-            rows = np.flatnonzero(np.less(slack, screen, out=near))
-            under = slack[rows]
-            suspects = rows[(np.abs(under) < tally.band) | (under < -tally.tolerance)]
-            tally.passed(size - len(suspects))
-            for i in suspects.tolist():
-                if not make_exact(i):
-                    held[i] += 1
-                    continue
-                lhs, rhs = plan.sides(k, *merits(i), plan.bound)[j]
-                slack[i] = tally.judge((block_idx, where[i], first + j), lhs - rhs,
-                                       lambda: hp(i)[j], solution(where[i]), params, lhs, rhs)
-            i = int(np.argmin(slack))
-            while bounded is not None and bounded[i] and make_exact(i):
-                slack[i] = operator.sub(*plan.sides(k, *merits(i), plan.bound)[j])
-                i = int(np.argmin(slack))
-            low, exc = float(slack[i]), failed.get(i)
-            lhs, rhs = plan.sides(k, *merits(i), plan.bound)[j]
-            # one that stayed bounded passes only if its slack clears the band
-            passed = low >= -tally.tolerance and (exc is None or abs(low) >= tally.band)
-            note = f"slack is a lower bound, from a multiple of the image radical: {exc}"
-            tally.offer((low, block_idx, where[i], first + j), lambda: LemmaVerdict(
-                solution(where[i]), params, lhs, rhs, low, passed,
-                inconclusive=exc is not None and not passed, note=note if exc else ""))
+
+            def verdict(i):
+                return ((block_idx, where[i], first + j), radicals(where[i]).aa, params,
+                        *plan.sides(k, *merits(i), plan.bound)[j])
+
+            held.update(tally.judge(slack, near, verdict, lambda i: hp(i)[j], bounded, settle))
     for i, count in held.items():
         tally.inconclusive((block_idx, where[i], ni * len(plan.eps_grid) * len(plan.labels)),
-                           count, solution(where[i]), plan.context or {"n": n}, failed[i])
+                           count, radicals(where[i]).aa, plan.context or {"n": n}, failed[i])
 
 
 def _audit_rows(block_idx: int, size: int) -> list[int]:
@@ -1183,10 +1191,9 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
     _Radicals per solution, proved against theta's image by _proved_image at
     every (solution, n), and rad(4 * S) from its parts (_radical_sides): check
     (i) is what shows S = _identity_sum(c, dd, n) to be the product of the
-    pieces.  The block's _Radicals share one radical memo, and its rows are
-    judged in bulk, as _judge_rows does: only the floats are kept, the suspects
-    go through tally.judge (its integers taken again for the 160-bit recheck),
-    the others count as passed at once, and the argmin is offered once.
+    pieces.  The block's _Radicals share one radical memo, and only the floats
+    of its rows are kept, judged by one tally.judge (a suspect's integers taken
+    again from the memo for the 160-bit recheck).
     """
     c_arr, s_arr, _, solution = block
     c_hi = int(c_arr.max())
@@ -1234,21 +1241,12 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
         return ((block_idx, rows[r], 3 * t + 2), solution(rows[r]), params(t),
                 float(lhs[live[i]]), float(rhs[live[i]]))
 
-    suspects = np.flatnonzero((np.abs(slack) < tally.band) | (slack < -tally.tolerance))
-    tally.passed(len(slack) - len(suspects))
-    for i in suspects.tolist():
-        where, aa, params_i, lhs_i, rhs_i = verdict(i)
+    def recheck(i):  # the integers taken again, from the block's memo
+        _, aa, check, _, _ = verdict(i)
+        with _at_160_bits() as mp:
+            return operator.sub(*_radical_sides(_Radicals(aa, known), check["n"], mp.log))
 
-        def recheck():  # the integers taken again, from the block's memo
-            with _at_160_bits() as mp:
-                return operator.sub(*_radical_sides(_Radicals(aa, known), params_i["n"], mp.log))
-
-        slack[i] = tally.judge(where, float(slack[i]), recheck, aa, params_i, lhs_i, rhs_i)
-    if len(slack):  # a suspect's verdict is judge's, offered under the same key
-        i = int(np.argmin(slack))
-        (where, aa, params_i, lhs_i, rhs_i), low = verdict(i), float(slack[i])
-        tally.offer((low, *where), lambda: LemmaVerdict(aa, params_i, lhs_i, rhs_i, low,
-                                                        low >= -tally.tolerance))
+    tally.judge(slack, np.empty(len(slack), bool), verdict, recheck)
 
 
 # ---------------------------------------------------------------------------

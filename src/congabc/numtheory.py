@@ -5,10 +5,9 @@ testing, complete factorization, the radical (squarefree kernel),
 Euler's totient, and small exact helpers.  The factorization engine
 runs four stages:
 
-- trial division by the primes below 10**5 (_trial_divide), from the
-  package's one prime sieve, _prime_array, which also builds the
-  harness's numpy sieve tables, sliced by _primes_to from the one
-  array it keeps: the 168 primes
+- trial division by the primes below 10**5 (_trial_divide), sliced by
+  _primes_to from the package's one prime array, of which the harness's
+  numpy sieve tables take their primes too: the 168 primes
   below 1000 in a Python loop, the rest as one numpy remainder over the
   primes up to sqrt(n) (exact for any n, by 30-bit limbs above 2**63);
 - the Baillie-PSW primality test (one deterministic test for every n:
@@ -148,9 +147,9 @@ def _strip(n: int, h: int) -> int:
 
 
 @functools.cache
-def _loop_powers(root: int) -> tuple[tuple[int, int], ...]:
-    """(p, p**root) for the loop primes p: the loop's stopping test, precomputed."""
-    return tuple((p, p**root) for p in _loop_primes())
+def _loop_squares() -> tuple[tuple[int, int], ...]:
+    """(p, p**2) for the loop primes p: the loop's stopping test, precomputed."""
+    return tuple((p, p * p) for p in _loop_primes())
 
 
 def _residues(n: int, primes: np.ndarray) -> np.ndarray:
@@ -348,22 +347,22 @@ def rho_budget() -> int:
     return budget
 
 
-def _trial_divide(n: int, root: int = 2) -> tuple[dict[int, int], int]:
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
     """(counts, cofactor): the exponents in n >= 1 of the primes p below
-    _TRIAL_BOUND with p**root <= n, and n with them divided out.  n shrinks
+    _TRIAL_BOUND with p**2 <= n, and n with them divided out.  n shrinks
     as primes are divided out, so the cofactor m keeps no such prime with
-    p**root <= m.  Those below _LOOP_BOUND are tried in a Python loop, the
-    rest up to the root of n as one numpy remainder (_residues); only the
-    primes that divide n are divided out."""
+    p**2 <= m.  Those below _LOOP_BOUND are tried in a Python loop, the
+    rest up to the square root of n as one numpy remainder (_residues); only
+    the primes that divide n are divided out."""
     counts: dict[int, int] = {}
-    small = _loop_powers(root)
-    for p, power in small:
-        if power > n:
+    small = _loop_squares()
+    for p, square in small:
+        if square > n:
             break
         if n % p == 0:
             n = _divide_out(n, p, counts)
-    else:  # the loop primes ran out before p**root > n
-        primes = _primes_to(min(_iroot(n, root), _TRIAL_BOUND - 1))[len(small):]
+    else:  # the loop primes ran out before p**2 > n
+        primes = _primes_to(min(math.isqrt(n), _TRIAL_BOUND - 1))[len(small):]
         for p in primes[_residues(n, primes) == 0].tolist():
             n = _divide_out(n, p, counts)
     return counts, n

@@ -1418,13 +1418,11 @@ def test_audit_catches_a_radical_without_its_square_step(monkeypatch, workers):
     # a cube-root rule that takes a p**2 cofactor for a prime: dd = p**2 of the
     # first solution gets the radical p**2, and the audit, which factors the
     # full image with factorize, must see it
-    def no_isqrt(n):
-        counts, m = numtheory._trial_divide(n, 3)
-        if m >= numtheory._TRIAL_BOUND**3:
-            return factorize(n).radical_value()
-        return math.prod(counts, start=m)
-
     p = 100_003
+
+    def no_isqrt(n):
+        return radical(n) * (p if n % (p * p) == 0 else 1)
+
     corpus = [make_solution(-(p * p + 1), -1, p * p + 2), make_solution(-1, -2, 3)]
     assert verify_lemma1(corpus, [2, 4], [1.0], workers=workers).ok
     monkeypatch.setattr(harness, "radical", no_isqrt)
@@ -1561,12 +1559,12 @@ def test_a_tie_between_bounded_and_exact_rows_goes_by_position():
 
 
 def _judge_hand_made(monkeypatch, slacks, tolerance, band):
-    """(tally, rows judged one at a time, rows rechecked) of _judge_rows over rows
-    whose slacks are the given floats: the first log is the slack, the others 0,
-    a plan whose one check is (f_in, 0), and a recheck that returns the slack."""
+    """(tally, rows rechecked) of _judge_rows over rows whose slacks are the given
+    floats: the first log is the slack, the others 0, a plan whose one check is
+    (f_in, 0), and a recheck that returns the slack."""
     aa = make_solution(-1, -2, 3)
     rows = [SimpleNamespace(aa=aa, i=i) for i in range(len(slacks))]
-    judged, rechecked = [], []
+    rechecked = []
 
     def hp(rads, n, eps, plan):
         rechecked.append(rads.i)
@@ -1576,11 +1574,9 @@ def _judge_hand_made(monkeypatch, slacks, tolerance, band):
     monkeypatch.setattr(harness, "_hp_slacks", hp)
     plan = harness._Plan((2,), (1.0,), lambda k, f_in, f_img, bound: ((f_in, 0.0),))
     tally = harness._Tally(10**6, tolerance, band)
-    judge = tally.judge
-    tally.judge = lambda where, *rest: judged.append(where[1]) or judge(where, *rest)
     logs = (np.array(slacks, dtype=np.float64), *(np.zeros(len(slacks)) for _ in range(3)))
     harness._judge_rows(tally, plan, 0, 0, logs, range(len(slacks)), rows.__getitem__)
-    return tally, judged, rechecked
+    return tally, rechecked
 
 
 # rows in every region of the suspect rule |slack| < band or slack < -tolerance,
@@ -1603,11 +1599,92 @@ def test_judge_screens_suspects_with_the_three_comparison_rule(monkeypatch, case
     # then applies the rule to those rows only: the same suspects, in row order
     tolerance, band, slacks, suspects, failing = _SCREENED[case]
     assert suspects == [i for i, x in enumerate(slacks) if abs(x) < band or x < -tolerance]
-    tally, judged, rechecked = _judge_hand_made(monkeypatch, slacks, tolerance, band)
-    assert judged == rechecked == suspects
+    tally, rechecked = _judge_hand_made(monkeypatch, slacks, tolerance, band)
+    assert rechecked == suspects
     assert (tally.checks, tally.failures) == (len(slacks), len(failing))
     assert [where[1] for where, _ in tally.counterexamples] == failing
     assert tally.best[0][:3] == (min(slacks), 0, slacks.index(min(slacks)))
+
+
+_GAVE_UP = FactorizationFailure(91, 1)
+_LOWER_BOUND_NOTE = f"slack is a lower bound, from a multiple of the image radical: {_GAVE_UP}"
+
+
+def _judge(slacks, rechecks=(), exact=(), tolerance=1e-9, band=1e-6):
+    """(tally, held, rechecked, made exact, slack, below) of _Tally.judge over hand-made
+    entries: entry i has the key (0, 10 * i, 0), the sides (its slack, 0), the slack
+    rechecks[i] at 160 bits and, where exact has it, is bounded, made exact with the
+    slack exact[i], or gives up where that is None."""
+    tally = harness._Tally(10**6, tolerance, band)
+    slack, below = np.array(slacks, dtype=np.float64), np.zeros(len(slacks), dtype=bool)
+    values, exact = list(slacks), dict(exact)
+    bounded = np.array([i in exact for i in range(len(slacks))], dtype=bool)
+    rechecked, made = [], []
+
+    def verdict(i):
+        return (0, 10 * i, 0), make_solution(-1, -2, 3), {"i": i}, values[i], 0.0
+
+    def recheck(i):
+        rechecked.append(i)
+        return dict(rechecks)[i]
+
+    def settle(i):
+        if exact[i] is None:
+            return _GAVE_UP
+        made.append(i)
+        values[i], bounded[i] = exact[i], False
+        return None
+
+    held = tally.judge(slack, below, verdict, recheck, bounded, settle)
+    return tally, held, rechecked, made, slack.tolist(), below.tolist()
+
+
+def test_the_judge_rules_on_hand_made_slacks():
+    # entries 2.0, -1.0, 5e-7 (bounded), 1e-7 (bounded, gives up) and 0.5: of the
+    # three suspects the first fails after its recheck, the second is exact at 3.0,
+    # no suspect then and so not rechecked, and the third is held and not counted.
+    # The screen goes into the caller's buffer
+    aa = make_solution(-1, -2, 3)
+    tally, held, rechecked, made, slack, below = _judge(
+        [2.0, -1.0, 5e-7, 1e-7, 0.5], rechecks={1: -0.25}, exact={2: 3.0, 3: None})
+    assert (held, rechecked, made) == ([3], [1], [2])
+    assert below == [False, True, True, True, False]
+    assert slack == [2.0, -0.25, 3.0, 1e-7, 0.5]
+    assert (tally.checks, tally.failures, tally.inconclusives) == (4, 1, 0)
+    failure = harness.LemmaVerdict(aa, {"i": 1}, -1.0, 0.0, -0.25, False)
+    assert tally.counterexamples == [((0, 10, 0), failure)]
+    assert tally.best == ((-0.25, 0, 10, 0), failure)
+    # no suspect: the argmin is made exact until it is exact or gives up, and an
+    # extremal that gave up passes with the note, as its slack clears the band
+    tally, held, rechecked, made, slack, _ = _judge([0.4, 0.2, 0.3, 0.6],
+                                                    exact={1: 0.8, 2: None})
+    assert (held, rechecked, made, slack) == ([], [], [1], [0.4, 0.8, 0.3, 0.6])
+    assert (tally.checks, tally.failures) == (4, 0)
+    assert tally.best == ((0.3, 0, 20, 0), harness.LemmaVerdict(
+        aa, {"i": 2}, 0.3, 0.0, 0.3, True, note=_LOWER_BOUND_NOTE))
+    tally, _, _, made, _, _ = _judge([0.4, 0.2], exact={1: 0.3})
+    assert made == [1]
+    assert tally.best == ((0.3, 0, 10, 0), harness.LemmaVerdict(aa, {"i": 1}, 0.3, 0.0, 0.3, True))
+    # a held suspect as the extremal: inconclusive, with the note
+    tally, held, rechecked, _, _, _ = _judge([0.4, 5e-7], exact={1: None})
+    assert (held, rechecked, tally.checks, tally.inconclusives) == ([1], [], 1, 0)
+    assert tally.best == ((5e-7, 0, 10, 0), harness.LemmaVerdict(
+        aa, {"i": 1}, 5e-7, 0.0, 5e-7, False, inconclusive=True, note=_LOWER_BOUND_NOTE))
+    # ties go to the first entry, among floats and among 160-bit slacks
+    assert _judge([0.5, 0.25, 0.25])[0].best[0] == (0.25, 0, 10, 0)
+    tally, _, rechecked, _, _, _ = _judge([0.7, -1.0, -2.0], rechecks={1: -0.5, 2: -0.5})
+    assert rechecked == [1, 2]
+    assert [where for where, _ in tally.counterexamples] == [(0, 10, 0), (0, 20, 0)]
+    assert tally.best[0] == (-0.5, 0, 10, 0)
+    # the 160-bit slack decides, not its float: one below -tolerance by less than
+    # half an ulp fails, though its float is -tolerance
+    with harness._at_160_bits() as mp:
+        hp = mp.mpf(-1e-9) - mp.mpf(2) ** -100
+    assert float(hp) == -1e-9
+    tally, _, _, _, slack, _ = _judge([-1.0, 0.5], rechecks={0: hp})
+    assert (tally.failures, slack[0], tally.best[1].passed) == (1, -1e-9, False)
+    tally, held, _, _, _, _ = _judge([])
+    assert (held, tally.checks, tally.best) == ([], 0, None)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
