@@ -32,8 +32,12 @@ from one radical table, the pieces' values, by the scalar lane's table
 (_phi_table), and their sieve.  So the lanes agree bit for bit.  The full image,
 through theta, is the independent oracle (_proved_image, _exact_radicals) of
 the 160-bit rechecks, the identities' radical bound, every row made exact and
-the audit of _AUDIT_ROWS seeded positions of every block at every n.  The
-sieve lane's numbers are below 2**63, where radical needs no rho, so that
+the audit of _AUDIT_ROWS seeded positions of every block at every n; where no
+dataclass is needed the proof reads theta's bare image (_image), theta's own
+arithmetic.  lemma2's witness depends on a residue class alone: its table is
+audited against theta on _AUDIT_ROWS seeded classes, and where it is 0 a
+CorpusSpec passes by its totient count, else every pair goes through theta.
+The sieve lane's numbers are below 2**63, where radical needs no rho, so that
 lane, its rechecks included, never calls factorize.
 
 One driver (_verify) runs every suite over deterministic blocks: c-ranges
@@ -74,6 +78,7 @@ from .theta import (
     ExponentCapExceeded,
     LemmaConstants,
     _constants,
+    _image,
     _require_exponent,
     derived_full_bound,
     lemma_constants,
@@ -150,7 +155,7 @@ class CorpusSpec:
             yield from map(functools.partial(_pair, c.copy(), s.copy()), range(len(c)))
 
     def __len__(self) -> int:
-        return sum(len(_block(source)[0]) for source in _blocks(self, _BLOCK_SLOTS))
+        return sum(map(_count, _blocks(self, _BLOCK_SLOTS)))
 
     def digest(self) -> str:
         """Stable identifier of the corpus this spec denotes."""
@@ -222,7 +227,7 @@ class _Workspace:
       "scratch0..2"     scratch of any dtype, free again once the function that
                         asked returns: _block_grid's rows, _progressions'
                         positions, _piece_values' powers and terms, _lograd_piece's
-                        ranks, _judge_rows' slacks, _k_lemma2's residues
+                        ranks, _judge_rows' slacks
       "mask0"           bool scratch, likewise
       "logc", "lnrad_abc", "lnrad_dd", "img", "lnrad_img", "even", "bounded"
                         the sieve lane's logs and masks (_k_vector, _judge_logs)
@@ -343,6 +348,27 @@ def _least_primes_to(limit: int) -> np.ndarray:
             table[p * p::p] = p
         _LEAST_PRIME[0] = table
     return _LEAST_PRIME[0][:limit + 1]
+
+
+@functools.cache
+def _pair_counts(size: int) -> np.ndarray:
+    """The corpus pairs with c < v, the sum of totient(c) / 2 over 3 <= c < v, for v in
+    0..size, from a totient sieve: row c of the grid keeps the totient(c) / 2 s < c/2
+    prime to c, as s and c - s are prime to c together."""
+    phi = np.arange(size, dtype=np.int64)
+    for p in _primes_to(size - 1).tolist():
+        phi[p::p] -= phi[p::p] // p
+    return np.concatenate(([0], np.cumsum(phi // 2)))  # totient(1) // 2 = totient(2) // 2 = 0
+
+
+def _count(source) -> int:
+    """The corpus pairs of a c-range (c_lo, c_hi, congruence): at congruence 1 from
+    _pair_counts, built to the power of two above c_hi, else the length of its grid."""
+    lo, hi, congruence = source
+    if congruence > 1:
+        return len(_block_grid(*source)[0])
+    counts = _pair_counts(1 << hi.bit_length())
+    return int(counts[hi + 1] - counts[lo])
 
 
 def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
@@ -576,7 +602,21 @@ def _is_radical(r: int, m: int) -> bool:
 
 
 class InternalRadicalMismatch(RuntimeError):
-    """The image radical from the pieces differs from the full image's; a bug."""
+    """A table or value that a verdict rests on differs from the full image's: the
+    image radical from the pieces, a hit of the piece sieve, or an entry of lemma2's
+    witness table (_audit_witnesses); a bug."""
+
+
+class _Lazy(functools.cached_property):
+    """functools.cached_property without the lock that it takes before Python 3.12,
+    about 1 us of a first access: the value is set as a plain attribute of the
+    instance on first access, where the method's exception surfaces."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 class _Radicals:
@@ -617,7 +657,7 @@ class _Radicals:
             raise known
         return known
 
-    @functools.cached_property
+    @_Lazy
     def rad_in(self) -> int:
         return math.lcm(*map(self._rad, (-self.aa.a, -self.aa.b, self.aa.c)))
 
@@ -673,17 +713,19 @@ class _Radicals:
 
 def _proved_image(rads: _Radicals, n: int, bound: bool = False) -> tuple[int, int, int, int]:
     """rads.row(n), the row of _exact_radicals, once proved to be that of the full
-    image |A*B*C| from theta by exact division (_is_radical), without factoring
-    the image: InternalRadicalMismatch unless it is.  With bound, rads.bound(n),
-    once every prime of the image is proved to divide its U."""
+    image |A*B*C| by exact division (_is_radical), without factoring the image:
+    InternalRadicalMismatch unless it is.  The image is theta's bare (A, B, C)
+    (_image), theta's own arithmetic without its dataclasses.  With bound,
+    rads.bound(n), once every prime of the image is proved to divide its U."""
     row = rads.bound(n) if bound else rads.row(n)
-    img = theta(rads.aa, n).output
-    m = abs(img.a * img.b * img.c)
-    if img.c != row[2] or not (pow(row[3], m.bit_length(), m) == 0 if bound
-                               else _is_radical(row[3], m)):
+    raw = _image(rads.aa, n)[1]
+    m = abs(math.prod(raw))
+    if raw[2] != row[2] or not (pow(row[3], m.bit_length(), m) == 0 if bound
+                                else _is_radical(row[3], m)):
         raise InternalRadicalMismatch(
             f"{rads.aa} at n={n}: the pieces give (c, rad, image c, "
-            f"{'U' if bound else 'image rad'}) = {row}, not those of the full image {img}"
+            f"{'U' if bound else 'image rad'}) = {row}, not those of the full image "
+            f"{theta(rads.aa, n).output}"
         )
     return row
 
@@ -1137,28 +1179,36 @@ def _lemma2_witnesses(N: int, n: int) -> np.ndarray:
     return (pu * (pv - pu + N) * pv % N).ravel()
 
 
-def _k_lemma2(tally: _Tally, block, block_idx: int, N: int, n: int) -> None:
-    """N | A*B*C for the image at n of each solution of one block, exactly.
+def _audit_witnesses(table: np.ndarray, N: int, n: int) -> None:
+    """Check _AUDIT_ROWS classes (c mod 2N, s mod N) of lemma2's witness table, drawn
+    by a generator seeded from N among those that coprime pairs reach, against theta's
+    image of the first such pair a short search finds: InternalRadicalMismatch where
+    they differ.  A class is reached exactly when gcd(c mod 2N, s mod N, N) = 1."""
+    rng, drawn = random.Random(N), set()
+    while len(drawn) < _AUDIT_ROWS:  # at least 16 of the 2N**2 classes are reached
+        r, q = divmod(rng.randrange(2 * N * N), N)
+        if math.gcd(r, q, N) == 1:
+            drawn.add((r, q))
+    for r, q in sorted(drawn):
+        aa = next(ABCSolution(s - c, -s, c) for c in itertools.count(r or 2 * N, 2 * N)
+                  for s in range(q or N, (c + 1) // 2, N) if math.gcd(c, s) == 1)
+        if (want := abs(math.prod(theta(aa, n).raw)) % N) != table[r * N + q]:
+            raise InternalRadicalMismatch(f"lemma2's witness table at N={N}, n={n} gives "
+                                          f"{table[r * N + q]} at {aa}, theta {want}")
 
-    A list block takes the full image through theta, the oracle.  A c-range
-    reads each witness |A*B*C| mod N from one table (_lemma2_witnesses) at
-    (c mod 2N) * N + s mod N, whose two terms are taken from tables over
-    0..c_hi: three takes and one add, no remainder of the block's arrays.
-    """
-    c_arr, s_arr, grid, solution = block
-    if grid is None:  # a list block: the full image through theta
-        witness = np.array([abs(math.prod(theta(solution(i), n).raw)) % N
-                            for i in range(len(c_arr))], dtype=np.int64)
-    else:
-        size, v = len(c_arr), np.arange(int(c_arr[-1]) + 1)  # s < c <= c_hi
-        at = np.take(v % (2 * N) * N, c_arr, out=_WORKSPACE("scratch0", size), mode="clip")
-        at += np.take(v % N, s_arr, out=_WORKSPACE("scratch1", size), mode="clip")
-        witness = np.take(_lemma2_witnesses(N, n), at, out=_WORKSPACE("scratch2", size, np.int32),
-                          mode="clip")
-    bad = np.flatnonzero(witness)
-    tally.passed(len(witness) - len(bad))
-    for i in bad.tolist():
-        tally.failed((block_idx, i), solution(i), {"N": N, "n": n}, witness=int(witness[i]))
+
+def _k_lemma2(tally: _Tally, block, block_idx: int, N: int, n: int) -> None:
+    """N | A*B*C for the image at n of each solution of one block, exactly, the full
+    image through theta, the oracle: the path of a list, and of a CorpusSpec whose
+    witness table has a nonzero entry (verify_lemma2), so failures come in corpus
+    order with their witness |A*B*C| mod N."""
+    solution = block[3]
+    for i in range(len(block[0])):
+        aa = solution(i)
+        if witness := abs(math.prod(theta(aa, n).raw)) % N:
+            tally.failed((block_idx, i), aa, {"N": N, "n": n}, witness=witness)
+        else:
+            tally.passed()
 
 
 def _identity_sum(c, dd, n: int):
@@ -1170,10 +1220,10 @@ def _identity_sum(c, dd, n: int):
 def _radical_sides(rads: _Radicals, n: int, log) -> tuple:
     """The sides of check (iii) at n by log, math.log or the recheck's at 160 bits:
     log dd + log rad(|a*b*c|) + log rad(4 * S) and log of the image radical, proved
-    by _proved_image, with rad(4 * S) from rads.parts(n)."""
+    by _proved_image, with rad(4 * S) from the parts(n) that its rads.row(n) took:
+    one lookup of the memo."""
     _, rad_in, _, rad_img = _proved_image(rads, n)
-    _, rad_q = rads.parts(n)
-    return log(rads.aa.b - rads.aa.a) + log(rad_in) + log(rad_q), log(rad_img)
+    return log(rads.aa.b - rads.aa.a) + log(rad_in) + log(rads._parts[n][1]), log(rad_img)
 
 
 def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
@@ -1188,12 +1238,13 @@ def _k_identities(tally: _Tally, block, block_idx: int, n_grid: tuple[int, ...],
     (ii), (iii)) has the key (block_idx, position, 3*t + j), so the tally
     keeps them per solution, per n, in that order, however they were
     visited.  Check (iii) takes rad(|a*b*c|) and the image radical from one
-    _Radicals per solution, proved against theta's image by _proved_image at
-    every (solution, n), and rad(4 * S) from its parts (_radical_sides): check
-    (i) is what shows S = _identity_sum(c, dd, n) to be the product of the
-    pieces.  The block's _Radicals share one radical memo, and only the floats
-    of its rows are kept, judged by one tally.judge (a suspect's integers taken
-    again from the memo for the 160-bit recheck).
+    _Radicals per solution, proved against theta's bare image (_image) by
+    _proved_image at every (solution, n), and rad(4 * S) from the parts that
+    proof's row took (_radical_sides): check (i) is what shows S =
+    _identity_sum(c, dd, n) to be the product of the pieces.  The block's
+    _Radicals share one radical memo, and only the floats of its rows are kept,
+    judged by one tally.judge (a suspect's integers taken again from the memo for
+    the 160-bit recheck).
     """
     c_arr, s_arr, _, solution = block
     c_hi = int(c_arr.max())
@@ -1280,9 +1331,14 @@ def _block(source) -> tuple:
 
 def _run_block(job) -> _Tally:
     """One block's tally: the block read once and its triples counted here, the
-    kernel called only when it holds any (a congruence block can be empty)."""
+    kernel called only when it holds any (a congruence block can be empty).  No
+    kernel passes one check per pair of a c-range, counted by _count: no grid at
+    congruence 1, and no take."""
     kernel, source, block_idx, consts, limits = job
     tally = _Tally(*limits)
+    if kernel is None:
+        tally.triples = tally.checks = _count(source)
+        return tally
     block = _block(source)
     tally.triples = len(block[0])
     if tally.triples:
@@ -1294,7 +1350,8 @@ def _verify(suite: str, params: dict, corpus, kernel, slots: int, consts: tuple,
             max_counterexamples: int, tolerance: float = DEFAULT_TOLERANCE,
             band: float = DEFAULT_RECHECK_BAND) -> SuiteSummary:
     """The summary of kernel(tally, block, block_idx, *consts) over the blocks of
-    corpus, c-ranges of about slots (c, s) slots for a CorpusSpec (_blocks).
+    corpus, c-ranges of about slots (c, s) slots for a CorpusSpec (_blocks); with
+    kernel None, of one passing check per pair, counted (_run_block).
 
     Each block gets a fresh tally with these limits.  The blocks run on up to
     workers forked processes (serially with one worker or block, or without
@@ -1441,11 +1498,19 @@ def verify_lemma2(
     """Check that N divides the image product A*B*C at n = totient(N).
 
     Exact integer divisibility, no tolerance.  N must be at least 3 so
-    that totient(N) is even.
+    that totient(N) is even.  The witness |A*B*C| mod N depends on the class
+    (c mod 2N, s mod N) alone: its table (_lemma2_witnesses) is built once
+    and audited against theta (_audit_witnesses).  Where it is 0 everywhere,
+    a CorpusSpec passes every pair by count (_count), the pair's witness
+    shown 0 through its class; a list, or a table with a nonzero entry, takes
+    each image through theta (_k_lemma2).
     """
     n = _totient_exponent(N)
-    return _verify("lemma2", {"N": N, "n": n}, corpus, _k_lemma2, _BLOCK_SLOTS, (N, n),
-                   workers, max_counterexamples)
+    table = _lemma2_witnesses(N, n)
+    _audit_witnesses(table, N, n)
+    kernel = None if isinstance(corpus, CorpusSpec) and not table.any() else _k_lemma2
+    return _verify("lemma2", {"N": N, "n": n}, corpus, kernel, _BLOCK_SLOTS, (N, n), workers,
+                   max_counterexamples)
 
 
 def verify_proof_identities(

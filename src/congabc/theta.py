@@ -105,13 +105,9 @@ def _require_exponent(n: int) -> None:
         raise ExponentCapExceeded(f"exponent {n} exceeds cap {DEFAULT_EXPONENT_CAP}")
 
 
-def theta(aa: ABCSolution, n: int) -> ThetaResult:
-    """Apply the even-power map once and normalize the image.
-
-    Raises OddN for invalid exponents and ExponentCapExceeded when n
-    exceeds DEFAULT_EXPONENT_CAP (see _require_exponent).
-    """
-    _require_exponent(n)
+def _image(aa: ABCSolution, n: int) -> tuple[int, tuple[int, int, int]]:
+    """theta's arithmetic without its dataclasses: m and the raw image (A, B, C) of aa
+    at an exponent n that the caller has checked (_require_exponent)."""
     d = aa.a - aa.b
     m = n if aa.c % 2 == 0 else 0
     two_m = 1 << m
@@ -127,13 +123,19 @@ def theta(aa: ABCSolution, n: int) -> ThetaResult:
     # a solution by construction, not revalidated: c**n = 2*(a-b)**n has no integer
     # solutions, so the components are distinct; gcd(c, a-b) | 2, and 2**m removes it
     assert a_img != b_img and a_img < 0 and b_img < 0 and c_img > 0
-    return ThetaResult(
-        input=aa,
-        n=n,
-        m=m,
-        raw=(a_img, b_img, c_img),
-        output=ABCSolution(*sorted((a_img, b_img)), c_img),
-    )
+    return m, (a_img, b_img, c_img)
+
+
+def theta(aa: ABCSolution, n: int) -> ThetaResult:
+    """Apply the even-power map once and normalize the image: _image's m and raw
+    image, in the dataclasses.
+
+    Raises OddN for invalid exponents and ExponentCapExceeded when n
+    exceeds DEFAULT_EXPONENT_CAP (see _require_exponent).
+    """
+    _require_exponent(n)
+    m, raw = _image(aa, n)
+    return ThetaResult(input=aa, n=n, m=m, raw=raw, output=ABCSolution(*sorted(raw[:2]), raw[2]))
 
 
 def _constants(n: int, epsilon, log) -> LemmaConstants:

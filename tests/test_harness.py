@@ -118,6 +118,19 @@ def test_enumerate_stream_is_ordered_valid_and_unique():
     assert len(seen) == len(list(CorpusSpec(120)))
 
 
+def test_corpus_size_is_the_totient_sum():
+    # len at congruence 1 from the totient sieve: the brute-force count of coprime
+    # pairs at every max_c <= 200, and the grid's count at 3000 and at a congruence
+    oracle = brute_force_counts(200)
+    for max_c in range(3, 201):
+        assert len(CorpusSpec(max_c)) == sum(oracle[c] for c in range(3, max_c + 1))
+    for spec in (CorpusSpec(3000), CorpusSpec(3000, congruence=7)):
+        grid = sum(len(_block_grid(*source)[0])
+                   for source in harness._blocks(spec, harness._BLOCK_SLOTS))
+        assert len(spec) == grid
+    assert len(CorpusSpec(3000)) == 1_368_093
+
+
 def test_corpus_spec_matches_enumeration():
     spec = CorpusSpec(max_c=150, congruence=5)
     from_spec = list(spec)
@@ -529,6 +542,79 @@ def test_lemma2_validation():
         verify_lemma2(corpus, 2)
     with pytest.raises(ExponentCapExceeded):
         verify_lemma2(corpus, 257)  # totient(257) = 256 exceeds the cap of 64
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 7, 12, 16, 48, 50])
+def test_lemma2_witness_table_is_the_image_mod_N_on_every_reached_class(N):
+    # the witness |A*B*C| mod N depends on (c mod 2N, s mod N) alone: the table
+    # against theta on the first and the last pair of c <= 1000 in each class, at
+    # n = totient(N), where the table is 0, and at totient(N) + 2, where it mostly
+    # is not.  The classes reached are those with gcd(c mod 2N, s mod N, N) = 1,
+    # the audit's rule; c mod 2N fixes the parity of c, so odd and even c are covered
+    c_arr, s_arr, _ = _block_grid(3, 1000)
+    at = (c_arr % (2 * N) * N + s_arr % N).tolist()
+    first, last = {}, {}
+    for i, k in enumerate(at):
+        first.setdefault(k, i)
+        last[k] = i
+    assert sorted(first) == [k for k in range(2 * N * N) if math.gcd(k // N, k % N, N) == 1]
+    for n in (totient(N), totient(N) + 2):
+        table = harness._lemma2_witnesses(N, n)
+        assert table.shape == (2 * N * N,)
+        for k in first:
+            for i in {first[k], last[k]}:
+                c, s = int(c_arr[i]), int(s_arr[i])
+                assert table[k] == abs(math.prod(theta(ABCSolution(s - c, -s, c), n).raw)) % N
+    assert not harness._lemma2_witnesses(N, totient(N)).any()
+    # totient(N) + 2 still forces N | A*B*C at N = 3, 4, 12; elsewhere some class fails
+    assert harness._lemma2_witnesses(N, totient(N) + 2).any() == (N not in (3, 4, 12))
+
+
+@pytest.mark.parametrize("N", [5, 7, 16])
+def test_lemma2_audit_catches_a_wrong_witness_table(monkeypatch, capsys, N):
+    # an exponent two above totient(N), where the table has nonzero entries and the
+    # pairs fail through theta, and the table replaced by zeros, which would pass
+    # every pair by count: the seeded audit draws a class whose image is not 0 mod N
+    from congabc.cli import main
+
+    real = harness.totient
+    monkeypatch.setattr(harness, "totient", lambda N: real(N) + 2)
+    assert verify_lemma2(CorpusSpec(max_c=100), N).failures > 0
+    table = harness._lemma2_witnesses(N, real(N) + 2)
+    assert 0 < np.count_nonzero(table) < len(table)
+    monkeypatch.setattr(harness, "_lemma2_witnesses", lambda N, n: np.zeros(2 * N * N, np.int32))
+    for corpus in (CorpusSpec(max_c=100), CorpusSpec(max_c=100, congruence=N),
+                   list(CorpusSpec(max_c=100))):
+        with pytest.raises(harness.InternalRadicalMismatch, match="witness table"):
+            verify_lemma2(corpus, N)
+    assert main(["verify", "lemma2", "--max-c", "100", "--N", str(N)]) == 4
+    assert "witness table" in capsys.readouterr().err
+
+
+def test_lemma2_counts_a_clean_corpus_without_a_grid_or_a_take(monkeypatch):
+    # a zero table passes a plain CorpusSpec by its totient count: no grid, no
+    # workspace, and theta only on the audit's classes; a congruence spec counts its
+    # masked grid; both report the checks and size of the list path through theta
+    calls = collections.Counter()
+    for name in ("theta", "_block_grid"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, real=real, name=name: (
+            calls.update([name]), real(*a))[1])
+    workspace = harness._Workspace()
+    monkeypatch.setattr(harness, "_WORKSPACE", workspace)
+    for N in (3, 16, 50):
+        calls.clear()
+        s = verify_lemma2(CorpusSpec(max_c=350), N, workers=3)
+        assert s.ok and s.checks == s.corpus_size == len(CorpusSpec(max_c=350)) == 18_664
+        assert s.workers == 3 and s.min_slack is None
+        assert calls == {"theta": harness._AUDIT_ROWS} and workspace._raw == {}
+    spec = CorpusSpec(max_c=200, congruence=16)
+    calls.clear()
+    s = verify_lemma2(spec, 16)
+    assert calls["theta"] == harness._AUDIT_ROWS and calls["_block_grid"] > 0
+    listed = verify_lemma2(list(spec), 16)
+    assert s.ok and (s.checks, s.corpus_size) == (listed.checks, listed.corpus_size) == (
+        len(spec), len(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -1398,6 +1484,36 @@ def test_proved_image_is_the_full_image(monkeypatch):
         harness._proved_image(rads, 6)
 
 
+def test_theta_is_its_bare_image():
+    # theta wraps _image, which check (iii) and _proved_image read: the same m and raw
+    # image, and the output the raw image sorted
+    from congabc.theta import _image
+
+    for aa in CorpusSpec(200):
+        for n in range(2, 17, 2):
+            r = theta(aa, n)
+            assert (r.m, r.raw) == _image(aa, n), (aa, n)
+            assert r.output == ABCSolution(*sorted(r.raw[:2]), r.raw[2])
+
+
+def test_check_iii_proves_every_row_against_the_image(monkeypatch):
+    # the audit workload's identities call: each of its 1,521 rows with c <= 100 at
+    # each of the 4 n, 6,084 (row, n), is proved against the full image once, by
+    # _is_radical on the image radical and the image c compared, and holds
+    proofs, images = [], []
+    real_radical, real_image = harness._is_radical, harness._image
+    monkeypatch.setattr(harness, "_is_radical", lambda r, m: (
+        proofs.append(real_radical(r, m)), proofs[-1])[1])
+    monkeypatch.setattr(harness, "_image", lambda aa, n: (
+        images.append((aa, n)), real_image(aa, n))[1])
+    s = verify_proof_identities(CorpusSpec(300), [2, 4, 6, 8], radical_scale=100)
+    assert s.ok and s.checks == 2 * 4 * len(CorpusSpec(300)) + 6084  # (i), (ii) on every row
+    rows = [aa for aa in CorpusSpec(100)]
+    assert len(rows) == 1521 and len(proofs) == 6084 and all(proofs)
+    assert sorted(images, key=lambda x: (x[0].c, -x[0].b, x[1])) == [
+        (aa, n) for aa in rows for n in (2, 4, 6, 8)]
+
+
 def test_is_radical_is_the_certificate():
     # the one test of the sieve lane's oracle and of the identities' check (iii)
     outside = 10**9 + 7  # a prime above every piece, so dividing no image below
@@ -1884,7 +2000,10 @@ _WORKSPACE_SUITES = {
         workers=workers),
     "chain": lambda corpus, workers: verify_reduction_chain(corpus, 7, 1.0, 10.0,
                                                             workers=workers),
-    "lemma2": lambda corpus, workers: verify_lemma2(corpus, 13, workers=workers),
+    # a plain spec is counted, never read (test_lemma2_counts_a_clean_corpus_...):
+    # a congruence spec's count reads its grid from the workspace
+    "lemma2": lambda corpus, workers: verify_lemma2(replace(corpus, congruence=13), 13,
+                                                    workers=workers),
     "identities": lambda corpus, workers: verify_proof_identities(
         corpus, [2, 4, 6, 8], radical_scale=40, workers=workers),
 }
