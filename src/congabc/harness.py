@@ -28,15 +28,18 @@ and a part of each cyclotomic piece of the image.  The scalar lane reads
 these integers from each solution's _Radicals, which factors them, not
 the image; for a CorpusSpec with c <= _VECTOR_MAX_C whose every piece fits
 int64 (_plan_kernel) the sieve lane reads the same integers a block at a time
-from one radical table, the pieces' values, by the scalar lane's table
-(_phi_table), and their sieve.  So the lanes agree bit for bit.  The full image,
-through theta, is the independent oracle (_proved_image, _exact_radicals) of
-the 160-bit rechecks, the identities' radical bound, every row made exact and
-the audit of _AUDIT_ROWS seeded positions of every block at every n; where no
-dataclass is needed the proof reads theta's bare image (_image), theta's own
-arithmetic.  lemma2's witness depends on a residue class alone: its table is
-audited against theta on _AUDIT_ROWS seeded classes, and where it is 0 a
-CorpusSpec passes by its totient count, else every pair goes through theta.
+from the sieve table's log radicals, the pieces' values, by the scalar lane's
+table (_phi_table), and their sieve.  So the lanes agree bit for bit.  That
+table (_sieve_table), one per process and grown by powers of two, also gives
+each c-range its coprime pairs, from least prime factors, and its size, from
+totients.  The full image, through theta, is the independent oracle
+(_proved_image, _exact_radicals) of the 160-bit rechecks, the identities'
+radical bound, every row made exact and the audit of _AUDIT_ROWS seeded
+positions of every block at every n; where no dataclass is needed the proof
+reads theta's bare image (_image), theta's own arithmetic.  lemma2's witness
+depends on a residue class alone: its table is audited against theta on
+_AUDIT_ROWS seeded classes, and where it is 0 a CorpusSpec passes by its
+totient count, else every pair goes through theta.
 The sieve lane's numbers are below 2**63, where radical needs no rho, so that
 lane, its rechecks included, never calls factorize.
 
@@ -79,6 +82,7 @@ from .theta import (
     LemmaConstants,
     _constants,
     _image,
+    _integral,
     _require_exponent,
     derived_full_bound,
     lemma_constants,
@@ -261,17 +265,52 @@ def _fresh(name: str, size: int, dtype=np.int64) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sieve tables (process-global, copy-on-write shared with forked workers)
+# sieve tables (process-global, copy-on-write shared with forked workers), built to
+# the power of two above the largest c asked for: a process that sweeps max_c keeps
+# one corpus table and a piece table per k and power of two, not a table per bound
 
-@functools.cache
-def _radical_table(limit: int) -> np.ndarray:
-    """log rad(v) for v in 0..limit (0 at v = 0 and v = 1)."""
-    rad = np.ones(limit + 1, dtype=np.int64)
-    for p in _primes_to(limit):
-        rad[p::p] *= p
-    lograd = np.zeros(limit + 1, dtype=np.float64)
-    lograd[1:] = np.log(rad[1:].astype(np.float64))
-    return lograd
+# the one corpus table kept, (least, lograd, pairs) (_sieve_table)
+_SIEVE: list = [np.zeros(0, dtype=np.int32), np.zeros(0), np.zeros(0, dtype=np.int64)]
+
+
+def _sieve_table(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one corpus table kept, over v in 0..size - 1 with size a power of two above
+    limit, grown as _primes_to's prime array: a limit past it builds the table to the
+    next power of two, and a smaller limit gets the same arrays, a tuple of them
+    without slicing, as _count reads it once per block.  least comes from the primes up to its square root, rad and the totient from
+    least, a numpy pass per prime power over every v at once: about log2(size)
+    passes, where a slice per prime below size took 2.6 ms more at size 4096.
+
+      least   the least prime factor of v (v itself below 2), int32: the primes
+              of each row of the grid (_block_grid)
+      lograd  log rad(v), np.log of the int64 radical (0 at v = 0 and v = 1)
+      pairs   the corpus pairs with c <= v, the sum of totient(c) // 2 over c <= v
+              (_count): row c of the grid keeps the totient(c) / 2 s < c/2 prime
+              to c, as s and c - s are prime to c together, and totient(c) // 2
+              is 0 below 3
+    """
+    if limit >= len(_SIEVE[0]):
+        size = 1 << limit.bit_length()
+        least = np.arange(size, dtype=np.int32)
+        for p in _primes_to(math.isqrt(size - 1))[::-1].tolist():  # the least p of v writes last
+            least[p * p::p] = p
+        # v's primes read off least as _block_grid reads a row's: the least prime of
+        # v / p is p again until p is divided out
+        rad, phi = np.ones(size, dtype=np.int64), np.arange(size, dtype=np.int64)
+        at = np.arange(2, size)
+        v, last = at, 0
+        while len(v):
+            p = least[v].astype(np.int64)
+            new, q = at[p != last], p[p != last]
+            rad[new] *= q
+            phi[new] = phi[new] // q * (q - 1)
+            v = v // p
+            live = v > 1
+            at, v, last = at[live], v[live], p[live]
+        lograd = np.zeros(size, dtype=np.float64)
+        lograd[1:] = np.log(rad[1:].astype(np.float64))
+        _SIEVE[:] = least, lograd, np.cumsum(phi // 2)
+    return tuple(_SIEVE)
 
 
 @functools.cache
@@ -303,13 +342,15 @@ def _sieve_lead(k: int) -> int:
 
 
 @functools.cache
-def _piece_table(k: int, max_c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p = 1 mod k that the piece sieve of q_k needs up to max_c, and
+def _piece_table(k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p = 1 mod k that the piece sieve of q_k needs for c < size, a
+    power of two (1 << max_c.bit_length(), so a sweep over max_c keeps one table
+    per k and power of two; _lograd_piece stops at each block's own bound), and
     the two roots u = (1 - zeta**-1)/2 mod p, zeta either primitive k-th root of
     unity mod p: p | Phi_k(c, d) exactly when c = zeta*d, that is s = c*u.
     (For k = 4 these are (1 +- i)/2; for k = 3 and 6, (3 +- r)/4 and (1 +- r)/4
     with r = 2*omega + 1 = sqrt(-3), omega a primitive cube root of unity.)"""
-    primes = _primes_to(math.isqrt(_sieve_lead(k) * max_c * max_c))
+    primes = _primes_to(math.isqrt(_sieve_lead(k) * size * size))
     sel = primes[primes % k == 1]
     roots = np.empty((len(sel), 2), dtype=np.int64)
     for i, p in enumerate(sel.tolist()):
@@ -321,54 +362,25 @@ def _piece_table(k: int, max_c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _c_blocks(max_c: int, target_slots: int) -> list[tuple[int, int]]:
-    """Deterministic c-range blocks of roughly target_slots (c, s) slots."""
-    blocks = []
-    lo, slots = 3, 0
-    for c in range(3, max_c + 1):
-        slots += (c - 1) // 2
-        if slots >= target_slots:
-            blocks.append((lo, c))
-            lo, slots = c + 1, 0
-    if lo <= max_c:
-        blocks.append((lo, max_c))
+    """Deterministic c-range blocks of at least target_slots (c, s) slots each, the
+    last excepted: rows 3..c hold (c - 1)**2 // 4 slots, so a block from lo ends at
+    the least c with (c - 1)**2 >= 4 * ((lo - 2)**2 // 4 + target_slots)."""
+    blocks, lo = [], 3
+    while lo <= max_c:
+        hi = min(2 + math.isqrt(4 * ((lo - 2) ** 2 // 4 + target_slots) - 1), max_c)
+        blocks.append((lo, hi))
+        lo = hi + 1
     return blocks
-
-
-_LEAST_PRIME: list = [np.zeros(0, dtype=np.int32)]
-
-
-def _least_primes_to(limit: int) -> np.ndarray:
-    """The least prime factor of each v in 0..limit (v itself below 2), int32, a view
-    of the one table kept, grown as _primes_to's prime array: a limit past it builds
-    the table to the next power of two, from the primes up to its square root."""
-    if limit >= len(_LEAST_PRIME[0]):
-        size = 1 << limit.bit_length()
-        table = np.arange(size, dtype=np.int32)
-        for p in _primes_to(math.isqrt(size - 1))[::-1].tolist():  # the least p writes last
-            table[p * p::p] = p
-        _LEAST_PRIME[0] = table
-    return _LEAST_PRIME[0][:limit + 1]
-
-
-@functools.cache
-def _pair_counts(size: int) -> np.ndarray:
-    """The corpus pairs with c < v, the sum of totient(c) / 2 over 3 <= c < v, for v in
-    0..size, from a totient sieve: row c of the grid keeps the totient(c) / 2 s < c/2
-    prime to c, as s and c - s are prime to c together."""
-    phi = np.arange(size, dtype=np.int64)
-    for p in _primes_to(size - 1).tolist():
-        phi[p::p] -= phi[p::p] // p
-    return np.concatenate(([0], np.cumsum(phi // 2)))  # totient(1) // 2 = totient(2) // 2 = 0
 
 
 def _count(source) -> int:
     """The corpus pairs of a c-range (c_lo, c_hi, congruence): at congruence 1 from
-    _pair_counts, built to the power of two above c_hi, else the length of its grid."""
+    the sieve table's pairs, else the length of its grid."""
     lo, hi, congruence = source
     if congruence > 1:
         return len(_block_grid(*source)[0])
-    counts = _pair_counts(1 << hi.bit_length())
-    return int(counts[hi + 1] - counts[lo])
+    pairs = _sieve_table(hi)[2]
+    return int(pairs[hi] - pairs[lo - 1])
 
 
 def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
@@ -378,8 +390,8 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     keep marks the corpus pairs (gcd(s, c) = 1, and N | abc for congruence
     N > 1), so grid position g holds output pair cumsum(keep)[g] - 1.  The
     pairs and keep are views of the workspace, at every congruence.  Each c's
-    primes come from _least_primes_to, and the pairs are placed by each row's
-    count of kept positions.
+    primes come from the sieve table's least prime factors (_sieve_table), and
+    the pairs are placed by each row's count of kept positions.
     """
     cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
     reps = (cs - 1) // 2
@@ -391,7 +403,7 @@ def _block_grid(c_lo: int, c_hi: int, congruence: int = 1) -> tuple:
     # p <= reps: the multiples of p in the row, a slice each.  The primes of each
     # c come from the least prime factors, one pass per prime power: the least
     # prime of v / p is p again until p is divided out
-    least, row, v, last = _least_primes_to(c_hi), np.arange(len(cs)), cs, 0
+    least, row, v, last = _sieve_table(c_hi)[0], np.arange(len(cs)), cs, 0
     while len(row):
         p = least[v].astype(np.int64)
         new = (p != last) & (p <= reps[row])
@@ -545,7 +557,7 @@ def _lograd_piece(k: int, t: np.ndarray, grid: tuple, max_c: int) -> np.ndarray:
     cs, reps, starts, keep = grid
     rank = np.cumsum(keep, out=_WORKSPACE("scratch1", len(keep), np.int32))  # below 2**31
     rank -= 1
-    primes, roots = _piece_table(k, max_c)
+    primes, roots = _piece_table(k, 1 << max_c.bit_length())
     rad = _WORKSPACE("lograd", len(t))
     rad.fill(1)
     c_hi = int(cs[-1])
@@ -1090,9 +1102,10 @@ def _judge_logs(tally: _Tally, plan: _Plan, block_idx: int, nis, logc: np.ndarra
 
 def _k_vector(tally: _Tally, block, block_idx: int, max_c: int, plan: _Plan) -> None:
     """plan's checks over one c-range of a CorpusSpec (_judge_logs): each log rad from
-    one radical table, each piece's from its values t_k (_piece_values), or where not
-    bounded their sieve (_lograd_piece, degree 2), in buffers of the workspace alone."""
-    lograd = _radical_table(max_c)
+    the sieve table's lograd (_sieve_table), each piece's from its values t_k
+    (_piece_values), or where not bounded their sieve (_lograd_piece, degree 2), in
+    buffers of the workspace alone."""
+    lograd = _sieve_table(max_c)[1]
     c_arr, s_arr, grid, solution = block
     size, ws = len(c_arr), _WORKSPACE
 
@@ -1405,30 +1418,34 @@ def _verify(suite: str, params: dict, corpus, kernel, slots: int, consts: tuple,
     )
 
 
-def _validated_grid(values, kind, check) -> tuple:
-    """values as a nonempty tuple of kind without repeats, each entry passed to check,
-    which raises.  An exponent that int() would change, such as 4.9, is refused."""
-    values = tuple(values)
-    grid = tuple(map(kind, values))
+def _validated_grid(values, convert, check) -> tuple:
+    """values as a nonempty tuple without repeats, each entry converted by convert,
+    then passed to check; both raise."""
+    grid = tuple(map(convert, values))
     if not grid:
         raise ValueError("parameter grids must be nonempty")
-    for i, (v, g) in enumerate(zip(values, grid)):
-        if kind is int and v != g:
-            raise ValueError(f"exponents must be integers, got {v!r}")
+    for i, g in enumerate(grid):
         check(g)
         if g in grid[:i]:
             raise ValueError(f"parameter grids must not repeat a value, got {g!r} twice")
     return grid
 
 
-def _totient_exponent(N: int) -> int:
-    """n = totient(N), the exponent of lemma2 and the chain: even, at most the cap."""
-    if N < 3:
+def _exponent(n) -> int:
+    """An exponent of a grid as the int it equals: 4.0 is 4, and 4.9, which int()
+    would change, is refused."""
+    return _integral(n, "exponents must be integers")
+
+
+def _totient_exponent(N) -> tuple[int, int]:
+    """N as the int it equals, and n = totient(N), the exponent of lemma2 and the
+    chain: even, at most the cap."""
+    if (N := _integral(N, "N must be an integer")) < 3:
         raise ValueError("N must be at least 3")
     n = totient(N)
     if n > DEFAULT_EXPONENT_CAP:
         raise ExponentCapExceeded(f"totient({N}) = {n} exceeds cap {DEFAULT_EXPONENT_CAP}")
-    return n
+    return N, n
 
 
 def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, int, tuple]:
@@ -1444,10 +1461,10 @@ def _plan_kernel(plan: _Plan, corpus) -> tuple[Callable, int, tuple]:
     if not sieve_lane:
         return _k_scalar, _TRIPLE_BLOCK, (plan,)
     # build in the parent so workers share pages
-    _radical_table(corpus.max_c)
+    _sieve_table(corpus.max_c)
     if not _takes_bounds(plan):  # the piece sieve serves only the chain
         for k in ks:
-            _piece_table(k, corpus.max_c)
+            _piece_table(k, 1 << corpus.max_c.bit_length())
     return _k_vector, _BLOCK_SLOTS, (corpus.max_c, plan)
 
 
@@ -1473,7 +1490,7 @@ def verify_lemma1(
     it exact only for a suspect or the extremal.  An extremal whose
     radicals give up is reported with that lower bound (_judge_rows).
     """
-    n_grid = _validated_grid(n_grid, int, _require_exponent)
+    n_grid = _validated_grid(n_grid, _exponent, _require_exponent)
     # each eps's constants before any block runs: they overflow first at the largest n
     eps_grid = _validated_grid(eps_grid, float, functools.partial(lemma_constants, max(n_grid)))
     params = {
@@ -1505,10 +1522,12 @@ def verify_lemma2(
     shown 0 through its class; a list, or a table with a nonzero entry, takes
     each image through theta (_k_lemma2).
     """
-    n = _totient_exponent(N)
+    N, n = _totient_exponent(N)
     table = _lemma2_witnesses(N, n)
     _audit_witnesses(table, N, n)
     kernel = None if isinstance(corpus, CorpusSpec) and not table.any() else _k_lemma2
+    if kernel is None:  # the count reads the sieve table: built here, so workers share it
+        _sieve_table(corpus.max_c)
     return _verify("lemma2", {"N": N, "n": n}, corpus, kernel, _BLOCK_SLOTS, (N, n), workers,
                    max_counterexamples)
 
@@ -1535,7 +1554,7 @@ def verify_proof_identities(
     radical_scale (when not None) restricts it to solutions with
     c <= radical_scale; (i) and (ii) always run on every solution.
     """
-    n_grid = _validated_grid(n_grid, int, _require_exponent)
+    n_grid = _validated_grid(n_grid, _exponent, _require_exponent)
     params = {"n": list(n_grid), "tolerance": tolerance, "radical_scale": radical_scale}
     return _verify("identities", params, corpus, _k_identities, _TRIPLE_BLOCK,
                    (n_grid, radical_scale), workers, max_counterexamples, tolerance,
@@ -1565,7 +1584,7 @@ def verify_reduction_chain(
     takes a CorpusSpec with max_c <= _VECTOR_MAX_C when n is 2, 4 or 6 (N in
     {3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18}), whose pieces, of degree 2, it sieves.
     """
-    n = _totient_exponent(N)
+    N, n = _totient_exponent(N)
     bound = derived_full_bound(N, eps, assumed_constant)  # NonpositiveEpsilon for eps <= 0
     eps, assumed_constant = float(eps), float(assumed_constant)
     params = {"N": N, "n": n, "eps": eps, "assumed_constant": assumed_constant, "bound": bound}
@@ -1579,15 +1598,16 @@ def search_quality(max_c: int, threshold: float) -> list[MeritReport]:
     """All solutions with c <= max_c and quality above the threshold.
 
     Sorted by descending quality; ties keep corpus order.  Candidate
-    qualities come from sieve tables, and each hit is recomputed
-    through the factorization engine before being reported.
+    qualities come from the sieve table's log radicals (_sieve_table), and
+    each hit is recomputed through the factorization engine before being
+    reported.
     """
-    if max_c > _VECTOR_MAX_C:  # before _blocks, which walks every c
+    if max_c > _VECTOR_MAX_C:  # before any block is cut or table built
         raise ValueError(f"max_c {max_c} is above the size guard _VECTOR_MAX_C = {_VECTOR_MAX_C}")
     sources = _blocks(CorpusSpec(max_c), _BLOCK_SLOTS)  # ValueError for max_c < 3
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    lograd = _radical_table(max_c)
+    lograd = _sieve_table(max_c)[1]
     hits: list[MeritReport] = []
     for source in sources:
         c_arr, s_arr, _, solution = _block(source)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -370,8 +371,9 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
 
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1: trial division (_trial_divide),
-    then _split of the cofactor, which may raise FactorizationFailure."""
-    if n < 1:
+    then _split of the cofactor, which may raise FactorizationFailure.  n goes through
+    operator.index, so a float is a TypeError and a numpy integer a Python int."""
+    if (n := operator.index(n)) < 1:
         raise ValueError("factorize expects n >= 1")
     return _split(*_trial_divide(n))
 

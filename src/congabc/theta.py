@@ -95,6 +95,17 @@ def _require_positive(epsilon) -> None:
         raise NonpositiveEpsilon(f"epsilon must be positive and finite, got {epsilon}")
 
 
+def _integral(v, rule: str) -> int:
+    """v as the int it equals, so 7.0 is 7; any other v, such as 7.5, which int()
+    would change to 7, or "7", is ValueError(f"{rule}, got {v!r}")."""
+    try:
+        if (n := int(v)) == v:
+            return n
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+        pass
+    raise ValueError(f"{rule}, got {v!r}")
+
+
 def _require_exponent(n: int) -> None:
     """The exponent rule of theta and the suites: even, 2 <= n <= DEFAULT_EXPONENT_CAP.
 
@@ -173,7 +184,7 @@ def derived_full_bound(N: int, epsilon: float, congruence_constant: float) -> fl
     an explicit bound on f(aa, epsilon) for all solutions.  ValueError
     where the bound is not finite: the constant NaN, infinite or lifted past float64.
     """
-    if N < 1:
+    if (N := _integral(N, "N must be a positive integer")) < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     _require_positive(epsilon)
     C = congruence_constant

@@ -357,7 +357,7 @@ def test_search_above_the_size_guard_exits_2_before_any_table(capsys, monkeypatc
         raise AssertionError("reached a table past the size guard")
 
     monkeypatch.setattr(harness, "_c_blocks", unreachable)
-    monkeypatch.setattr(harness, "_radical_table", unreachable)
+    monkeypatch.setattr(harness, "_sieve_table", unreachable)
     code, out, err = run_cli(capsys, "search", "--max-c", str(10**9))
     assert (code, out) == (2, "")
     assert "_VECTOR_MAX_C" in err

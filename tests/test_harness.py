@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -32,6 +33,7 @@ from congabc.theta import (
     ExponentCapExceeded,
     NonpositiveEpsilon,
     OddN,
+    derived_full_bound,
     lemma_constants,
     theta,
 )
@@ -129,6 +131,80 @@ def test_corpus_size_is_the_totient_sum():
                    for source in harness._blocks(spec, harness._BLOCK_SLOTS))
         assert len(spec) == grid
     assert len(CorpusSpec(3000)) == 1_368_093
+
+
+def _fresh_sieve(monkeypatch):
+    # a process that has built no sieve table yet
+    monkeypatch.setattr(harness, "_SIEVE", [np.zeros(0, dtype=np.int32), np.zeros(0),
+                                            np.zeros(0, dtype=np.int64)])
+
+
+def test_sieve_table_matches_brute_force():
+    # every v < 4096: the least prime factor by trial division, log rad bit for bit
+    # np.log of the radical, and pairs the running sum of totient(c) // 2
+    least, lograd, pairs = harness._sieve_table(4095)
+    assert least.dtype == np.int32 and len(least) == len(lograd) == len(pairs) >= 4096
+    assert (least[0], lograd[0], pairs[0]) == (0, 0.0, 0)
+    total = 0
+    for v in range(1, 4096):
+        assert least[v] == next((p for p in range(2, v + 1) if v % p == 0), v), v
+        assert lograd[v] == np.log(float(radical(v))), v
+        total += totient(v) // 2
+        assert pairs[v] == total, v
+
+
+def test_sieve_table_keeps_one_table(monkeypatch):
+    # over rising and falling limits every call gets the arrays of the one table
+    # kept; only a limit past it builds another, to the next power of two, and the
+    # one it replaces is freed
+    _fresh_sieve(monkeypatch)
+    built, sizes = {}, []
+    for limit in (3, 1000, 10, 1 << 12, 4095, 5000, 3):
+        tables = harness._sieve_table(limit)
+        assert all(t is kept for t, kept in zip(tables, harness._SIEVE, strict=True))
+        sizes.append(len(tables[0]))
+        built.setdefault(sizes[-1], weakref.ref(harness._SIEVE[0]))
+    del tables
+    assert sizes == [4, 1024, 1024, 8192, 8192, 8192, 8192]
+    assert {size: ref() is not None for size, ref in built.items()} == {
+        4: False, 1024: False, 8192: True}
+
+
+def test_a_sweep_over_max_c_keeps_one_table_per_power_of_two(monkeypatch):
+    # a table keyed by each max_c was kept for every bound a process saw: one sieve
+    # table is kept, and a piece table per k (3 and 6 at N = 7) and power of two
+    _fresh_sieve(monkeypatch)
+    harness._piece_table.cache_clear()
+    for max_c in range(3, 301):
+        assert verify_lemma1(CorpusSpec(max_c), [2], [1.0]).ok
+    for max_c in range(3, 201):
+        assert verify_reduction_chain(CorpusSpec(max_c), 7, 1.0, 10.0).ok
+    assert [len(t) for t in harness._SIEVE] == [512] * 3
+    assert all(t is kept for t, kept in zip(harness._sieve_table(3), harness._SIEVE))
+    powers = {1 << max_c.bit_length() for max_c in range(3, 201)}
+    assert harness._piece_table.cache_info().currsize <= 2 * len(powers) == 14
+
+
+def _c_blocks_by_loop(max_c: int, target_slots: int) -> list[tuple[int, int]]:
+    # a block ends at the first c whose rows bring it to target_slots slots
+    blocks, lo, slots = [], 3, 0
+    for c in range(3, max_c + 1):
+        slots += (c - 1) // 2
+        if slots >= target_slots:
+            blocks.append((lo, c))
+            lo, slots = c + 1, 0
+    if lo <= max_c:
+        blocks.append((lo, max_c))
+    return blocks
+
+
+def test_c_blocks_match_a_loop_over_every_c():
+    for max_c in range(3, 400):
+        for target in (1, 2, 3, 5, 17, 100, 4096, 100_000):
+            assert harness._c_blocks(max_c, target) == _c_blocks_by_loop(max_c, target)
+    for max_c in (3000, 10**4, 50_000):
+        for target in (1, 200, 4096, 100_000):
+            assert harness._c_blocks(max_c, target) == _c_blocks_by_loop(max_c, target)
 
 
 def test_corpus_spec_matches_enumeration():
@@ -491,6 +567,27 @@ def test_suites_refuse_an_exponent_that_int_would_change(run):
         with pytest.raises(ValueError, match=f"integers, got {grid[-1]}"):
             run(grid)
     assert run([4.0]).params["n"] == run([4]).params["n"] == [4]
+
+
+def _verdict(s: SuiteSummary) -> tuple:
+    return s.params, s.checks, s.ok, s.corpus_hash
+
+
+@pytest.mark.parametrize("call, bad, good, same, error", [
+    (factorize, 7.0, np.int64(12), 12, TypeError),
+    (totient, 7.5, np.int64(12), 12, TypeError),
+    (lambda N: derived_full_bound(N, 1.0, 10.0), 7.5, 7.0, 7, ValueError),
+    (lambda N: _verdict(verify_lemma2(CorpusSpec(50), N)), 7.5, 7.0, 7, ValueError),
+    (lambda N: _verdict(verify_reduction_chain(CorpusSpec(50), N, 1.0, 10.0)),
+     7.5, 7.0, 7, ValueError),
+])
+def test_a_non_integer_N_or_number_to_factor_is_refused(call, bad, good, same, error):
+    # factorize(7.0) gave ((7.0, 1),), totient(7.5) 6.5, derived_full_bound(7.5, ...)
+    # an OddN naming 6.5 and verify_lemma2 at 7.0 a TypeError inside range: a number
+    # to factor is an index, and an N that equals an integer is that integer
+    with pytest.raises(error, match="float" if error is TypeError else repr(bad)):
+        call(bad)
+    assert call(good) == call(same)
 
 
 def test_suites_refuse_a_repeated_grid_value():
@@ -932,7 +1029,7 @@ def test_search_quality_refuses_max_c_above_the_size_guard(monkeypatch):
         raise AssertionError("reached a table past the size guard")
 
     monkeypatch.setattr(harness, "_c_blocks", unreachable)
-    monkeypatch.setattr(harness, "_radical_table", unreachable)
+    monkeypatch.setattr(harness, "_sieve_table", unreachable)
     with pytest.raises(ValueError, match="_VECTOR_MAX_C"):
         search_quality(harness._VECTOR_MAX_C + 1, 1.0)
     with pytest.raises(ValueError, match="_VECTOR_MAX_C"):
@@ -1429,15 +1526,17 @@ def test_every_sieve_row_is_the_proved_row(monkeypatch, workers):
     for spec in (CorpusSpec(200), CorpusSpec(400, congruence=7)):
         assert len(harness._blocks(spec, harness._BLOCK_SLOTS)) > 3
         assert verify_lemma1(spec, [2, 4, 6], [1.0], workers=workers).ok
-    real = harness._radical_table
+    real = harness._sieve_table
 
     def table(limit):
-        # rad(175) = 5 * 7 counted as 5**2 * 7
-        lograd = real(limit).copy()
-        lograd[175] += math.log(5)
-        return lograd
+        # rad(175) = 5 * 7 counted as 5**2 * 7, in every table that reaches it
+        least, lograd, pairs = real(limit)
+        if len(lograd) > 175:
+            lograd = lograd.copy()
+            lograd[175] += math.log(5)
+        return least, lograd, pairs
 
-    monkeypatch.setattr(harness, "_radical_table", table)
+    monkeypatch.setattr(harness, "_sieve_table", table)
     with pytest.raises(harness.InternalRadicalMismatch, match="the sieve gives"):
         verify_lemma1(CorpusSpec(200), [2, 4, 6], [1.0], workers=workers)
 
